@@ -1,0 +1,8 @@
+"""Tests of the benchmark itself: python3 -m pytest bench -q (from the repo root)."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(1, str(BENCH))
