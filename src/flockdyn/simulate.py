@@ -10,17 +10,24 @@ is applied pointwise-exactly per half step (the speed ODE
 ``du/dt = 2u (alpha - beta u)`` for u = |v|^2 is logistic and has a closed
 solution).
 
-Forces are evaluated with an O(N^2) vectorized pair loop.  Pairwise sums
-run in fixed index order, so trajectories are bit-reproducible for a given
-seed and configuration regardless of how the surrounding code schedules
-work.  Pairs closer than ``min_separation`` use the force magnitude frozen
-at that separation (the Quasi-Morse potential is singular at the origin
-for n >= 2, so the clamp makes the regularization explicit).
+Forces are evaluated by an O(N^2) direct sum taken in blocks of
+``_BLOCK_ROWS`` rows against all N particles, so the pair work arrays take
+O(N * _BLOCK_ROWS) memory rather than O(N^2); the interaction energy uses
+the same blocks restricted to the pairs j > i.  Blocks, and the sums
+within them, run in fixed index order, so trajectories are bit-reproducible
+for a given seed and configuration regardless of how the surrounding code
+schedules work.  Pairs closer than ``min_separation`` use the force
+magnitude frozen at that separation (the Quasi-Morse potential is singular
+at the origin for n >= 2, so the clamp makes the regularization explicit).
 
-For throughput, U' is by default tabulated once per configuration on a
-dense log-spaced grid and linearly interpolated (measured error below
-1e-7 relative in the dynamically relevant range); ``tabulated_forces=False``
-switches to direct evaluation for exactness-sensitive experiments.
+For throughput, U'(r)/r, U'(r) and U(r) are by default tabulated once per
+configuration on a dense grid uniform in log r and linearly interpolated,
+with the cell found by index arithmetic rather than a search (measured
+error below 1e-6 of the force scale for every supported potential);
+``tabulated_forces=False`` switches to direct evaluation for
+exactness-sensitive experiments.  The tables are kept even for the
+potentials with cheap closed forms, which measured slower than the lookup
+(see ``_ForceModel``).
 """
 
 from __future__ import annotations
@@ -127,6 +134,10 @@ class SimConfig:
             object.__setattr__(self, "min_separation", 1e-6 * self._ell())
         if self.min_separation <= 0.0:
             raise DomainError("min_separation must be positive")
+        if self.steps < 0:
+            raise DomainError("steps must be non-negative")
+        if self.record_stride < 1:
+            raise DomainError("record_stride must be at least 1")
 
     def _ell(self) -> float:
         pot = self.potential
@@ -204,12 +215,42 @@ class RunSummary:
     final_max_displacement: float
 
 
-class _ForceModel:
-    """U'(r) (and U(r) for diagnostics) with the min-separation clamp,
-    optionally via dense log-grid interpolation tables.
+# Rows of the pair kernel handled per block.  A pass allocates its
+# (_BLOCK_ROWS, N) work arrays once and reuses them for every block, so
+# memory grows as O(N) rather than O(N^2).  At 32 rows the arrays stay near
+# cache size (512 KB each at N = 2000); 64 rows measured the same up to
+# N = 2000, while 128 and 256 rows were up to 1.7x slower at N = 5000.
+_BLOCK_ROWS = 32
 
-    The hot path interpolates w(r) = U'(max(r, min_sep))/r against log r,
-    fed with 0.5 log(d^2) so the pair loop never takes a square root."""
+# Nodes of the force and energy tables, uniform in log r.
+_TABLE_SIZE = 32768
+
+
+def _with_slopes(tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A table and its per-cell slopes, padded with a zero slope so that the
+    last node interpolates to itself exactly."""
+    return tab, np.append(np.diff(tab), 0.0)
+
+
+class _ForceModel:
+    """U'(r), U'(r)/r and U(r) with the min-separation clamp, optionally via
+    dense interpolation tables on a grid uniform in log r.
+
+    The tables cover [0.5 min_sep, r_max].  Since the grid is uniform, a
+    lookup finds its cell by index arithmetic, ``s = (log r - x0)/h`` and
+    ``i = int(s)``, instead of the binary search ``np.interp`` runs per
+    point, and returns ``tab[i] + (s - i) slope[i]``.  Arguments are
+    clipped to the table, which reproduces ``np.interp``'s endpoint values
+    below 0.5 min_sep (including d = 0) and above r_max.  The pair loop
+    feeds 0.5 log(d^2), so it never takes a square root.
+
+    The tables are kept for all potentials, although 3-D Quasi-Morse, Morse
+    and Morse-like have closed forms built from exponentials and powers:
+    on 2000 x 2000 pairs the closed forms of 3-D Quasi-Morse and Morse-like
+    measured 1.5x slower than the lookup.  32768 nodes keep every table
+    within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
+    towards min_sep and needed more than 16384.  ``tabulated=False``
+    evaluates the potential directly and is the exact reference."""
 
     def __init__(self, potential: PotentialSpec, min_sep: float, tabulated: bool,
                  r_max: float = None):
@@ -218,41 +259,68 @@ class _ForceModel:
         self.tabulated = tabulated
         self.r_max = r_max if r_max is not None else 1e4
         if tabulated:
-            logs = np.linspace(math.log(0.5 * min_sep), math.log(self.r_max), 16384)
-            grid = np.exp(logs)
-            self._grid_log = logs
-            self._force_tab = potential_force_magnitude(
-                potential, np.maximum(grid, min_sep)
-            )
-            self._w_tab = self._force_tab / grid
-            self._value_tab = potential_value(potential, np.maximum(grid, min_sep))
+            x0, x1 = math.log(0.5 * min_sep), math.log(self.r_max)
+            grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
+            r_eff = np.maximum(grid, min_sep)
+            force_tab = potential_force_magnitude(potential, r_eff)
+            self._x0 = x0
+            self._inv_h = (_TABLE_SIZE - 1) / (x1 - x0)
+            self._force_tab = _with_slopes(force_tab)
+            self._w_tab = _with_slopes(force_tab / grid)
+            self._value_tab = _with_slopes(potential_value(potential, r_eff))
+
+    def _lookup(self, table, s, work=None):
+        """Linear interpolation of ``table`` at log r = ``s``, a float array
+        overwritten with the result.  ``work`` is an optional pair of work
+        arrays of s's shape, (float scratch, intp index)."""
+        tab, slope = table
+        s = np.asarray(s)
+        scratch, index = work or (np.empty_like(s), np.empty(s.shape, dtype=np.intp))
+        s -= self._x0
+        s *= self._inv_h
+        np.clip(s, 0.0, _TABLE_SIZE - 1, out=s)
+        cell = np.floor(s, out=scratch)
+        np.copyto(index, cell, casting="unsafe")
+        s -= cell
+        # the clip above keeps every index inside the table
+        s *= np.take(slope, index, out=scratch, mode="clip")
+        s += np.take(tab, index, out=scratch, mode="clip")
+        return s
 
     def force(self, r):
         r_eff = np.maximum(r, self.min_sep)
         if not self.tabulated:
             return potential_force_magnitude(self.potential, r_eff)
-        x = np.log(np.minimum(r_eff, self.r_max))
-        return np.interp(x, self._grid_log, self._force_tab)
+        return self._lookup(self._force_tab, np.log(r_eff))
 
-    def force_over_dist_sq(self, d2):
+    def force_over_dist_sq(self, d2, work=None):
         """U'(max(d, min_sep))/d from squared distances; d = 0 entries must
-        be masked out by the caller (their offsets vanish anyway)."""
+        be masked out by the caller (their offsets vanish anyway).  Given
+        the work arrays of ``_lookup``, the tabulated result overwrites
+        ``d2``."""
         if not self.tabulated:
             d = np.sqrt(d2)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return potential_force_magnitude(
                     self.potential, np.maximum(d, self.min_sep)
                 ) / d
-        with np.errstate(divide="ignore"):
-            x = 0.5 * np.log(d2)
-        return np.interp(x, self._grid_log, self._w_tab)
+        return self._lookup(self._w_tab, _half_log(d2, work), work)
 
-    def value(self, r):
-        r_eff = np.maximum(r, self.min_sep)
+    def value_from_dist_sq(self, d2, work=None):
+        """U(max(d, min_sep)) from squared distances; ``work`` as in
+        ``force_over_dist_sq``."""
         if not self.tabulated:
-            return potential_value(self.potential, r_eff)
-        x = np.log(np.minimum(r_eff, self.r_max))
-        return np.interp(x, self._grid_log, self._value_tab)
+            return potential_value(self.potential, np.maximum(np.sqrt(d2), self.min_sep))
+        return self._lookup(self._value_tab, _half_log(d2, work), work)
+
+
+def _half_log(d2, work):
+    """log d from d^2, in place when work arrays are given; -inf at d = 0,
+    which the lookup clips to the table's first node."""
+    with np.errstate(divide="ignore"):
+        x = np.log(d2, out=d2 if work else None)
+    x *= 0.5
+    return x
 
 
 @functools.lru_cache(maxsize=8)
@@ -260,39 +328,69 @@ def _cached_model(potential: PotentialSpec, min_sep: float, tabulated: bool) -> 
     return _ForceModel(potential, min_sep, tabulated)
 
 
-def _pair_dist_sq(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 via the Gram matrix; avoids the (N, N, dim) tensor."""
-    r2 = np.einsum("ik,ik->i", x, x)
-    d2 = r2[:, None] + r2[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)  # clamp Gram-trick rounding
-    return d2
+def _pair_blocks(x: np.ndarray, upper: bool = False):
+    """Yield (lo, hi, d2, work) for the row blocks lo:hi of the pair kernel
+    in fixed order: d2 holds |x_i - x_j|^2 against every column j, or only
+    against j >= lo when ``upper``, and work is the (scratch, index) pair of
+    the table lookup.  The arrays are allocated once and reused by every
+    block, so a caller must finish with a block before the next.
+
+    d2 is summed from the coordinate differences, so coincident particles
+    give exactly 0 and close pairs keep their relative accuracy.  The Gram
+    expansion |x_i|^2 + |x_j|^2 - 2 x_i.x_j guarantees neither: its
+    rounding leaves a few eps |x|^2, which the 1/d weight turns into a
+    spurious force at and near d = 0."""
+    n_part = x.shape[0]
+    first, *rest = np.ascontiguousarray(x.T)
+    size = min(_BLOCK_ROWS, n_part) * n_part
+    buffers = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    for lo in range(0, n_part, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_part)
+        start = lo if upper else 0
+        shape = (hi - lo, n_part - start)
+        d2, scratch, index = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+        np.subtract.outer(first[lo:hi], first[start:], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for coord in rest:
+            np.subtract.outer(coord[lo:hi], coord[start:], out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            d2 += scratch
+        yield lo, hi, d2, (scratch, index)
 
 
 def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
     """-(1/N) sum_j U'(|x_i - x_j|) (x_i - x_j)/|x_i - x_j|, fixed order.
 
-    With weights w_ij = U'(d_ij)/d_ij the sum collapses to
-    (sum_j w_ij) x_i - (w x)_i, which two matrix products evaluate without
+    Rows are taken _BLOCK_ROWS at a time.  With weights w_ij = U'(d_ij)/d_ij
+    a block's sum collapses to (sum_j w_ij) x_i - (w x)_i; one matrix
+    product with x extended by a column of ones gives both terms without
     forming pair offsets."""
     n_part = x.shape[0]
-    d2 = _pair_dist_sq(x)
-    np.fill_diagonal(d2, 1.0)  # placeholder; the weight is zeroed below
-    w = model.force_over_dist_sq(d2)
-    np.fill_diagonal(w, 0.0)
-    w[d2 == 0.0] = 0.0  # exactly coincident pairs contribute nothing
-    return -(w.sum(axis=1)[:, None] * x - w @ x) / n_part
+    x_one = np.hstack([x, np.ones((n_part, 1))])
+    acc = np.empty_like(x)
+    for lo, hi, d2, work in _pair_blocks(x):
+        coincident = d2 == 0.0  # self and exactly coincident pairs
+        w = model.force_over_dist_sq(d2, work)
+        w[coincident] = 0.0
+        wx = w @ x_one
+        acc[lo:hi] = wx[:, -1:] * x[lo:hi] - wx[:, :-1]
+    acc /= -n_part
+    return acc
 
 
 def interaction_energy(state: ParticleState, config: SimConfig) -> float:
-    """Discrete interaction energy (1/(2 N^2)) sum_{i != j} W(x_i - x_j)."""
+    """Discrete interaction energy (1/(2 N^2)) sum_{i != j} W(x_i - x_j),
+    summed once per pair i < j in the row blocks of the force kernel."""
     model = _cached_model(
         config.potential, config.min_separation, config.tabulated_forces
     )
     x = state.positions
-    d2 = _pair_dist_sq(x)
-    iu = np.triu_indices(x.shape[0], k=1)
-    vals = model.value(np.sqrt(d2[iu]))
-    return float(vals.sum()) / x.shape[0] ** 2
+    total = 0.0
+    for lo, hi, d2, work in _pair_blocks(x, upper=True):
+        vals = model.value_from_dist_sq(d2, work)
+        vals[:, : hi - lo] = np.triu(vals[:, : hi - lo], k=1)  # keep j > i
+        total += float(vals.sum())
+    return total / x.shape[0] ** 2
 
 
 def _check_blowup(x: np.ndarray, bound: float, step: int) -> None:

@@ -234,6 +234,15 @@ def test_simulate_bad_init_flag(tmp_path):
     )
 
 
+@pytest.mark.parametrize("counts", [["--stride", "0"], ["--steps", "-1"]])
+def test_simulate_rejects_bad_counts(tmp_path, counts):
+    # a zero stride used to escape as ZeroDivisionError, negative steps to
+    # exit 0 after running nothing
+    out = tmp_path / "x"
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", *counts, "-o", str(out)]) == 5
+    assert not Path(str(out) + ".csv").exists()
+
+
 # ---------------------------------------------------------- specfun table
 
 

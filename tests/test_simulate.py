@@ -8,13 +8,24 @@ import numpy as np
 import pytest
 
 from flockdyn.errors import DomainError, NumericalBlowupError
-from flockdyn.potentials import ModelParams, Morse, MorseLike, QuasiMorse, minimum_radius
+from flockdyn.potentials import (
+    ModelParams,
+    Morse,
+    MorseLike,
+    QuasiMorse,
+    minimum_radius,
+    potential_force_magnitude,
+    potential_value,
+)
 from flockdyn.simulate import (
+    _BLOCK_ROWS,
+    _TABLE_SIZE,
     FromFile,
     Gaussian,
     ParticleState,
     SimConfig,
     UniformBall,
+    _accelerations,
     _cached_model,
     compare_profile,
     initial_state,
@@ -30,6 +41,7 @@ from flockdyn.simulate import (
 from flockdyn.solver import density_eval, solve_profile
 
 REF3D = ModelParams(3, 1.255, 0.8, 0.2)
+REF2D = ModelParams(2, 10.0 / 9.0, 0.75, 0.5)
 POT = QuasiMorse(REF3D)
 
 
@@ -168,6 +180,15 @@ def test_run_deterministic_given_seed():
     assert r1.records[-1] == r2.records[-1]
 
 
+def test_run_deterministic_across_row_blocks():
+    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05,
+                    steps=4, seed=12, record_stride=2)
+    s1, r1 = run(cfg)
+    s2, r2 = run(cfg)
+    assert np.array_equal(s1.positions, s2.positions)
+    assert r1.records == r2.records
+
+
 def test_energy_descent_first_order():
     cfg = SimConfig(potential=POT, dimension=3, N=128, dt=0.2, steps=1000,
                     seed=7, init=UniformBall(1.5), record_stride=10)
@@ -304,3 +325,113 @@ def test_tabulated_forces_match_exact_forces_closely():
     tab = model_tab.force(r)
     exact = model_exact.force(r)
     assert np.max(np.abs(tab - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
+_KERNEL_CASES = {
+    "quasi_morse_2d": QuasiMorse(REF2D),
+    "quasi_morse_3d": POT,
+    "morse": Morse(2.0, 1.0, 0.5, 1.0),
+    "morse_like": MorseLike(0.5, 0.6, 0.2),
+}
+
+
+@pytest.mark.parametrize("potential", _KERNEL_CASES.values(), ids=_KERNEL_CASES.keys())
+def test_tabulated_kernel_matches_exact_for_all_potentials(potential):
+    min_sep = 1e-6 * 0.8
+    model = _cached_model(potential, min_sep, True)
+    r = np.geomspace(2e-6, 50.0, 20_000)
+    force = potential_force_magnitude(potential, r)
+    value = potential_value(potential, r)
+    force_scale = np.max(np.abs(force))
+    assert np.max(np.abs(model.force(r) - force)) <= 1e-6 * force_scale
+    assert np.max(np.abs(model.force_over_dist_sq(r * r) * r - force)) <= 1e-6 * force_scale
+    assert (np.max(np.abs(model.value_from_dist_sq(r * r) - value))
+            <= 1e-6 * np.max(np.abs(value)))
+
+
+def test_table_lookup_reproduces_interp_endpoints_and_interior():
+    # the tables as np.interp read them: nodes uniform in log r over
+    # [0.5 min_sep, r_max], clamped at min_sep
+    min_sep = 1e-6 * 0.8
+    model = _cached_model(POT, min_sep, True)
+    logs = np.linspace(math.log(0.5 * min_sep), math.log(model.r_max), _TABLE_SIZE)
+    grid = np.exp(logs)
+    force_tab = potential_force_magnitude(POT, np.maximum(grid, min_sep))
+    value_tab = potential_value(POT, np.maximum(grid, min_sep))
+    w_tab = force_tab / grid
+
+    def interp(tab, log_r):
+        return np.interp(log_r, logs, tab)
+
+    beyond = np.array([1.0001, 2.0, 1e3]) * model.r_max
+    below = np.array([1e-3, 0.25, 0.4999]) * min_sep
+    d2 = np.concatenate([[0.0], below**2, beyond**2])
+    with np.errstate(divide="ignore"):
+        half_log = 0.5 * np.log(d2)
+    expected_w = interp(w_tab, half_log)
+    assert np.array_equal(model.force_over_dist_sq(d2), expected_w)
+    assert np.all(expected_w[:4] == w_tab[0]) and np.all(expected_w[4:] == w_tab[-1])
+    assert np.array_equal(model.value_from_dist_sq(d2), interp(value_tab, half_log))
+    assert np.array_equal(model.force(beyond), np.full(3, force_tab[-1]))
+    # force() clamps r at min_sep before the lookup, as it did before
+    clamped = interp(force_tab, math.log(min_sep))
+    assert np.allclose(model.force(below), clamped, rtol=1e-12, atol=0.0)
+
+    r = np.geomspace(0.6 * min_sep, 0.9 * model.r_max, 4001)
+    for got, tab, log_r in ((model.force(r), force_tab, np.log(np.maximum(r, min_sep))),
+                            (model.force_over_dist_sq(r * r), w_tab, np.log(r)),
+                            (model.value_from_dist_sq(r * r), value_tab, np.log(r))):
+        ref = interp(tab, log_r)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _pair_loop_accelerations(x, potential, min_sep):
+    """-(1/N) sum_{j != i} U'(max(d, min_sep)) (x_i - x_j)/d, one row at a
+    time from the offsets themselves; coincident pairs contribute 0."""
+    n_part = x.shape[0]
+    acc = np.zeros_like(x)
+    for i in range(n_part):
+        diff = x[i] - x
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = d > 0.0
+        f = potential_force_magnitude(potential, np.maximum(d[keep], min_sep))
+        acc[i] = -(f[:, None] * diff[keep] / d[keep][:, None]).sum(axis=0) / n_part
+    return acc
+
+
+def _pair_loop_energy(x, potential, min_sep):
+    """(1/N^2) sum_{i < j} U(max(d, min_sep))."""
+    total = 0.0
+    for i in range(x.shape[0] - 1):
+        diff = x[i] - x[i + 1:]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        total += float(potential_value(potential, np.maximum(d, min_sep)).sum())
+    return total / x.shape[0] ** 2
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["exact", "tabulated"])
+@pytest.mark.parametrize("n_part", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+def test_blocked_kernel_matches_pair_loop(n_part, tabulated):
+    cfg = SimConfig(potential=POT, dimension=3, N=n_part, seed=n_part,
+                    tabulated_forces=tabulated)
+    min_sep = cfg.min_separation
+    x = np.random.default_rng(n_part).uniform(-1.0, 1.0, size=(n_part, 3))
+    # a pair inside min_separation, whose force must be the one at min_sep
+    # (kept above the table's lower edge at 0.5 min_sep), then, with room
+    # for it, a pair that coincides exactly and must contribute nothing
+    x[-1] = x[0] + 0.6 * min_sep * np.array([0.6, 0.0, 0.8])
+    if n_part > 3:
+        x[n_part // 2] = x[1]
+    model = _cached_model(POT, min_sep, tabulated)
+    acc = _accelerations(x, model)
+    ref = _pair_loop_accelerations(x, POT, min_sep)
+    scale = abs(potential_force_magnitude(POT, min_sep))
+    tol = 1e-6 if tabulated else 1e-9
+    assert np.max(np.abs(acc - ref)) <= tol * scale / n_part
+    # the clamped pair dominates its two rows; check them on their own scale
+    for i in (0, -1):
+        assert np.linalg.norm(acc[i] - ref[i]) <= tol * np.linalg.norm(ref[i])
+
+    energy = interaction_energy(ParticleState(positions=x, velocities=None), cfg)
+    energy_ref = _pair_loop_energy(x, POT, min_sep)
+    assert energy == pytest.approx(energy_ref, rel=1e-6 if tabulated else 1e-12)
