@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -130,6 +128,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_solve(args) -> int:
+    if args.grid < 2:
+        raise _UsageError(f"--grid must be at least 2, got {args.grid}")
     params = _model_params(args)
     profile = solve_profile(
         params, root_index=args.root_index, allow_nonbiological=args.allow_nonbiological
@@ -151,8 +151,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _phase_cell(task):
-    n, c, ell, k = task
+def _phase_cell(n, c, ell, k):
     try:
         params = ModelParams(n=n, C=c, ell=ell, k=k)
         regime = classify(params)
@@ -173,25 +172,14 @@ def _phase_cell(task):
         return (c, ell, "invalid", "invalid", 0, 0, float("nan"))
 
 
-def _workers() -> int:
-    env = os.environ.get("FLOCKDYN_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _cmd_phase(args) -> int:
     cs = np.linspace(args.c_min, args.c_max, args.resolution)
     ells = np.linspace(args.ell_min, args.ell_max, args.resolution)
-    tasks = [
-        (args.dimension, float(c), float(ell), args.k) for c in cs for ell in ells
+    rows = [
+        _phase_cell(args.dimension, float(c), float(ell), args.k)
+        for c in cs
+        for ell in ells
     ]
-    workers = _workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_phase_cell, tasks, chunksize=64))
-    else:
-        rows = [_phase_cell(t) for t in tasks]
     meta = {
         "subcommand": "phase",
         "dimension": args.dimension,

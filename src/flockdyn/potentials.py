@@ -26,6 +26,7 @@ from typing import Union
 import numpy as np
 
 from . import specfun
+from ._roots import bracketed_root
 from .errors import DegenerateDenominatorError, DomainError
 
 #: tolerance on |C ell^n - 1| for separatrix / zero-sign classification
@@ -61,6 +62,8 @@ class ModelParams:
             raise DomainError(f"dimension must be 2 or 3, got {self.n}")
         if not (self.C > 0.0 and self.ell > 0.0 and self.k > 0.0):
             raise DomainError("C, ell and k must be strictly positive")
+        if not all(map(math.isfinite, (self.C, self.ell, self.k))):
+            raise DomainError("C, ell and k must be finite")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "C": self.C, "ell": self.ell, "k": self.k}
@@ -271,8 +274,8 @@ def morse_like_regime(spec: MorseLike, n: int) -> tuple[bool, bool]:
 
 
 def minimum_radius(spec: PotentialSpec, r_lo: float = None, r_hi: float = None) -> float:
-    """Radius of the potential minimum, located by a geometric scan for the
-    sign change of U' followed by bisection.
+    """Radius of the potential minimum: a geometric scan finds the first
+    sign change of U' from - to +, and the bracketed Brent solver refines it.
 
     Raises DomainError if no sign change is found in the scan window.
     """
@@ -290,13 +293,8 @@ def minimum_radius(spec: PotentialSpec, r_lo: float = None, r_hi: float = None) 
     sign_change = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]
     if len(sign_change) == 0:
         raise DomainError("no minimum of U found in the scan window")
-    a, b = grid[sign_change[0]], grid[sign_change[0] + 1]
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if potential_force_magnitude(spec, mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-15 * b:
-            break
-    return 0.5 * (a + b)
+    return bracketed_root(
+        lambda r: potential_force_magnitude(spec, r),
+        grid[sign_change[0]],
+        grid[sign_change[0] + 1],
+    )

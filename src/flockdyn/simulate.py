@@ -163,6 +163,9 @@ class SimConfig:
             "record_stride": self.record_stride,
             "blowup_bound": self.blowup_bound,
             "tabulated_forces": self.tabulated_forces,
+            "convergence_tol": self.convergence_tol,
+            "convergence_window": self.convergence_window,
+            "stop_when_converged": self.stop_when_converged,
         }
 
     @classmethod
@@ -182,6 +185,9 @@ class SimConfig:
             record_stride=int(d.get("record_stride", 100)),
             blowup_bound=float(d.get("blowup_bound", 1e6)),
             tabulated_forces=bool(d.get("tabulated_forces", True)),
+            convergence_tol=float(d.get("convergence_tol", 1e-9)),
+            convergence_window=int(d.get("convergence_window", 100)),
+            stop_when_converged=bool(d.get("stop_when_converged", False)),
         )
 
 

@@ -8,10 +8,14 @@ asymptotics near both ends of region I.
 
 The determinant is ``det M = Btilde(ell) - Btilde(1)``, where Btilde is the
 boundary coefficient at the repulsive (xi = ell) and attractive (xi = 1)
-scales.  In 3-D the positive branch collapses to trigonometric functions
-and root refinement runs on the strictly increasing reformulation
-``tan(aR) + g(R)`` between consecutive poles; in 2-D the determinant is
-bisected directly inside brackets delimited by the zeros of J_1(aR).
+scales.  Every root is refined on ``det M`` itself by the package's one
+bracketed Brent solver (``_roots.bracketed_root``).  In 3-D the positive
+branch collapses to ``c_sin sin(aR) + c_cos cos(aR)``, which equals
+``+-c_sin`` with alternating signs at the poles ``(j - 1/2) pi / a`` of
+tan(aR); consecutive poles bracket exactly one root, and the j-th root
+lies between the j-th and (j+1)-th pole.  In 2-D the brackets end at the
+zeros of J_1(aR), and the first one is narrowed to the cell of a 512-point
+scan where det M first changes sign.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from ._roots import bracketed_root
 from .errors import (
     BracketFailureError,
     CaseMismatchError,
+    DomainError,
     LimitMismatchWarning,
     MultipleRootsWarning,
     NoRootError,
@@ -49,24 +55,12 @@ _J1_ZERO_CACHE: dict[int, float] = {}
 
 
 def _j1_zero(m: int) -> float:
-    """m-th positive zero of J_1, via McMahon bracket + bisection."""
-    if m in _J1_ZERO_CACHE:
-        return _J1_ZERO_CACHE[m]
-    approx = (m + 0.25) * math.pi
-    lo, hi = approx - 0.6, approx + 0.6
-    flo = specfun.bessel_j(1.0, lo)
-    fhi = specfun.bessel_j(1.0, hi)
-    if flo * fhi > 0.0:  # pragma: no cover - McMahon bracket is reliable
-        raise BracketFailureError(f"J1 zero {m} not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if specfun.bessel_j(1.0, mid) * flo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4e-16 * hi:
-            break
-    _J1_ZERO_CACHE[m] = 0.5 * (lo + hi)
+    """m-th positive zero of J_1, refined inside its McMahon bracket."""
+    if m not in _J1_ZERO_CACHE:
+        approx = (m + 0.25) * math.pi
+        _J1_ZERO_CACHE[m] = bracketed_root(
+            lambda x: specfun.bessel_j(1.0, x), approx - 0.6, approx + 0.6
+        )
     return _J1_ZERO_CACHE[m]
 
 
@@ -101,19 +95,22 @@ class FlockProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlockProfile":
-        params = ModelParams(
-            n=int(d["n"]), C=float(d["C"]), ell=float(d["ell"]), k=float(d["k"])
-        )
-        return cls(
-            params=params,
-            A=float(d["A"]),
-            a=float(d["a"]),
-            R_star=float(d["R_star"]),
-            mu1=float(d["mu1"]),
-            mu2=float(d["mu2"]),
-            D=float(d["D"]),
-            root_index=int(d.get("root_index", 1)),
-        )
+        try:
+            params = ModelParams(
+                n=int(d["n"]), C=float(d["C"]), ell=float(d["ell"]), k=float(d["k"])
+            )
+            return cls(
+                params=params,
+                A=float(d["A"]),
+                a=float(d["a"]),
+                R_star=float(d["R_star"]),
+                mu1=float(d["mu1"]),
+                mu2=float(d["mu2"]),
+                D=float(d["D"]),
+                root_index=int(d.get("root_index", 1)),
+            )
+        except KeyError as exc:
+            raise DomainError(f"profile has no {exc.args[0]!r} entry") from None
 
 
 @dataclass(frozen=True)
@@ -381,87 +378,44 @@ def _require_positive_A(params: ModelParams, allow_nonbiological: bool):
     return A, a
 
 
-def _brackets_3d(a: float, count: int) -> list[tuple[float, float]]:
-    tildes = [(j - 0.5) * math.pi / a for j in range(1, count + 2)]
-    return [(tildes[j], tildes[j + 1]) for j in range(count)]
+def _bracket_edges(params: ModelParams, a: float, count: int) -> list[float]:
+    """Edges of the first ``count`` root brackets of det M: the poles
+    (j - 1/2) pi / a of tan(aR) in 3-D, where det M_+ = +-c_sin alternates in
+    sign; in 2-D a point near the origin, then the zeros of J_1(aR)."""
+    if params.n == 3:
+        return [(j - 0.5) * math.pi / a for j in range(1, count + 2)]
+    return [1e-8 / a] + [_j1_zero(m) / a for m in range(1, count + 1)]
 
 
-def _refine_3d(params: ModelParams, a: float, lo: float, hi: float) -> float:
-    def h(R: float) -> float:
-        return math.tan(a * R) + float(tangent_offset(params, R))
-
-    # strictly increasing from -inf to +inf on (lo, hi); bisect on interior
-    left, right = lo, hi
-    width0 = hi - lo
-    for _ in range(200):
-        mid = 0.5 * (left + right)
-        if h(mid) < 0.0:
-            left = mid
-        else:
-            right = mid
-        if right - left <= 1e-13 * width0:
-            break
-    root = 0.5 * (left + right)
-    # derivative-free secant polish
-    x0, x1 = left, right
-    f0, f1 = h(x0), h(x1)
-    for _ in range(3):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo < x2 < hi):
-            break
-        x0, f0, x1, f1 = x1, f1, x2, h(x2)
-        root = x1
-    return root
-
-
-def _scan_first_bracket_2d(params: ModelParams, lo: float, hi: float) -> None:
+def _first_sign_change_2d(
+    params: ModelParams, lo: float, hi: float
+) -> tuple[float, float]:
+    """Grid cell of the first sign change of det M on a fine scan of the
+    first 2-D bracket; warns when the scan sees more than one."""
     grid = np.linspace(lo, hi, 512)
     vals = flock_determinant(params, grid)
-    changes = int(np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:])))
-    if changes > 1:
+    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    if len(flips) > 1:
         warnings.warn(
-            f"{changes} sign changes of det M in the first bracket; "
+            f"{len(flips)} sign changes of det M in the first bracket; "
             "returning the first root (2-D uniqueness is not proven)",
             MultipleRootsWarning,
         )
+    if len(flips) == 0:
+        return lo, hi  # bracketed_root reports the failed bracket
+    return float(grid[flips[0]]), float(grid[flips[0] + 1])
 
 
-def _refine_2d(params: ModelParams, lo: float, hi: float) -> float:
-    f_lo = flock_determinant(params, lo)
-    f_hi = flock_determinant(params, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_lo * f_hi > 0.0:
-        raise BracketFailureError(
-            f"det M does not change sign on ({lo:.6g}, {hi:.6g})"
-        )
-    left, right, f_left = lo, hi, f_lo
-    width0 = hi - lo
-    for _ in range(200):
-        mid = 0.5 * (left + right)
-        f_mid = flock_determinant(params, mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid * f_left > 0.0:
-            left, f_left = mid, f_mid
-        else:
-            right = mid
-        if right - left <= 1e-13 * width0:
-            break
-    root = 0.5 * (left + right)
-    x0, x1 = left, right
-    f0, f1 = flock_determinant(params, x0), flock_determinant(params, x1)
-    for _ in range(3):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo < x2 < hi):
-            break
-        x0, f0, x1, f1 = x1, f1, x2, flock_determinant(params, x2)
-        root = x1
-    return root
+def _refined_roots(params: ModelParams, edges: list[float]) -> list[float]:
+    """det M refined on each bracket (edges[j-1], edges[j]); a 2-D first
+    bracket is narrowed to its first sign change before refinement."""
+    brackets = list(zip(edges[:-1], edges[1:]))
+    if params.n == 2:
+        brackets[0] = _first_sign_change_2d(params, *brackets[0])
+    return [
+        bracketed_root(lambda R: flock_determinant(params, R), lo, hi)
+        for lo, hi in brackets
+    ]
 
 
 def find_support_radius(
@@ -474,15 +428,9 @@ def find_support_radius(
     unless explicitly allowed.
     """
     A, a = _require_positive_A(params, allow_nonbiological)
-    if params.n == 3:
-        lo, hi = _brackets_3d(a, 1)[0]
-        root = _refine_3d(params, a, lo, hi)
-        return root, RootBracket(lo=lo, hi=hi, index=1)
-    lo = 1e-8 / a
-    hi = _j1_zero(1) / a
-    _scan_first_bracket_2d(params, lo, hi)
-    root = _refine_2d(params, lo, hi)
-    return root, RootBracket(lo=lo, hi=hi, index=1)
+    edges = _bracket_edges(params, a, 1)
+    root = _refined_roots(params, edges)[0]
+    return root, RootBracket(lo=edges[0], hi=edges[1], index=1)
 
 
 def enumerate_roots(
@@ -493,16 +441,8 @@ def enumerate_roots(
     if count < 1:
         raise ValueError("count must be >= 1")
     A, a = _require_positive_A(params, allow_nonbiological)
-    roots = []
-    if params.n == 3:
-        for j, (lo, hi) in enumerate(_brackets_3d(a, count), start=1):
-            roots.append((_refine_3d(params, a, lo, hi), j))
-    else:
-        edges = [1e-8 / a] + [_j1_zero(m) / a for m in range(1, count + 1)]
-        _scan_first_bracket_2d(params, edges[0], edges[1])
-        for j in range(1, count + 1):
-            roots.append((_refine_2d(params, edges[j - 1], edges[j]), j))
-    return roots
+    roots = _refined_roots(params, _bracket_edges(params, a, count))
+    return [(r, j) for j, r in enumerate(roots, start=1)]
 
 
 def _radial_j(n: int, a: float, r):
@@ -624,7 +564,8 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
     3-D: the closed expansions in sqrt(1 - C ell^3) (upper) and
     sqrt(C ell - 1) (lower), with the refined tan x = x constant.
     2-D: the first zero of J_1(a r)/a (upper) and ell * R0 with R0 from the
-    leading-order balance equation solved by bisection (lower).
+    leading-order balance equation, refined by the bracketed Brent solver
+    below the first zero of J_0 (lower).
     Far from the requested limit a LimitMismatchWarning is emitted but the
     formula value is still returned.
     """
@@ -672,15 +613,4 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
     # root in t = k R0 / sqrt(C-1) below the first zero of J_0
     lo = 1e-9 * s / k
     hi = 0.999999 * 2.4048255576957728 * s / k
-    f_lo, f_hi = balance(lo), balance(hi)
-    if f_lo * f_hi > 0.0:
-        raise BracketFailureError("2-D lower-limit balance equation not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if balance(mid) * f_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return ell * 0.5 * (lo + hi)
+    return ell * bracketed_root(balance, lo, hi)

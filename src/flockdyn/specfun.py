@@ -382,43 +382,36 @@ def bessel_k(nu, x, scaled=False):
     return _scalarize(out, scalar)
 
 
+def _k_pair(name: str, nu, x):
+    """Scaled (K_{nu+1}(x), K_nu(x)) for the ratio families, with x as an
+    array and its scalar flag; nu >= 0 and x > 0 are checked on behalf of
+    ``name``."""
+    nu = _check_order(nu)
+    if nu < 0.0:
+        raise DomainError(f"{name} requires nu >= 0")
+    arr, scalar = _asarray(x)
+    if np.any(arr <= 0.0):
+        raise DomainError(f"{name} requires x > 0")
+    upper = bessel_k(nu + 1.0, arr, scaled=True)
+    return upper, bessel_k(nu, arr, scaled=True), arr, scalar
+
+
 def ratio_k_over_xk(nu, x):
     """K_{nu+1}(x) / (x K_nu(x)), computed with shared exponential scaling.
 
     One of the three strictly decreasing ratio families; nu >= 0.
     """
-    nu = _check_order(nu)
-    if nu < 0.0:
-        raise DomainError("ratio_k_over_xk requires nu >= 0")
-    arr, scalar = _asarray(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("ratio_k_over_xk requires x > 0")
-    num = bessel_k(nu + 1.0, arr, scaled=True)
-    den = bessel_k(nu, arr, scaled=True)
-    return _scalarize(num / (arr * den), scalar)
+    upper, lower, arr, scalar = _k_pair("ratio_k_over_xk", nu, x)
+    return _scalarize(upper / (arr * lower), scalar)
 
 
 def ratio_k(nu, x):
     """K_{nu+1}(x) / K_nu(x); strictly decreasing on (0, inf) for nu >= 0."""
-    nu = _check_order(nu)
-    if nu < 0.0:
-        raise DomainError("ratio_k requires nu >= 0")
-    arr, scalar = _asarray(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("ratio_k requires x > 0")
-    num = bessel_k(nu + 1.0, arr, scaled=True)
-    den = bessel_k(nu, arr, scaled=True)
-    return _scalarize(num / den, scalar)
+    upper, lower, _, scalar = _k_pair("ratio_k", nu, x)
+    return _scalarize(upper / lower, scalar)
 
 
 def ratio_k_inverse(nu, x):
     """K_nu(x) / (x K_{nu+1}(x)), the companion decreasing family."""
-    nu = _check_order(nu)
-    if nu < 0.0:
-        raise DomainError("ratio_k_inverse requires nu >= 0")
-    arr, scalar = _asarray(x)
-    if np.any(arr <= 0.0):
-        raise DomainError("ratio_k_inverse requires x > 0")
-    num = bessel_k(nu, arr, scaled=True)
-    den = bessel_k(nu + 1.0, arr, scaled=True)
-    return _scalarize(num / (arr * den), scalar)
+    upper, lower, arr, scalar = _k_pair("ratio_k_inverse", nu, x)
+    return _scalarize(lower / (arr * upper), scalar)

@@ -56,6 +56,44 @@ def test_solve_exit_codes(tmp_path):
     assert main(["solve", "-n", "3", "-C", "-1.0", "-l", "0.8", "-k", "0.2"]) == 5
 
 
+@pytest.mark.parametrize("flag", ["-C", "-l", "-k"])
+def test_solve_rejects_nonfinite_params(tmp_path, capsys, flag):
+    # -C inf once exited 2 with A = nan, -k inf exited 3
+    flags = {"-C": "1.255", "-l": "0.8", "-k": "0.2", flag: "inf"}
+    out = tmp_path / "inf"
+    argv = ["solve", "-n", "3"] + [v for kv in flags.items() for v in kv]
+    assert main([*argv, "-o", str(out)]) == 5
+    assert "finite" in capsys.readouterr().err
+    assert not Path(str(out) + ".json").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_solve_rejects_tiny_grid(tmp_path, grid):
+    # --grid 0 once exited 0 with a header-only CSV
+    out = tmp_path / "g"
+    assert main(["solve", *REF3D_FLAGS, "--grid", grid, "-o", str(out)]) == 5
+    assert not Path(str(out) + ".csv").exists()
+
+
+def test_profile_with_missing_key_is_rejected(tmp_path, capsys):
+    # verify and compare once escaped with a KeyError traceback
+    prof = str(tmp_path / "prof")
+    assert main(["solve", *REF3D_FLAGS, "--grid", "8", "-o", prof]) == 0
+    doc = json.loads(Path(prof + ".json").read_text())
+    del doc["profile"]["R_star"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    state = str(tmp_path / "state")
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "1",
+                 "-o", state]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--profile", str(broken), "--grid", "8"]) == 5
+    assert "'R_star'" in capsys.readouterr().err
+    assert main(["compare", "--state", state, "--profile", str(broken),
+                 "-o", str(tmp_path / "cmp")]) == 5
+    assert "'R_star'" in capsys.readouterr().err
+
+
 def test_solve_verify_round_trip(tmp_path, capsys):
     out = str(tmp_path / "prof")
     assert main(["solve", *REF3D_FLAGS, "-o", out]) == 0
@@ -141,15 +179,21 @@ def test_phase_window_entirely_outside(tmp_path):
     assert all(cells[2] == "outside" for cells in rows)
 
 
-def test_phase_worker_pool(tmp_path, monkeypatch):
-    out1 = str(tmp_path / "serial.csv")
-    out2 = str(tmp_path / "pooled.csv")
+def test_phase_deterministic_row_major(tmp_path):
+    out1 = str(tmp_path / "first.csv")
+    out2 = str(tmp_path / "second.csv")
     args = ["phase", "-n", "2", "--resolution", "8"]
-    monkeypatch.delenv("FLOCKDYN_THREADS", raising=False)
     assert main([*args, "-o", out1]) == 0
-    monkeypatch.setenv("FLOCKDYN_THREADS", "2")
     assert main([*args, "-o", out2]) == 0
-    assert read(out1) == read(out2)  # row-major order regardless of pool
+    assert read(out1) == read(out2)
+    # row-major: C outer, ell inner, on the default linspace grids
+    rows = [line.split(",") for line in Path(out1).read_text().splitlines()[3:]]
+    expected = [
+        (float(c), float(ell))
+        for c in np.linspace(0.2, 4.0, 8)
+        for ell in np.linspace(0.05, 1.2, 8)
+    ]
+    assert [(float(r[0]), float(r[1])) for r in rows] == expected
 
 
 # ------------------------------------------------------------------ roots

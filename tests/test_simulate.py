@@ -72,6 +72,15 @@ def test_config_defaults_and_validation():
 def test_config_round_trip():
     cfg = SimConfig(potential=POT, dimension=3, N=10, seed=7, init=Gaussian(0.5))
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    # the convergence settings survive too, and sidecars written without
+    # them still load with the defaults
+    cfg = SimConfig(potential=POT, dimension=3, N=10, convergence_tol=2.5e-7,
+                    convergence_window=17, stop_when_converged=True)
+    assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    old = cfg.to_dict()
+    for key in ("convergence_tol", "convergence_window", "stop_when_converged"):
+        del old[key]
+    assert SimConfig.from_dict(old) == SimConfig(potential=POT, dimension=3, N=10)
 
 
 # --------------------------------------------------------- first-order step

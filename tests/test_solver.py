@@ -6,6 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import jn_zeros
 
 from flockdyn.errors import (
     BracketFailureError,
@@ -16,10 +20,12 @@ from flockdyn.errors import (
 )
 from flockdyn.potentials import ModelParams, Sign, aggregate_param
 from flockdyn import solver as sv
+from flockdyn._roots import XTOL, bracketed_root
 from flockdyn.solver import (
     EllLimit,
     FlockProfile,
     TAN_FIXPOINT,
+    TOL_ROOT,
     asymptotic_radius,
     boundary_coeff,
     density_eval,
@@ -238,6 +244,50 @@ def test_tangent_offset_case_mismatch():
 
 
 # ------------------------------------------------------------ root finding
+
+
+def test_bracketed_root_known_root():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    root = bracketed_root(f, 0.0, 2.0)
+    assert abs(root - 0.5 * math.pi) <= XTOL * 0.5 * math.pi
+    assert calls.count(0.0) == 1 and calls.count(2.0) == 1
+    assert len(calls) < 15
+
+
+def test_bracketed_root_exact_zero_at_endpoint():
+    assert bracketed_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert bracketed_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+
+def test_bracketed_root_same_sign_bracket():
+    with pytest.raises(BracketFailureError):
+        bracketed_root(math.cos, 2.0, 4.0)
+    with pytest.raises(BracketFailureError):
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+def test_roots_match_brentq_inside_brackets(seed, n):
+    params = region_i_draw(np.random.default_rng(seed), n)
+    _, a = aggregate_param(params)
+    if n == 3:
+        edges = [(j - 0.5) * math.pi / a for j in range(1, 5)]
+    else:
+        edges = [1e-8 / a] + [z / a for z in jn_zeros(1, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # MultipleRootsWarning
+        roots = enumerate_roots(params, 3)
+    for r, j in roots:
+        lo, hi = edges[j - 1], edges[j]
+        assert lo < r < hi
+        ref = brentq(lambda x: flock_determinant(params, x), lo, hi, xtol=1e-300)
+        assert abs(r - ref) <= TOL_ROOT * ref
 
 
 def test_find_support_radius_ref3d():
