@@ -198,10 +198,19 @@ def _cmd_phase(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    with open(args.profile) as fh:
+def _read_profile(path: str) -> FlockProfile:
+    """The profile of a ``solve`` JSON file, or of a bare profile object."""
+    with open(path) as fh:
         doc = json.load(fh)
-    profile = FlockProfile.from_dict(doc["profile"] if "profile" in doc else doc)
+    if isinstance(doc, dict) and "profile" in doc:
+        doc = doc["profile"]
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: a profile must be a JSON object")
+    return FlockProfile.from_dict(doc)
+
+
+def _cmd_verify(args) -> int:
+    profile = _read_profile(args.profile)
     report = verify_flock(profile, grid_size=args.grid)
     meta = {"subcommand": "verify", "profile": args.profile, "grid": args.grid}
     if args.output:
@@ -323,9 +332,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     state, _ = load_checkpoint(args.state)
-    with open(args.profile) as fh:
-        doc = json.load(fh)
-    profile = FlockProfile.from_dict(doc["profile"] if "profile" in doc else doc)
+    profile = _read_profile(args.profile)
     hist = radial_histogram(state, args.bins)
     l1, support = compare_profile(hist, profile)
     meta = {

@@ -8,9 +8,11 @@ Two independent evaluation routes are provided:
   ``mu1 r^{1-n/2} J_{n/2-1}(a r) + mu2`` (oscillatory branch),
   ``mu1 r^2 + mu2`` (quadratic branch) and
   ``mu1 r^{1-n/2} I_{n/2-1}(a r) + mu2`` (exponential branch).
-* ``convolution_quadrature`` -- adaptive Gauss panels on the radially
-  reduced one-dimensional integrals, valid for any integrable radial
-  density, inside or outside the support.
+* ``convolution_quadrature`` -- one vectorised adaptive pass of Gauss
+  panels over the radially reduced one-dimensional integrals, shared by
+  every radius and both length scales; the integrals up to and beyond each
+  radius are running sums over the accepted panels.  Valid for any radial
+  density continuous on [0, R], inside or outside the support.
 
 At a solved flock profile the closed form collapses to the constant D on
 the support; ``verify_flock`` checks that collapse on a grid with both
@@ -36,6 +38,12 @@ from .solver import FlockProfile, _boundary_eval, _check_case, density_eval
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_DEPTH = 40
+#: panel splits per pass: an integrand whose rounding noise exceeds the
+#: tolerance would otherwise double its active panels at every level
+_MAX_SPLITS = 2**14
+#: smaller radii evaluate as 0, where K_nu cannot overflow at the nodes;
+#: W * rho(r) - W * rho(0) = O(r^2 log r) is far below rounding there
+_R_ZERO = 1e-150
 
 #: verification thresholds, relative to the D-scale
 TOL_CLOSED = 1e-9
@@ -165,150 +173,140 @@ def convolution_closed(profile: FlockProfile, r):
     )
 
 
-def _panel(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GAUSS_WEIGHTS, f(mid + half * _GAUSS_NODES)))
-
-
-def _adaptive(f, a: float, b: float, tol: float, whole: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
-    left = _panel(f, a, mid)
-    right = _panel(f, mid, b)
-    err = abs(left + right - whole)
-    if err <= tol or err <= 1e-16 * (abs(left) + abs(right)):
-        return left + right
-    if depth >= _MAX_DEPTH:
-        raise QuadratureNonConvergenceError(
-            f"adaptive quadrature stalled on [{a:.6g}, {b:.6g}] (error {err:.3e})"
-        )
-    return _adaptive(f, a, mid, 0.5 * tol, left, depth + 1) + _adaptive(
-        f, mid, b, 0.5 * tol, right, depth + 1
-    )
-
-
-def _integrate(f, a: float, b: float, tol: float) -> float:
-    if b <= a:
-        return 0.0
-    return _adaptive(f, a, b, tol, _panel(f, a, b), 0)
-
-
-def _screened_conv(n, k_eff, density, R, r, tol):
-    """One screened-kernel radial convolution at scale k_eff (= k or k/ell):
-
-    r^{1-n/2} [K_nu(k_eff r) int_0^r s^{n/2} I_nu(k_eff s) rho(s) ds
-               + I_nu(k_eff r) int_r^R s^{n/2} K_nu(k_eff s) rho(s) ds]
-
-    assembled from scaled Bessel factors.  Valid for r >= 0 including
-    r > R (the second integral is then empty).
-    """
+def _panel_pieces(n: int, scales, density, a, b):
+    """Gauss-15 pieces of the screened integrands on the panels [a, b]:
+    [p, j, 0] is int s^{n/2} rho(s) e^{-ks} I_nu(ks) e^{-k(b - s)} ds and
+    [p, j, 1] is int s^{n/2} rho(s) e^{ks} K_nu(ks) e^{-k(s - a)} ds over
+    panel p at k = scales[j], so no factor grows exponentially."""
     nu = 0.5 * n - 1.0
-    half = 0.5 * n
+    half = 0.5 * (b - a)[:, None]
+    s = (0.5 * (a + b))[:, None] + half * _GAUSS_NODES
+    flat = s.ravel()
+    base = (flat ** (0.5 * n) * density(flat)).reshape(s.shape)
+    out = np.empty((len(a), len(scales), 2))
+    for j, k in enumerate(scales):
+        iv = specfun.bessel_i(nu, k * flat, scaled=True).reshape(s.shape)
+        kv = specfun.bessel_k(nu, k * flat, scaled=True).reshape(s.shape)
+        out[:, j, 0] = (base * iv * np.exp(-k * (b[:, None] - s))) @ _GAUSS_WEIGHTS
+        out[:, j, 1] = (base * kv * np.exp(-k * (s - a[:, None]))) @ _GAUSS_WEIGHTS
+    out *= half[:, :, None]
+    return out
 
-    if r == 0.0:
-        lim = (0.5 * k_eff) ** nu / math.gamma(half)
 
-        def tail(s):
-            return (
-                s**half
-                * specfun.bessel_k(nu, k_eff * s, scaled=True)
-                * np.exp(-k_eff * s)
-                * density(s)
-            )
+def _join(scales, a, mid, b, left, right):
+    """Pieces of [a, b] from those of its halves [a, mid] and [mid, b]."""
+    out = np.empty_like(left)
+    out[..., 0] = left[..., 0] * np.exp(-np.outer(b - mid, scales)) + right[..., 0]
+    out[..., 1] = left[..., 1] + right[..., 1] * np.exp(-np.outer(mid - a, scales))
+    return out
 
-        return lim * _integrate(tail, 0.0, R, tol)
 
-    kv_r = specfun.bessel_k(nu, k_eff * r, scaled=True)
-
-    def inner(s):
-        return (
-            s**half
-            * specfun.bessel_i(nu, k_eff * s, scaled=True)
-            * density(s)
-            * kv_r
-            * np.exp(-k_eff * (r - s))
+def _check_finite(pieces, a, b, depth: int) -> None:
+    """Raise if a piece of the panels [a, b] (or of their halves) is not finite."""
+    finite = np.isfinite(pieces).all(axis=(1, 2)).reshape(-1, len(a)).all(axis=0)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise QuadratureNonConvergenceError(
+            f"quadrature integrand is not finite on [{a[p]:.6g}, {b[p]:.6g}] "
+            f"(depth {depth}, {len(a)} active panels)"
         )
 
-    iv_r = specfun.bessel_i(nu, k_eff * r, scaled=True)
 
-    def outer(s):
-        return (
-            s**half
-            * specfun.bessel_k(nu, k_eff * s, scaled=True)
-            * density(s)
-            * iv_r
-            * np.exp(-k_eff * (s - r))
-        )
-
-    total = _integrate(inner, 0.0, min(r, R), tol)
-    if r < R:
-        total += _integrate(outer, r, R, tol)
-    return r ** (1.0 - half) * total
+def _running_sum(pieces, decay):
+    """out[0] = 0 and out[j + 1] = out[j] decay[j] + pieces[j], per column."""
+    out = np.zeros((len(pieces) + 1,) + pieces.shape[1:])
+    acc = out[0]
+    for j in range(len(pieces)):
+        acc = acc * decay[j] + pieces[j]
+        out[j + 1] = acc
+    return out
 
 
 def convolution_quadrature(density, potential: QuasiMorse, R: float, r, tol: float = None):
-    """W * rho at radius r by adaptive quadrature of the radial reduction.
+    """W * rho at radii r >= 0 by adaptive quadrature of the radial reduction
+    W * rho = -F_k + C ell^{n-2} F_{k/ell}, with nu = n/2 - 1 and
 
-    ``density`` is a vectorized radial callable supported on [0, R].  The
-    attraction part is the C = ell = 1 instance of the screened kernel and
-    the repulsion part its C-weighted ell-rescaling.  ``tol`` is the
-    absolute tolerance per integral; by default it is 1e-10 of a coarse
-    estimate of the result scale.
+        F_k(r) = r^{1-n/2} [K_nu(kr) int_0^r s^{n/2} I_nu(ks) rho(s) ds
+                            + I_nu(kr) int_r^R s^{n/2} K_nu(ks) rho(s) ds].
+
+    ``density`` is a vectorized radial callable supported on [0, R].  One
+    pass serves every radius and both scales.  Its panels start at 0, R and
+    the radii inside (0, R); a panel is accepted when its Gauss rule and the
+    sum of those on its halves agree for all four integrals, each to a share
+    of ``tol`` proportional to its width, and the failing panels of a level
+    are halved together (QuadratureNonConvergenceError past _MAX_DEPTH
+    levels or _MAX_SPLITS splits, or at once on a non-finite integrand).
+    The integrals over [0, r] and [r, R] are forward and backward running
+    sums over the accepted panels with decay factors e^{-k width} <= 1.
+    ``tol`` is the absolute tolerance per integral; by default it is 1e-10
+    of the integrals' scale read from the first panels.
     """
     params = potential.params
     n, C, ell, k = params.n, params.C, params.ell, params.k
     arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     scalar = np.asarray(r).ndim == 0
-    if np.any(arr < 0.0):
-        raise OutOfSupportError("convolution radius must be >= 0")
+    if not (np.all(arr >= 0.0) and 0.0 < R < math.inf):
+        raise OutOfSupportError("convolution needs radii >= 0 and a finite R > 0")
+    arr = np.where(arr < _R_ZERO, 0.0, arr)
+    scales = np.array([k, k / ell])
+    weight = C * ell ** (n - 2.0)
 
-    out = np.empty_like(arr)
-    for i, ri in enumerate(arr):
-        if tol is None:
-            coarse_att = abs(_screened_conv_coarse(n, k, density, R, float(ri)))
-            coarse_rep = abs(_screened_conv_coarse(n, k / ell, density, R, float(ri)))
-            scale = max(coarse_att, C * ell ** (n - 2.0) * coarse_rep, 1e-280)
-            tol_i = 1e-10 * scale
-        else:
-            tol_i = tol
-        att = _screened_conv(n, k, density, R, float(ri), tol_i)
-        rep = _screened_conv(n, k / ell, density, R, float(ri), tol_i)
-        out[i] = -att + C * ell ** (n - 2.0) * rep
-    return float(out[0]) if scalar else out
+    edges = np.unique(np.concatenate(([0.0, R], arr[(arr > 0.0) & (arr < R)])))
+    a, b = edges[:-1], edges[1:]
+    whole = _panel_pieces(n, scales, density, a, b)
+    _check_finite(whole, a, b, 0)
+    if tol is None:
+        sums = np.abs(whole).sum(axis=0) * np.array([[1.0], [weight]])
+        tol = 1e-10 * max(float(sums.max()), 1e-280)
+    done = []
+    splits = 0
+    for depth in range(_MAX_DEPTH + 1):
+        mid = 0.5 * (a + b)
+        halves = _panel_pieces(n, scales, density, np.r_[a, mid], np.r_[mid, b])
+        _check_finite(halves, a, b, depth)
+        left, right = halves[: len(a)], halves[len(a) :]
+        joined = _join(scales, a, mid, b, left, right)
+        err = np.abs(joined - whole)
+        floor = 1e-16 * _join(scales, a, mid, b, np.abs(left), np.abs(right))
+        share = (tol * (b - a) / R)[:, None, None]
+        ok = ((err <= share) | (err <= floor)).all(axis=(1, 2))
+        done.append((a[ok], b[ok], joined[ok]))
+        if ok.all():
+            break
+        bad = ~ok
+        splits += int(bad.sum())
+        if depth == _MAX_DEPTH or splits > _MAX_SPLITS:
+            p = int(np.argmax(bad))
+            raise QuadratureNonConvergenceError(
+                f"adaptive quadrature stalled on [{a[p]:.6g}, {b[p]:.6g}] "
+                f"(depth {depth}, {len(a)} active panels, "
+                f"{splits} splits, error {float(err[p].max()):.3e})"
+            )
+        a, b = np.r_[a[bad], mid[bad]], np.r_[mid[bad], b[bad]]
+        whole = np.concatenate((left[bad], right[bad]))
 
+    lo, hi, pieces = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(lo)
+    lo, hi, pieces = lo[order], hi[order], pieces[order]
+    decay = np.exp(-np.outer(hi - lo, scales))
+    inner = _running_sum(pieces[..., 0], decay)
+    outer = _running_sum(pieces[::-1, :, 1], decay[::-1])[::-1]
 
-def _screened_conv_coarse(n, k_eff, density, R, r):
-    nu = 0.5 * n - 1.0
-    half = 0.5 * n
-    if r == 0.0:
-        lim = (0.5 * k_eff) ** nu / math.gamma(half)
-        f = lambda s: (
-            s**half
-            * specfun.bessel_k(nu, k_eff * s, scaled=True)
-            * np.exp(-k_eff * s)
-            * density(s)
+    # inner and outer integrals at each radius; past R the inner one decays
+    r_in = np.minimum(arr, R)
+    at = np.searchsorted(np.append(lo, R), r_in)
+    inner = inner[at] * np.exp(-np.outer(arr - r_in, scales))
+    total = np.empty((len(arr), 2))
+    pos = arr > 0.0
+    for j, k_eff in enumerate(scales):
+        total[:, j] = _radial_ive(n, k_eff, arr) * outer[at, j]
+        total[pos, j] += (
+            arr[pos] ** (1.0 - 0.5 * n)
+            * specfun.bessel_k(0.5 * n - 1.0, k_eff * arr[pos], scaled=True)
+            * inner[pos, j]
         )
-        return lim * _panel(f, 0.0, R)
-    kv_r = specfun.bessel_k(nu, k_eff * r, scaled=True)
-    iv_r = specfun.bessel_i(nu, k_eff * r, scaled=True)
-    inner = lambda s: (
-        s**half
-        * specfun.bessel_i(nu, k_eff * s, scaled=True)
-        * density(s)
-        * kv_r
-        * np.exp(-k_eff * (r - s))
-    )
-    outer = lambda s: (
-        s**half
-        * specfun.bessel_k(nu, k_eff * s, scaled=True)
-        * density(s)
-        * iv_r
-        * np.exp(-k_eff * (s - r))
-    )
-    total = _panel(inner, 0.0, min(r, R))
-    if r < R:
-        total += _panel(outer, r, R)
-    return r ** (1.0 - half) * total if r > 0.0 else total
+    out = -total[:, 0] + weight * total[:, 1]
+    return float(out[0]) if scalar else out
 
 
 def verify_flock(profile: FlockProfile, grid_size: int = 256) -> ConvolutionReport:

@@ -111,6 +111,8 @@ class FlockProfile:
             )
         except KeyError as exc:
             raise DomainError(f"profile has no {exc.args[0]!r} entry") from None
+        except TypeError as exc:
+            raise DomainError(f"profile entry of the wrong type: {exc}") from None
 
 
 @dataclass(frozen=True)

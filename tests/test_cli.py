@@ -94,6 +94,34 @@ def test_profile_with_missing_key_is_rejected(tmp_path, capsys):
     assert "'R_star'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda doc: [1, 2],
+        lambda doc: "text",
+        lambda doc: {"profile": [1, 2]},
+        lambda doc: {"profile": {**doc["profile"], "n": None}},
+    ],
+)
+def test_profile_that_is_not_an_object_is_rejected(tmp_path, capsys, broken):
+    # verify and compare once escaped with a TypeError traceback
+    prof = str(tmp_path / "prof")
+    assert main(["solve", *REF3D_FLAGS, "--grid", "8", "-o", prof]) == 0
+    bad = tmp_path / "broken.json"
+    bad.write_text(json.dumps(broken(json.loads(Path(prof + ".json").read_text()))))
+    state = str(tmp_path / "state")
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "1",
+                 "-o", state]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--profile", str(bad), "--grid", "8"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["compare", "--state", state, "--profile", str(bad),
+                 "-o", str(tmp_path / "cmp")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve_verify_round_trip(tmp_path, capsys):
     out = str(tmp_path / "prof")
     assert main(["solve", *REF3D_FLAGS, "-o", out]) == 0

@@ -4,20 +4,30 @@ against brute-force integration oracles, and the flock verification gate."""
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import k0 as scipy_k0, k1 as scipy_k1, kv as scipy_kv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
+from scipy.special import ive as scipy_ive, k0 as scipy_k0, k1 as scipy_k1
+from scipy.special import kv as scipy_kv, kve as scipy_kve
 
 from flockdyn import specfun as sf
 from flockdyn.convolution import (
+    _MAX_SPLITS,
     ConvolutionReport,
     convolution_closed,
     convolution_closed_at,
     convolution_quadrature,
     verify_flock,
 )
-from flockdyn.errors import OutOfSupportError, VerificationFailureError
+from flockdyn.errors import (
+    OutOfSupportError,
+    QuadratureNonConvergenceError,
+    VerificationFailureError,
+)
 from flockdyn.potentials import ModelParams, QuasiMorse, Sign, aggregate_param
 from flockdyn.solver import _radial_j, density_eval, solve_profile
 
@@ -57,6 +67,52 @@ def test_quadrature_valid_outside_support():
     outside = convolution_quadrature(rho, QuasiMorse(REF3D), 1.0, 2.5)
     assert np.isfinite(outside)
     assert abs(outside) < abs(inside)  # interaction decays with distance
+
+
+def test_quadrature_radius_edge_values():
+    rho = lambda s: np.ones_like(np.asarray(s, dtype=np.float64))
+    for params in (REF3D, REF2D):
+        pot = QuasiMorse(params)
+        # a NaN radius once stalled the adaptive pass on [0, nan]
+        with pytest.raises(OutOfSupportError):
+            convolution_quadrature(rho, pot, 1.0, math.nan)
+        with pytest.raises(OutOfSupportError):
+            convolution_quadrature(rho, pot, 1.0, [0.5, math.nan])
+        assert convolution_quadrature(rho, pot, 1.0, math.inf) == 0.0
+        # subnormal radii once overflowed K_{1/2} at the nodes inside (0, r)
+        at_zero = convolution_quadrature(rho, pot, 1.0, 0.0)
+        assert convolution_quadrature(rho, pot, 1.0, 1e-313) == at_zero
+
+
+def counted(rho):
+    """rho and a one-element list holding the number of points it was given."""
+    points = [0]
+
+    def wrapped(s):
+        points[0] += np.size(s)
+        return rho(s)
+
+    return wrapped, points
+
+
+def test_nonfinite_density_raises_on_the_first_pass():
+    rho, points = counted(lambda s: np.where(s > 0.6, math.nan, 1.0))
+    radii = np.linspace(0.0, 1.0, 5)
+    match = r"not finite on \[0\.5, 0\.75\] \(depth 0, 4 active panels\)"
+    with pytest.raises(QuadratureNonConvergenceError, match=match):
+        convolution_quadrature(rho, QuasiMorse(REF2D), 1.0, radii)
+    assert points[0] == 15 * 4  # one Gauss rule on each of the 4 panels
+
+
+@pytest.mark.parametrize("params", [REF3D, REF2D])
+def test_nonintegrable_density_raises_within_the_split_budget(params):
+    # without a budget, rounding noise near the pole doubles the active
+    # panels at every level down to the depth limit
+    rho, points = counted(lambda s: 1.0 / np.abs(s - 0.3))
+    with pytest.raises(QuadratureNonConvergenceError, match="active panels"):
+        convolution_quadrature(rho, QuasiMorse(params), 1.0, 0.5)
+    # 2 starting panels: a first pass, then both halves of every active panel
+    assert points[0] <= 15 * 2 + 30 * (2 + 2 * _MAX_SPLITS)
 
 
 # ------------------------------------------------- solved-profile behaviour
@@ -167,6 +223,58 @@ def test_exponential_density_closed_vs_quadrature(params):
         closed = convolution_closed_at(params, R, m1, m2, r)
         quad = convolution_quadrature(rho, QuasiMorse(params), R, r)
         assert closed == pytest.approx(quad, rel=1e-8)
+
+
+def outside_reference(params, rho, R, r):
+    """W * rho at r > R by scipy quadrature and scipy Bessel functions: only
+    the inner integral of each screened convolution survives there."""
+    n, C, ell, k = params.n, params.C, params.ell, params.k
+    nu = 0.5 * n - 1.0
+
+    def screened(kk):
+        inner, _ = scipy_quad(
+            lambda s: s ** (0.5 * n) * scipy_ive(nu, kk * s) * np.exp(-kk * (r - s))
+            * float(rho(s)),
+            0.0, R, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        return r ** (1.0 - 0.5 * n) * scipy_kve(nu, kk * r) * inner
+
+    return -screened(k) + C * ell ** (n - 2.0) * screened(k / ell)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    C=st.floats(1.05, 6.0),
+    t=st.floats(0.03, 0.97),
+    k=st.floats(0.05, 2.0),
+    fracs=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_on_unsorted_radii_with_duplicates(n, C, t, k, fracs, seed):
+    # region I: ell strictly between its two boundary curves
+    lo, hi = (C**-1.0, C ** (-1.0 / 3.0)) if n == 3 else (0.05, C**-0.5)
+    params = ModelParams(n, C, lo + t * (hi - lo), k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # MultipleRootsWarning
+        prof = solve_profile(params)
+    R = prof.R_star
+    rho = lambda s: density_eval(prof, s)
+    shares = np.array(fracs + [0.0, 1.0, 1.6] + fracs[:2] + [1.0, 1.6, 0.0])
+    r = np.random.default_rng(seed).permutation(shares * R)
+    got = convolution_quadrature(rho, QuasiMorse(params), R, r)
+
+    order = np.argsort(r, kind="stable")
+    sorted_got = convolution_quadrature(rho, QuasiMorse(params), R, r[order])
+    assert np.array_equal(got[order], sorted_got)
+    for value in np.unique(r):
+        same = got[r == value]
+        assert np.all(same == same[0])
+    inside = r <= R
+    closed = convolution_closed(prof, r[inside])
+    assert got[inside] == pytest.approx(closed, rel=1e-8)
+    for ri, qi in zip(r[~inside], got[~inside]):
+        assert qi == pytest.approx(outside_reference(params, rho, R, ri), rel=1e-8)
 
 
 def test_wrhosol_mode_identity():
