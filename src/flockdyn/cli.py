@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -34,10 +36,9 @@ from .potentials import (
     Morse,
     MorseLike,
     QuasiMorse,
-    aggregate_param,
-    classify,
-    potential_from_dict,
-    potential_to_dict,
+    Region,
+    Sign,
+    phase_grid,
 )
 from .convolution import verify_flock
 from .simulate import (
@@ -96,16 +97,24 @@ def _meta_lines(args_dict: dict) -> list[str]:
     return [f"# flockdyn {__version__}", f"# config: {cfg}"]
 
 
+def _cell_format(v) -> str:
+    return "{:.17g}" if isinstance(v, float) else "{}"
+
+
 def _write_csv(path: str, header: list[str], rows, meta: dict) -> None:
+    """Write the metadata header, the column header and the rows as they
+    are produced.  Every column holds one type, so its format is chosen
+    from the first row: 17 significant digits for a float, str otherwise."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w") as fh:
         for line in _meta_lines(meta):
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
+        if first is not None:
+            line = ",".join(map(_cell_format, first)) + "\n"
+            fh.write(line.format(*first))
+            fh.writelines(starmap(line.format, rows))
 
 
 def _write_json(path: str, payload: dict, meta: dict) -> None:
@@ -151,35 +160,41 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _phase_cell(n, c, ell, k):
-    try:
-        params = ModelParams(n=n, C=c, ell=ell, k=k)
-        regime = classify(params)
-        try:
-            a_val = aggregate_param(params)[0]
-        except DegenerateDenominatorError:
-            a_val = float("nan")
-        return (
-            c,
-            ell,
-            regime.region.value,
-            regime.a_sign.value,
-            int(regime.biologically_relevant),
-            int(regime.h_stable),
-            a_val,
+#: cell names by code; the code -1 of an invalid cell picks the last one
+_REGION_NAMES = np.array([r.value for r in Region] + ["invalid"], dtype=object)
+_SIGN_NAMES = np.array([s.value for s in Sign] + ["invalid"], dtype=object)
+
+
+def _phase_rows(grid):
+    """The grid's rows, C outer and ell inner; each C and ell is formatted
+    once."""
+    ells = [f"{v:.17g}" for v in grid.ell.tolist()]
+    for i, c in enumerate(grid.C.tolist()):
+        yield from zip(
+            repeat(f"{c:.17g}"),
+            ells,
+            _REGION_NAMES[grid.region[i]].tolist(),
+            _SIGN_NAMES[grid.a_sign[i]].tolist(),
+            grid.biologically_relevant[i].astype(np.int8).tolist(),
+            grid.h_stable[i].astype(np.int8).tolist(),
+            grid.A[i].tolist(),
         )
-    except DomainError:
-        return (c, ell, "invalid", "invalid", 0, 0, float("nan"))
 
 
 def _cmd_phase(args) -> int:
-    cs = np.linspace(args.c_min, args.c_max, args.resolution)
-    ells = np.linspace(args.ell_min, args.ell_max, args.resolution)
-    rows = [
-        _phase_cell(args.dimension, float(c), float(ell), args.k)
-        for c in cs
-        for ell in ells
-    ]
+    if args.resolution < 1:
+        raise _UsageError(f"--resolution must be at least 1, got {args.resolution}")
+    window = {"--c-min": args.c_min, "--c-max": args.c_max,
+              "--ell-min": args.ell_min, "--ell-max": args.ell_max}
+    for flag, value in window.items():
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} must be finite, got {value}")
+    grid = phase_grid(
+        args.dimension,
+        np.linspace(args.c_min, args.c_max, args.resolution),
+        np.linspace(args.ell_min, args.ell_max, args.resolution),
+        args.k,
+    )
     meta = {
         "subcommand": "phase",
         "dimension": args.dimension,
@@ -191,10 +206,10 @@ def _cmd_phase(args) -> int:
     _write_csv(
         args.output,
         ["C", "ell", "region", "a_sign", "biologically_relevant", "h_stable", "A"],
-        rows,
+        _phase_rows(grid),
         meta,
     )
-    print(f"phase grid written: {len(rows)} cells -> {args.output}")
+    print(f"phase grid written: {grid.A.size} cells -> {args.output}")
     return EXIT_OK
 
 
@@ -397,6 +412,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON file with flag values", default=None)
     # metavar hides undocumented subcommands from the usage brace list
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("solve", help="solve a flock profile and export (r, rho)")
     _add_model_flags(p)
@@ -485,15 +501,46 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _config_value(key: str, action: argparse.Action, value):
+    """``value`` checked and converted as argparse does for the flag."""
+    if action.nargs == 0:  # a switch such as --allow-nonbiological
+        if not isinstance(value, bool):
+            raise _UsageError(f"--config: {key!r} must be true or false, got {value!r}")
+        return value
+    if value is None and action.default is None and not action.required:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise _UsageError(f"--config: {key!r} must be a string or a number, got {value!r}")
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise _UsageError(f"--config: {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise _UsageError(f"--config: {key!r} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _apply_config(subparser: argparse.ArgumentParser, args) -> None:
+    """Replace flag values with those of the --config JSON object, keyed by
+    the flag's destination name (``grid``, ``dimension``, ``C``, ...)."""
+    with open(args.config) as fh:
+        overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise _UsageError(f"--config: {args.config} must hold a JSON object")
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
+    for key, value in overrides.items():
+        if key not in actions:
+            raise _UsageError(f"--config: {key!r} is not a flag of {args.subcommand}")
+        setattr(args, key, _config_value(key, actions[key], value))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-            for key, value in overrides.items():
-                setattr(args, key, value)
+            _apply_config(parser.subcommands[args.subcommand], args)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

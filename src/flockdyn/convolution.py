@@ -18,9 +18,21 @@ At a solved flock profile the closed form collapses to the constant D on
 the support; ``verify_flock`` checks that collapse on a grid with both
 routes and reports the deviations.
 
-Evaluation never forms raw I*K products: each pairing is assembled from
-exponentially scaled factors and a non-positive exponent, so the routes
-stay finite for k R / ell in the thousands.
+The screened-kernel pairings I(k r/ell) K(k R/ell) are never formed as
+raw products: each is assembled from exponentially scaled factors and a
+non-positive exponent.  Measured limits:
+
+* Quadrature: with w the widest starting panel (the gaps between 0, the
+  radii and R), the pass converged in every measured case with
+  k w / ell <= 1500 and failed in every one with k w / ell >= 3000.
+  A constant density on R = 1 at the single
+  radius 0.5 converges at k = 1500, ell = 0.5 and raises
+  QuadratureNonConvergenceError at k = 2000 in 3-D (k = 3000 in 2-D);
+  at 65 equispaced radii it still converges at k = 10^4.
+* Closed form: finite up to k R / ell = 5 * 10^4 on the oscillatory
+  branch and 2 * 10^5 on the quadratic branch.  The exponential branch
+  (A < 0) forms sinh(a R), cosh(a R) and a raw I_nu(a R), so it overflows
+  once a R exceeds about 705.
 """
 
 from __future__ import annotations

@@ -217,47 +217,126 @@ def potential_force_magnitude(spec: PotentialSpec, r):
     return float(out[0]) if scalar else out
 
 
+#: integer codes of the phase rule: indices into these tuples
+_REGIONS = tuple(Region)
+_SIGNS = tuple(Sign)
+_I, _II, _SEPARATRIX, _OUTSIDE = map(
+    _REGIONS.index, (Region.REGION_I, Region.REGION_II, Region.SEPARATRIX, Region.OUTSIDE)
+)
+_POSITIVE, _ZERO, _NEGATIVE = map(_SIGNS.index, (Sign.POSITIVE, Sign.ZERO, Sign.NEGATIVE))
+
+
+def _if(cond, a, b):
+    return a if cond else b
+
+
+def _phase_rule(C, ell, ell_n, ell_n2, k, select):
+    """The phase-diagram rule at (C, ell), given ell^n and ell^(n-2).
+
+    Written once for both callers: ``select`` is a conditional expression
+    (``_if``) at one point and ``np.where`` on a grid, where every argument
+    broadcasts.  Returns (biologically_relevant, h_stable, region code,
+    sign code, A, C ell^n - ell^2, degenerate); A is nan where the
+    denominator is degenerate.
+    """
+    bio = (C * ell_n2 > 1.0) & (ell < 1.0)
+    celln = C * ell_n
+    s = 1.0 - celln  # sign of A's numerator
+    den = celln - ell * ell
+    zero = abs(s) <= EPS_A
+    # where A diverges (den == 0), report the numerator's sign (den -> 0+)
+    positive = select(den == 0.0, s > 0.0, s * den > 0.0)
+    a_sign = select(zero, _ZERO, select(positive, _POSITIVE, _NEGATIVE))
+    region = select(bio, select(zero, _SEPARATRIX, select(celln < 1.0, _I, _II)), _OUTSIDE)
+    # den == 0 counts even where k * k underflows, so A never divides by 0
+    degenerate = (abs(den) < 1e-12 * k * k) | (den == 0.0)
+    A = k * k * s / select(degenerate, math.nan, den)
+    return bio, celln > 1.0, region, a_sign, A, den, degenerate
+
+
+def _point_rule(params: ModelParams):
+    ell, n = params.ell, params.n
+    return _phase_rule(params.C, ell, ell**n, ell ** (n - 2), params.k, _if)
+
+
 def aggregate_param(params: ModelParams) -> tuple[float, float]:
     """Aggregate potential parameter A = k^2 (1 - C ell^n)/(C ell^n - ell^2)
     and a = sqrt(|A|)."""
-    n, C, ell, k = params.n, params.C, params.ell, params.k
-    celln = C * ell**n
-    den = celln - ell * ell
-    if abs(den) < 1e-12 * k * k:
+    *_, A, den, degenerate = _point_rule(params)
+    if degenerate:
         raise DegenerateDenominatorError(
             f"C ell^n - ell^2 = {den:.3e} is numerically degenerate"
         )
-    A = k * k * (1.0 - celln) / den
     return A, math.sqrt(abs(A))
 
 
 def classify(params: ModelParams) -> RegimeClass:
     """Phase-diagram classification; total in the parameters."""
-    n, C, ell = params.n, params.C, params.ell
-    bio = (C * ell ** (n - 2) > 1.0) and (ell < 1.0)
-    celln = C * ell**n
-    h_stable = celln > 1.0
-    s = 1.0 - celln  # sign of A's numerator
-    den = celln - ell * ell
-
-    if abs(s) <= EPS_A:
-        a_sign = Sign.ZERO
-    elif den == 0.0:
-        # A diverges; report the numerator's sign (den -> 0+ convention)
-        a_sign = Sign.POSITIVE if s > 0.0 else Sign.NEGATIVE
-    else:
-        a_sign = Sign.POSITIVE if s * den > 0.0 else Sign.NEGATIVE
-
-    if not bio:
-        region = Region.OUTSIDE
-    elif abs(s) <= EPS_A:
-        region = Region.SEPARATRIX
-    elif celln < 1.0:
-        region = Region.REGION_I
-    else:
-        region = Region.REGION_II
+    bio, h_stable, region, a_sign, *_ = _point_rule(params)
     return RegimeClass(
-        biologically_relevant=bio, h_stable=h_stable, region=region, a_sign=a_sign
+        biologically_relevant=bio,
+        h_stable=h_stable,
+        region=_REGIONS[region],
+        a_sign=_SIGNS[a_sign],
+    )
+
+
+@dataclass(frozen=True)
+class PhaseGrid:
+    """Classification of every cell of a (C, ell) grid: arrays of shape
+    (len(C), len(ell)), C along the rows.
+
+    ``region`` and ``a_sign`` hold indices into ``tuple(Region)`` and
+    ``tuple(Sign)``, or -1 at an invalid cell (one whose parameters
+    ModelParams rejects: C or ell not positive and finite), where
+    ``biologically_relevant`` and ``h_stable`` are False and ``A`` is nan.
+    ``A`` is also nan where aggregate_param raises DegenerateDenominatorError.
+    """
+
+    C: np.ndarray
+    ell: np.ndarray
+    biologically_relevant: np.ndarray
+    h_stable: np.ndarray
+    region: np.ndarray
+    a_sign: np.ndarray
+    A: np.ndarray
+    invalid: np.ndarray
+
+
+def phase_grid(n: int, C, ell, k: float) -> PhaseGrid:
+    """classify and aggregate_param at every (C[i], ell[j]) in one array
+    pass, bit for bit equal to the scalar calls.
+
+    ell^n and ell^(n-2) are taken with Python's ``**`` once per ell and
+    broadcast: numpy's vector power differs from it by an ulp on some
+    inputs, and the grid must equal the scalar calls bit for bit.
+    """
+    if n not in (2, 3):
+        raise DomainError(f"dimension must be 2 or 3, got {n}")
+    if not (k > 0.0 and math.isfinite(k)):
+        raise DomainError(f"k must be positive and finite, got {k}")
+    C = np.asarray(C, dtype=np.float64).reshape(-1)
+    ell = np.asarray(ell, dtype=np.float64).reshape(-1)
+    # a non-positive ell is an invalid cell, which the scalar calls never
+    # reach; as nan its power cannot overflow
+    valid = [e if e > 0.0 else math.nan for e in ell.tolist()]
+    ell_n = np.array([e**n for e in valid])
+    ell_n2 = np.array([e ** (n - 2) for e in valid])
+    col = C[:, None]
+    with np.errstate(all="ignore"):
+        bio, h_stable, region, a_sign, A, _, _ = _phase_rule(
+            col, ell, ell_n, ell_n2, k, np.where
+        )
+    invalid = ~((col > 0.0) & np.isfinite(col) & (ell > 0.0) & np.isfinite(ell))
+    return PhaseGrid(
+        C=C,
+        ell=ell,
+        biologically_relevant=bio & ~invalid,
+        h_stable=h_stable & ~invalid,
+        region=np.where(invalid, -1, region).astype(np.int8),
+        a_sign=np.where(invalid, -1, a_sign).astype(np.int8),
+        A=np.where(invalid, math.nan, A),
+        invalid=invalid,
     )
 
 

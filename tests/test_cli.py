@@ -7,8 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flockdyn.cli import main
+from flockdyn.errors import DegenerateDenominatorError, DomainError
+from flockdyn.potentials import ModelParams, aggregate_param, classify
 
 REF3D_FLAGS = ["-n", "3", "-C", "1.255", "-l", "0.8", "-k", "0.2"]
 
@@ -147,6 +151,54 @@ def test_config_file_replaces_flags(tmp_path):
     assert len(lines) == 3 + 7  # config file overrode the flag
 
 
+def test_config_file_with_every_kind_of_value(tmp_path):
+    cfg_path = tmp_path / "overrides.json"
+    cfg_path.write_text(json.dumps(
+        {"dimension": 3, "C": 1.255, "ell": "0.8", "k": 0.2, "grid": 5,
+         "allow_nonbiological": False, "output": str(tmp_path / "cfgd")}))
+    assert main(["--config", str(cfg_path), "solve", "-n", "2", "-C", "9",
+                 "-l", "9", "-k", "9"]) == 0
+    doc = json.loads((tmp_path / "cfgd.json").read_text())
+    assert doc["meta"]["config"]["C"] == 1.255
+    assert doc["meta"]["config"]["n"] == 3
+    assert len((tmp_path / "cfgd.csv").read_text().splitlines()) == 3 + 5
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"bogus": 1}, "'bogus'"),
+        ({"subcommand": "phase"}, "'subcommand'"),
+        ({"resolution": 8}, "'resolution'"),  # a flag of phase, not of solve
+        ({"C": "abc"}, "'C'"),
+        ({"C": [1.0]}, "'C'"),
+        ({"grid": 7.5}, "'grid'"),
+        ({"grid": True}, "'grid'"),
+        ({"dimension": 4}, "'dimension'"),
+        ({"allow_nonbiological": 1}, "'allow_nonbiological'"),
+        ({"output": None}, "'output'"),
+    ],
+)
+def test_config_file_is_validated(tmp_path, capsys, overrides, key):
+    # unknown keys were silently accepted; {"C": "abc"} escaped as a TypeError
+    cfg_path = tmp_path / "overrides.json"
+    cfg_path.write_text(json.dumps(overrides))
+    out = tmp_path / "cfgd"
+    assert main(["--config", str(cfg_path), "solve", *REF3D_FLAGS, "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config: ") and err.count("\n") == 1
+    assert key in err
+    assert not Path(str(out) + ".json").exists()
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "overrides.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["--config", str(cfg_path), "solve", *REF3D_FLAGS,
+                 "-o", str(tmp_path / "x")]) == 5
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_outputs_byte_stable(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
@@ -222,6 +274,130 @@ def test_phase_deterministic_row_major(tmp_path):
         for ell in np.linspace(0.05, 1.2, 8)
     ]
     assert [(float(r[0]), float(r[1])) for r in rows] == expected
+
+
+PHASE_HEADER = "C,ell,region,a_sign,biologically_relevant,h_stable,A\n"
+
+
+def reference_phase(n, cs, ells, k):
+    """The phase CSV body of the per-cell rule: ModelParams, classify and
+    aggregate_param at every cell, nan on a degenerate denominator and
+    "invalid" where ModelParams rejects the cell."""
+    lines = [PHASE_HEADER]
+    for c in cs:
+        for ell in ells:
+            c, ell = float(c), float(ell)
+            try:
+                params = ModelParams(n=n, C=c, ell=ell, k=k)
+                regime = classify(params)
+                try:
+                    a_val = aggregate_param(params)[0]
+                except DegenerateDenominatorError:
+                    a_val = float("nan")
+                row = (c, ell, regime.region.value, regime.a_sign.value,
+                       int(regime.biologically_relevant), int(regime.h_stable), a_val)
+            except DomainError:
+                row = (c, ell, "invalid", "invalid", 0, 0, float("nan"))
+            lines.append(",".join(
+                f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    return "".join(lines)
+
+
+def lattice(draw, target, resolution):
+    """(lo, hi) whose linspace hits ``target`` exactly: a dyadic step."""
+    step = draw(st.sampled_from((1.0, 0.5, 0.25, 0.125)))
+    below = draw(st.integers(0, resolution - 1))
+    return target - below * step, target + (resolution - 1 - below) * step
+
+
+@st.composite
+def phase_windows(draw):
+    """(n, k, resolution, c_min, c_max, ell_min, ell_max), from random
+    windows with C <= 0 and ell <= 0 cells, windows through the separatrix
+    C ell^n = 1 or the degenerate C ell^n = ell^2 exactly, and the default
+    window."""
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("random", "separatrix", "degenerate", "default")))
+    if kind == "default":
+        return n, 1.0, 64, 0.2, 4.0, 0.05, 1.2
+    k = draw(st.floats(0.05, 5.0))
+    resolution = draw(st.integers(1, 12))
+    if kind == "random":
+        bound = st.floats(-2.0, 10.0, allow_nan=False)
+        c_lo, c_hi = draw(bound), draw(bound)
+        e_lo, e_hi = draw(st.floats(-0.5, 1.5)), draw(st.floats(-0.5, 1.5))
+        return n, k, resolution, c_lo, c_hi, e_lo, e_hi
+    # 3-D: C = 8, ell = 0.5 is on the separatrix, C = 2, ell = 0.5 has
+    # C ell^3 = ell^2; 2-D: C = 4, ell = 0.5 and C = 1 at any ell
+    c = {("separatrix", 3): 8.0, ("separatrix", 2): 4.0,
+         ("degenerate", 3): 2.0, ("degenerate", 2): 1.0}[kind, n]
+    return (n, k, resolution, *lattice(draw, c, resolution),
+            *lattice(draw, 0.5, resolution))
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=phase_windows())
+def test_phase_grid_equals_the_per_cell_rule(tmp_path_factory, window):
+    n, k, resolution, c_min, c_max, ell_min, ell_max = window
+    out = tmp_path_factory.mktemp("phase") / "phase.csv"
+    argv = ["phase", "-n", str(n), "-k", repr(k), "--resolution", str(resolution),
+            f"--c-min={c_min!r}", f"--c-max={c_max!r}",
+            f"--ell-min={ell_min!r}", f"--ell-max={ell_max!r}", "-o", str(out)]
+    assert main(argv) == 0
+    body = out.read_text().split("\n", 2)[2]
+    cs = np.linspace(c_min, c_max, resolution)
+    ells = np.linspace(ell_min, ell_max, resolution)
+    assert body == reference_phase(n, cs, ells, k)
+
+
+def test_phase_dyadic_windows_hit_the_special_cells(tmp_path):
+    # dyadic windows like those of phase_windows reach the 3-D cells
+    # C ell^3 = 1 (A = 0) and C ell^3 = ell^2 (A = nan) exactly
+    for c_min, c_max, cell, expect in (("4", "12", "8,0.5,", ",zero,"),
+                                       ("1", "5", "2,0.5,", ",nan")):
+        out = tmp_path / "special.csv"
+        assert main(["phase", "-n", "3", "--c-min", c_min, "--c-max", c_max,
+                     "--ell-min", "0.25", "--ell-max", "0.75", "--resolution", "5",
+                     "-o", str(out)]) == 0
+        (row,) = [line for line in out.read_text().splitlines() if line.startswith(cell)]
+        assert expect in row and "invalid" not in row
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--resolution", "0"],
+        ["--resolution", "-3"],
+        ["--c-min", "inf"],
+        ["--c-max", "nan"],
+        ["--ell-min=-inf"],
+        ["--ell-max", "nan"],
+        ["-k", "0"],
+        ["-k", "-1"],
+        ["-k", "inf"],
+        ["-k", "nan"],
+    ],
+)
+def test_phase_rejects_bad_inputs(tmp_path, capsys, flags):
+    # each once exited 0: a header-only CSV, nan C rows with a RuntimeWarning,
+    # or every cell written as invalid
+    out = tmp_path / "bad.csv"
+    assert main(["phase", "-n", "3", *flags, "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_phase_keeps_invalid_cells_of_a_finite_window(tmp_path):
+    out = tmp_path / "neg.csv"
+    assert main(["phase", "-n", "2", "--c-min", "-1", "--c-max", "1",
+                 "--ell-min", "-1", "--ell-max", "1", "--resolution", "3",
+                 "-o", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    invalid = [(r[0], r[1]) for r in rows if r[2] == "invalid"]
+    assert invalid == [("-1", "-1"), ("-1", "0"), ("-1", "1"), ("0", "-1"),
+                       ("0", "0"), ("0", "1"), ("1", "-1"), ("1", "0")]
+    assert all(r[3:] == ["invalid", "0", "0", "nan"] for r in rows if r[2] == "invalid")
 
 
 # ------------------------------------------------------------------ roots

@@ -115,6 +115,19 @@ def test_nonintegrable_density_raises_within_the_split_budget(params):
     assert points[0] <= 15 * 2 + 30 * (2 + 2 * _MAX_SPLITS)
 
 
+def test_large_decay_rate_raises_within_the_split_budget():
+    # the documented limit of the quadrature route: a constant density on
+    # R = 1 at r = 0.5 converges at k / ell = 3000 and stops at 4000
+    params = ModelParams(3, 4.0, 0.5, 1500.0)
+    closed = convolution_closed_at(params, 1.0, 0.0, 1.0, 0.5, case=Sign.ZERO)
+    quad = convolution_quadrature(np.ones_like, QuasiMorse(params), 1.0, 0.5)
+    assert quad == pytest.approx(closed, rel=1e-8)
+    rho, points = counted(np.ones_like)
+    with pytest.raises(QuadratureNonConvergenceError, match="active panels"):
+        convolution_quadrature(rho, QuasiMorse(ModelParams(3, 4.0, 0.5, 2000.0)), 1.0, 0.5)
+    assert points[0] <= 15 * 2 + 30 * (2 + 2 * _MAX_SPLITS)
+
+
 # ------------------------------------------------- solved-profile behaviour
 
 

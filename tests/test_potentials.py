@@ -23,6 +23,7 @@ from flockdyn.potentials import (
     classify,
     minimum_radius,
     morse_like_regime,
+    phase_grid,
     potential_force_magnitude,
     potential_from_dict,
     potential_to_dict,
@@ -259,6 +260,25 @@ def test_classify_sign_matches_aggregate_on_random_draws():
             assert sign is (Sign.POSITIVE if A > 0 else Sign.NEGATIVE)
         checked += 1
     assert checked > 9000
+
+
+def test_zero_denominator_is_degenerate_when_k_squared_underflows():
+    # C ell^3 = ell^2 exactly; aggregate_param once raised ZeroDivisionError
+    params = ModelParams(3, 2.0, 0.5, 1e-170)
+    assert classify(params).a_sign is Sign.POSITIVE
+    with pytest.raises(DegenerateDenominatorError):
+        aggregate_param(params)
+
+
+def test_phase_grid_marks_invalid_cells_and_rejects_bad_n_and_k():
+    grid = phase_grid(3, [-1.0, math.inf, 8.0], [0.0, 0.5], 1.0)
+    assert grid.invalid.tolist() == [[True, True], [True, True], [True, False]]
+    assert grid.region.tolist() == [[-1, -1], [-1, -1], [-1, 2]]  # separatrix
+    assert not grid.biologically_relevant[1].any() and not grid.h_stable[1].any()
+    assert grid.A[2, 1] == aggregate_param(ModelParams(3, 8.0, 0.5, 1.0))[0]
+    for n, k in ((4, 1.0), (3, 0.0), (3, math.inf), (3, math.nan)):
+        with pytest.raises(DomainError):
+            phase_grid(n, [1.0], [0.5], k)
 
 
 def test_morse_like_regime_inequalities():
