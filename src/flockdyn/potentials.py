@@ -88,8 +88,9 @@ class Morse:
     ell_A: float
 
     def __post_init__(self):
-        if min(self.C_R, self.C_A, self.ell_R, self.ell_A) <= 0.0:
-            raise DomainError("Morse strengths and scales must be positive")
+        values = (self.C_R, self.C_A, self.ell_R, self.ell_A)
+        if not all(v > 0.0 and math.isfinite(v) for v in values):
+            raise DomainError("Morse strengths and scales must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ class MorseLike:
     ell: float
 
     def __post_init__(self):
-        if min(self.p, self.C, self.ell) <= 0.0:
-            raise DomainError("MorseLike requires p, C, ell > 0")
+        if not all(v > 0.0 and math.isfinite(v) for v in (self.p, self.C, self.ell)):
+            raise DomainError("MorseLike requires finite p, C, ell > 0")
 
 
 PotentialSpec = Union[QuasiMorse, Morse, MorseLike]

@@ -10,15 +10,26 @@ is applied pointwise-exactly per half step (the speed ODE
 ``du/dt = 2u (alpha - beta u)`` for u = |v|^2 is logistic and has a closed
 solution).
 
-Forces are evaluated by an O(N^2) direct sum taken in blocks of
-``_BLOCK_ROWS`` rows against all N particles, so the pair work arrays take
-O(N * _BLOCK_ROWS) memory rather than O(N^2); the interaction energy uses
-the same blocks restricted to the pairs j > i.  Blocks, and the sums
-within them, run in fixed index order, so trajectories are bit-reproducible
-for a given seed and configuration regardless of how the surrounding code
-schedules work.  Pairs closer than ``min_separation`` use the force
-magnitude frozen at that separation (the Quasi-Morse potential is singular
-at the origin for n >= 2, so the clamp makes the regularization explicit).
+Forces are evaluated by an O(N^2) direct sum over the unordered pairs,
+taken in blocks of ``_BLOCK_ROWS`` rows against the columns j >= i: each
+pair's weight U'(d)/d is computed once and applied to both particles, and
+the pair work arrays take O(N * _BLOCK_ROWS) memory rather than O(N^2).
+The interaction energy visits the same blocks.  Blocks, and the sums
+within them, run in fixed index order, so trajectories are
+bit-reproducible for a given seed and configuration regardless of how the
+surrounding code schedules work.  Pairs closer than ``min_separation`` use
+the force magnitude U'(min_sep) frozen at that separation, down to d -> 0
+(the Quasi-Morse potential is singular at the origin for n >= 2, so the
+clamp makes the regularization explicit); exactly coincident pairs exert
+no force.  Those few close pairs are summed from their offsets, so their
+force keeps its direction however small d is next to |x|.
+
+A second-order step needs the force at its start and at its end.  The end
+of one step is the start of the next ("first same as last"), so
+``step_second_order`` keeps its last end-of-step force pass and reuses it
+when the next call starts from the same positions with the same force
+model: a run costs one force pass per step, and its results are those of
+fresh evaluations bit for bit.
 
 For throughput, U'(r)/r, U'(r) and U(r) are by default tabulated once per
 configuration on a dense grid uniform in log r and linearly interpolated,
@@ -56,14 +67,25 @@ from .potentials import (
 from .solver import FlockProfile, density_eval
 
 
+def _check_scale(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UniformBall:
     radius: float = 1.0
+
+    def __post_init__(self):
+        _check_scale("ball radius", self.radius)
 
 
 @dataclass(frozen=True)
 class Gaussian:
     sigma: float = 1.0
+
+    def __post_init__(self):
+        _check_scale("gaussian sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -126,14 +148,17 @@ class SimConfig:
             raise DomainError("model must be 'first' or 'second'")
         if self.dt is None:
             object.__setattr__(self, "dt", 0.01 * min(1.0, self._ell()))
-        if self.dt <= 0.0:
-            raise DomainError("dt must be positive")
+        _check_scale("dt", self.dt)
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError("alpha and beta must be finite")
         if self.model == "second" and not (self.alpha > 0.0 and self.beta > 0.0):
             raise DomainError("second-order runs need alpha, beta > 0")
         if self.min_separation is None:
             object.__setattr__(self, "min_separation", 1e-6 * self._ell())
-        if self.min_separation <= 0.0:
-            raise DomainError("min_separation must be positive")
+        _check_scale("min_separation", self.min_separation)
+        _check_scale("blowup_bound", self.blowup_bound)
+        if not (self.convergence_tol >= 0.0 and math.isfinite(self.convergence_tol)):
+            raise DomainError("convergence_tol must be non-negative and finite")
         if self.steps < 0:
             raise DomainError("steps must be non-negative")
         if self.record_stride < 1:
@@ -226,7 +251,13 @@ class RunSummary:
 # memory grows as O(N) rather than O(N^2).  At 32 rows the arrays stay near
 # cache size (512 KB each at N = 2000); 64 rows measured the same up to
 # N = 2000, while 128 and 256 rows were up to 1.7x slower at N = 5000.
+# With the half-pair kernel, 64, 128 and 160 rows again measured no better
+# at N = 400 or N = 2000.
 _BLOCK_ROWS = 32
+
+# The pairs j <= i of a block's diagonal square (the block's rows against
+# its own columns), which a pass over the unordered pairs j > i leaves out.
+_DIAG_MASK = np.tri(_BLOCK_ROWS, dtype=bool)
 
 # Nodes of the force and energy tables, uniform in log r.
 _TABLE_SIZE = 32768
@@ -247,8 +278,9 @@ class _ForceModel:
     ``i = int(s)``, instead of the binary search ``np.interp`` runs per
     point, and returns ``tab[i] + (s - i) slope[i]``.  Arguments are
     clipped to the table, which reproduces ``np.interp``'s endpoint values
-    below 0.5 min_sep (including d = 0) and above r_max.  The pair loop
-    feeds 0.5 log(d^2), so it never takes a square root.
+    below 0.5 min_sep and above r_max; below the table U'(r)/r is then
+    replaced by the clamp U'(min_sep)/d (see ``force_over_dist_sq``).  The
+    pair loop feeds 0.5 log(d^2), so it never takes a square root.
 
     The tables are kept for all potentials, although 3-D Quasi-Morse, Morse
     and Morse-like have closed forms built from exponentials and powers:
@@ -264,16 +296,22 @@ class _ForceModel:
         self.min_sep = min_sep
         self.tabulated = tabulated
         self.r_max = r_max if r_max is not None else 1e4
+        # pairs closer than min_sep are clamped, and below the table's lower
+        # edge U'(r)/r is U'(min_sep)/d in both modes
+        self._min_sep_sq = min_sep * min_sep
         if tabulated:
             x0, x1 = math.log(0.5 * min_sep), math.log(self.r_max)
             grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
             r_eff = np.maximum(grid, min_sep)
             force_tab = potential_force_magnitude(potential, r_eff)
+            self._force_at_min = float(force_tab[0])  # r_eff[0] is min_sep
             self._x0 = x0
             self._inv_h = (_TABLE_SIZE - 1) / (x1 - x0)
             self._force_tab = _with_slopes(force_tab)
             self._w_tab = _with_slopes(force_tab / grid)
             self._value_tab = _with_slopes(potential_value(potential, r_eff))
+        else:
+            self._force_at_min = float(potential_force_magnitude(potential, np.array([min_sep]))[0])
 
     def _lookup(self, table, s, work=None):
         """Linear interpolation of ``table`` at log r = ``s``, a float array
@@ -300,17 +338,34 @@ class _ForceModel:
         return self._lookup(self._force_tab, np.log(r_eff))
 
     def force_over_dist_sq(self, d2, work=None):
-        """U'(max(d, min_sep))/d from squared distances; d = 0 entries must
-        be masked out by the caller (their offsets vanish anyway).  Given
-        the work arrays of ``_lookup``, the tabulated result overwrites
-        ``d2``."""
-        if not self.tabulated:
+        """U'(max(d, min_sep))/d from squared distances, and 0 at d = 0
+        (exactly coincident particles exert no force).  Below the table's
+        edge 0.5 min_sep both modes return U'(min_sep)/d.  Given the work
+        arrays of ``_lookup``, the tabulated result overwrites ``d2``."""
+        return self.clamped_weights(d2, work)[0]
+
+    def clamped_weights(self, d2, work=None):
+        """(w, clamped): ``force_over_dist_sq`` and the flat indices of the
+        pairs closer than min_sep.  One mask finds them; the entries below
+        the table's edge, d = 0 included, are then set from the clamp."""
+        d2 = np.asarray(d2)
+        clamped = np.flatnonzero(d2 < self._min_sep_sq)
+        d_clamped = np.sqrt(d2.flat[clamped])
+        if self.tabulated:
+            w = self._lookup(self._w_tab, _half_log(d2, work), work)
+        else:
             d = np.sqrt(d2)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return potential_force_magnitude(
+                w = potential_force_magnitude(
                     self.potential, np.maximum(d, self.min_sep)
                 ) / d
-        return self._lookup(self._w_tab, _half_log(d2, work), work)
+        if clamped.size:
+            below = d_clamped < 0.5 * self.min_sep
+            d_below = d_clamped[below]
+            with np.errstate(divide="ignore"):
+                w.flat[clamped[below]] = np.where(d_below > 0.0,
+                                                  self._force_at_min / d_below, 0.0)
+        return w, clamped
 
     def value_from_dist_sq(self, d2, work=None):
         """U(max(d, min_sep)) from squared distances; ``work`` as in
@@ -334,12 +389,16 @@ def _cached_model(potential: PotentialSpec, min_sep: float, tabulated: bool) -> 
     return _ForceModel(potential, min_sep, tabulated)
 
 
-def _pair_blocks(x: np.ndarray, upper: bool = False):
+def _pair_blocks(x: np.ndarray):
     """Yield (lo, hi, d2, work) for the row blocks lo:hi of the pair kernel
-    in fixed order: d2 holds |x_i - x_j|^2 against every column j, or only
-    against j >= lo when ``upper``, and work is the (scratch, index) pair of
-    the table lookup.  The arrays are allocated once and reused by every
-    block, so a caller must finish with a block before the next.
+    in fixed order: d2 holds |x_i - x_j|^2 for the rows i in lo:hi against
+    the columns j >= lo, and work is the (scratch, index) pair of the table
+    lookup.  Column k of d2 is particle lo + k, so the block's leading
+    square d2[:, :hi - lo] holds its rows against themselves; its diagonal,
+    the self pairs that every caller drops, holds the placeholder 1 rather
+    than 0, so that small entries mark close distinct pairs only.  The
+    arrays are allocated once and reused by every block, so a caller must
+    finish with a block before the next.
 
     d2 is summed from the coordinate differences, so coincident particles
     give exactly 0 and close pairs keep their relative accuracy.  The Gram
@@ -352,34 +411,62 @@ def _pair_blocks(x: np.ndarray, upper: bool = False):
     buffers = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
     for lo in range(0, n_part, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_part)
-        start = lo if upper else 0
-        shape = (hi - lo, n_part - start)
+        shape = (hi - lo, n_part - lo)
         d2, scratch, index = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        np.subtract.outer(first[lo:hi], first[start:], out=d2)
+        np.subtract.outer(first[lo:hi], first[lo:], out=d2)
         np.multiply(d2, d2, out=d2)
         for coord in rest:
-            np.subtract.outer(coord[lo:hi], coord[start:], out=scratch)
+            np.subtract.outer(coord[lo:hi], coord[lo:], out=scratch)
             np.multiply(scratch, scratch, out=scratch)
             d2 += scratch
+        np.fill_diagonal(d2[:, : hi - lo], 1.0)
         yield lo, hi, d2, (scratch, index)
+
+
+def _drop_lower_pairs(block: np.ndarray, rows: int) -> None:
+    """Zero the pairs j <= i in the leading square of a row block, leaving
+    the pairs j > i that a block of ``_pair_blocks`` owns."""
+    np.copyto(block[:, :rows], 0.0, where=_DIAG_MASK[:rows, :rows])
 
 
 def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
     """-(1/N) sum_j U'(|x_i - x_j|) (x_i - x_j)/|x_i - x_j|, fixed order.
 
-    Rows are taken _BLOCK_ROWS at a time.  With weights w_ij = U'(d_ij)/d_ij
-    a block's sum collapses to (sum_j w_ij) x_i - (w x)_i; one matrix
-    product with x extended by a column of ones gives both terms without
-    forming pair offsets."""
+    One pass over the unordered pairs: each row block of ``_pair_blocks``
+    keeps its pairs j > i, and each weight w_ij = U'(d_ij)/d_ij = w_ji is
+    computed once and applied to both particles.  With x extended by a
+    column of ones to x1, particle i needs s_i = sum_j w_ij x1_j, and the
+    acceleration collapses to (sum_j w_ij) x_i - (w x)_i without forming
+    pair offsets.  A block adds its rows' sums, w @ x1[lo:], and its
+    columns' sums, x1[lo:hi].T @ w, into one (n + 1, N) array.
+
+    The collapsed form rounds at eps |w| |x|, which the clamp's weight
+    U'(min_sep)/d makes large next to the pair's force as d -> 0.  So the
+    few pairs closer than min_sep are taken out of it and summed from their
+    offsets x_i - x_j instead; coincident pairs weigh 0."""
     n_part = x.shape[0]
-    x_one = np.hstack([x, np.ones((n_part, 1))])
-    acc = np.empty_like(x)
+    x_one_t = np.vstack([x.T, np.ones(n_part)])
+    x_one = x_one_t.T
+    sums = np.zeros_like(x_one_t)
+    near = np.zeros_like(x)
     for lo, hi, d2, work in _pair_blocks(x):
-        coincident = d2 == 0.0  # self and exactly coincident pairs
-        w = model.force_over_dist_sq(d2, work)
-        w[coincident] = 0.0
-        wx = w @ x_one
-        acc[lo:hi] = wx[:, -1:] * x[lo:hi] - wx[:, :-1]
+        w, clamped = model.clamped_weights(d2, work)
+        _drop_lower_pairs(w, hi - lo)
+        if clamped.size:
+            rows, cols = np.divmod(clamped, w.shape[1])
+            rows += lo
+            cols += lo
+            upper = cols > rows
+            rows, cols = rows[upper], cols[upper]
+            pair_acc = w.flat[clamped[upper]][:, None] * (x[rows] - x[cols])
+            w.flat[clamped] = 0.0
+            np.add.at(near, rows, pair_acc)
+            np.subtract.at(near, cols, pair_acc)
+        sums[:, lo:hi] += (w @ x_one[lo:]).T
+        sums[:, lo:] += x_one_t[:, lo:hi] @ w
+    acc = sums[-1][:, None] * x
+    acc -= sums[:-1].T
+    acc += near
     acc /= -n_part
     return acc
 
@@ -392,9 +479,9 @@ def interaction_energy(state: ParticleState, config: SimConfig) -> float:
     )
     x = state.positions
     total = 0.0
-    for lo, hi, d2, work in _pair_blocks(x, upper=True):
+    for lo, hi, d2, work in _pair_blocks(x):
         vals = model.value_from_dist_sq(d2, work)
-        vals[:, : hi - lo] = np.triu(vals[:, : hi - lo], k=1)  # keep j > i
+        _drop_lower_pairs(vals, hi - lo)
         total += float(vals.sum())
     return total / x.shape[0] ** 2
 
@@ -427,8 +514,20 @@ def _propel_exact(v: np.ndarray, alpha: float, beta: float, dt: float) -> np.nda
     return v * factor[:, None]
 
 
+# The last end-of-step force pass of step_second_order: its force model,
+# a copy of the positions it was taken at, and the accelerations.  It lives
+# at module level, named like the package's other memo tables, so that code
+# clearing those between runs clears it too.
+_FSAL_CACHE: dict = {}
+
+
 def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
-    """One velocity-Verlet-style step of the self-propelled system."""
+    """One velocity-Verlet-style step of the self-propelled system.
+
+    The force pass at the start of a step is the one that ended the
+    previous call when the positions and the force model are the same
+    ("first same as last"); anything else, including positions edited in
+    place since, gets a fresh pass."""
     if state.velocities is None:
         raise DomainError("second-order step needs velocities")
     model = _cached_model(
@@ -436,12 +535,19 @@ def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
     )
     dt, alpha, beta = config.dt, config.alpha, config.beta
     x, v = state.positions, state.velocities
-    v = v + 0.5 * dt * _accelerations(x, model)
+    last = _FSAL_CACHE
+    if last and last["model"] is model and np.array_equal(last["positions"], x):
+        acc = last["acc"]
+    else:
+        acc = _accelerations(x, model)
+    v = v + 0.5 * dt * acc
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
     x = x + dt * v
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
-    v = v + 0.5 * dt * _accelerations(x, model)
+    acc = _accelerations(x, model)
+    v = v + 0.5 * dt * acc
     _check_blowup(x, config.blowup_bound, 0)
+    _FSAL_CACHE.update(model=model, positions=x.copy(), acc=acc)
     return ParticleState(positions=x, velocities=v, time=state.time + dt)
 
 
@@ -641,10 +747,23 @@ def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
     meta_path = csv_path.with_suffix(".json")
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
+        header = next(reader, [])
+        rows = list(reader)
     dim = sum(1 for c in header if c.startswith("x"))
     has_v = any(c.startswith("v") for c in header)
+    if dim == 0:
+        raise DomainError(f"{csv_path}: the header names no coordinate columns")
+    if not rows:
+        raise DomainError(f"{csv_path}: no particle rows")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DomainError(
+                f"{csv_path}: line {line} has {len(row)} fields, the header {len(header)}"
+            )
+    data = np.array([[float(v) for v in row] for row in rows])
+    if not np.all(np.isfinite(data)):
+        line = 2 + int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
+        raise DomainError(f"{csv_path}: non-finite value on line {line}")
     positions = data[:, :dim]
     velocities = data[:, dim : 2 * dim] if has_v else None
     meta = None

@@ -491,6 +491,63 @@ def test_simulate_rejects_bad_counts(tmp_path, counts):
     assert not Path(str(out) + ".csv").exists()
 
 
+_MORSE_LIKE_FLAGS = ["--potential", "morse_like", "-n", "2", "-C", "0.6", "-l", "0.2"]
+
+
+@pytest.mark.parametrize("flags", [
+    [*REF3D_FLAGS, "--dt", "nan"],
+    [*REF3D_FLAGS, "--dt", "inf"],
+    [*_MORSE_LIKE_FLAGS, "--p", "nan"],
+    [*REF3D_FLAGS, "--init", "ball:nan"],
+    [*REF3D_FLAGS, "--init", "gauss:inf"],
+    [*REF3D_FLAGS, "--model", "second", "--beta", "inf"],
+], ids=["dt_nan", "dt_inf", "p_nan", "ball_nan", "gauss_inf", "beta_inf"])
+def test_simulate_rejects_nonfinite_inputs(tmp_path, capsys, flags):
+    # the first five once ran and exited 3 ("coordinate exceeded bound"),
+    # --beta inf exited 0
+    out = tmp_path / "x"
+    assert main(["simulate", *flags, "-N", "8", "--steps", "2", "-o", str(out)]) == 5
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert not Path(str(out) + ".csv").exists()
+
+
+_BAD_CHECKPOINTS = {
+    # once an IndexError traceback (exit 1) from both commands
+    "header_only": "x1,x2,x3\n",
+    # compare once reported "histogram and profile dimensions differ"
+    "ragged_row": "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5\n0.7,0.8,0.9\n",
+    # compare once exited 0 with l1_error = nan
+    "nonfinite": "x1,x2,x3\n0.1,0.2,0.3\nnan,0.5,0.6\n0.7,0.8,0.9\n",
+}
+
+
+@pytest.mark.parametrize("content", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS.keys())
+def test_simulate_rejects_bad_checkpoint(tmp_path, capsys, content):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    out = tmp_path / "x"
+    assert main(["simulate", *REF3D_FLAGS, "-N", "3", "--steps", "1",
+                 "--init", f"file:{bad}", "-o", str(out)]) == 5
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert not Path(str(out) + ".csv").exists()
+
+
+@pytest.mark.parametrize("content", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS.keys())
+def test_compare_rejects_bad_checkpoint(tmp_path, capsys, content):
+    profile = str(tmp_path / "prof")
+    assert main(["solve", *REF3D_FLAGS, "-o", profile]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--state", str(bad), "--profile", profile + ".json",
+                 "--bins", "2", "-o", str(out)]) == 5
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert not Path(str(out) + ".json").exists()
+
+
 # ---------------------------------------------------------- specfun table
 
 

@@ -6,7 +6,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flockdyn import simulate
 from flockdyn.errors import DomainError, NumericalBlowupError
 from flockdyn.potentials import (
     ModelParams,
@@ -378,8 +381,14 @@ def test_table_lookup_reproduces_interp_endpoints_and_interior():
     with np.errstate(divide="ignore"):
         half_log = 0.5 * np.log(d2)
     expected_w = interp(w_tab, half_log)
-    assert np.array_equal(model.force_over_dist_sq(d2), expected_w)
-    assert np.all(expected_w[:4] == w_tab[0]) and np.all(expected_w[4:] == w_tab[-1])
+    w = model.force_over_dist_sq(d2)
+    assert np.array_equal(w[4:], expected_w[4:]) and np.all(expected_w[4:] == w_tab[-1])
+    # below the table, U'(r)/r is the clamp U'(min_sep)/d of the exact path,
+    # and 0 at d = 0
+    exact = _cached_model(POT, min_sep, False).force_over_dist_sq(d2[:4])
+    assert w[0] == 0.0 and exact[0] == 0.0
+    assert np.allclose(w[1:4], exact[1:4], rtol=1e-12, atol=0.0)
+    assert np.allclose(w[1:4] * below, force_tab[0], rtol=1e-12, atol=0.0)
     assert np.array_equal(model.value_from_dist_sq(d2), interp(value_tab, half_log))
     assert np.array_equal(model.force(beyond), np.full(3, force_tab[-1]))
     # force() clamps r at min_sep before the lookup, as it did before
@@ -444,3 +453,140 @@ def test_blocked_kernel_matches_pair_loop(n_part, tabulated):
     energy = interaction_energy(ParticleState(positions=x, velocities=None), cfg)
     energy_ref = _pair_loop_energy(x, POT, min_sep)
     assert energy == pytest.approx(energy_ref, rel=1e-6 if tabulated else 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_KERNEL_CASES)),
+    dim=st.sampled_from([2, 3]),
+    tabulated=st.booleans(),
+    n_part=st.integers(2, 3 * _BLOCK_ROWS + 5),
+    seed=st.integers(0, 2**32 - 1),
+    close=st.floats(1e-3, 0.99),
+    picks=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+)
+def test_half_pair_kernel_matches_pair_loop_property(case, dim, tabulated, n_part, seed,
+                                                     close, picks):
+    # each unordered pair is weighed once, in whichever block owns it: a
+    # clamped pair (both inside the table and below its 0.5 min_sep edge)
+    # and an exactly coincident pair are planted at drawn indices
+    potential = _KERNEL_CASES[case]
+    if isinstance(potential, QuasiMorse):
+        dim = potential.params.n
+    cfg = SimConfig(potential=potential, dimension=dim, N=n_part,
+                    tabulated_forces=tabulated)
+    min_sep = cfg.min_separation
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n_part, dim))
+    order = list(dict.fromkeys(p % n_part for p in picks))
+    order += [i for i in range(n_part) if i not in order]
+    direc = rng.normal(size=dim)
+    x[order[1]] = x[order[0]] + close * min_sep * direc / np.linalg.norm(direc)
+    if n_part >= 4:
+        x[order[3]] = x[order[2]]
+    model = _cached_model(potential, min_sep, tabulated)
+    acc = _accelerations(x, model)
+    ref = _pair_loop_accelerations(x, potential, min_sep)
+    scale = abs(potential_force_magnitude(potential, min_sep))
+    if tabulated:
+        # each pair force is tabulated to 1e-6 of the force scale, and a row
+        # averages N - 1 of them.  (The 3-D test's tol * scale / N holds only
+        # where the clamped pair's force dwarfs all others; for Morse, whose
+        # force is bounded, the table error of the other pairs exceeds it.)
+        assert np.max(np.abs(acc - ref)) <= 1e-6 * scale
+    else:
+        assert np.max(np.abs(acc - ref)) <= 1e-9 * scale / n_part
+        for i in order[:2]:
+            assert np.linalg.norm(acc[i] - ref[i]) <= 1e-9 * np.linalg.norm(ref[i])
+    # the sums themselves, in both modes: against a dense sum of the model's
+    # own weights times the pair offsets, to rounding of each row's magnitude
+    diff = x[:, None] - x[None]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    w = model.force_over_dist_sq(d2)
+    own = -(w[..., None] * diff).sum(axis=1) / n_part
+    magnitude = (np.abs(w) * np.sqrt(d2)).sum(axis=1) / n_part
+    assert np.all(np.linalg.norm(acc - own, axis=1) <= 1e-9 * magnitude)
+
+
+# ------------------------------------------------ one force pass per step
+
+
+def _second_order_config(**kw):
+    return SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05,
+                     steps=10, model="second", seed=21, record_stride=3, **kw)
+
+
+def _count_force_passes(monkeypatch):
+    calls = []
+
+    def counted(x, model):
+        calls.append(x.shape[0])
+        return _accelerations(x, model)
+
+    monkeypatch.setattr(simulate, "_accelerations", counted)
+    return calls
+
+
+def _fresh_step(state, config):
+    """step_second_order with its force memo emptied first."""
+    simulate._FSAL_CACHE.clear()
+    return step_second_order(state, config)
+
+
+def test_second_order_run_equals_fresh_steps_bit_for_bit(monkeypatch):
+    cfg = _second_order_config()
+    calls = _count_force_passes(monkeypatch)
+    simulate._FSAL_CACHE.clear()
+    final, summary = run(cfg)
+    assert len(calls) == cfg.steps + 1  # one pass per step, plus the first
+    # every step re-evaluated from scratch gives the same bits
+    original = simulate.step_second_order
+    monkeypatch.setattr(simulate, "step_second_order", _fresh_step)
+    fresh, fresh_summary = run(cfg)
+    assert np.array_equal(final.positions, fresh.positions)
+    assert np.array_equal(final.velocities, fresh.velocities)
+    assert summary.records == fresh_summary.records
+    # and so do repeated calls of the public step outside run
+    monkeypatch.setattr(simulate, "step_second_order", original)
+    state = initial_state(cfg)
+    for _ in range(cfg.steps):
+        state = step_second_order(state, cfg)
+    assert np.array_equal(state.positions, final.positions)
+    assert np.array_equal(state.velocities, final.velocities)
+
+
+def test_second_order_memo_misses_after_an_in_place_edit(monkeypatch):
+    cfg = _second_order_config()
+    state = step_second_order(initial_state(cfg), cfg)
+    state.positions[5] += 1e-3  # edits the array the memo was taken at
+    calls = _count_force_passes(monkeypatch)
+    out = step_second_order(state, cfg)
+    assert len(calls) == 2
+    expected = _fresh_step(state, cfg)
+    assert np.array_equal(out.positions, expected.positions)
+    assert np.array_equal(out.velocities, expected.velocities)
+
+
+def test_second_order_memo_misses_for_another_model(monkeypatch):
+    cfg = _second_order_config()
+    other = _second_order_config(tabulated_forces=False)
+    state = step_second_order(initial_state(cfg), cfg)
+    calls = _count_force_passes(monkeypatch)
+    out = step_second_order(state, other)  # same positions, another model
+    assert len(calls) == 2
+    expected = _fresh_step(state, other)
+    assert np.array_equal(out.positions, expected.positions)
+    assert np.array_equal(out.velocities, expected.velocities)
+
+
+def test_first_order_step_never_reads_the_memo(monkeypatch):
+    cfg = _second_order_config()
+    first = SimConfig(potential=POT, dimension=3, N=cfg.N, dt=cfg.dt, seed=cfg.seed)
+    state = step_second_order(initial_state(cfg), cfg)
+    expected = step_first_order(state, first)
+    # a poisoned memo at the very same positions and force model
+    simulate._FSAL_CACHE["acc"] = np.full_like(state.positions, np.nan)
+    calls = _count_force_passes(monkeypatch)
+    out = step_first_order(state, first)
+    assert len(calls) == 1
+    assert np.array_equal(out.positions, expected.positions)
