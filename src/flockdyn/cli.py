@@ -219,8 +219,6 @@ def _read_profile(path: str) -> FlockProfile:
         doc = json.load(fh)
     if isinstance(doc, dict) and "profile" in doc:
         doc = doc["profile"]
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: a profile must be a JSON object")
     return FlockProfile.from_dict(doc)
 
 

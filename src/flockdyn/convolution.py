@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from ._codec import encode
 from .errors import OutOfSupportError, QuadratureNonConvergenceError, VerificationFailureError
 from .potentials import ModelParams, QuasiMorse, Sign, aggregate_param
 from .solver import FlockProfile, _boundary_eval, _check_case, density_eval
@@ -76,15 +77,7 @@ class ConvolutionReport:
     cross_dev: float
 
     def to_dict(self) -> dict:
-        return {
-            "r_grid": [float(v) for v in self.r_grid],
-            "closed_form": [float(v) for v in self.closed_form],
-            "quadrature": [float(v) for v in self.quadrature],
-            "D": self.D,
-            "sup_dev_closed": self.sup_dev_closed,
-            "sup_dev_quad": self.sup_dev_quad,
-            "cross_dev": self.cross_dev,
-        }
+        return encode(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

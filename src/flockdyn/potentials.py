@@ -26,6 +26,7 @@ from typing import Union
 import numpy as np
 
 from . import specfun
+from ._codec import Record, decode_tagged, encode_tagged, tag_table
 from ._roots import bracketed_root
 from .errors import DegenerateDenominatorError, DomainError
 
@@ -49,7 +50,7 @@ class Region(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """Quasi-Morse parameter tuple: dimension, repulsion strength/scale, decay."""
 
     n: int
@@ -64,13 +65,6 @@ class ModelParams:
             raise DomainError("C, ell and k must be strictly positive")
         if not all(map(math.isfinite, (self.C, self.ell, self.k))):
             raise DomainError("C, ell and k must be finite")
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "C": self.C, "ell": self.ell, "k": self.k}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(n=int(d["n"]), C=float(d["C"]), ell=float(d["ell"]), k=float(d["k"]))
 
 
 @dataclass(frozen=True)
@@ -111,35 +105,11 @@ PotentialSpec = Union[QuasiMorse, Morse, MorseLike]
 
 def potential_to_dict(spec: PotentialSpec) -> dict:
     """Canonical JSON-friendly encoding with a ``kind`` tag."""
-    if isinstance(spec, QuasiMorse):
-        return {"kind": "quasi_morse", **spec.params.to_dict()}
-    if isinstance(spec, Morse):
-        return {
-            "kind": "morse",
-            "C_R": spec.C_R,
-            "C_A": spec.C_A,
-            "ell_R": spec.ell_R,
-            "ell_A": spec.ell_A,
-        }
-    if isinstance(spec, MorseLike):
-        return {"kind": "morse_like", "p": spec.p, "C": spec.C, "ell": spec.ell}
-    raise TypeError(f"not a potential spec: {spec!r}")
+    return encode_tagged(tag_table(PotentialSpec), spec)
 
 
 def potential_from_dict(d: dict) -> PotentialSpec:
-    kind = d.get("kind")
-    if kind == "quasi_morse":
-        return QuasiMorse(ModelParams.from_dict(d))
-    if kind == "morse":
-        return Morse(
-            C_R=float(d["C_R"]),
-            C_A=float(d["C_A"]),
-            ell_R=float(d["ell_R"]),
-            ell_A=float(d["ell_A"]),
-        )
-    if kind == "morse_like":
-        return MorseLike(p=float(d["p"]), C=float(d["C"]), ell=float(d["ell"]))
-    raise ValueError(f"unknown potential kind: {kind!r}")
+    return decode_tagged(tag_table(PotentialSpec), d, "potential")
 
 
 @dataclass(frozen=True)
@@ -249,8 +219,9 @@ def _phase_rule(C, ell, ell_n, ell_n2, k, select):
     positive = select(den == 0.0, s > 0.0, s * den > 0.0)
     a_sign = select(zero, _ZERO, select(positive, _POSITIVE, _NEGATIVE))
     region = select(bio, select(zero, _SEPARATRIX, select(celln < 1.0, _I, _II)), _OUTSIDE)
-    # den == 0 counts even where k * k underflows, so A never divides by 0
-    degenerate = (abs(den) < 1e-12 * k * k) | (den == 0.0)
+    # den has cancelled to 1e-12 of its terms (k only scales A); <= also
+    # counts den == 0 where both terms underflow, so A never divides by 0
+    degenerate = abs(den) <= 1e-12 * (celln + ell * ell)
     A = k * k * s / select(degenerate, math.nan, den)
     return bio, celln > 1.0, region, a_sign, A, den, degenerate
 

@@ -53,6 +53,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._codec import Record
 from .errors import DomainError, NumericalBlowupError
 from .potentials import (
     Morse,
@@ -60,8 +61,6 @@ from .potentials import (
     PotentialSpec,
     QuasiMorse,
     potential_force_magnitude,
-    potential_from_dict,
-    potential_to_dict,
     potential_value,
 )
 from .solver import FlockProfile, density_eval
@@ -96,29 +95,8 @@ class FromFile:
 InitSpec = Union[UniformBall, Gaussian, FromFile]
 
 
-def _init_to_dict(init: InitSpec) -> dict:
-    if isinstance(init, UniformBall):
-        return {"kind": "uniform_ball", "radius": init.radius}
-    if isinstance(init, Gaussian):
-        return {"kind": "gaussian", "sigma": init.sigma}
-    if isinstance(init, FromFile):
-        return {"kind": "from_file", "path": init.path}
-    raise TypeError(f"not an init spec: {init!r}")
-
-
-def _init_from_dict(d: dict) -> InitSpec:
-    kind = d.get("kind")
-    if kind == "uniform_ball":
-        return UniformBall(radius=float(d["radius"]))
-    if kind == "gaussian":
-        return Gaussian(sigma=float(d["sigma"]))
-    if kind == "from_file":
-        return FromFile(path=str(d["path"]))
-    raise ValueError(f"unknown init kind: {kind!r}")
-
-
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Configuration of one N-body run; hashable so force models cache."""
 
     potential: PotentialSpec
@@ -171,49 +149,6 @@ class SimConfig:
         if isinstance(pot, Morse):
             return pot.ell_R
         return pot.ell
-
-    def to_dict(self) -> dict:
-        return {
-            "potential": potential_to_dict(self.potential),
-            "dimension": self.dimension,
-            "N": self.N,
-            "dt": self.dt,
-            "steps": self.steps,
-            "model": self.model,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "seed": self.seed,
-            "init": _init_to_dict(self.init),
-            "min_separation": self.min_separation,
-            "record_stride": self.record_stride,
-            "blowup_bound": self.blowup_bound,
-            "tabulated_forces": self.tabulated_forces,
-            "convergence_tol": self.convergence_tol,
-            "convergence_window": self.convergence_window,
-            "stop_when_converged": self.stop_when_converged,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        return cls(
-            potential=potential_from_dict(d["potential"]),
-            dimension=int(d["dimension"]),
-            N=int(d["N"]),
-            dt=float(d["dt"]),
-            steps=int(d["steps"]),
-            model=str(d.get("model", "first")),
-            alpha=float(d.get("alpha", 1.0)),
-            beta=float(d.get("beta", 0.5)),
-            seed=int(d.get("seed", 0)),
-            init=_init_from_dict(d.get("init", {"kind": "uniform_ball", "radius": 1.0})),
-            min_separation=float(d["min_separation"]),
-            record_stride=int(d.get("record_stride", 100)),
-            blowup_bound=float(d.get("blowup_bound", 1e6)),
-            tabulated_forces=bool(d.get("tabulated_forces", True)),
-            convergence_tol=float(d.get("convergence_tol", 1e-9)),
-            convergence_window=int(d.get("convergence_window", 100)),
-            stop_when_converged=bool(d.get("stop_when_converged", False)),
-        )
 
 
 @dataclass

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from ._codec import Record
 from ._roots import bracketed_root
 from .errors import (
     BracketFailureError,
@@ -65,7 +66,7 @@ def _j1_zero(m: int) -> float:
 
 
 @dataclass(frozen=True)
-class FlockProfile:
+class FlockProfile(Record):
     """A solved analytic flock: parameters plus (mu1, mu2, R_star) and
     the derived aggregate values and convolution constant D."""
 
@@ -78,41 +79,13 @@ class FlockProfile:
     D: float
     root_index: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "C": self.params.C,
-            "ell": self.params.ell,
-            "k": self.params.k,
-            "A": self.A,
-            "a": self.a,
-            "R_star": self.R_star,
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "D": self.D,
-            "root_index": self.root_index,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlockProfile":
-        try:
-            params = ModelParams(
-                n=int(d["n"]), C=float(d["C"]), ell=float(d["ell"]), k=float(d["k"])
+    def __post_init__(self):
+        finite = all(map(math.isfinite, (self.A, self.a, self.mu1, self.mu2, self.D)))
+        if not (finite and 0.0 < self.R_star < math.inf and self.root_index >= 1):
+            raise DomainError(
+                "a profile needs finite A, a, mu1, mu2 and D, a finite R_star > 0 "
+                f"and root_index >= 1, got {self}"
             )
-            return cls(
-                params=params,
-                A=float(d["A"]),
-                a=float(d["a"]),
-                R_star=float(d["R_star"]),
-                mu1=float(d["mu1"]),
-                mu2=float(d["mu2"]),
-                D=float(d["D"]),
-                root_index=int(d.get("root_index", 1)),
-            )
-        except KeyError as exc:
-            raise DomainError(f"profile has no {exc.args[0]!r} entry") from None
-        except TypeError as exc:
-            raise DomainError(f"profile entry of the wrong type: {exc}") from None
 
 
 @dataclass(frozen=True)

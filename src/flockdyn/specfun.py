@@ -43,6 +43,7 @@ _I_SERIES_CUT = 30.0
 _K_SERIES_CUT = 2.0
 _ASYM_CUT = 30.0
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
+_MIN_NORMAL = np.finfo(np.float64).tiny
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
@@ -349,6 +350,11 @@ def _kve_int(order: int, x):
 
 def _kve_half(nu: float, x):
     """Scaled half-integer K: sqrt(pi/(2x)) times a polynomial in 1/x."""
+    if nu == 0.5 and x.size and x.min() < _MIN_NORMAL:
+        # 1/x overflows for subnormal x, where sqrt(pi/(2x)) is still finite
+        with np.errstate(over="ignore"):
+            base = np.sqrt(_SQRT_PI_OVER_2**2 * (1.0 / x))
+        return np.where(np.isinf(base), _SQRT_PI_OVER_2 / np.sqrt(x), base)
     inv = 1.0 / x
     base = np.sqrt(_SQRT_PI_OVER_2**2 * inv)
     if nu == 0.5:

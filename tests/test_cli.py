@@ -2,6 +2,7 @@
 headers, and byte-stability of outputs."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -105,6 +106,12 @@ def test_profile_with_missing_key_is_rejected(tmp_path, capsys):
         lambda doc: "text",
         lambda doc: {"profile": [1, 2]},
         lambda doc: {"profile": {**doc["profile"], "n": None}},
+        # once truncated or coerced, then verified (exit 0) or failed (exit 3)
+        lambda doc: {"profile": {**doc["profile"], "n": 3.7}},
+        lambda doc: {"profile": {**doc["profile"], "n": "3"}},
+        lambda doc: {"profile": {**doc["profile"], "root_index": 0}},
+        lambda doc: {"profile": {**doc["profile"], "a": True}},
+        lambda doc: {"profile": {**doc["profile"], "mu1": math.nan}},
     ],
 )
 def test_profile_that_is_not_an_object_is_rejected(tmp_path, capsys, broken):

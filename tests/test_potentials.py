@@ -206,6 +206,14 @@ def test_aggregate_zero_on_separatrix():
     assert a == 0.0
 
 
+def test_aggregate_degeneracy_is_free_of_k():
+    # the k-scaled threshold once called REF3D degenerate at k = 1e5
+    for k in (1e-5, 1.0, 1e5):
+        A, _ = aggregate_param(ModelParams(3, 1.255, 0.8, k))
+        assert A / k**2 == pytest.approx(139.625, rel=1e-13)
+        assert phase_grid(3, [1.255], [0.8], k).A[0, 0] == A
+
+
 def test_aggregate_degenerate_denominator():
     # C ell^n = ell^2 exactly (n = 3, C = 1/ell)
     with pytest.raises(DegenerateDenominatorError):

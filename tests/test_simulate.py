@@ -84,6 +84,10 @@ def test_config_round_trip():
     for key in ("convergence_tol", "convergence_window", "stop_when_converged"):
         del old[key]
     assert SimConfig.from_dict(old) == SimConfig(potential=POT, dimension=3, N=10)
+    # values of the wrong JSON type were once coerced: "false" loaded as True
+    for key, value in (("tabulated_forces", "false"), ("N", 10.9)):
+        with pytest.raises(DomainError, match=key):
+            SimConfig.from_dict({**cfg.to_dict(), key: value})
 
 
 # --------------------------------------------------------- first-order step

@@ -147,6 +147,16 @@ def test_k_half_closed_form_value():
     assert got == pytest.approx(math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-14)
 
 
+def test_k_half_at_subnormal_x_is_finite():
+    # 1/x overflows here, sqrt(pi / 2x) does not
+    for x in (5e-310, 5e-324):
+        want = math.sqrt(math.pi / 2.0) / math.sqrt(x)
+        assert sf.bessel_k(0.5, x, scaled=True) == pytest.approx(want, rel=1e-15)
+        assert sf.bessel_k(0.5, x) == pytest.approx(want, rel=1e-15)
+    got = sf.bessel_k(0.5, np.array([5e-310, 1.0]), scaled=True)
+    assert got[1] == sf.bessel_k(0.5, 1.0, scaled=True)
+
+
 def test_k_negative_order_reflection():
     for x in (0.3, 2.0, 40.0):
         assert sf.bessel_k(-1.0, x) == sf.bessel_k(1.0, x)
