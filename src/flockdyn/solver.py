@@ -168,7 +168,7 @@ def _boundary_eval(params: ModelParams, case: Sign, xi: float, R, general: bool 
     elif n == 3:
         out = _boundary_3d(k, a, case, xi, arr)
     else:
-        out = _boundary_2d(k, a, case, xi, arr)
+        out = _boundary_2d(k, a, case, xi, arr, *_radial_2d(a, case, arr))
     return float(out[0]) if scalar else out
 
 
@@ -181,21 +181,28 @@ def _boundary_3d(k, a, case, xi, R):
     return pref * gain * (np.sinh(a * R) + (a * xi / k) * np.cosh(a * R))
 
 
-def _boundary_2d(k, a, case, xi, R):
-    kratio = specfun.bessel_k(0.0, k * R / xi, scaled=True) / specfun.bessel_k(
-        1.0, k * R / xi, scaled=True
-    )
+def _radial_2d(a, case, R):
+    """(J_0(aR), J_1(aR)) on the positive branch, (I_0(aR), I_1(aR)) on the
+    negative one: the R-dependence of Btilde(xi) shared by every xi."""
+    fn = specfun.bessel_j if case is Sign.POSITIVE else specfun.bessel_i
+    aR = a * R
+    return fn(0.0, aR), fn(1.0, aR)
+
+
+def _k_ratio_2d(k, xi, R):
+    """K_0(kR/xi) / K_1(kR/xi) from one scaled K pair."""
+    k0, k1 = specfun.bessel_k_pair(0.0, k * R / xi, scaled=True)
+    return k0 / k1
+
+
+def _boundary_2d(k, a, case, xi, R, f0, f1):
+    """Btilde(xi) in 2-D from (f0, f1) = ``_radial_2d(a, case, R)``."""
+    kratio = _k_ratio_2d(k, xi, R)
     if case is Sign.POSITIVE:
         gain = 1.0 / (1.0 + (a * xi / k) ** 2)
-        return gain * (
-            specfun.bessel_j(0.0, a * R)
-            - (a * xi / k) * specfun.bessel_j(1.0, a * R) * kratio
-        )
+        return gain * (f0 - (a * xi / k) * f1 * kratio)
     gain = 1.0 / (1.0 - (a * xi / k) ** 2)
-    return gain * (
-        specfun.bessel_i(0.0, a * R)
-        + (a * xi / k) * specfun.bessel_i(1.0, a * R) * kratio
-    )
+    return gain * (f0 + (a * xi / k) * f1 * kratio)
 
 
 def _boundary_zero(n, k, xi, R):
@@ -284,8 +291,9 @@ def flock_determinant(params: ModelParams, R):
             c_sin, c_cos = _det_pos_coeffs(params, a, arr)
             out = c_sin * np.sin(a * arr) + c_cos * np.cos(a * arr)
         else:
-            out = _boundary_2d(k, a, Sign.POSITIVE, ell, arr) - _boundary_2d(
-                k, a, Sign.POSITIVE, 1.0, arr
+            f0, f1 = _radial_2d(a, Sign.POSITIVE, arr)
+            out = _boundary_2d(k, a, Sign.POSITIVE, ell, arr, f0, f1) - _boundary_2d(
+                k, a, Sign.POSITIVE, 1.0, arr, f0, f1
             )
     else:
         if n == 3:
@@ -304,12 +312,8 @@ def flock_determinant(params: ModelParams, R):
                     / (C * ell**3 * (k * arr + ell) * (k * arr + 1.0))
                 )
         else:
-            kr_l = specfun.bessel_k(0.0, k * arr / ell, scaled=True) / specfun.bessel_k(
-                1.0, k * arr / ell, scaled=True
-            )
-            kr_1 = specfun.bessel_k(0.0, k * arr, scaled=True) / specfun.bessel_k(
-                1.0, k * arr, scaled=True
-            )
+            kr_l = _k_ratio_2d(k, ell, arr)
+            kr_1 = _k_ratio_2d(k, 1.0, arr)
             c0 = (C - 1.0) * (1.0 - C * ell**2) / (C * (1.0 - ell**2))
             c1 = (C - 1.0) * a * ell**2 / (k * (1.0 - ell**2)) * (
                 kr_l / (C * ell) - kr_1
@@ -580,9 +584,7 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
 
     def balance(r0: float) -> float:
         t = k * r0 / s
-        kratio = specfun.bessel_k(0.0, k * r0, scaled=True) / specfun.bessel_k(
-            1.0, k * r0, scaled=True
-        )
+        kratio = _k_ratio_2d(k, 1.0, r0)
         return specfun.bessel_j(0.0, t) - specfun.bessel_j(1.0, t) * kratio / s
 
     # root in t = k R0 / sqrt(C-1) below the first zero of J_0

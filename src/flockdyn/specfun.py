@@ -4,8 +4,8 @@ Only integer orders -1..3 and half-integer orders -1/2..7/2 are supported;
 nothing here pretends to be a general-order library.  Evaluation strategy:
 
 * power series for small arguments (J up to x = 12, I up to x = 30); the J
-  series is accumulated in 80-bit ``longdouble`` because its terms alternate
-  and cancel,
+  series is accumulated in 80-bit ``longdouble`` above x = 4 because its
+  terms alternate and cancel,
 * Miller's normalized downward recurrence for integer-order J beyond the
   series range,
 * closed (hyperbolic) trigonometric forms for half-integer orders outside
@@ -23,6 +23,20 @@ internal currency (products like ``I(k r / ell) K(k R / ell)`` overflow and
 underflow long before their combination does); raw values are reconstructed
 at the API boundary.  All functions accept scalars or numpy arrays and are
 pure, so unrestricted concurrent use is safe.
+
+Each evaluator is written once, as arithmetic that runs on a float or on a
+float64 array.  A size-one input (a float, a 0-d array or a one-element
+array) takes the float route: the same terms in the same order with the
+same stop test, on plain floats (``longdouble`` scalars for the upper J
+series), which costs microseconds where one-element array operations cost
+a millisecond.  Its value equals the array route's bit for bit.  That is
+why ``exp``, ``log`` and ``power`` come from numpy on both routes: numpy's
+array loops may use their own vectorised kernels, and ``math.exp`` has been
+seen to differ from ``np.exp`` by an ulp on about one argument in twenty
+(``math.log`` more rarely); a numpy function on a float runs the same loop
+as on an array.  ``sqrt``, ``sin`` and ``cos`` also come from numpy.
+``bessel_k_pair`` returns K_nu and K_{nu+1} from one evaluation, for callers
+that need both.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ EULER_GAMMA = 0.57721566490153286061
 _SUPPORTED_ORDERS = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
 
 _J_SERIES_CUT = 12.0
+_J_EXTENDED_CUT = 4.0
 _I_SERIES_CUT = 30.0
 _K_SERIES_CUT = 2.0
 _ASYM_CUT = 30.0
@@ -47,6 +62,11 @@ _MIN_NORMAL = np.finfo(np.float64).tiny
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
+
+# the K series coefficients, tabulated once: the harmonic numbers H_m (each
+# summed as 1 + 1/2 + ...) and H_m + H_{m+1} - 2 gamma
+_HARMONIC = tuple(sum(1.0 / j for j in range(1, m + 1)) for m in range(61))
+_K1_COEFF = tuple(_HARMONIC[m] + _HARMONIC[m + 1] - 2.0 * EULER_GAMMA for m in range(60))
 
 
 def _check_order(nu) -> float:
@@ -58,14 +78,56 @@ def _check_order(nu) -> float:
     return nu
 
 
-def _asarray(x):
+def _route(x):
+    """(values, shape): a size-one input as a float, any other as a float64
+    array; shape is None for a scalar or 0-d input, else the input's shape."""
+    if isinstance(x, float):
+        return float(x), None
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+    shape = None if arr.ndim == 0 else arr.shape
+    return (arr.item() if arr.size == 1 else arr), shape
 
 
-def _scalarize(values, scalar):
-    return float(values[0]) if scalar else values
+def _restore(values, shape):
+    """The result in the input's form: a float for a scalar input, else an
+    array of the input's shape."""
+    if shape is None:
+        return float(values)
+    return np.full(shape, values) if np.ndim(values) == 0 else values
+
+
+# np.all, np.any and np.maximum for an evaluator that may hold floats
+def _all(cond):
+    return cond.all() if isinstance(cond, np.ndarray) else cond
+
+
+def _any(cond):
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _max(a, b):
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+
+
+def _piecewise(x, pieces, width=0):
+    """Evaluate a function given piece by piece on the domain of x.
+
+    ``pieces`` lists (condition, evaluator) pairs whose conditions do not
+    overlap.  A float takes the evaluator whose condition holds (nan where
+    none does); an array gets each evaluator on the elements its condition
+    selects.  ``width`` is the number of values an evaluator returns when
+    it returns a tuple.
+    """
+    if not isinstance(x, np.ndarray):
+        for cond, fn in pieces:
+            if cond:
+                return fn(x)
+        return (math.nan,) * width if width else math.nan
+    out = np.empty((width,) + x.shape if width else x.shape)
+    for cond, fn in pieces:
+        if cond.any():
+            out[..., cond] = fn(x[cond])
+    return out
 
 
 def _power_series(nu: float, x, sign: float):
@@ -77,34 +139,36 @@ def _power_series(nu: float, x, sign: float):
     there; elsewhere plain doubles keep the hot vectorized paths fast.
     """
     if sign < 0.0:
-        hi = x > 4.0
-        if np.any(hi) and not np.all(hi):
-            # evaluate each precision regime separately so results do not
-            # depend on which other elements share the call
-            out = np.empty_like(x)
-            out[hi] = _power_series(nu, x[hi], sign)
-            out[~hi] = _power_series(nu, x[~hi], sign)
-            return out
-        needs_extended = bool(np.all(hi))
-    else:
-        needs_extended = False
-    dtype = np.longdouble if needs_extended else np.float64
-    xl = x.astype(dtype)
+        # each precision regime is summed on its own, so a value does not
+        # depend on which other elements share the call
+        return _piecewise(x, [
+            (x <= _J_EXTENDED_CUT, lambda v: _series_sum(nu, v, sign, float)),
+            (x > _J_EXTENDED_CUT, lambda v: _series_sum(nu, v, sign, np.longdouble)),
+        ])
+    return _series_sum(nu, x, sign, float)
+
+
+def _series_sum(nu: float, x, sign: float, dtype):
+    """The power series of ``_power_series`` accumulated in ``dtype``."""
+    xl = x.astype(dtype) if isinstance(x, np.ndarray) else dtype(x)
     half = 0.5 * xl
-    term = half ** dtype(nu) / dtype(math.gamma(nu + 1.0))
-    total = term.copy()
+    term = np.power(half, dtype(nu)) / dtype(math.gamma(nu + 1.0))
+    if not isinstance(term, np.ndarray):
+        term = dtype(term)  # a float stays a plain float through the loop
+    total = term
     q = dtype(sign) * 0.25 * xl * xl
-    peak = np.abs(term)
-    stop = 1e-25 if needs_extended else 1e-18
+    peak = abs(term)
+    stop = 1e-25 if dtype is np.longdouble else 1e-18
     for m in range(1, 400):
-        term = term * q / dtype(m * (nu + m))
-        total += term
-        np.maximum(peak, np.abs(term), out=peak)
-        if np.all(np.abs(term) <= stop * (peak + 1e-300)):
+        term = term * q / (m * (nu + m))
+        total = total + term
+        size = abs(term)
+        peak = _max(peak, size)
+        if _all(size <= stop * (peak + 1e-300)):
             break
     else:  # pragma: no cover - series converges long before 400 terms
         raise ArithmeticError("power series failed to converge")
-    return total.astype(np.float64)
+    return total.astype(np.float64) if isinstance(total, np.ndarray) else float(total)
 
 
 def _j_half_closed(nu: float, x):
@@ -122,15 +186,19 @@ def _j_half_closed(nu: float, x):
         return s * ((3.0 * inv * inv - 1.0) * sin - 3.0 * inv * cos)
     if nu == 3.5:
         return s * (
-            (15.0 * inv**3 - 6.0 * inv) * sin - (15.0 * inv * inv - 1.0) * cos
+            (15.0 * np.power(inv, 3) - 6.0 * inv) * sin
+            - (15.0 * inv * inv - 1.0) * cos
         )
     raise UnsupportedOrderError(f"no closed J form for order {nu}")
 
 
-def _j_int_miller(order: int, x: float) -> float:
+def _j_int_miller(order: int, x):
     """Integer-order J by Miller's downward recurrence with the
     J_0 + 2 J_2 + 2 J_4 + ... = 1 normalization.  Used for x > 12 where the
-    alternating series cancels; accuracy is a few ulp."""
+    alternating series cancels; accuracy is a few ulp.  An array is
+    evaluated element by element."""
+    if isinstance(x, np.ndarray):
+        return np.array([_j_int_miller(order, v) for v in x.tolist()])
     m_hi = int(x + 18.0 + 14.0 * x ** (1.0 / 3.0))
     m_hi += m_hi % 2  # even start keeps the normalization bookkeeping simple
     jp = 0.0  # unnormalized J_{n+1}
@@ -167,37 +235,28 @@ def bessel_j(nu, x):
     nu = _check_order(nu)
     if nu == -1.0:
         return -bessel_j(1.0, x)
-    arr, scalar = _asarray(x)
-    if np.any(arr < 0.0):
+    x, shape = _route(x)
+    if _any(x < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    if nu < 0.0 and np.any(arr == 0.0):
+    if nu < 0.0 and _any(x == 0.0):
         raise DomainError(f"bessel_j order {nu} diverges at x = 0")
-
-    out = np.empty_like(arr)
-    zero = arr == 0.0
-    if np.any(zero):
-        out[zero] = 1.0 if nu == 0.0 else 0.0
-    small = (~zero) & (arr <= _J_SERIES_CUT)
-    if np.any(small):
-        out[small] = _power_series(nu, arr[small], -1.0)
-    big = arr > _J_SERIES_CUT
-    if np.any(big):
-        if nu != int(nu):
-            out[big] = _j_half_closed(nu, arr[big])
-        else:
-            out[big] = [_j_int_miller(int(nu), float(v)) for v in arr[big]]
-    return _scalarize(out, scalar)
+    out = _piecewise(x, [
+        (x == 0.0, lambda v: 1.0 if nu == 0.0 else 0.0),
+        ((x > 0.0) & (x <= _J_SERIES_CUT), lambda v: _power_series(nu, v, -1.0)),
+        (x > _J_SERIES_CUT,
+         lambda v: _j_int_miller(int(nu), v) if nu == int(nu) else _j_half_closed(nu, v)),
+    ])
+    return _restore(out, shape)
 
 
 def _ive_asym(nu: float, x):
     """e^{-x} I_nu(x) by the large-x expansion; x >= 30."""
     mu4 = 4.0 * nu * nu
-    term = np.ones_like(x)
-    total = term.copy()
+    term = total = 1.0
     for k in range(1, 40):
         term = -term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
+        total = total + term
+        if _all(abs(term) <= 1e-18 * abs(total)):
             break
     return total / np.sqrt(2.0 * math.pi * x)
 
@@ -205,12 +264,11 @@ def _ive_asym(nu: float, x):
 def _kve_asym(nu: float, x):
     """e^{x} K_nu(x) by the large-x expansion; x >= 30."""
     mu4 = 4.0 * nu * nu
-    term = np.ones_like(x)
-    total = term.copy()
+    term = total = 1.0
     for k in range(1, 40):
         term = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
+        total = total + term
+        if _all(abs(term) <= 1e-18 * abs(total)):
             break
     return np.sqrt(math.pi / (2.0 * x)) * total
 
@@ -225,60 +283,55 @@ def bessel_i(nu, x, scaled=False):
     nu = _check_order(nu)
     if nu == -1.0:
         return bessel_i(1.0, x, scaled=scaled)
-    arr, scalar = _asarray(x)
-    if np.any(arr < 0.0):
+    x, shape = _route(x)
+    if _any(x < 0.0):
         raise DomainError("bessel_i requires x >= 0")
-    if nu < 0.0 and np.any(arr == 0.0):
+    if nu < 0.0 and _any(x == 0.0):
         raise DomainError(f"bessel_i order {nu} diverges at x = 0")
-
-    scaled_out = np.empty_like(arr)
-    zero = arr == 0.0
-    if np.any(zero):
-        scaled_out[zero] = 1.0 if nu == 0.0 else 0.0
-    small = (~zero) & (arr < _I_SERIES_CUT)
-    if np.any(small):
-        xs = arr[small]
-        scaled_out[small] = _power_series(nu, xs, +1.0) * np.exp(-xs)
-    big = arr >= _I_SERIES_CUT
-    if np.any(big):
-        scaled_out[big] = _ive_asym(nu, arr[big])
+    scaled_out = _piecewise(x, [
+        (x == 0.0, lambda v: 1.0 if nu == 0.0 else 0.0),
+        ((x > 0.0) & (x < _I_SERIES_CUT),
+         lambda v: _power_series(nu, v, +1.0) * np.exp(-v)),
+        (x >= _I_SERIES_CUT, lambda v: _ive_asym(nu, v)),
+    ])
     if scaled:
-        return _scalarize(scaled_out, scalar)
+        return _restore(scaled_out, shape)
     with np.errstate(over="ignore"):
-        log_raw = arr + np.log(np.maximum(scaled_out, 1e-300))
-    if np.any((scaled_out > 0.0) & (log_raw > _LOG_DBL_MAX)):
+        log_raw = x + np.log(np.maximum(scaled_out, 1e-300))
+    if _any((scaled_out > 0.0) & (log_raw > _LOG_DBL_MAX)):
         raise OverflowError(
             "raw bessel_i exceeds double range; request scaled=True"
         )
-    return _scalarize(scaled_out * np.exp(arr), scalar)
-
-
-def _harmonic(m: int) -> float:
-    return sum(1.0 / j for j in range(1, m + 1))
+    return _restore(scaled_out * np.exp(x), shape)
 
 
 def _kve01_series(x):
-    """Scaled K_0 and K_1 from the log/Euler-gamma series; 0 < x < 2."""
+    """Scaled K_0 and K_1 from the log/Euler-gamma series; 0 < x < 2.
+
+    K_1 is inf where its 1/x term overflows (subnormal x); K_0 stays finite
+    there, and neither route warns.
+    """
     i0 = _power_series(0.0, x, +1.0)
     i1 = _power_series(1.0, x, +1.0)
     lg = np.log(0.5 * x)
     q = 0.25 * x * x
 
     # K0 = -(log(x/2) + gamma) I0 + sum_{m>=1} H_m q^m / (m!)^2
-    term = np.ones_like(x)
-    acc0 = np.zeros_like(x)
+    term = 1.0
+    acc0 = 0.0
     # K1 = 1/x + log(x/2) I1 - (x/4) sum_{m>=0} (H_m + H_{m+1} - 2 gamma) q^m / (m! (m+1)!)
-    term1 = np.ones_like(x)
-    acc1 = (_harmonic(0) + _harmonic(1) - 2.0 * EULER_GAMMA) * term1
+    term1 = 1.0
+    acc1 = _K1_COEFF[0]
     for m in range(1, 60):
         term = term * q / (m * m)
-        acc0 += _harmonic(m) * term
+        acc0 = acc0 + _HARMONIC[m] * term
         term1 = term1 * q / (m * (m + 1))
-        acc1 += (_harmonic(m) + _harmonic(m + 1) - 2.0 * EULER_GAMMA) * term1
-        if np.all(term <= 1e-20) and np.all(term1 <= 1e-20):
+        acc1 = acc1 + _K1_COEFF[m] * term1
+        if _all(term <= 1e-20) and _all(term1 <= 1e-20):
             break
     k0 = -(lg + EULER_GAMMA) * i0 + acc0
-    k1 = 1.0 / x + lg * i1 - 0.25 * x * acc1
+    with np.errstate(over="ignore"):
+        k1 = 1.0 / x + lg * i1 - 0.25 * x * acc1
     ex = np.exp(x)
     return k0 * ex, k1 * ex
 
@@ -286,18 +339,15 @@ def _kve01_series(x):
 def _kve01_cf2(x):
     """Scaled K_0 and K_1 by the Steed/Thompson-Barnett continued fraction.
 
-    Solid for x >= 2 (converges in a few dozen iterations); vectorized.
+    Solid for x >= 2 (converges in a few dozen iterations).
     """
     mu2 = 0.0  # order mu = 0
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
-    delh = d.copy()
-    h = d.copy()
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
+    delh = h = d
+    q1, q2 = 0.0, 1.0
     a1 = 0.25 - mu2
-    c = np.full_like(x, a1)
-    q = np.full_like(x, a1)
+    c = q = a1
     a = -a1
     s = 1.0 + q * delh
     for i in range(2, 600):
@@ -313,7 +363,7 @@ def _kve01_cf2(x):
         h = h + delh
         dels = q * delh
         s = s + dels
-        if np.all(np.abs(dels) <= 1e-17 * np.abs(s)):
+        if _all(abs(dels) <= 1e-17 * abs(s)):
             break
     else:  # pragma: no cover
         raise ArithmeticError("K continued fraction failed to converge")
@@ -323,34 +373,18 @@ def _kve01_cf2(x):
     return kve0, kve1
 
 
-def _kve_int(order: int, x):
-    """Scaled integer-order K for orders 0..3 on x > 0 arrays."""
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
-    lo = x < _K_SERIES_CUT
-    mid = (~lo) & (x < _ASYM_CUT)
-    hi = x >= _ASYM_CUT
-    if np.any(lo):
-        k0[lo], k1[lo] = _kve01_series(x[lo])
-    if np.any(mid):
-        k0[mid], k1[mid] = _kve01_cf2(x[mid])
-    if np.any(hi):
-        k0[hi] = _kve_asym(0.0, x[hi])
-        k1[hi] = _kve_asym(1.0, x[hi])
-    if order == 0:
-        return k0
-    if order == 1:
-        return k1
-    # upward recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, stable for K
-    km, kc = k0, k1
-    for m in range(1, order):
-        km, kc = kc, km + (2.0 * m / x) * kc
-    return kc
+def _kve01(x):
+    """Scaled (K_0, K_1) on x > 0, both from one evaluation."""
+    return _piecewise(x, [
+        (x < _K_SERIES_CUT, _kve01_series),
+        ((x >= _K_SERIES_CUT) & (x < _ASYM_CUT), _kve01_cf2),
+        (x >= _ASYM_CUT, lambda v: (_kve_asym(0.0, v), _kve_asym(1.0, v))),
+    ], width=2)
 
 
 def _kve_half(nu: float, x):
     """Scaled half-integer K: sqrt(pi/(2x)) times a polynomial in 1/x."""
-    if nu == 0.5 and x.size and x.min() < _MIN_NORMAL:
+    if nu == 0.5 and _any(x < _MIN_NORMAL):
         # 1/x overflows for subnormal x, where sqrt(pi/(2x)) is still finite
         with np.errstate(over="ignore"):
             base = np.sqrt(_SQRT_PI_OVER_2**2 * (1.0 / x))
@@ -364,10 +398,28 @@ def _kve_half(nu: float, x):
     elif nu == 2.5:
         poly = 1.0 + 3.0 * inv + 3.0 * inv * inv
     elif nu == 3.5:
-        poly = 1.0 + 6.0 * inv + 15.0 * inv * inv + 15.0 * inv**3
+        poly = 1.0 + 6.0 * inv + 15.0 * inv * inv + 15.0 * np.power(inv, 3)
     else:
         raise UnsupportedOrderError(f"no closed K form for order {nu}")
     return base * poly
+
+
+def _kve(orders, x):
+    """Scaled K at each of the non-negative ``orders``, x > 0.  The integer
+    orders share one K_0, K_1 evaluation and climb from it by the upward
+    recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, which is stable for K."""
+    if any(nu == int(nu) for nu in orders):
+        k0, k1 = _kve01(x)
+    out = []
+    for nu in orders:
+        if nu != int(nu):
+            out.append(_kve_half(nu, x))
+            continue
+        ladder = [k0, k1]
+        for m in range(1, int(nu)):
+            ladder.append(ladder[m - 1] + (2.0 * m / x) * ladder[m])
+        out.append(ladder[int(nu)])
+    return out
 
 
 def bessel_k(nu, x, scaled=False):
@@ -376,30 +428,46 @@ def bessel_k(nu, x, scaled=False):
     With ``scaled=True`` returns ``e^{x} K_nu(x)``.  K_{-nu} = K_nu.
     """
     nu = abs(_check_order(nu))
-    arr, scalar = _asarray(x)
-    if np.any(arr <= 0.0):
+    x, shape = _route(x)
+    if _any(x <= 0.0):
         raise DomainError("bessel_k requires x > 0")
-    if nu == int(nu):
-        out = _kve_int(int(nu), arr)
-    else:
-        out = _kve_half(nu, arr)
+    (out,) = _kve([nu], x)
     if not scaled:
-        out = out * np.exp(-arr)
-    return _scalarize(out, scalar)
+        out = out * np.exp(-x)
+    return _restore(out, shape)
 
 
 def _k_pair(name: str, nu, x):
-    """Scaled (K_{nu+1}(x), K_nu(x)) for the ratio families, with x as an
-    array and its scalar flag; nu >= 0 and x > 0 are checked on behalf of
-    ``name``."""
+    """Scaled (K_|nu|(x), K_|nu+1|(x)) from one evaluation, with x routed and
+    its shape; the orders and x > 0 are checked on behalf of ``name``."""
     nu = _check_order(nu)
-    if nu < 0.0:
-        raise DomainError(f"{name} requires nu >= 0")
-    arr, scalar = _asarray(x)
-    if np.any(arr <= 0.0):
+    upper = _check_order(nu + 1.0)
+    x, shape = _route(x)
+    if _any(x <= 0.0):
         raise DomainError(f"{name} requires x > 0")
-    upper = bessel_k(nu + 1.0, arr, scaled=True)
-    return upper, bessel_k(nu, arr, scaled=True), arr, scalar
+    lower, upper = _kve([abs(nu), abs(upper)], x)
+    return lower, upper, x, shape
+
+
+def bessel_k_pair(nu, x, scaled=False):
+    """(K_nu(x), K_{nu+1}(x)) from one evaluation, x > 0.
+
+    Each value equals the matching ``bessel_k`` call bit for bit; for
+    integer orders both come from one K_0, K_1 evaluation, which
+    ``bessel_k`` would repeat per order.  nu and nu + 1 must be supported.
+    """
+    lower, upper, x, shape = _k_pair("bessel_k_pair", nu, x)
+    if not scaled:
+        decay = np.exp(-x)
+        lower, upper = lower * decay, upper * decay
+    return _restore(lower, shape), _restore(upper, shape)
+
+
+def _ratio_pair(name: str, nu, x):
+    """``_k_pair`` for the ratio families, which need nu >= 0."""
+    if _check_order(nu) < 0.0:
+        raise DomainError(f"{name} requires nu >= 0")
+    return _k_pair(name, nu, x)
 
 
 def ratio_k_over_xk(nu, x):
@@ -407,17 +475,17 @@ def ratio_k_over_xk(nu, x):
 
     One of the three strictly decreasing ratio families; nu >= 0.
     """
-    upper, lower, arr, scalar = _k_pair("ratio_k_over_xk", nu, x)
-    return _scalarize(upper / (arr * lower), scalar)
+    lower, upper, x, shape = _ratio_pair("ratio_k_over_xk", nu, x)
+    return _restore(upper / (x * lower), shape)
 
 
 def ratio_k(nu, x):
     """K_{nu+1}(x) / K_nu(x); strictly decreasing on (0, inf) for nu >= 0."""
-    upper, lower, _, scalar = _k_pair("ratio_k", nu, x)
-    return _scalarize(upper / lower, scalar)
+    lower, upper, _, shape = _ratio_pair("ratio_k", nu, x)
+    return _restore(upper / lower, shape)
 
 
 def ratio_k_inverse(nu, x):
     """K_nu(x) / (x K_{nu+1}(x)), the companion decreasing family."""
-    upper, lower, arr, scalar = _k_pair("ratio_k_inverse", nu, x)
-    return _scalarize(lower / (arr * upper), scalar)
+    lower, upper, x, shape = _ratio_pair("ratio_k_inverse", nu, x)
+    return _restore(lower / (x * upper), shape)

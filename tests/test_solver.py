@@ -290,6 +290,27 @@ def test_roots_match_brentq_inside_brackets(seed, n):
         assert abs(r - ref) <= TOL_ROOT * ref
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3]),
+    picks=st.lists(st.integers(0, 511), min_size=1, max_size=8),
+)
+def test_scalar_determinant_equals_scan_entry(seed, n, picks):
+    # Brent refines the 2-D root from the scan cell where det M changes
+    # sign, evaluating det M at scalar R; a scalar value that differs from
+    # the scan's in the last bit can lose that sign change
+    params = region_i_draw(np.random.default_rng(seed), n)
+    _, a = aggregate_param(params)
+    lo, hi = sv._bracket_edges(params, a, 1)
+    grid = np.linspace(lo, hi, 512)
+    scan = flock_determinant(params, grid)
+    flips = np.flatnonzero(np.sign(scan[:-1]) != np.sign(scan[1:]))
+    for i in picks + [int(f) for f in flips] + [int(f) + 1 for f in flips]:
+        assert np.array_equal(flock_determinant(params, float(grid[i])), scan[i])
+        assert np.array_equal(flock_determinant(params, grid[i : i + 1]), scan[i : i + 1])
+
+
 def test_find_support_radius_ref3d():
     _, a = aggregate_param(REF3D)
     root, bracket = find_support_radius(REF3D)

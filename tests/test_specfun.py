@@ -332,17 +332,78 @@ def test_half_integer_forms_consistent_with_closed_expressions():
         )
 
 
+# the log grid, uniform draws across every evaluator's range (dense enough
+# to see a one-ulp difference in exp or log), and each crossover (K series /
+# continued fraction at 2, longdouble J series at 4, J series / Miller at
+# 12, I and K expansions at 30) with its two floating-point neighbours
+_CROSSOVERS = [2.0, 4.0, 12.0, 30.0]
+AGREEMENT_X = np.unique(np.concatenate([
+    np.logspace(-3, 3, 37),
+    np.random.default_rng(8).uniform(0.0, 4.0, 120),
+    np.random.default_rng(9).uniform(4.0, 40.0, 120),
+    _CROSSOVERS,
+    [np.nextafter(c, side) for c in _CROSSOVERS for side in (0.0, math.inf)],
+]))
+
+
+def _agreement_cases():
+    """(id, evaluator, x) for every public function, order and scaling; a
+    K pair is stacked on a leading axis.  Raw I stops short of overflow."""
+    cases = []
+    below_overflow = AGREEMENT_X[AGREEMENT_X < 700.0]
+    for nu in ALL_ORDERS:
+        cases.append((f"J{nu}", lambda x, nu=nu: sf.bessel_j(nu, x), AGREEMENT_X))
+        for scaled in (False, True):
+            tag = "e" if scaled else ""
+            cases.append((
+                f"I{tag}{nu}",
+                lambda x, nu=nu, s=scaled: sf.bessel_i(nu, x, scaled=s),
+                AGREEMENT_X if scaled else below_overflow,
+            ))
+            cases.append((
+                f"K{tag}{nu}",
+                lambda x, nu=nu, s=scaled: sf.bessel_k(nu, x, scaled=s),
+                AGREEMENT_X,
+            ))
+            if nu + 1.0 in ALL_ORDERS:
+                cases.append((
+                    f"Kpair{tag}{nu}",
+                    lambda x, nu=nu, s=scaled: np.array(sf.bessel_k_pair(nu, x, scaled=s)),
+                    AGREEMENT_X,
+                ))
+        if nu >= 0.0 and nu + 1.0 in ALL_ORDERS:
+            for fn in (sf.ratio_k_over_xk, sf.ratio_k, sf.ratio_k_inverse):
+                cases.append((
+                    f"{fn.__name__}{nu}", lambda x, nu=nu, fn=fn: fn(nu, x), AGREEMENT_X
+                ))
+    return cases
+
+
 def test_array_scalar_agreement():
-    xs = np.logspace(-3, 3, 37)
-    for nu in (0.0, 0.5, 1.0, 2.0):
+    # a size-one input takes the float route; its value must equal the
+    # array route's bit for bit, whether it comes as a float or as a
+    # one-element array, and keep the input's form
+    for name, fn, xs in _agreement_cases():
+        vector = np.asarray(fn(xs))
+        floats = [fn(float(x)) for x in xs]
+        singles = [np.asarray(fn(np.array([x]))) for x in xs]
+        assert all(np.ndim(v) == vector.ndim - 1 for v in floats), name
+        assert all(v.shape == vector.shape[:-1] + (1,) for v in singles), name
         assert np.array_equal(
-            sf.bessel_k(nu, xs, scaled=True),
-            np.array([sf.bessel_k(nu, float(x), scaled=True) for x in xs]),
-        )
-        assert np.array_equal(
-            sf.bessel_j(nu, xs), np.array([sf.bessel_j(nu, float(x)) for x in xs])
-        )
-        assert np.array_equal(
-            sf.bessel_i(nu, xs, scaled=True),
-            np.array([sf.bessel_i(nu, float(x), scaled=True) for x in xs]),
-        )
+            vector, np.stack([np.asarray(v) for v in floats], axis=-1)
+        ), name
+        assert np.array_equal(vector, np.concatenate(singles, axis=-1)), name
+
+
+def test_k0_at_subnormal_x_is_finite_and_silent():
+    # K_1's 1/x overflows below x ~ 5.6e-309; K_0 is still finite there, and
+    # neither route warns (the suite turns RuntimeWarnings into errors)
+    for x in (5e-310, 1e-320):
+        want = sp.k0e(x)
+        assert sf.bessel_k(0.0, x, scaled=True) == pytest.approx(want, rel=1e-14)
+        assert sf.bessel_k(0.0, x) == pytest.approx(sp.k0(x), rel=1e-14)
+        got = sf.bessel_k(0.0, np.array([x, 1.0]), scaled=True)
+        assert got[0] == pytest.approx(want, rel=1e-14)
+        assert got[1] == sf.bessel_k(0.0, 1.0, scaled=True)
+        k0, _ = sf.bessel_k_pair(0.0, x, scaled=True)
+        assert k0 == sf.bessel_k(0.0, x, scaled=True)
