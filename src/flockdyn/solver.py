@@ -191,7 +191,7 @@ def _radial_2d(a, case, R):
 
 def _k_ratio_2d(k, xi, R):
     """K_0(kR/xi) / K_1(kR/xi) from one scaled K pair."""
-    k0, k1 = specfun.bessel_k_pair(0.0, k * R / xi, scaled=True)
+    k0, k1 = specfun.bessel_k_pair(0.0, k * R / xi)
     return k0 / k1
 
 
@@ -211,9 +211,7 @@ def _boundary_zero(n, k, xi, R):
     # (not 1) for the quadratic-density convolution to close; the quadrature
     # cross-checks pin this down.
     half = 0.5 * n
-    ratio = specfun.bessel_k(half + 1.0, k * R / xi, scaled=True) / specfun.bessel_k(
-        half, k * R / xi, scaled=True
-    )
+    ratio = specfun.ratio_k(half, k * R / xi)
     return R * R + (2.0 * xi / k) * R * ratio
 
 
@@ -222,9 +220,9 @@ def _boundary_general(n, k, a, case, xi, R):
     if case is Sign.ZERO:
         return _boundary_zero(n, k, xi, R)
     y = k * R / xi
-    k_low = specfun.bessel_k(half - 2.0, y, scaled=True)  # K_{-1} = K_1 at n = 2
-    k_mid = specfun.bessel_k(half - 1.0, y, scaled=True)
-    k_top = specfun.bessel_k(half, y, scaled=True)
+    k_mid, k_top = specfun.bessel_k_pair(half - 1.0, y)
+    # K_{half-2} = K_{2-half}: K_1 at n = 2, K_{1/2} at n = 3
+    k_low = k_top if n == 2 else k_mid
     if case is Sign.POSITIVE:
         gain = 1.0 / (1.0 + (a * xi / k) ** 2)
         f_hi = specfun.bessel_j(half - 1.0, a * R)

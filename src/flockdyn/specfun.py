@@ -35,8 +35,8 @@ array loops may use their own vectorised kernels, and ``math.exp`` has been
 seen to differ from ``np.exp`` by an ulp on about one argument in twenty
 (``math.log`` more rarely); a numpy function on a float runs the same loop
 as on an array.  ``sqrt``, ``sin`` and ``cos`` also come from numpy.
-``bessel_k_pair`` returns K_nu and K_{nu+1} from one evaluation, for callers
-that need both.
+``bessel_k_pair`` returns the scaled K_nu and K_{nu+1} from one evaluation,
+for callers that need both.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _piecewise(x, pieces, width=0):
             if cond:
                 return fn(x)
         return (math.nan,) * width if width else math.nan
-    out = np.empty((width,) + x.shape if width else x.shape)
+    out = np.full((width,) + x.shape if width else x.shape, np.nan)
     for cond, fn in pieces:
         if cond.any():
             out[..., cond] = fn(x[cond])
@@ -449,17 +449,14 @@ def _k_pair(name: str, nu, x):
     return lower, upper, x, shape
 
 
-def bessel_k_pair(nu, x, scaled=False):
-    """(K_nu(x), K_{nu+1}(x)) from one evaluation, x > 0.
+def bessel_k_pair(nu, x):
+    """Scaled (e^x K_nu(x), e^x K_{nu+1}(x)) from one evaluation, x > 0.
 
-    Each value equals the matching ``bessel_k`` call bit for bit; for
+    Each value equals ``bessel_k(..., scaled=True)`` bit for bit; for
     integer orders both come from one K_0, K_1 evaluation, which
     ``bessel_k`` would repeat per order.  nu and nu + 1 must be supported.
     """
-    lower, upper, x, shape = _k_pair("bessel_k_pair", nu, x)
-    if not scaled:
-        decay = np.exp(-x)
-        lower, upper = lower * decay, upper * decay
+    lower, upper, _, shape = _k_pair("bessel_k_pair", nu, x)
     return _restore(lower, shape), _restore(upper, shape)
 
 
