@@ -101,20 +101,27 @@ def _cell_format(v) -> str:
     return "{:.17g}" if isinstance(v, float) else "{}"
 
 
-def _write_csv(path: str, header: list[str], rows, meta: dict) -> None:
-    """Write the metadata header, the column header and the rows as they
-    are produced.  Every column holds one type, so its format is chosen
-    from the first row: 17 significant digits for a float, str otherwise."""
+def _csv_lines(rows):
+    """The CSV lines of ``rows``.  Every column holds one type, so its
+    format is chosen from the first row: 17 significant digits for a float,
+    str otherwise."""
     rows = iter(rows)
     first = next(rows, None)
+    if first is None:
+        return
+    line = ",".join(map(_cell_format, first)) + "\n"
+    yield line.format(*first)
+    yield from starmap(line.format, rows)
+
+
+def _write_csv(path: str, header: list[str], lines, meta: dict) -> None:
+    """Write the metadata header, the column header and the already
+    formatted ``lines`` as they are produced."""
     with open(path, "w") as fh:
         for line in _meta_lines(meta):
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        if first is not None:
-            line = ",".join(map(_cell_format, first)) + "\n"
-            fh.write(line.format(*first))
-            fh.writelines(starmap(line.format, rows))
+        fh.writelines(lines)
 
 
 def _write_json(path: str, payload: dict, meta: dict) -> None:
@@ -150,7 +157,7 @@ def _cmd_solve(args) -> int:
     _write_csv(
         f"{args.output}.csv",
         ["r", "rho"],
-        [(float(r), float(d)) for r, d in zip(grid, rho)],
+        _csv_lines(zip(grid.tolist(), rho.tolist())),
         meta,
     )
     print(
@@ -160,25 +167,46 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-#: cell names by code; the code -1 of an invalid cell picks the last one
-_REGION_NAMES = np.array([r.value for r in Region] + ["invalid"], dtype=object)
-_SIGN_NAMES = np.array([s.value for s in Sign] + ["invalid"], dtype=object)
+#: the C rows of one block of the phase CSV, whose text is built and filled
+#: at once.  Small blocks keep the transient strings small.  The size also
+#: moves the process's peak RSS through the allocator: of 1, 4 and 16 rows,
+#: 4 measured lowest in the benchmark's profile_pipeline
+_PHASE_BLOCK_ROWS = 4
+
+#: region and sign names by code; the code -1 of an invalid cell picks the last
+_REGION_NAMES = [r.value for r in Region] + ["invalid"]
+_SIGN_NAMES = [s.value for s in Sign] + ["invalid"]
+
+#: the class columns of a phase cell and a slot for its A, by the code
+#: ((region * 4 + a_sign) * 2 + biologically_relevant) * 2 + h_stable
+_PHASE_CLASSES = tuple(
+    f",{region},{sign},{bio},{h_stable},%.17g\n"
+    for region in _REGION_NAMES
+    for sign in _SIGN_NAMES
+    for bio in (0, 1)
+    for h_stable in (0, 1)
+)
 
 
-def _phase_rows(grid):
-    """The grid's rows, C outer and ell inner; each C and ell is formatted
-    once."""
+def _phase_lines(grid):
+    """The grid's CSV text in blocks of C rows, C outer and ell inner.  Each
+    C and ell is formatted once; every A of a block is filled by one ``%``."""
     ells = [f"{v:.17g}" for v in grid.ell.tolist()]
-    for i, c in enumerate(grid.C.tolist()):
-        yield from zip(
-            repeat(f"{c:.17g}"),
-            ells,
-            _REGION_NAMES[grid.region[i]].tolist(),
-            _SIGN_NAMES[grid.a_sign[i]].tolist(),
-            grid.biologically_relevant[i].astype(np.int8).tolist(),
-            grid.h_stable[i].astype(np.int8).tolist(),
-            grid.A[i].tolist(),
-        )
+    # numpy's % takes the code -1 to the last name
+    region = grid.region % len(_REGION_NAMES)
+    sign = grid.a_sign % len(_SIGN_NAMES)
+    code = (region * len(_SIGN_NAMES) + sign) * 2 + grid.biologically_relevant
+    code = (code * 2 + grid.h_stable).tolist()
+    for start in range(0, grid.C.size, _PHASE_BLOCK_ROWS):
+        block = slice(start, start + _PHASE_BLOCK_ROWS)
+        parts = []
+        for c, row in zip(grid.C[block].tolist(), code[block]):
+            # the C, ell and class strings of each cell in turn
+            cells = [f"{c:.17g},"] * (3 * len(ells))
+            cells[1::3] = ells
+            cells[2::3] = map(_PHASE_CLASSES.__getitem__, row)
+            parts += cells
+        yield "".join(parts) % tuple(grid.A[block].ravel().tolist())
 
 
 def _cmd_phase(args) -> int:
@@ -206,7 +234,7 @@ def _cmd_phase(args) -> int:
     _write_csv(
         args.output,
         ["C", "ell", "region", "a_sign", "biologically_relevant", "h_stable", "A"],
-        _phase_rows(grid),
+        _phase_lines(grid),
         meta,
     )
     print(f"phase grid written: {grid.A.size} cells -> {args.output}")
@@ -230,10 +258,9 @@ def _cmd_verify(args) -> int:
         if args.format == "json":
             _write_json(f"{args.output}", {"report": report.to_dict()}, meta)
         else:
-            with open(args.output, "w") as fh:
-                for line in _meta_lines(meta):
-                    fh.write(line + "\n")
-                report.write_csv(fh)
+            rows = zip(report.r_grid.tolist(), report.closed_form.tolist(),
+                       report.quadrature.tolist(), repeat(report.D))
+            _write_csv(args.output, ["r", "closed", "quadrature", "D"], _csv_lines(rows), meta)
     print(
         f"verified: sup|closed-D| = {report.sup_dev_closed:.3e}, "
         f"sup|quad-D| = {report.sup_dev_quad:.3e}, cross = {report.cross_dev:.3e}"
@@ -290,7 +317,7 @@ def _cmd_asymptotics(args) -> int:
         "sweep_ell": args.sweep_ell,
         "steps": args.steps,
     }
-    _write_csv(args.output, ["ell", "R_formula", "R_solver", "rel_dev"], rows, meta)
+    _write_csv(args.output, ["ell", "R_formula", "R_solver", "rel_dev"], _csv_lines(rows), meta)
     for ell, rf, rs, dev in rows:
         print(f"ell = {ell:.10g}: formula {rf:.8g}, solver {rs:.8g}, dev {dev:.3e}")
     return EXIT_OK
@@ -354,23 +381,18 @@ def _cmd_compare(args) -> int:
         "profile": args.profile,
         "bins": args.bins,
     }
+    edges, density = hist.bin_edges.tolist(), hist.density.tolist()
     payload = {
         "l1_error": l1,
         "support_error": support,
-        "histogram": {
-            "bin_edges": [float(v) for v in hist.bin_edges],
-            "density": [float(v) for v in hist.density],
-        },
+        "histogram": {"bin_edges": edges, "density": density},
     }
     base = args.output[:-5] if args.output.endswith(".json") else args.output
     _write_json(f"{base}.json", payload, meta)
     _write_csv(
         f"{base}.csv",
         ["r_lo", "r_hi", "density"],
-        [
-            (float(lo), float(hi), float(d))
-            for lo, hi, d in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.density)
-        ],
+        _csv_lines(zip(edges[:-1], edges[1:], density)),
         meta,
     )
     print(f"l1_error = {l1:.4f}, support_error = {support:.4f}")
@@ -382,25 +404,24 @@ def _cmd_specfun_table(args) -> int:
     kind, lo, hi, num = args.x_grid.split(":")
     lo, hi, num = float(lo), float(hi), int(num)
     xs = np.geomspace(lo, hi, num) if kind == "log" else np.linspace(lo, hi, num)
-    rows = []
-    for nu in orders:
-        for x in xs:
-            rows.append(
-                (
-                    nu,
-                    float(x),
-                    specfun.bessel_j(nu, float(x)),
-                    specfun.bessel_i(nu, float(x), scaled=args.scaled),
-                    specfun.bessel_k(nu, float(x), scaled=args.scaled),
-                )
-            )
+    rows = [
+        (
+            nu,
+            x,
+            specfun.bessel_j(nu, x),
+            specfun.bessel_i(nu, x, scaled=args.scaled),
+            specfun.bessel_k(nu, x, scaled=args.scaled),
+        )
+        for nu in orders
+        for x in xs.tolist()
+    ]
     meta = {
         "subcommand": "specfun-table",
         "orders": args.orders,
         "x_grid": args.x_grid,
         "scaled": args.scaled,
     }
-    _write_csv(args.output, ["nu", "x", "J", "I", "K"], rows, meta)
+    _write_csv(args.output, ["nu", "x", "J", "I", "K"], _csv_lines(rows), meta)
     print(f"{len(rows)} rows -> {args.output}")
     return EXIT_OK
 

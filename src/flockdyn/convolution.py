@@ -82,11 +82,6 @@ class ConvolutionReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def write_csv(self, stream) -> None:
-        stream.write("r,closed,quadrature,D\n")
-        for r, c, q in zip(self.r_grid, self.closed_form, self.quadrature):
-            stream.write(f"{r:.17g},{c:.17g},{q:.17g},{self.D:.17g}\n")
-
 
 def _radial_ive(n: int, beta: float, r):
     """r^{1-n/2} e^{-beta r} I_{n/2-1}(beta r) with its finite r -> 0 limit."""

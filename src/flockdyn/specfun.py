@@ -59,6 +59,7 @@ _K_SERIES_CUT = 2.0
 _ASYM_CUT = 30.0
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 _MIN_NORMAL = np.finfo(np.float64).tiny
+_LOG_2 = math.log(2.0)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
@@ -309,11 +310,18 @@ def _kve01_series(x):
     """Scaled K_0 and K_1 from the log/Euler-gamma series; 0 < x < 2.
 
     K_1 is inf where its 1/x term overflows (subnormal x); K_0 stays finite
-    there, and neither route warns.
+    there, down to the smallest subnormal, and neither route warns.
     """
     i0 = _power_series(0.0, x, +1.0)
     i1 = _power_series(1.0, x, +1.0)
-    lg = np.log(0.5 * x)
+    half = 0.5 * x
+    tiny = half == 0.0
+    if _any(tiny):
+        # 0.5 * x rounds to 0 at the smallest subnormal, x = 5e-324; there
+        # log(x/2) is taken as log(x) - log 2
+        lg = np.log(np.where(tiny, x, half)) - np.where(tiny, _LOG_2, 0.0)
+    else:
+        lg = np.log(half)
     q = 0.25 * x * x
 
     # K0 = -(log(x/2) + gamma) I0 + sum_{m>=1} H_m q^m / (m!)^2

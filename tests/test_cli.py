@@ -1,9 +1,11 @@
 """End-to-end CLI tests: subcommand behaviour, exit-code contract, metadata
 headers, and byte-stability of outputs."""
 
+import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +357,60 @@ def test_phase_grid_equals_the_per_cell_rule(tmp_path_factory, window):
     cs = np.linspace(c_min, c_max, resolution)
     ells = np.linspace(ell_min, ell_max, resolution)
     assert body == reference_phase(n, cs, ells, k)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("resolution", [1, 15, 16, 17, 33])
+def test_phase_blocks_equal_the_per_cell_rule(tmp_path, n, resolution):
+    # the CSV is written in blocks of C rows: one row, whole blocks only,
+    # and partial last blocks; the dyadic window is centred on a degenerate
+    # cell (A = nan) and reaches C <= 0 and ell <= 0
+    c = 2.0 if n == 3 else 1.0
+    below = resolution // 2
+    c_min, ell_min = c - 0.5 * below, 0.5 - 0.125 * below
+    c_max = c_min + 0.5 * (resolution - 1)
+    ell_max = ell_min + 0.125 * (resolution - 1)
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "-n", str(n), "-k", "0.7", "--resolution", str(resolution),
+                 f"--c-min={c_min!r}", f"--c-max={c_max!r}",
+                 f"--ell-min={ell_min!r}", f"--ell-max={ell_max!r}",
+                 "-o", str(out)]) == 0
+    body = out.read_text().split("\n", 2)[2]
+    cs = np.linspace(c_min, c_max, resolution)
+    ells = np.linspace(ell_min, ell_max, resolution)
+    assert body == reference_phase(n, cs, ells, 0.7)
+    (cell,) = [line for line in body.splitlines() if line.startswith(f"{c:.17g},0.5,")]
+    assert cell.endswith(",nan")  # the degenerate denominator
+    assert (",invalid," in body) == (resolution > 1)
+
+
+@pytest.mark.parametrize(
+    "n, sha256, size",
+    [
+        (2, "6cc8c3968e039a0c570fd52bdce7cc9de314fc6e970c8e7105a9ee9eeaf00533", 5_264_139),
+        (3, "e9d6768c71f9c2f24dc4bbf4fd0a6d00b8913f35a0862a7f47d6853978d4661f", 5_248_512),
+    ],
+)
+def test_phase_256_grid_bytes_are_pinned(tmp_path, n, sha256, size):
+    # the whole file of the benchmark's 256 x 256 grids, default window, k = 1
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "-n", str(n), "--resolution", "256", "-o", str(out)]) == 0
+    data = read(out)
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_phase_memory_stays_small(tmp_path):
+    # the CSV text is built a block at a time; the text of the whole grid at
+    # once peaks near 20 MB
+    out = tmp_path / "phase.csv"
+    tracemalloc.start()
+    try:
+        assert main(["phase", "-n", "3", "--resolution", "256", "-o", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_phase_dyadic_windows_hit_the_special_cells(tmp_path):

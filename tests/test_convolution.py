@@ -1,7 +1,6 @@
 """Convolution tests: the closed form against the quadrature route, both
 against brute-force integration oracles, and the flock verification gate."""
 
-import io
 import json
 import math
 import warnings
@@ -412,8 +411,3 @@ def test_report_serialization():
         "sup_dev_closed", "sup_dev_quad", "cross_dev",
     }
     assert len(doc["r_grid"]) == 16
-    buf = io.StringIO()
-    report.write_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "r,closed,quadrature,D"
-    assert len(lines) == 17

@@ -6,6 +6,7 @@ the ratio ODE) exercises only this package's own routines.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -407,3 +408,25 @@ def test_k0_at_subnormal_x_is_finite_and_silent():
         assert got[1] == sf.bessel_k(0.0, 1.0, scaled=True)
         k0, _ = sf.bessel_k_pair(0.0, x)
         assert k0 == sf.bessel_k(0.0, x, scaled=True)
+
+
+def test_k0_at_the_smallest_subnormal_is_finite_and_silent():
+    # 0.5 * 5e-324 rounds to 0, so log(x/2) must come from log(x) - log 2;
+    # scipy's k0 and k0e return inf here, so the oracle is the leading term
+    # -(log(x/2) + gamma), exact at this x (I_0 = 1 and the series is 0)
+    x = 5e-324
+    want = -(math.log(x) - math.log(2.0) + sf.EULER_GAMMA)
+    assert want == pytest.approx(744.5560034370395, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.bessel_k(0.0, x, scaled=True) == pytest.approx(want, rel=1e-15)
+        assert sf.bessel_k(0.0, x) == pytest.approx(want, rel=1e-15)
+        got = sf.bessel_k(0.0, np.array([x, 1e-300, 1.0]), scaled=True)
+        assert got[0] == pytest.approx(want, rel=1e-15)
+        # the other elements equal their float-route values
+        assert got[1] == sf.bessel_k(0.0, 1e-300, scaled=True)
+        assert got[2] == sf.bessel_k(0.0, 1.0, scaled=True)
+        k0, k1 = sf.bessel_k_pair(0.0, x)
+        assert k0 == pytest.approx(want, rel=1e-15) and k1 == math.inf
+        k0s, k1s = sf.bessel_k_pair(0.0, np.array([x, 1.0]))
+        assert k0s[0] == k0 and k1s[0] == math.inf
