@@ -37,6 +37,7 @@ from .potentials import (
     potential_from_dict,
     potential_to_dict,
     potential_value,
+    potential_value_and_force,
     quasi_morse_u,
 )
 from .solver import (

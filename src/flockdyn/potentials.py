@@ -134,24 +134,44 @@ def _positive_radii(r):
 def quasi_morse_u(params: ModelParams, r):
     """Quasi-Morse potential U(r); r > 0, scalar or array."""
     arr, scalar = _positive_radii(r)
-    n, C, ell, k = params.n, params.C, params.ell, params.k
-    nu = 0.5 * n - 1.0
-    pref = _TWO_PI ** (-0.5 * n) * k**nu * arr ** (1.0 - 0.5 * n)
-    rep = C * ell**nu * specfun.bessel_k(nu, k * arr / ell)
-    att = specfun.bessel_k(nu, k * arr)
-    out = pref * (rep - att)
+    out, _ = _quasi_morse_u_du(params, arr, force=False)
     return float(out[0]) if scalar else out
 
 
-def _quasi_morse_du(params: ModelParams, arr):
-    # d/dr [r^{1-n/2} K_{n/2-1}(b r)] = -b r^{1-n/2} K_{n/2}(b r)
+def _raw_k(nu: float, x, lower: bool, upper: bool):
+    """(K_nu(x), K_{nu+1}(x)), each None unless asked for, as ``bessel_k``
+    forms them; both together come from one ``bessel_k_pair`` evaluation,
+    scaled, times e^{-x}."""
+    if not (lower and upper):
+        return (specfun.bessel_k(nu, x) if lower else None,
+                specfun.bessel_k(nu + 1.0, x) if upper else None)
+    scaled_lower, scaled_upper = specfun.bessel_k_pair(nu, x)
+    decay = np.exp(-x)
+    return scaled_lower * decay, scaled_upper * decay
+
+
+def _quasi_morse_u_du(params: ModelParams, arr, value: bool = True, force: bool = True):
+    """(U(r), U'(r)) of the Quasi-Morse potential at the radii ``arr`` > 0,
+    each None unless asked for.
+
+    With nu = n/2 - 1, U carries K_nu and, since
+    d/dr [r^{-nu} K_nu(b r)] = -b r^{-nu} K_{nu+1}(b r), U' carries
+    K_{nu+1}: asked for both, one Bessel evaluation per length scale serves
+    them.  Temporaries are dropped as soon as they are used."""
     n, C, ell, k = params.n, params.C, params.ell, params.k
     half = 0.5 * n
-    pref = _TWO_PI ** (-half) * k**half * arr ** (1.0 - half)
-    return pref * (
-        specfun.bessel_k(half, k * arr)
-        - C * ell ** (half - 2.0) * specfun.bessel_k(half, k * arr / ell)
-    )
+    nu = half - 1.0
+    att_u, att_du = _raw_k(nu, k * arr, value, force)
+    rep_u, rep_du = _raw_k(nu, k * arr / ell, value, force)
+    power = arr ** (1.0 - half)
+    norm = _TWO_PI ** (-half)
+    u = du = None
+    if value:
+        u = norm * k**nu * power * (C * ell**nu * rep_u - att_u)
+        del att_u, rep_u
+    if force:
+        du = norm * k**half * power * (att_du - C * ell ** (half - 2.0) * rep_du)
+    return u, du
 
 
 def potential_value(spec: PotentialSpec, r):
@@ -173,7 +193,7 @@ def potential_force_magnitude(spec: PotentialSpec, r):
     """Radial derivative U'(r), so that grad W(x) = U'(|x|) x/|x|."""
     arr, scalar = _positive_radii(r)
     if isinstance(spec, QuasiMorse):
-        out = _quasi_morse_du(spec.params, arr)
+        _, out = _quasi_morse_u_du(spec.params, arr, value=False)
     elif isinstance(spec, Morse):
         out = -spec.C_R / spec.ell_R * np.exp(-arr / spec.ell_R) + (
             spec.C_A / spec.ell_A
@@ -186,6 +206,17 @@ def potential_force_magnitude(spec: PotentialSpec, r):
     else:
         raise TypeError(f"not a potential spec: {spec!r}")
     return float(out[0]) if scalar else out
+
+
+def potential_value_and_force(spec: PotentialSpec, r):
+    """(U(r), U'(r)), each equal bit for bit to ``potential_value`` and
+    ``potential_force_magnitude``; for Quasi-Morse both come from one
+    Bessel evaluation per length scale."""
+    if not isinstance(spec, QuasiMorse):
+        return potential_value(spec, r), potential_force_magnitude(spec, r)
+    arr, scalar = _positive_radii(r)
+    u, du = _quasi_morse_u_du(spec.params, arr)
+    return (float(u[0]), float(du[0])) if scalar else (u, du)
 
 
 #: integer codes of the phase rule: indices into these tuples

@@ -24,12 +24,25 @@ clamp makes the regularization explicit); exactly coincident pairs exert
 no force.  Those few close pairs are summed from their offsets, so their
 force keeps its direction however small d is next to |x|.
 
+A block's pair differences x_i - x_j are, per coordinate, the matrix
+product of the rows [x_i, 1] with the columns [1, -x_j] (inner dimension
+K = 2), which BLAS forms about 3x faster than ``np.subtract.outer``
+broadcasts.  It rounds like the subtraction: x_i * 1 and 1 * (-x_j) are
+exact, so their sum is rounded once, to fl(x_i - x_j).  Only the sign of a
+zero difference may differ, and the kernel uses squares alone.
+
 A second-order step needs the force at its start and at its end.  The end
 of one step is the start of the next ("first same as last"), so
 ``step_second_order`` keeps its last end-of-step force pass and reuses it
 when the next call starts from the same positions with the same force
 model: a run costs one force pass per step, and its results are those of
-fresh evaluations bit for bit.
+fresh evaluations bit for bit.  A first-order run records the interaction
+energy after a step from the same pair pass that gives the next step's
+forces: the fused pass reads U(d) from the table cell and fraction of
+U'(d)/d, sums the energy in the blocks and order of
+``interaction_energy``, and leaves its forces in the memo that
+``step_first_order`` reads.  A run then costs one pass per step and one
+energy-only pass for the last record, with the records' bits unchanged.
 
 For throughput, U'(r)/r, U'(r) and U(r) are by default tabulated once per
 configuration on a dense grid uniform in log r and linearly interpolated,
@@ -62,6 +75,7 @@ from .potentials import (
     QuasiMorse,
     potential_force_magnitude,
     potential_value,
+    potential_value_and_force,
 )
 from .solver import FlockProfile, density_eval
 
@@ -209,13 +223,16 @@ class _ForceModel:
     dense interpolation tables on a grid uniform in log r.
 
     The tables cover [0.5 min_sep, r_max].  Since the grid is uniform, a
-    lookup finds its cell by index arithmetic, ``s = (log r - x0)/h`` and
-    ``i = int(s)``, instead of the binary search ``np.interp`` runs per
-    point, and returns ``tab[i] + (s - i) slope[i]``.  Arguments are
-    clipped to the table, which reproduces ``np.interp``'s endpoint values
-    below 0.5 min_sep and above r_max; below the table U'(r)/r is then
-    replaced by the clamp U'(min_sep)/d (see ``force_over_dist_sq``).  The
-    pair loop feeds 0.5 log(d^2), so it never takes a square root.
+    lookup finds its cell by index arithmetic instead of the binary search
+    ``np.interp`` runs per point: from log r^2 it forms
+    ``s = (log r^2 - 2 x0) (0.5 / h)``, which has the bits of
+    ``(log r - x0) / h`` since both rescalings by 2 are exact, takes the
+    cell ``i = int(s)`` and returns ``tab[i] + (s - i) slope[i]``.  The pair
+    loop feeds log d^2, so it never takes a square root or halves a log.
+    Arguments are clipped to the table, which reproduces ``np.interp``'s
+    endpoint values below 0.5 min_sep and above r_max; below the table
+    U'(r)/r is then replaced by the clamp U'(min_sep)/d (see
+    ``pair_terms``).
 
     The tables are kept for all potentials, although 3-D Quasi-Morse, Morse
     and Morse-like have closed forms built from exponentials and powers:
@@ -237,86 +254,104 @@ class _ForceModel:
         if tabulated:
             x0, x1 = math.log(0.5 * min_sep), math.log(self.r_max)
             grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
-            r_eff = np.maximum(grid, min_sep)
-            force_tab = potential_force_magnitude(potential, r_eff)
-            self._force_at_min = float(force_tab[0])  # r_eff[0] is min_sep
-            self._x0 = x0
-            self._inv_h = (_TABLE_SIZE - 1) / (x1 - x0)
+            value_tab, force_tab = potential_value_and_force(
+                potential, np.maximum(grid, min_sep))
+            self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
+            self._two_x0 = 2.0 * x0
+            self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
             self._force_tab = _with_slopes(force_tab)
             self._w_tab = _with_slopes(force_tab / grid)
-            self._value_tab = _with_slopes(potential_value(potential, r_eff))
+            self._value_tab = _with_slopes(value_tab)
         else:
             self._force_at_min = float(potential_force_magnitude(potential, np.array([min_sep]))[0])
 
-    def _lookup(self, table, s, work=None):
-        """Linear interpolation of ``table`` at log r = ``s``, a float array
-        overwritten with the result.  ``work`` is an optional pair of work
-        arrays of s's shape, (float scratch, intp index)."""
-        tab, slope = table
-        s = np.asarray(s)
-        scratch, index = work or (np.empty_like(s), np.empty(s.shape, dtype=np.intp))
-        s -= self._x0
-        s *= self._inv_h
-        np.clip(s, 0.0, _TABLE_SIZE - 1, out=s)
-        cell = np.floor(s, out=scratch)
-        np.copyto(index, cell, casting="unsafe")
-        s -= cell
-        # the clip above keeps every index inside the table
-        s *= np.take(slope, index, out=scratch, mode="clip")
-        s += np.take(tab, index, out=scratch, mode="clip")
-        return s
+    def _lookup(self, log_r2, tables, work=None):
+        """Linear interpolation of each of ``tables`` at log r^2 =
+        ``log_r2``, a float array that is overwritten.  One cell and fraction
+        serve every table.  The last table's values overwrite ``log_r2``;
+        each earlier table's fill one more work array.  ``work`` is
+        (float scratch, intp index, *outputs), arrays of log_r2's shape,
+        allocated when not given."""
+        s = np.asarray(log_r2)
+        if work is None:
+            work = (np.empty_like(s), np.empty(s.shape, dtype=np.intp),
+                    *(np.empty_like(s) for _ in tables[1:]))
+        scratch, index, *outputs = work
+        s -= self._two_x0
+        s *= self._half_inv_h
+        np.maximum(s, 0.0, out=s)
+        np.minimum(s, _TABLE_SIZE - 1, out=s)
+        # s >= 0, so the cast truncates s to its cell floor(s)
+        np.copyto(index, s, casting="unsafe")
+        s -= index
+        results = []
+        for (tab, slope), out in zip(tables, [*outputs[: len(tables) - 1], s]):
+            # the clip above keeps every index inside the table
+            np.multiply(s, np.take(slope, index, out=scratch, mode="clip"), out=out)
+            out += np.take(tab, index, out=scratch, mode="clip")
+            results.append(out)
+        return results
 
     def force(self, r):
         r_eff = np.maximum(r, self.min_sep)
         if not self.tabulated:
             return potential_force_magnitude(self.potential, r_eff)
-        return self._lookup(self._force_tab, np.log(r_eff))
+        return self._lookup(2.0 * np.log(r_eff), (self._force_tab,))[0]
 
     def force_over_dist_sq(self, d2, work=None):
         """U'(max(d, min_sep))/d from squared distances, and 0 at d = 0
         (exactly coincident particles exert no force).  Below the table's
         edge 0.5 min_sep both modes return U'(min_sep)/d.  Given the work
         arrays of ``_lookup``, the tabulated result overwrites ``d2``."""
-        return self.clamped_weights(d2, work)[0]
+        return self.pair_terms(d2, work)[0]
 
-    def clamped_weights(self, d2, work=None):
-        """(w, clamped): ``force_over_dist_sq`` and the flat indices of the
-        pairs closer than min_sep.  One mask finds them; the entries below
-        the table's edge, d = 0 included, are then set from the clamp."""
+    def pair_terms(self, d2, work=None, with_values=False):
+        """(w, clamped, u): ``force_over_dist_sq``, the flat indices of the
+        pairs closer than min_sep, and, ``with_values``, U(max(d, min_sep))
+        at the same pairs (else None).  A tabulated u comes from the same
+        cells and fractions as w and fills the third work array.  One mask
+        finds the clamped pairs; the entries below the table's edge, d = 0
+        included, are then set from the clamp."""
         d2 = np.asarray(d2)
         clamped = np.flatnonzero(d2 < self._min_sep_sq)
-        d_clamped = np.sqrt(d2.flat[clamped])
+        d_clamped = np.sqrt(d2.flat[clamped]) if clamped.size else None
+        u = None
         if self.tabulated:
-            w = self._lookup(self._w_tab, _half_log(d2, work), work)
+            log_d2 = _log_dist_sq(d2, work)
+            if with_values:
+                u, w = self._lookup(log_d2, (self._value_tab, self._w_tab), work)
+            else:
+                (w,) = self._lookup(log_d2, (self._w_tab,), work)
         else:
             d = np.sqrt(d2)
+            r_eff = np.maximum(d, self.min_sep)
+            if with_values:
+                u, force = potential_value_and_force(self.potential, r_eff)
+            else:
+                force = potential_force_magnitude(self.potential, r_eff)
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = potential_force_magnitude(
-                    self.potential, np.maximum(d, self.min_sep)
-                ) / d
+                w = force / d
         if clamped.size:
             below = d_clamped < 0.5 * self.min_sep
             d_below = d_clamped[below]
             with np.errstate(divide="ignore"):
                 w.flat[clamped[below]] = np.where(d_below > 0.0,
                                                   self._force_at_min / d_below, 0.0)
-        return w, clamped
+        return w, clamped, u
 
     def value_from_dist_sq(self, d2, work=None):
         """U(max(d, min_sep)) from squared distances; ``work`` as in
         ``force_over_dist_sq``."""
         if not self.tabulated:
             return potential_value(self.potential, np.maximum(np.sqrt(d2), self.min_sep))
-        return self._lookup(self._value_tab, _half_log(d2, work), work)
+        return self._lookup(_log_dist_sq(d2, work), (self._value_tab,), work)[0]
 
 
-def _half_log(d2, work):
-    """log d from d^2, in place when work arrays are given; -inf at d = 0,
-    which the lookup clips to the table's first node."""
+def _log_dist_sq(d2, work):
+    """log d^2, in place when work arrays are given; -inf at d = 0, which
+    the lookup clips to the table's first node."""
     with np.errstate(divide="ignore"):
-        x = np.log(d2, out=d2 if work else None)
-    x *= 0.5
-    return x
+        return np.log(d2, out=d2 if work else None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -324,13 +359,18 @@ def _cached_model(potential: PotentialSpec, min_sep: float, tabulated: bool) -> 
     return _ForceModel(potential, min_sep, tabulated)
 
 
-def _pair_blocks(x: np.ndarray):
+def _config_model(config: SimConfig) -> _ForceModel:
+    return _cached_model(config.potential, config.min_separation, config.tabulated_forces)
+
+
+def _pair_blocks(x: np.ndarray, with_values: bool = False):
     """Yield (lo, hi, d2, work) for the row blocks lo:hi of the pair kernel
     in fixed order: d2 holds |x_i - x_j|^2 for the rows i in lo:hi against
     the columns j >= lo, and work is the (scratch, index) pair of the table
-    lookup.  Column k of d2 is particle lo + k, so the block's leading
-    square d2[:, :hi - lo] holds its rows against themselves; its diagonal,
-    the self pairs that every caller drops, holds the placeholder 1 rather
+    lookup, with a third array for the pair values when ``with_values``.
+    Column k of d2 is particle lo + k, so the block's leading square
+    d2[:, :hi - lo] holds its rows against themselves; its diagonal, the
+    self pairs that every caller drops, holds the placeholder 1 rather
     than 0, so that small entries mark close distinct pairs only.  The
     arrays are allocated once and reused by every block, so a caller must
     finish with a block before the next.
@@ -339,23 +379,31 @@ def _pair_blocks(x: np.ndarray):
     give exactly 0 and close pairs keep their relative accuracy.  The Gram
     expansion |x_i|^2 + |x_j|^2 - 2 x_i.x_j guarantees neither: its
     rounding leaves a few eps |x|^2, which the 1/d weight turns into a
-    spurious force at and near d = 0."""
-    n_part = x.shape[0]
-    first, *rest = np.ascontiguousarray(x.T)
+    spurious force at and near d = 0.  Each coordinate's differences are
+    the K = 2 product [x_i, 1] @ [1, -x_j], which rounds like the
+    subtraction (see the module docstring)."""
+    n_part, dim = x.shape
+    # per coordinate, the rows [x_i, 1] and the columns [1, -x_j]
+    rows = np.ones((dim, n_part, 2))
+    rows[:, :, 0] = x.T
+    cols = np.ones((dim, 2, n_part))
+    np.negative(x.T, out=cols[:, 1])
     size = min(_BLOCK_ROWS, n_part) * n_part
-    buffers = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    buffers = [np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)]
+    if with_values:
+        buffers.append(np.empty(size))
     for lo in range(0, n_part, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_part)
         shape = (hi - lo, n_part - lo)
-        d2, scratch, index = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        np.subtract.outer(first[lo:hi], first[lo:], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for coord in rest:
-            np.subtract.outer(coord[lo:hi], coord[lo:], out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            d2 += scratch
-        np.fill_diagonal(d2[:, : hi - lo], 1.0)
-        yield lo, hi, d2, (scratch, index)
+        d2, *work = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
+        for k in range(dim):
+            diff = np.matmul(rows[k, lo:hi], cols[k, :, lo:], out=work[0] if k else d2)
+            np.multiply(diff, diff, out=diff)
+            if k:
+                d2 += diff
+        # the leading square's diagonal, every (n_part - lo + 1)-th entry
+        d2.reshape(-1)[:: shape[1] + 1] = 1.0
+        yield lo, hi, d2, tuple(work)
 
 
 def _drop_lower_pairs(block: np.ndarray, rows: int) -> None:
@@ -364,8 +412,10 @@ def _drop_lower_pairs(block: np.ndarray, rows: int) -> None:
     np.copyto(block[:, :rows], 0.0, where=_DIAG_MASK[:rows, :rows])
 
 
-def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
-    """-(1/N) sum_j U'(|x_i - x_j|) (x_i - x_j)/|x_i - x_j|, fixed order.
+def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False):
+    """(acc, energy): -(1/N) sum_j U'(|x_i - x_j|) (x_i - x_j)/|x_i - x_j|
+    in fixed order, and, ``with_energy``, the interaction energy at the same
+    positions (else None).
 
     One pass over the unordered pairs: each row block of ``_pair_blocks``
     keeps its pairs j > i, and each weight w_ij = U'(d_ij)/d_ij = w_ji is
@@ -378,14 +428,22 @@ def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
     The collapsed form rounds at eps |w| |x|, which the clamp's weight
     U'(min_sep)/d makes large next to the pair's force as d -> 0.  So the
     few pairs closer than min_sep are taken out of it and summed from their
-    offsets x_i - x_j instead; coincident pairs weigh 0."""
+    offsets x_i - x_j instead; coincident pairs weigh 0.
+
+    The energy reads each pair's U(d) from the table cell and fraction of
+    its weight and sums the blocks in the order of ``interaction_energy``,
+    whose bits it equals."""
     n_part = x.shape[0]
     x_one_t = np.vstack([x.T, np.ones(n_part)])
     x_one = x_one_t.T
     sums = np.zeros_like(x_one_t)
     near = np.zeros_like(x)
-    for lo, hi, d2, work in _pair_blocks(x):
-        w, clamped = model.clamped_weights(d2, work)
+    total = 0.0
+    for lo, hi, d2, work in _pair_blocks(x, with_energy):
+        w, clamped, u = model.pair_terms(d2, work, with_energy)
+        if with_energy:
+            _drop_lower_pairs(u, hi - lo)
+            total += float(u.sum())
         _drop_lower_pairs(w, hi - lo)
         if clamped.size:
             rows, cols = np.divmod(clamped, w.shape[1])
@@ -403,15 +461,18 @@ def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
     acc -= sums[:-1].T
     acc += near
     acc /= -n_part
-    return acc
+    return acc, total / n_part**2 if with_energy else None
+
+
+def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
+    """The accelerations of a force pass (see ``_force_pass``)."""
+    return _force_pass(x, model)[0]
 
 
 def interaction_energy(state: ParticleState, config: SimConfig) -> float:
     """Discrete interaction energy (1/(2 N^2)) sum_{i != j} W(x_i - x_j),
     summed once per pair i < j in the row blocks of the force kernel."""
-    model = _cached_model(
-        config.potential, config.min_separation, config.tabulated_forces
-    )
+    model = _config_model(config)
     x = state.positions
     total = 0.0
     for lo, hi, d2, work in _pair_blocks(x):
@@ -428,12 +489,33 @@ def _check_blowup(x: np.ndarray, bound: float, step: int) -> None:
         )
 
 
+# The last force pass whose positions the next step may start from: its
+# force model, a copy of the positions it was taken at, and the
+# accelerations.  step_second_order leaves its end-of-step pass here, and a
+# first-order run the pass it takes with a record's energy.  It lives at
+# module level, named like the package's other memo tables, so that code
+# clearing those between runs clears it too.
+_FSAL_CACHE: dict = {}
+
+
+def _remember(model: _ForceModel, x: np.ndarray, acc: np.ndarray) -> None:
+    _FSAL_CACHE.update(model=model, positions=x.copy(), acc=acc)
+
+
+def _start_accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
+    """The accelerations a step starts from: the memo's when it was taken
+    at these positions with this force model ("first same as last"), else
+    a fresh pass, also for positions edited in place since."""
+    last = _FSAL_CACHE
+    if last and last["model"] is model and np.array_equal(last["positions"], x):
+        return last["acc"]
+    return _accelerations(x, model)
+
+
 def step_first_order(state: ParticleState, config: SimConfig) -> ParticleState:
-    """One explicit Euler step of the aggregation system."""
-    model = _cached_model(
-        config.potential, config.min_separation, config.tabulated_forces
-    )
-    acc = _accelerations(state.positions, model)
+    """One explicit Euler step of the aggregation system, from the memo's
+    force pass when it was taken at the same positions and force model."""
+    acc = _start_accelerations(state.positions, _config_model(config))
     new_x = state.positions + config.dt * acc
     _check_blowup(new_x, config.blowup_bound, 0)
     return ParticleState(positions=new_x, velocities=None, time=state.time + config.dt)
@@ -449,13 +531,6 @@ def _propel_exact(v: np.ndarray, alpha: float, beta: float, dt: float) -> np.nda
     return v * factor[:, None]
 
 
-# The last end-of-step force pass of step_second_order: its force model,
-# a copy of the positions it was taken at, and the accelerations.  It lives
-# at module level, named like the package's other memo tables, so that code
-# clearing those between runs clears it too.
-_FSAL_CACHE: dict = {}
-
-
 def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
     """One velocity-Verlet-style step of the self-propelled system.
 
@@ -465,16 +540,10 @@ def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
     place since, gets a fresh pass."""
     if state.velocities is None:
         raise DomainError("second-order step needs velocities")
-    model = _cached_model(
-        config.potential, config.min_separation, config.tabulated_forces
-    )
+    model = _config_model(config)
     dt, alpha, beta = config.dt, config.alpha, config.beta
     x, v = state.positions, state.velocities
-    last = _FSAL_CACHE
-    if last and last["model"] is model and np.array_equal(last["positions"], x):
-        acc = last["acc"]
-    else:
-        acc = _accelerations(x, model)
+    acc = _start_accelerations(x, model)
     v = v + 0.5 * dt * acc
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
     x = x + dt * v
@@ -482,7 +551,7 @@ def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
     acc = _accelerations(x, model)
     v = v + 0.5 * dt * acc
     _check_blowup(x, config.blowup_bound, 0)
-    _FSAL_CACHE.update(model=model, positions=x.copy(), acc=acc)
+    _remember(model, x, acc)
     return ParticleState(positions=x, velocities=v, time=state.time + dt)
 
 
@@ -516,7 +585,11 @@ def initial_state(config: SimConfig) -> ParticleState:
 
 def run(config: SimConfig, state: ParticleState = None) -> tuple[ParticleState, RunSummary]:
     """Integrate ``config.steps`` steps (or fewer if convergence stopping is
-    enabled), recording diagnostics every ``record_stride`` steps."""
+    enabled), recording diagnostics every ``record_stride`` steps.
+
+    A first-order record before the last step takes its energy in the pass
+    that also gives the next step's forces, and leaves those in the memo
+    the step reads; the records and the trajectory keep their bits."""
     if state is None:
         state = initial_state(config)
     else:
@@ -541,12 +614,18 @@ def run(config: SimConfig, state: ParticleState = None) -> tuple[ParticleState, 
         else:
             quiet = 0
         if i % config.record_stride == 0 or i == config.steps - 1:
+            if config.model == "first" and i < config.steps - 1:
+                model = _config_model(config)
+                acc, energy = _force_pass(state.positions, model, with_energy=True)
+                _remember(model, state.positions, acc)
+            else:
+                energy = interaction_energy(state, config)
             rec = {
                 "step": i,
                 "time": state.time,
                 "max_displacement": max_disp,
                 "com": [float(c) for c in state.positions.mean(axis=0)],
-                "interaction_energy": interaction_energy(state, config),
+                "interaction_energy": energy,
             }
             if state.velocities is not None:
                 speeds = np.linalg.norm(state.velocities, axis=1)
@@ -645,6 +724,11 @@ def sample_profile_positions(profile: FlockProfile, count: int, seed: int = 0) -
     return direc * radii[:, None]
 
 
+# Rows of a checkpoint CSV formatted per block, which bounds the text held
+# at once for large N.
+_CSV_BLOCK_ROWS = 1024
+
+
 def save_checkpoint(state: ParticleState, config: SimConfig, prefix: str) -> tuple[str, str]:
     """Write positions (and velocities) as CSV plus a JSON sidecar with the
     config and time; returns the two paths."""
@@ -654,15 +738,17 @@ def save_checkpoint(state: ParticleState, config: SimConfig, prefix: str) -> tup
     cols = [f"x{i+1}" for i in range(dim)]
     if state.velocities is not None:
         cols += [f"v{i+1}" for i in range(dim)]
+    if state.velocities is not None:
+        rows = np.hstack([state.positions, state.velocities])
+    else:
+        rows = state.positions
+    # the lines of csv.writer's excel dialect, a block of rows per %
+    line = ",".join(["%.17g"] * len(cols)) + "\r\n"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        if state.velocities is not None:
-            rows = np.hstack([state.positions, state.velocities])
-        else:
-            rows = state.positions
-        for row in rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write(",".join(cols) + "\r\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
     with open(meta_path, "w") as fh:
         json.dump(
             {"config": config.to_dict(), "time": state.time},

@@ -59,6 +59,8 @@ _K_SERIES_CUT = 2.0
 _ASYM_CUT = 30.0
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 _MIN_NORMAL = np.finfo(np.float64).tiny
+# below it e^x K_nu(x) of some order above 1 overflows (order 3.5 from about 2e-88)
+_K_OVERFLOW_X = 1e-80
 _LOG_2 = math.log(2.0)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -416,6 +418,15 @@ def _kve(orders, x):
     """Scaled K at each of the non-negative ``orders``, x > 0.  The integer
     orders share one K_0, K_1 evaluation and climb from it by the upward
     recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, which is stable for K."""
+    if max(orders) > 1.0 and _any(x < _K_OVERFLOW_X):
+        # e^x K_nu(x) ~ x^-nu exceeds the double range there: the value is
+        # inf, on both routes, without an overflow warning
+        with np.errstate(over="ignore"):
+            return _kve_orders(orders, x)
+    return _kve_orders(orders, x)
+
+
+def _kve_orders(orders, x):
     if any(nu == int(nu) for nu in orders):
         k0, k1 = _kve01(x)
     out = []

@@ -1,8 +1,10 @@
 """Particle-model tests: stepping invariants, determinism, histograms, and
 profile comparison, at desk-scale particle counts."""
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,27 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta["config"]["N"] == 16
 
 
+def test_checkpoint_csv_is_the_csv_module_output(tmp_path):
+    # the block writer gives csv.writer's bytes, across a block boundary and
+    # for signed zeros, subnormals and extreme exponents
+    n_part = simulate._CSV_BLOCK_ROWS + 3
+    cfg = SimConfig(potential=POT, dimension=3, N=n_part)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n_part, 3))
+    x[:6, 0] = [-0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.0 / 3.0]
+    for velocities in (None, rng.normal(size=(n_part, 3))):
+        state = ParticleState(positions=x, velocities=velocities)
+        csv_path, _ = save_checkpoint(state, cfg, str(tmp_path / "chk"))
+        rows = x if velocities is None else np.hstack([x, velocities])
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"{c}{i + 1}" for c in "xv"[: rows.shape[1] // 3] for i in range(3)])
+            for row in rows:
+                writer.writerow([f"{v:.17g}" for v in row])
+        assert Path(csv_path).read_bytes() == expected.read_bytes()
+
+
 def test_from_file_initialization(tmp_path):
     cfg = SimConfig(potential=POT, dimension=3, N=16, dt=0.05, steps=3, seed=13)
     state, _ = run(cfg)
@@ -517,6 +540,132 @@ def test_half_pair_kernel_matches_pair_loop_property(case, dim, tabulated, n_par
     assert np.all(np.linalg.norm(acc - own, axis=1) <= 1e-9 * magnitude)
 
 
+def _reference_blocks(x):
+    """The pair blocks as first written: d2 from ``np.subtract.outer`` per
+    coordinate, the self pairs set to 1."""
+    n_part = x.shape[0]
+    for lo in range(0, n_part, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_part)
+        d2 = sum(np.subtract.outer(c[lo:hi], c[lo:]) ** 2 for c in x.T)
+        np.fill_diagonal(d2[:, : hi - lo], 1.0)
+        yield lo, hi, d2
+
+
+def _reference_lookup(model, table, d2):
+    """The table lookup as first written: from 0.5 log d^2, with
+    ``np.floor`` for the cell."""
+    tab, slope = table
+    x0, x1 = math.log(0.5 * model.min_sep), math.log(model.r_max)
+    with np.errstate(divide="ignore"):
+        s = 0.5 * np.log(d2)
+    s = np.clip((s - x0) * ((_TABLE_SIZE - 1) / (x1 - x0)), 0.0, _TABLE_SIZE - 1)
+    cell = np.floor(s)
+    index = cell.astype(np.intp)
+    return (s - cell) * slope[index] + tab[index]
+
+
+def _reference_pass(x, model):
+    """(acc, energy) by the block formulas the kernel was first written
+    with, as a bit-for-bit reference for its rewritten array operations."""
+    n_part = x.shape[0]
+    x_one_t = np.vstack([x.T, np.ones(n_part)])
+    sums = np.zeros_like(x_one_t)
+    near = np.zeros_like(x)
+    total = 0.0
+    for lo, hi, d2 in _reference_blocks(x):
+        keep = ~np.tri(hi - lo, n_part - lo, dtype=bool)  # the pairs j > i
+        clamped = np.flatnonzero(d2 < model.min_sep**2)
+        d = np.sqrt(d2)
+        r_eff = np.maximum(d, model.min_sep)
+        if model.tabulated:
+            w = _reference_lookup(model, model._w_tab, d2)
+            u = _reference_lookup(model, model._value_tab, d2)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = potential_force_magnitude(model.potential, r_eff) / d
+            u = potential_value(model.potential, r_eff)
+        below = clamped[d.flat[clamped] < 0.5 * model.min_sep]
+        with np.errstate(divide="ignore"):
+            w.flat[below] = np.where(d.flat[below] > 0.0,
+                                     model._force_at_min / d.flat[below], 0.0)
+        total += float(np.where(keep, u, 0.0).sum())
+        w = np.where(keep, w, 0.0)
+        rows, cols = np.divmod(clamped, w.shape[1])
+        upper = cols > rows
+        rows, cols = rows[upper] + lo, cols[upper] + lo
+        pair_acc = w.flat[clamped[upper]][:, None] * (x[rows] - x[cols])
+        w.flat[clamped] = 0.0
+        np.add.at(near, rows, pair_acc)
+        np.subtract.at(near, cols, pair_acc)
+        sums[:, lo:hi] += (w @ x_one_t.T[lo:]).T
+        sums[:, lo:] += x_one_t[:, lo:hi] @ w
+    acc = sums[-1][:, None] * x
+    acc -= sums[:-1].T
+    acc += near
+    acc /= -n_part
+    return acc, total / n_part**2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_KERNEL_CASES)),
+    dim=st.sampled_from([2, 3]),
+    tabulated=st.booleans(),
+    n_part=st.sampled_from([2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 77]),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 10**6), min_size=6, max_size=6),
+)
+def test_pair_pass_equals_the_first_written_kernel_bit_for_bit(case, dim, tabulated, n_part,
+                                                                seed, picks):
+    # a coincident pair, a pair below min_sep and one below 0.5 min_sep, at
+    # drawn indices as far as N allows
+    potential = _KERNEL_CASES[case]
+    if isinstance(potential, QuasiMorse):
+        dim = potential.params.n
+    cfg = SimConfig(potential=potential, dimension=dim, N=n_part, tabulated_forces=tabulated)
+    min_sep = cfg.min_separation
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n_part, dim))
+    order = list(dict.fromkeys(p % n_part for p in picks))
+    order += [i for i in range(n_part) if i not in order]
+    for (a, b), gap in zip(zip(order[0::2], order[1::2]), (0.0, 0.7, 0.3)):
+        direc = rng.normal(size=dim)
+        x[b] = x[a] + gap * min_sep * direc / np.linalg.norm(direc)
+    model = _cached_model(potential, min_sep, tabulated)
+    acc_ref, energy_ref = _reference_pass(x, model)
+    assert np.array_equal(_accelerations(x, model), acc_ref)
+    assert interaction_energy(ParticleState(positions=x, velocities=None), cfg) == energy_ref
+    acc, energy = simulate._force_pass(x, model, with_energy=True)
+    assert np.array_equal(acc, acc_ref) and energy == energy_ref
+
+
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -1.5, 3.0e10, 1e308, -1e308,
+             math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.lists(st.one_of(st.sampled_from(_EXTREMES), st.floats()), min_size=1,
+               max_size=_BLOCK_ROWS + 1),
+    b=st.lists(st.one_of(st.sampled_from(_EXTREMES), st.floats()), min_size=1, max_size=40),
+)
+def test_k2_product_forms_the_differences_bit_for_bit(a, b):
+    # the pair kernel forms x_i - x_j as [x_i, 1] @ [1, -x_j]: x_i * 1 and
+    # 1 * (-x_j) are exact, so a BLAS that rounds the sum once gives the
+    # subtraction's bits; only the sign of a zero may differ, which the
+    # squares the kernel takes do not see
+    a, b = np.array(a), np.array(b)
+    with np.errstate(all="ignore"):
+        got = np.stack([a, np.ones_like(a)], axis=1) @ np.stack([np.ones_like(b), -b])
+        ref = np.subtract.outer(a, b)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    zero = ref == 0.0
+    assert np.all(got[zero] == 0.0)
+    same_bits = got.view(np.int64) == ref.view(np.int64)
+    assert np.all(same_bits | nan | zero)
+
+
 # ------------------------------------------------ one force pass per step
 
 
@@ -588,14 +737,63 @@ def test_second_order_memo_misses_for_another_model(monkeypatch):
     assert np.array_equal(out.velocities, expected.velocities)
 
 
-def test_first_order_step_never_reads_the_memo(monkeypatch):
-    cfg = _second_order_config()
-    first = SimConfig(potential=POT, dimension=3, N=cfg.N, dt=cfg.dt, seed=cfg.seed)
-    state = step_second_order(initial_state(cfg), cfg)
-    expected = step_first_order(state, first)
-    # a poisoned memo at the very same positions and force model
-    simulate._FSAL_CACHE["acc"] = np.full_like(state.positions, np.nan)
+def test_first_order_step_reads_the_memo_only_at_its_positions_and_model(monkeypatch):
+    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, seed=21)
+    exact = SimConfig(potential=POT, dimension=3, N=cfg.N, dt=cfg.dt, seed=cfg.seed,
+                      tabulated_forces=False)
+    model = _cached_model(POT, cfg.min_separation, True)
+    state = initial_state(cfg)
     calls = _count_force_passes(monkeypatch)
-    out = step_first_order(state, first)
+    # a memo taken at these positions with this force model is read: its
+    # zero accelerations leave the positions in place, and no pass is made
+    simulate._remember(model, state.positions, np.zeros_like(state.positions))
+    out = step_first_order(state, cfg)
+    assert calls == [] and np.array_equal(out.positions, state.positions)
+    # another model at the same positions misses and gets a fresh pass
+    out = step_first_order(state, exact)
     assert len(calls) == 1
-    assert np.array_equal(out.positions, expected.positions)
+    simulate._FSAL_CACHE.clear()
+    assert np.array_equal(out.positions, step_first_order(state, exact).positions)
+    # and so do positions edited in place since the memo was taken
+    simulate._remember(model, state.positions, np.zeros_like(state.positions))
+    state.positions[5] += 1e-3
+    calls.clear()
+    out = step_first_order(state, cfg)
+    assert len(calls) == 1
+    simulate._FSAL_CACHE.clear()
+    assert np.array_equal(out.positions, step_first_order(state, cfg).positions)
+
+
+def test_first_order_run_takes_record_energies_in_the_next_force_pass(monkeypatch):
+    # steps 0 and 3 are recorded: step 1 reads the pass of step 0's record,
+    # and the last record is an energy-only pass
+    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, steps=4,
+                    seed=21, record_stride=100)
+    forces = _count_force_passes(monkeypatch)
+    fused, energies = [], []
+    force_pass, energy = simulate._force_pass, simulate.interaction_energy
+
+    def counted_pass(x, model, with_energy=False):
+        if with_energy:
+            fused.append(x.shape[0])
+        return force_pass(x, model, with_energy)
+
+    def counted_energy(state, config):
+        energies.append(state.positions.shape[0])
+        return energy(state, config)
+
+    monkeypatch.setattr(simulate, "_force_pass", counted_pass)
+    monkeypatch.setattr(simulate, "interaction_energy", counted_energy)
+    simulate._FSAL_CACHE.clear()
+    final, summary = run(cfg)
+    assert (len(forces), len(fused), len(energies)) == (3, 1, 1)
+    # every step taken from scratch, every energy in its own pass
+    state = initial_state(cfg)
+    records = []
+    for i in range(cfg.steps):
+        simulate._FSAL_CACHE.clear()
+        state = step_first_order(state, cfg)
+        if i in (0, cfg.steps - 1):
+            records.append((state.time, energy(state, cfg)))
+    assert np.array_equal(final.positions, state.positions)
+    assert [(r["time"], r["interaction_energy"]) for r in summary.records] == records

@@ -158,6 +158,23 @@ def test_k_half_at_subnormal_x_is_finite():
     assert got[1] == sf.bessel_k(0.5, 1.0, scaled=True)
 
 
+@pytest.mark.parametrize("nu", [1.5, 2.0, 2.5, 3.0, 3.5])
+def test_k_beyond_double_range_near_zero_is_a_silent_inf(nu):
+    # e^x K_nu(x) ~ x^-nu exceeds the double range near 0 for these orders:
+    # the value is inf on both routes, and no overflow warning is raised
+    xs = np.concatenate([np.geomspace(5e-324, 1e-40, 300), [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scaled in (False, True):
+            arr = sf.bessel_k(nu, xs, scaled=scaled)
+            one = [sf.bessel_k(nu, x, scaled=scaled) for x in xs.tolist()]
+            assert np.array_equal(arr, one)
+            assert np.isinf(sf.bessel_k(nu, 1e-300, scaled=scaled))
+            assert np.isinf(arr[0]) and np.all(np.isfinite(arr[-40:]))
+            # the finite values are those of a call without tiny x
+            assert np.array_equal(arr[-40:], sf.bessel_k(nu, xs[-40:], scaled=scaled))
+
+
 def test_k_negative_order_reflection():
     for x in (0.3, 2.0, 40.0):
         assert sf.bessel_k(-1.0, x) == sf.bessel_k(1.0, x)

@@ -1,0 +1,103 @@
+"""Run a fixed list of flockdyn commands and print the SHA-256 of every file
+they write, one ``sha256  file`` line each, sorted by file name.
+
+    PYTHONPATH=src python tools/output_hashes.py OUTDIR
+
+The outputs of flockdyn are byte-stable, so two checkouts that should give
+the same results are compared with one ``diff`` of this script's output,
+each run with its own ``PYTHONPATH``.  The commands run in-process, inside
+``OUTDIR`` and with relative paths, so that the metadata headers, which
+record the paths a command was given, do not depend on where ``OUTDIR``
+is.  The hashes depend on numpy's ``log`` and BLAS, so they compare two
+checkouts on one machine; they are not golden values.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from flockdyn import cli
+
+_REF3D = ["-n", "3", "-C", "1.255", "-l", "0.8", "-k", "0.2"]
+_REF2D = ["-n", "2", "-C", "1.1111111111111112", "-l", "0.75", "-k", "0.5"]
+_MORSE_LIKE = ["--potential", "morse_like", "-n", "2", "--p", "0.5", "-C", "0.6", "-l", "0.2"]
+
+
+def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> list[list[str]]:
+    """The argv of each command, in the order they run.  ``n_part`` is the
+    particle count of every ``simulate``, ``resolution`` the side of the
+    second ``phase`` grid and ``x_points`` the length of the wide
+    ``specfun-table`` grid."""
+    run = ["-N", str(n_part), "--seed", "1", "--stride", "2", "--steps", "5"]
+    qm3d = [*_REF3D, "--dt", "1.0", "--init", "ball:0.7"]
+    return [
+        ["solve", *_REF3D, "-o", "ref3d"],
+        ["solve", *_REF2D, "-o", "ref2d"],
+        ["roots", *_REF3D, "--count", "3", "-o", "roots3d.json"],
+        ["roots", *_REF2D, "--count", "3", "-o", "roots2d.json"],
+        ["verify", "--profile", "ref3d.json", "-o", "verify3d.json"],
+        ["verify", "--profile", "ref2d.json", "--format", "csv", "-o", "verify2d.csv"],
+        ["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2", "--sweep-ell", "upper",
+         "-o", "asymptotics3d.csv"],
+        ["phase", "-n", "3", "-o", "phase3d.csv"],
+        ["phase", "-n", "2", "--resolution", str(resolution), "-o", "phase2d.csv"],
+        ["simulate", *qm3d, *run, "-o", "qm3d"],
+        ["simulate", *qm3d, *run, "--exact-forces", "-o", "qm3d_exact"],
+        ["simulate", *_REF2D, "--dt", "0.5", "--init", "ball:0.9", *run, "-o", "qm2d"],
+        ["simulate", *_MORSE_LIKE, "--dt", "0.005", "--init", "ball:0.1", *run, "-o", "ml"],
+        ["simulate", "--potential", "morse", "-n", "3", "-C", "2.0", "-l", "0.5", "--CA", "1.0",
+         "--la", "1.0", "--dt", "0.01", "--init", "ball:1.0", *run, "-o", "morse"],
+        ["simulate", *_REF3D, "--init", "ball:0.7", *run[:-4], "--model", "second",
+         "--dt", "0.02", "--steps", "12", "--stride", "5", "-o", "qm3d_second"],
+        ["compare", "--state", "qm3d", "--profile", "ref3d.json", "--bins", "8",
+         "-o", "compare3d.json"],
+        ["compare", "--state", "qm2d", "--profile", "ref2d.json", "--bins", "8",
+         "-o", "compare2d.json"],
+        ["specfun-table", "-o", "specfun.csv"],
+        ["specfun-table", "--orders=-1,-0.5,0,0.5,1,1.5,2,2.5,3,3.5",
+         "--x-grid", f"log:1e-300:700:{x_points}", "-o", "specfun_wide.csv"],
+    ]
+
+
+def output_hashes(outdir, **sizes) -> list[str]:
+    """Run ``commands(**sizes)`` inside ``outdir`` and return the
+    ``sha256  file`` line of every file in it.  A command that exits
+    non-zero raises ``RuntimeError`` with its messages."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        for argv in commands(**sizes):
+            messages = io.StringIO()
+            with contextlib.redirect_stdout(messages), contextlib.redirect_stderr(messages):
+                code = cli.main(argv)
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}: {messages.getvalue()}")
+    finally:
+        os.chdir(cwd)
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+            for path in sorted(outdir.iterdir()) if path.is_file()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", help="directory the commands write into")
+    args = parser.parse_args(argv)
+    try:
+        lines = output_hashes(args.outdir)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
