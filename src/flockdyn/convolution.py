@@ -31,8 +31,9 @@ non-positive exponent.  Measured limits:
   at 65 equispaced radii it still converges at k = 10^4.
 * Closed form: finite up to k R / ell = 5 * 10^4 on the oscillatory
   branch and 2 * 10^5 on the quadratic branch.  The exponential branch
-  (A < 0) forms sinh(a R), cosh(a R) and a raw I_nu(a R), so it overflows
-  once a R exceeds about 705.
+  (A < 0) is assembled from pieces scaled by e^{-a R}, so its values are
+  finite wherever they fit in a double (all of [0, R] at a R = 715 in the
+  measured cases) and overflow to inf, not nan, beyond.
 """
 
 from __future__ import annotations
@@ -96,29 +97,28 @@ def _radial_ive(n: int, beta: float, r):
     return out
 
 
-def _bracket_term(params: ModelParams, case: Sign, R: float, cap_l: float, cap_1: float, r):
-    """The I-mode combination of the closed form, exponentially scaled:
+def _bracket_term(params: ModelParams, R: float, cap_l: float, cap_1: float, r, shift: float):
+    """The I-mode part of the closed form,
 
-    r^{1-n/2} [cap_1 K_{n/2}(kR) I_{n/2-1}(kr)
-               - C ell^{n-1} cap_l K_{n/2}(kR/ell) I_{n/2-1}(kr/ell)]
-    """
+    (R^{n/2}/k) r^{1-n/2} [cap_1 K_{n/2}(kR) I_{n/2-1}(kr)
+                           - C ell^{n-1} cap_l K_{n/2}(kR/ell) I_{n/2-1}(kr/ell)],
+
+    from caps given times e^{-shift}.  Each term is a product of scaled
+    factors times e^{shift - k (R - r)} (k/ell for the second).  The larger
+    exponent, where it is positive, is taken out of the difference and
+    applied last in two halves, so no finite value passes through inf."""
     n, C, ell, k = params.n, params.C, params.ell, params.k
     half = 0.5 * n
-    term_att = (
-        cap_1
-        * specfun.bessel_k(half, k * R, scaled=True)
-        * _radial_ive(n, k, r)
-        * np.exp(-k * (R - r))
-    )
-    term_rep = (
-        C
-        * ell ** (n - 1.0)
-        * cap_l
-        * specfun.bessel_k(half, k * R / ell, scaled=True)
-        * _radial_ive(n, k / ell, r)
-        * np.exp(-(k / ell) * (R - r))
-    )
-    return term_att - term_rep
+    exp_att = shift - k * (R - r)
+    exp_rep = shift - (k / ell) * (R - r)
+    top = np.maximum(np.maximum(exp_att, exp_rep), 0.0)
+    term_att = (cap_1 * specfun.bessel_k(half, k * R, scaled=True) * _radial_ive(n, k, r)
+                * np.exp(exp_att - top))
+    term_rep = (C * ell ** (n - 1.0) * cap_l * specfun.bessel_k(half, k * R / ell, scaled=True)
+                * _radial_ive(n, k / ell, r) * np.exp(exp_rep - top))
+    half_top = np.exp(0.5 * top)
+    with np.errstate(over="ignore"):
+        return (R ** (0.5 * n) / k) * (term_att - term_rep) * half_top * half_top
 
 
 def convolution_closed_at(
@@ -131,7 +131,7 @@ def convolution_closed_at(
     and r^2 terms, so all three branches agree with quadrature for any
     admissible parameters, not only on the C ell^n = 1 manifold.
     """
-    A, _ = aggregate_param(params)
+    A, a = aggregate_param(params)
     if case is None:
         case = Sign.POSITIVE if A > 0.0 else (Sign.NEGATIVE if A < 0.0 else Sign.ZERO)
     arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
@@ -147,11 +147,14 @@ def convolution_closed_at(
         # oscillatory/exponential densities are only ODE solutions when the
         # branch matches sign(A); the quadratic branch is exact anywhere
         _check_case(params, case)
-    b_l = _boundary_eval(params, case, ell, R)
-    b_1 = _boundary_eval(params, case, 1.0, R)
-    cap_l = b_l * mu1 + mu2
-    cap_1 = b_1 * mu1 + mu2
-    bracket = _bracket_term(params, case, R, cap_l, cap_1, arr)
+    # on the exponential branch the caps grow as e^{aR}: they are formed
+    # times e^{-aR}, and the bracket's exponents put the factor back
+    shift = a * R if case is Sign.NEGATIVE else 0.0
+    b_l = _boundary_eval(params, case, ell, R, scaled=True)
+    b_1 = _boundary_eval(params, case, 1.0, R, scaled=True)
+    cap_l = b_l * mu1 + mu2 * math.exp(-shift)
+    cap_1 = b_1 * mu1 + mu2 * math.exp(-shift)
+    bracket = _bracket_term(params, R, cap_l, cap_1, arr, shift)
 
     if case is Sign.ZERO:
         # exact for rho = mu1 r^2 + mu2 at any parameters; the r^2 and mu2
@@ -160,9 +163,9 @@ def convolution_closed_at(
             2.0 * n * mu1 * (C * ell ** (n + 2) - 1.0) / k**4
             + mu2 * (celln - 1.0) / k**2
         )
-        out = const + mu1 * (celln - 1.0) / k**2 * arr**2 + (R ** (0.5 * n) / k) * bracket
+        out = const + mu1 * (celln - 1.0) / k**2 * arr**2 + bracket
     else:
-        out = mu2 * (celln - 1.0) / k**2 + (R ** (0.5 * n) / k) * bracket
+        out = mu2 * (celln - 1.0) / k**2 + bracket
     return float(out[0]) if scalar else out
 
 

@@ -10,19 +10,20 @@ is applied pointwise-exactly per half step (the speed ODE
 ``du/dt = 2u (alpha - beta u)`` for u = |v|^2 is logistic and has a closed
 solution).
 
-Forces are evaluated by an O(N^2) direct sum over the unordered pairs,
-taken in blocks of ``_BLOCK_ROWS`` rows against the columns j >= i: each
-pair's weight U'(d)/d is computed once and applied to both particles, and
-the pair work arrays take O(N * _BLOCK_ROWS) memory rather than O(N^2).
-The interaction energy visits the same blocks.  Blocks, and the sums
-within them, run in fixed index order, so trajectories are
-bit-reproducible for a given seed and configuration regardless of how the
-surrounding code schedules work.  Pairs closer than ``min_separation`` use
-the force magnitude U'(min_sep) frozen at that separation, down to d -> 0
-(the Quasi-Morse potential is singular at the origin for n >= 2, so the
-clamp makes the regularization explicit); exactly coincident pairs exert
-no force.  Those few close pairs are summed from their offsets, so their
-force keeps its direction however small d is next to |x|.
+Forces and the interaction energy come from one loop, ``_force_pass``,
+an O(N^2) direct sum over the unordered pairs, taken in blocks of
+``_BLOCK_ROWS`` rows against the columns j >= i: each pair's weight
+U'(d)/d is computed once and applied to both particles, and the pair work
+arrays take O(N * _BLOCK_ROWS) memory rather than O(N^2).  A pass gives the
+forces, the energy, or both from the same pair terms.  Blocks, and the sums
+within them, run in fixed index order, so trajectories are bit-reproducible
+for a given seed and configuration regardless of how the surrounding code
+schedules work.  Pairs closer than ``min_separation`` use the force
+magnitude U'(min_sep) frozen at that separation, down to d -> 0 (the
+Quasi-Morse potential is singular at the origin for n >= 2, so the clamp
+makes the regularization explicit); exactly coincident pairs exert no
+force.  Those few close pairs are summed from their offsets, so their force
+keeps its direction however small d is next to |x|.
 
 A block's pair differences x_i - x_j are, per coordinate, the matrix
 product of the rows [x_i, 1] with the columns [1, -x_j] (inner dimension
@@ -31,27 +32,28 @@ broadcasts.  It rounds like the subtraction: x_i * 1 and 1 * (-x_j) are
 exact, so their sum is rounded once, to fl(x_i - x_j).  Only the sign of a
 zero difference may differ, and the kernel uses squares alone.
 
-A second-order step needs the force at its start and at its end.  The end
-of one step is the start of the next ("first same as last"), so
-``step_second_order`` keeps its last end-of-step force pass and reuses it
-when the next call starts from the same positions with the same force
-model: a run costs one force pass per step, and its results are those of
-fresh evaluations bit for bit.  A first-order run records the interaction
-energy after a step from the same pair pass that gives the next step's
-forces: the fused pass reads U(d) from the table cell and fraction of
-U'(d)/d, sums the energy in the blocks and order of
-``interaction_energy``, and leaves its forces in the memo that
-``step_first_order`` reads.  A run then costs one pass per step and one
-energy-only pass for the last record, with the records' bits unchanged.
-
-For throughput, U'(r)/r, U'(r) and U(r) are by default tabulated once per
+The pair terms come from one evaluator, ``_ForceModel.pair_terms``.  By
+default it reads two tables, U'(r)/r and U(r), built once per
 configuration on a dense grid uniform in log r and linearly interpolated,
 with the cell found by index arithmetic rather than a search (measured
-error below 1e-6 of the force scale for every supported potential);
-``tabulated_forces=False`` switches to direct evaluation for
-exactness-sensitive experiments.  The tables are kept even for the
-potentials with cheap closed forms, which measured slower than the lookup
-(see ``_ForceModel``).
+error below 1e-6 of the force scale for every supported potential).  A
+pass that wants both reads them at one cell and fraction per pair; an
+energy-only pass reads the U table alone.  ``tabulated_forces=False``
+switches to direct evaluation for exactness-sensitive experiments.  The
+tables are kept even for the potentials with cheap closed forms, which
+measured slower than the lookup (see ``_ForceModel``).
+
+A second-order step needs the force at its start and at its end.  The end
+of one step is the start of the next ("first same as last"), so the force
+model keeps, in ``last_pass``, the positions and accelerations of the last
+pass a step may start from, and a step starts from it when its positions
+are the same: ``step_second_order`` leaves its end-of-step pass there, so
+a run costs one force pass per step.  A first-order run takes a record's
+interaction energy in the pass that gives the next step's forces and
+leaves those in the memo, which ``step_first_order`` reads: a run costs
+one pass per step and one energy-only pass for the last record.  Either
+way the results are those of fresh evaluations bit for bit.  The memo
+lives on the cached model, so another force model never reads it.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .potentials import (
     potential_value,
     potential_value_and_force,
 )
-from .solver import FlockProfile, density_eval
+from .solver import FlockProfile, _mass_closed, density_eval
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -208,8 +210,10 @@ _BLOCK_ROWS = 32
 # its own columns), which a pass over the unordered pairs j > i leaves out.
 _DIAG_MASK = np.tri(_BLOCK_ROWS, dtype=bool)
 
-# Nodes of the force and energy tables, uniform in log r.
+# Nodes of the force and energy tables, uniform in log r, and the tables'
+# upper end.
 _TABLE_SIZE = 32768
+_R_MAX = 1e4
 
 
 def _with_slopes(tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,10 +223,10 @@ def _with_slopes(tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ForceModel:
-    """U'(r), U'(r)/r and U(r) with the min-separation clamp, optionally via
-    dense interpolation tables on a grid uniform in log r.
+    """U'(r)/r and U(r) with the min-separation clamp, optionally via dense
+    interpolation tables on a grid uniform in log r, and the force memo.
 
-    The tables cover [0.5 min_sep, r_max].  Since the grid is uniform, a
+    The tables cover [0.5 min_sep, _R_MAX].  Since the grid is uniform, a
     lookup finds its cell by index arithmetic instead of the binary search
     ``np.interp`` runs per point: from log r^2 it forms
     ``s = (log r^2 - 2 x0) (0.5 / h)``, which has the bits of
@@ -230,7 +234,7 @@ class _ForceModel:
     cell ``i = int(s)`` and returns ``tab[i] + (s - i) slope[i]``.  The pair
     loop feeds log d^2, so it never takes a square root or halves a log.
     Arguments are clipped to the table, which reproduces ``np.interp``'s
-    endpoint values below 0.5 min_sep and above r_max; below the table
+    endpoint values below 0.5 min_sep and above _R_MAX; below the table
     U'(r)/r is then replaced by the clamp U'(min_sep)/d (see
     ``pair_terms``).
 
@@ -240,98 +244,88 @@ class _ForceModel:
     measured 1.5x slower than the lookup.  32768 nodes keep every table
     within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
     towards min_sep and needed more than 16384.  ``tabulated=False``
-    evaluates the potential directly and is the exact reference."""
+    evaluates the potential directly and is the exact reference.
 
-    def __init__(self, potential: PotentialSpec, min_sep: float, tabulated: bool,
-                 r_max: float = None):
+    ``last_pass`` is None or the (positions, accelerations) of the last
+    force pass the next step may start from (see the module docstring)."""
+
+    def __init__(self, potential: PotentialSpec, min_sep: float, tabulated: bool):
         self.potential = potential
         self.min_sep = min_sep
         self.tabulated = tabulated
-        self.r_max = r_max if r_max is not None else 1e4
+        self.last_pass = None
         # pairs closer than min_sep are clamped, and below the table's lower
         # edge U'(r)/r is U'(min_sep)/d in both modes
         self._min_sep_sq = min_sep * min_sep
         if tabulated:
-            x0, x1 = math.log(0.5 * min_sep), math.log(self.r_max)
+            x0, x1 = math.log(0.5 * min_sep), math.log(_R_MAX)
             grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
             value_tab, force_tab = potential_value_and_force(
                 potential, np.maximum(grid, min_sep))
             self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
             self._two_x0 = 2.0 * x0
             self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
-            self._force_tab = _with_slopes(force_tab)
             self._w_tab = _with_slopes(force_tab / grid)
             self._value_tab = _with_slopes(value_tab)
         else:
             self._force_at_min = float(potential_force_magnitude(potential, np.array([min_sep]))[0])
 
-    def _lookup(self, log_r2, tables, work=None):
-        """Linear interpolation of each of ``tables`` at log r^2 =
-        ``log_r2``, a float array that is overwritten.  One cell and fraction
-        serve every table.  The last table's values overwrite ``log_r2``;
-        each earlier table's fill one more work array.  ``work`` is
-        (float scratch, intp index, *outputs), arrays of log_r2's shape,
-        allocated when not given."""
-        s = np.asarray(log_r2)
-        if work is None:
-            work = (np.empty_like(s), np.empty(s.shape, dtype=np.intp),
-                    *(np.empty_like(s) for _ in tables[1:]))
-        scratch, index, *outputs = work
-        s -= self._two_x0
-        s *= self._half_inv_h
-        np.maximum(s, 0.0, out=s)
-        np.minimum(s, _TABLE_SIZE - 1, out=s)
-        # s >= 0, so the cast truncates s to its cell floor(s)
-        np.copyto(index, s, casting="unsafe")
-        s -= index
-        results = []
-        for (tab, slope), out in zip(tables, [*outputs[: len(tables) - 1], s]):
-            # the clip above keeps every index inside the table
-            np.multiply(s, np.take(slope, index, out=scratch, mode="clip"), out=out)
-            out += np.take(tab, index, out=scratch, mode="clip")
-            results.append(out)
-        return results
+    def pair_terms(self, d2, work, with_forces=True, with_energy=False):
+        """(w, clamped, u) at the squared distances ``d2``; w and clamped
+        are None unless ``with_forces``, u unless ``with_energy``.
 
-    def force(self, r):
-        r_eff = np.maximum(r, self.min_sep)
-        if not self.tabulated:
-            return potential_force_magnitude(self.potential, r_eff)
-        return self._lookup(2.0 * np.log(r_eff), (self._force_tab,))[0]
+        - w is U'(max(d, min_sep))/d, and 0 at d = 0 (exactly coincident
+          particles exert no force); below the table's edge 0.5 min_sep
+          both modes give the clamp U'(min_sep)/d.
+        - clamped holds the flat indices of the pairs closer than min_sep.
+        - u is U(max(d, min_sep)).
 
-    def force_over_dist_sq(self, d2, work=None):
-        """U'(max(d, min_sep))/d from squared distances, and 0 at d = 0
-        (exactly coincident particles exert no force).  Below the table's
-        edge 0.5 min_sep both modes return U'(min_sep)/d.  Given the work
-        arrays of ``_lookup``, the tabulated result overwrites ``d2``."""
-        return self.pair_terms(d2, work)[0]
-
-    def pair_terms(self, d2, work=None, with_values=False):
-        """(w, clamped, u): ``force_over_dist_sq``, the flat indices of the
-        pairs closer than min_sep, and, ``with_values``, U(max(d, min_sep))
-        at the same pairs (else None).  A tabulated u comes from the same
-        cells and fractions as w and fills the third work array.  One mask
-        finds the clamped pairs; the entries below the table's edge, d = 0
-        included, are then set from the clamp."""
-        d2 = np.asarray(d2)
-        clamped = np.flatnonzero(d2 < self._min_sep_sq)
-        d_clamped = np.sqrt(d2.flat[clamped]) if clamped.size else None
-        u = None
+        ``work`` is the work arrays of a ``_pair_blocks`` block.  A
+        tabulated call overwrites d2 with its log, then with the cell
+        fractions, and reads w and u at the same cells and fractions; the
+        last of them overwrites d2, and u, when both are asked for, fills
+        the third work array."""
+        w = clamped = u = None
+        if with_forces:
+            clamped = np.flatnonzero(d2 < self._min_sep_sq)
+            d_clamped = np.sqrt(d2.flat[clamped]) if clamped.size else None
         if self.tabulated:
-            log_d2 = _log_dist_sq(d2, work)
-            if with_values:
-                u, w = self._lookup(log_d2, (self._value_tab, self._w_tab), work)
-            else:
-                (w,) = self._lookup(log_d2, (self._w_tab,), work)
+            scratch, index, *spare = work
+            # -inf at d = 0, which the clip takes to the table's first node
+            with np.errstate(divide="ignore"):
+                s = np.log(d2, out=d2)
+            s -= self._two_x0
+            s *= self._half_inv_h
+            np.maximum(s, 0.0, out=s)
+            np.minimum(s, _TABLE_SIZE - 1, out=s)
+            # s >= 0, so the cast truncates s to its cell floor(s)
+            np.copyto(index, s, casting="unsafe")
+            s -= index
+
+            def interpolate(table, out):
+                # the clip above keeps every index inside the table
+                tab, slope = table
+                np.multiply(s, np.take(slope, index, out=scratch, mode="clip"), out=out)
+                out += np.take(tab, index, out=scratch, mode="clip")
+                return out
+
+            if with_energy:  # read before w overwrites the fractions
+                u = interpolate(self._value_tab, spare[0] if with_forces else s)
+            if with_forces:
+                w = interpolate(self._w_tab, s)
         else:
             d = np.sqrt(d2)
             r_eff = np.maximum(d, self.min_sep)
-            if with_values:
+            if with_forces and with_energy:
                 u, force = potential_value_and_force(self.potential, r_eff)
-            else:
+            elif with_forces:
                 force = potential_force_magnitude(self.potential, r_eff)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = force / d
-        if clamped.size:
+            else:
+                u = potential_value(self.potential, r_eff)
+            if with_forces:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    w = force / d
+        if with_forces and clamped.size:
             below = d_clamped < 0.5 * self.min_sep
             d_below = d_clamped[below]
             with np.errstate(divide="ignore"):
@@ -339,19 +333,13 @@ class _ForceModel:
                                                   self._force_at_min / d_below, 0.0)
         return w, clamped, u
 
-    def value_from_dist_sq(self, d2, work=None):
-        """U(max(d, min_sep)) from squared distances; ``work`` as in
-        ``force_over_dist_sq``."""
-        if not self.tabulated:
-            return potential_value(self.potential, np.maximum(np.sqrt(d2), self.min_sep))
-        return self._lookup(_log_dist_sq(d2, work), (self._value_tab,), work)[0]
-
-
-def _log_dist_sq(d2, work):
-    """log d^2, in place when work arrays are given; -inf at d = 0, which
-    the lookup clips to the table's first node."""
-    with np.errstate(divide="ignore"):
-        return np.log(d2, out=d2 if work else None)
+    def accelerations(self, x: np.ndarray) -> np.ndarray:
+        """The accelerations a step starts from: the memo's when its pass
+        was taken at these positions ("first same as last"), else a fresh
+        pass, also for positions edited in place since."""
+        if self.last_pass is not None and np.array_equal(self.last_pass[0], x):
+            return self.last_pass[1]
+        return _accelerations(x, self)
 
 
 @functools.lru_cache(maxsize=8)
@@ -363,11 +351,11 @@ def _config_model(config: SimConfig) -> _ForceModel:
     return _cached_model(config.potential, config.min_separation, config.tabulated_forces)
 
 
-def _pair_blocks(x: np.ndarray, with_values: bool = False):
+def _pair_blocks(x: np.ndarray, fused: bool = False):
     """Yield (lo, hi, d2, work) for the row blocks lo:hi of the pair kernel
     in fixed order: d2 holds |x_i - x_j|^2 for the rows i in lo:hi against
     the columns j >= lo, and work is the (scratch, index) pair of the table
-    lookup, with a third array for the pair values when ``with_values``.
+    lookup, with a third array for the pair values of a ``fused`` pass.
     Column k of d2 is particle lo + k, so the block's leading square
     d2[:, :hi - lo] holds its rows against themselves; its diagonal, the
     self pairs that every caller drops, holds the placeholder 1 rather
@@ -390,7 +378,7 @@ def _pair_blocks(x: np.ndarray, with_values: bool = False):
     np.negative(x.T, out=cols[:, 1])
     size = min(_BLOCK_ROWS, n_part) * n_part
     buffers = [np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)]
-    if with_values:
+    if fused:
         buffers.append(np.empty(size))
     for lo in range(0, n_part, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_part)
@@ -412,10 +400,12 @@ def _drop_lower_pairs(block: np.ndarray, rows: int) -> None:
     np.copyto(block[:, :rows], 0.0, where=_DIAG_MASK[:rows, :rows])
 
 
-def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False):
+def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
+                with_forces: bool = True):
     """(acc, energy): -(1/N) sum_j U'(|x_i - x_j|) (x_i - x_j)/|x_i - x_j|
-    in fixed order, and, ``with_energy``, the interaction energy at the same
-    positions (else None).
+    in fixed order (None unless ``with_forces``), and the interaction
+    energy (1/(2 N^2)) sum_{i != j} U(|x_i - x_j|) at the same positions
+    (None unless ``with_energy``).  This is the only loop over the pairs.
 
     One pass over the unordered pairs: each row block of ``_pair_blocks``
     keeps its pairs j > i, and each weight w_ij = U'(d_ij)/d_ij = w_ji is
@@ -430,20 +420,23 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False):
     few pairs closer than min_sep are taken out of it and summed from their
     offsets x_i - x_j instead; coincident pairs weigh 0.
 
-    The energy reads each pair's U(d) from the table cell and fraction of
-    its weight and sums the blocks in the order of ``interaction_energy``,
-    whose bits it equals."""
+    The energy sums each block's U(d) over its pairs j > i, block by block;
+    a fused pass reads U(d) from the table cell and fraction of the pair's
+    weight, and an energy-only pass reads the U table alone.  Both give the
+    same bits."""
     n_part = x.shape[0]
     x_one_t = np.vstack([x.T, np.ones(n_part)])
     x_one = x_one_t.T
     sums = np.zeros_like(x_one_t)
     near = np.zeros_like(x)
     total = 0.0
-    for lo, hi, d2, work in _pair_blocks(x, with_energy):
-        w, clamped, u = model.pair_terms(d2, work, with_energy)
+    for lo, hi, d2, work in _pair_blocks(x, with_forces and with_energy):
+        w, clamped, u = model.pair_terms(d2, work, with_forces, with_energy)
         if with_energy:
             _drop_lower_pairs(u, hi - lo)
             total += float(u.sum())
+        if not with_forces:
+            continue
         _drop_lower_pairs(w, hi - lo)
         if clamped.size:
             rows, cols = np.divmod(clamped, w.shape[1])
@@ -457,11 +450,14 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False):
             np.subtract.at(near, cols, pair_acc)
         sums[:, lo:hi] += (w @ x_one[lo:]).T
         sums[:, lo:] += x_one_t[:, lo:hi] @ w
+    energy = total / n_part**2 if with_energy else None
+    if not with_forces:
+        return None, energy
     acc = sums[-1][:, None] * x
     acc -= sums[:-1].T
     acc += near
     acc /= -n_part
-    return acc, total / n_part**2 if with_energy else None
+    return acc, energy
 
 
 def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
@@ -471,15 +467,9 @@ def _accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
 
 def interaction_energy(state: ParticleState, config: SimConfig) -> float:
     """Discrete interaction energy (1/(2 N^2)) sum_{i != j} W(x_i - x_j),
-    summed once per pair i < j in the row blocks of the force kernel."""
-    model = _config_model(config)
-    x = state.positions
-    total = 0.0
-    for lo, hi, d2, work in _pair_blocks(x):
-        vals = model.value_from_dist_sq(d2, work)
-        _drop_lower_pairs(vals, hi - lo)
-        total += float(vals.sum())
-    return total / x.shape[0] ** 2
+    from an energy-only pass of ``_force_pass``."""
+    return _force_pass(state.positions, _config_model(config), with_energy=True,
+                       with_forces=False)[1]
 
 
 def _check_blowup(x: np.ndarray, bound: float, step: int) -> None:
@@ -489,33 +479,10 @@ def _check_blowup(x: np.ndarray, bound: float, step: int) -> None:
         )
 
 
-# The last force pass whose positions the next step may start from: its
-# force model, a copy of the positions it was taken at, and the
-# accelerations.  step_second_order leaves its end-of-step pass here, and a
-# first-order run the pass it takes with a record's energy.  It lives at
-# module level, named like the package's other memo tables, so that code
-# clearing those between runs clears it too.
-_FSAL_CACHE: dict = {}
-
-
-def _remember(model: _ForceModel, x: np.ndarray, acc: np.ndarray) -> None:
-    _FSAL_CACHE.update(model=model, positions=x.copy(), acc=acc)
-
-
-def _start_accelerations(x: np.ndarray, model: _ForceModel) -> np.ndarray:
-    """The accelerations a step starts from: the memo's when it was taken
-    at these positions with this force model ("first same as last"), else
-    a fresh pass, also for positions edited in place since."""
-    last = _FSAL_CACHE
-    if last and last["model"] is model and np.array_equal(last["positions"], x):
-        return last["acc"]
-    return _accelerations(x, model)
-
-
 def step_first_order(state: ParticleState, config: SimConfig) -> ParticleState:
     """One explicit Euler step of the aggregation system, from the memo's
     force pass when it was taken at the same positions and force model."""
-    acc = _start_accelerations(state.positions, _config_model(config))
+    acc = _config_model(config).accelerations(state.positions)
     new_x = state.positions + config.dt * acc
     _check_blowup(new_x, config.blowup_bound, 0)
     return ParticleState(positions=new_x, velocities=None, time=state.time + config.dt)
@@ -543,7 +510,7 @@ def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
     model = _config_model(config)
     dt, alpha, beta = config.dt, config.alpha, config.beta
     x, v = state.positions, state.velocities
-    acc = _start_accelerations(x, model)
+    acc = model.accelerations(x)
     v = v + 0.5 * dt * acc
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
     x = x + dt * v
@@ -551,7 +518,7 @@ def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
     acc = _accelerations(x, model)
     v = v + 0.5 * dt * acc
     _check_blowup(x, config.blowup_bound, 0)
-    _remember(model, x, acc)
+    model.last_pass = (x.copy(), acc)
     return ParticleState(positions=x, velocities=v, time=state.time + dt)
 
 
@@ -617,7 +584,7 @@ def run(config: SimConfig, state: ParticleState = None) -> tuple[ParticleState, 
             if config.model == "first" and i < config.steps - 1:
                 model = _config_model(config)
                 acc, energy = _force_pass(state.positions, model, with_energy=True)
-                _remember(model, state.positions, acc)
+                model.last_pass = (state.positions.copy(), acc)
             else:
                 energy = interaction_energy(state, config)
             rec = {
@@ -698,17 +665,12 @@ def compare_profile(hist: RadialHistogram, profile: FlockProfile) -> tuple[float
 def sample_profile_positions(profile: FlockProfile, count: int, seed: int = 0) -> np.ndarray:
     """Draw positions from the analytic density by inverse-CDF sampling of
     the radial mass distribution (vectorized bisection on the closed-form
-    cumulative mass)."""
-    from . import specfun
-
+    cumulative mass ``solver._mass_closed``)."""
     rng = np.random.default_rng(seed)
     dim = profile.params.n
-    a, mu1, mu2 = profile.a, profile.mu1, profile.mu2
-    surface = 2.0 * math.pi ** (0.5 * dim) / math.gamma(0.5 * dim)
 
     def cdf(r):
-        term1 = mu1 * r ** (0.5 * dim) * specfun.bessel_j(0.5 * dim, a * r) / a
-        return surface * (term1 + mu2 * r**dim / dim)
+        return _mass_closed(dim, profile.a, r, profile.mu1, profile.mu2)
 
     u = rng.uniform(size=count)
     lo = np.zeros(count)

@@ -151,10 +151,12 @@ def boundary_coeff(params: ModelParams, case: Sign, xi: float, R, general: bool 
     return _boundary_eval(params, case, xi, R, general=general)
 
 
-def _boundary_eval(params: ModelParams, case: Sign, xi: float, R, general: bool = False):
+def _boundary_eval(params: ModelParams, case: Sign, xi: float, R, general: bool = False,
+                   scaled: bool = False):
     """Branch dispatch without the case gate (the quadratic branch is exact
     for parabola densities at any parameters; the convolution module relies
-    on that)."""
+    on that).  ``scaled`` gives Btilde(xi) e^{-aR} on the exponential branch
+    (A < 0), which stays finite for any aR; the other branches ignore it."""
     A, a = aggregate_param(params)
     arr = np.atleast_1d(np.asarray(R, dtype=np.float64))
     scalar = np.asarray(R).ndim == 0
@@ -166,27 +168,33 @@ def _boundary_eval(params: ModelParams, case: Sign, xi: float, R, general: bool 
     elif case is Sign.ZERO:
         out = _boundary_zero(n, k, xi, arr)
     elif n == 3:
-        out = _boundary_3d(k, a, case, xi, arr)
+        out = _boundary_3d(k, a, case, xi, arr, scaled)
     else:
-        out = _boundary_2d(k, a, case, xi, arr, *_radial_2d(a, case, arr))
+        out = _boundary_2d(k, a, case, xi, arr, *_radial_2d(a, case, arr, scaled))
     return float(out[0]) if scalar else out
 
 
-def _boundary_3d(k, a, case, xi, R):
+def _boundary_3d(k, a, case, xi, R, scaled=False):
     pref = math.sqrt(2.0 / (a * math.pi)) * k / (k * R + xi)
     if case is Sign.POSITIVE:
         gain = 1.0 / (1.0 + (a * xi / k) ** 2)
         return pref * gain * (np.sin(a * R) + (a * xi / k) * np.cos(a * R))
     gain = 1.0 / (1.0 - (a * xi / k) ** 2)
-    return pref * gain * (np.sinh(a * R) + (a * xi / k) * np.cosh(a * R))
+    if scaled:  # sinh(aR) e^{-aR} and cosh(aR) e^{-aR}
+        sinh, cosh = -0.5 * np.expm1(-2.0 * a * R), 0.5 + 0.5 * np.exp(-2.0 * a * R)
+    else:
+        sinh, cosh = np.sinh(a * R), np.cosh(a * R)
+    return pref * gain * (sinh + (a * xi / k) * cosh)
 
 
-def _radial_2d(a, case, R):
+def _radial_2d(a, case, R, scaled=False):
     """(J_0(aR), J_1(aR)) on the positive branch, (I_0(aR), I_1(aR)) on the
-    negative one: the R-dependence of Btilde(xi) shared by every xi."""
-    fn = specfun.bessel_j if case is Sign.POSITIVE else specfun.bessel_i
+    negative one, times e^{-aR} if ``scaled``: the R-dependence of
+    Btilde(xi) shared by every xi."""
     aR = a * R
-    return fn(0.0, aR), fn(1.0, aR)
+    if case is Sign.POSITIVE:
+        return specfun.bessel_j(0.0, aR), specfun.bessel_j(1.0, aR)
+    return specfun.bessel_i(0.0, aR, scaled=scaled), specfun.bessel_i(1.0, aR, scaled=scaled)
 
 
 def _k_ratio_2d(k, xi, R):
@@ -316,11 +324,9 @@ def flock_determinant(params: ModelParams, R):
             c1 = (C - 1.0) * a * ell**2 / (k * (1.0 - ell**2)) * (
                 kr_l / (C * ell) - kr_1
             )
-            scaled = c0 * specfun.bessel_i(0.0, a * arr, scaled=True) + c1 * specfun.bessel_i(
-                1.0, a * arr, scaled=True
-            )
+            f0, f1 = _radial_2d(a, Sign.NEGATIVE, arr, scaled=True)
             with np.errstate(over="ignore"):
-                out = scaled * np.exp(a * arr)
+                out = (c0 * f0 + c1 * f1) * np.exp(a * arr)
     return float(out[0]) if scalar else out
 
 
@@ -450,8 +456,9 @@ def density_eval(profile: FlockProfile, r):
     return float(out[0]) if scalar else out
 
 
-def _mass_closed(n: int, a: float, R: float, mu1: float, mu2: float) -> float:
-    # integral of x^{n/2} J_{n/2-1}(a x) over [0, R] is R^{n/2} J_{n/2}(a R)/a
+def _mass_closed(n: int, a: float, R, mu1: float, mu2: float):
+    # integral of x^{n/2} J_{n/2-1}(a x) over [0, R] is R^{n/2} J_{n/2}(a R)/a;
+    # R may be a float or an array of radii
     surface = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
     term1 = mu1 * R ** (0.5 * n) * specfun.bessel_j(0.5 * n, a * R) / a
     term2 = mu2 * R**n / n

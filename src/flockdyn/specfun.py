@@ -252,28 +252,29 @@ def bessel_j(nu, x):
     return _restore(out, shape)
 
 
-def _ive_asym(nu: float, x):
-    """e^{-x} I_nu(x) by the large-x expansion; x >= 30."""
+def _asym_series(nu: float, x, sign: float):
+    """sum_k sign^k a_k(nu) / x^k, the large-x expansion shared by
+    e^{-x} I_nu(x) (sign -1) and e^{x} K_nu(x) (sign +1); x >= 30.  The
+    sign multiplies the scalar factor of each term, which rounds like
+    negating the term."""
     mu4 = 4.0 * nu * nu
     term = total = 1.0
     for k in range(1, 40):
-        term = -term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
+        term = term * (sign * (mu4 - (2 * k - 1) ** 2)) / (8.0 * k * x)
         total = total + term
         if _all(abs(term) <= 1e-18 * abs(total)):
             break
-    return total / np.sqrt(2.0 * math.pi * x)
+    return total
+
+
+def _ive_asym(nu: float, x):
+    """e^{-x} I_nu(x) by the large-x expansion; x >= 30."""
+    return _asym_series(nu, x, -1.0) / np.sqrt(2.0 * math.pi * x)
 
 
 def _kve_asym(nu: float, x):
     """e^{x} K_nu(x) by the large-x expansion; x >= 30."""
-    mu4 = 4.0 * nu * nu
-    term = total = 1.0
-    for k in range(1, 40):
-        term = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        total = total + term
-        if _all(abs(term) <= 1e-18 * abs(total)):
-            break
-    return np.sqrt(math.pi / (2.0 * x)) * total
+    return np.sqrt(math.pi / (2.0 * x)) * _asym_series(nu, x, 1.0)
 
 
 def bessel_i(nu, x, scaled=False):

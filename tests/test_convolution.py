@@ -237,6 +237,53 @@ def test_exponential_density_closed_vs_quadrature(params):
         assert closed == pytest.approx(quad, rel=1e-8)
 
 
+def _closed_form_mpmath(params, a, R, mu1, mu2, r):
+    """The exponential-branch closed form of W * rho at radius r, with
+    mpmath's sinh, cosh, I and K at 50 digits, from the float a and k."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    n, C, ell, k = params.n, mp.mpf(params.C), mp.mpf(params.ell), mp.mpf(params.k)
+    a, R, r = mp.mpf(a), mp.mpf(R), mp.mpf(r)
+    nu = mp.mpf(n) / 2 - 1
+
+    def btilde(xi):
+        gain = 1 / (1 - (a * xi / k) ** 2)
+        if n == 3:
+            pref = mp.sqrt(2 / (a * mp.pi)) * k / (k * R + xi)
+            return pref * gain * (mp.sinh(a * R) + (a * xi / k) * mp.cosh(a * R))
+        ratio = mp.besselk(0, k * R / xi) / mp.besselk(1, k * R / xi)
+        return gain * (mp.besseli(0, a * R) + (a * xi / k) * mp.besseli(1, a * R) * ratio)
+
+    def radial_i(beta):  # r^{-nu} I_nu(beta r), with its limit at r = 0
+        if r == 0:
+            return (beta / 2) ** nu / mp.gamma(nu + 1)
+        return r ** (-nu) * mp.besseli(nu, beta * r)
+
+    cap_l, cap_1 = btilde(ell) * mu1 + mu2, btilde(1) * mu1 + mu2
+    bracket = (cap_1 * mp.besselk(nu + 1, k * R) * radial_i(k)
+               - C * ell ** (n - 1) * cap_l * mp.besselk(nu + 1, k * R / ell) * radial_i(k / ell))
+    return mu2 * (C * ell**n - 1) / k**2 + R ** (mp.mpf(n) / 2) / k * bracket
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("aR", [710.0, 715.0])
+def test_exponential_branch_closed_form_past_the_old_overflow(n, aR):
+    # C = 3, ell = 0.9, R = 1, mu1 = 1, mu2 = 0.5 with k set so that aR is
+    # past e^{709.78}: sinh(aR), cosh(aR) and a raw I_nu(aR) overflow there
+    C, ell, R, mu1, mu2 = 3.0, 0.9, 1.0, 1.0, 0.5
+    _, a_per_k = aggregate_param(ModelParams(n, C, ell, 1.0))
+    params = ModelParams(n, C, ell, aR / (a_per_k * R))
+    _, a = aggregate_param(params)
+    assert a * R == pytest.approx(aR, rel=1e-14)
+    # the values grow to about 3e302 at r = R, inside the double range
+    r = np.linspace(0.0, R, 41)
+    got = convolution_closed_at(params, R, mu1, mu2, r)
+    assert np.all(np.isfinite(got))
+    ref = np.array([float(_closed_form_mpmath(params, a, R, mu1, mu2, ri)) for ri in r])
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
+
+
 def outside_reference(params, rho, R, r):
     """W * rho at r > R by scipy quadrature and scipy Bessel functions: only
     the inner integral of each screened convolution survives there."""

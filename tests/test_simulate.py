@@ -24,6 +24,7 @@ from flockdyn.potentials import (
 )
 from flockdyn.simulate import (
     _BLOCK_ROWS,
+    _R_MAX,
     _TABLE_SIZE,
     FromFile,
     Gaussian,
@@ -32,6 +33,7 @@ from flockdyn.simulate import (
     UniformBall,
     _accelerations,
     _cached_model,
+    _config_model,
     compare_profile,
     initial_state,
     interaction_energy,
@@ -362,12 +364,20 @@ def test_from_file_initialization(tmp_path):
         initial_state(bad)
 
 
+def _terms(model, d2, with_forces=True, with_energy=False):
+    """``model.pair_terms`` at the squared distances ``d2`` (left as they
+    are), on work arrays of their own."""
+    d2 = np.array(d2, dtype=float)
+    work = (np.empty_like(d2), np.empty(d2.shape, dtype=np.intp), np.empty_like(d2))
+    return model.pair_terms(d2, work, with_forces, with_energy)
+
+
 def test_tabulated_forces_match_exact_forces_closely():
     model_tab = _cached_model(POT, 1e-6 * 0.8, True)
     model_exact = _cached_model(POT, 1e-6 * 0.8, False)
     r = np.geomspace(2e-6, 50.0, 500)
-    tab = model_tab.force(r)
-    exact = model_exact.force(r)
+    tab = _terms(model_tab, r * r)[0] * r
+    exact = _terms(model_exact, r * r)[0] * r
     assert np.max(np.abs(tab - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
@@ -386,19 +396,17 @@ def test_tabulated_kernel_matches_exact_for_all_potentials(potential):
     r = np.geomspace(2e-6, 50.0, 20_000)
     force = potential_force_magnitude(potential, r)
     value = potential_value(potential, r)
-    force_scale = np.max(np.abs(force))
-    assert np.max(np.abs(model.force(r) - force)) <= 1e-6 * force_scale
-    assert np.max(np.abs(model.force_over_dist_sq(r * r) * r - force)) <= 1e-6 * force_scale
-    assert (np.max(np.abs(model.value_from_dist_sq(r * r) - value))
-            <= 1e-6 * np.max(np.abs(value)))
+    w, _, u = _terms(model, r * r, with_energy=True)
+    assert np.max(np.abs(w * r - force)) <= 1e-6 * np.max(np.abs(force))
+    assert np.max(np.abs(u - value)) <= 1e-6 * np.max(np.abs(value))
 
 
 def test_table_lookup_reproduces_interp_endpoints_and_interior():
     # the tables as np.interp read them: nodes uniform in log r over
-    # [0.5 min_sep, r_max], clamped at min_sep
+    # [0.5 min_sep, _R_MAX], clamped at min_sep
     min_sep = 1e-6 * 0.8
     model = _cached_model(POT, min_sep, True)
-    logs = np.linspace(math.log(0.5 * min_sep), math.log(model.r_max), _TABLE_SIZE)
+    logs = np.linspace(math.log(0.5 * min_sep), math.log(_R_MAX), _TABLE_SIZE)
     grid = np.exp(logs)
     force_tab = potential_force_magnitude(POT, np.maximum(grid, min_sep))
     value_tab = potential_value(POT, np.maximum(grid, min_sep))
@@ -407,31 +415,33 @@ def test_table_lookup_reproduces_interp_endpoints_and_interior():
     def interp(tab, log_r):
         return np.interp(log_r, logs, tab)
 
-    beyond = np.array([1.0001, 2.0, 1e3]) * model.r_max
+    beyond = np.array([1.0001, 2.0, 1e3]) * _R_MAX
     below = np.array([1e-3, 0.25, 0.4999]) * min_sep
     d2 = np.concatenate([[0.0], below**2, beyond**2])
     with np.errstate(divide="ignore"):
         half_log = 0.5 * np.log(d2)
     expected_w = interp(w_tab, half_log)
-    w = model.force_over_dist_sq(d2)
+    w, clamped, u = _terms(model, d2, with_energy=True)
+    assert np.array_equal(clamped, [0, 1, 2, 3])
     assert np.array_equal(w[4:], expected_w[4:]) and np.all(expected_w[4:] == w_tab[-1])
     # below the table, U'(r)/r is the clamp U'(min_sep)/d of the exact path,
     # and 0 at d = 0
-    exact = _cached_model(POT, min_sep, False).force_over_dist_sq(d2[:4])
+    exact = _terms(_cached_model(POT, min_sep, False), d2[:4])[0]
     assert w[0] == 0.0 and exact[0] == 0.0
     assert np.allclose(w[1:4], exact[1:4], rtol=1e-12, atol=0.0)
     assert np.allclose(w[1:4] * below, force_tab[0], rtol=1e-12, atol=0.0)
-    assert np.array_equal(model.value_from_dist_sq(d2), interp(value_tab, half_log))
-    assert np.array_equal(model.force(beyond), np.full(3, force_tab[-1]))
-    # force() clamps r at min_sep before the lookup, as it did before
-    clamped = interp(force_tab, math.log(min_sep))
-    assert np.allclose(model.force(below), clamped, rtol=1e-12, atol=0.0)
+    # U(r) is the interpolant everywhere: U(min_sep) below the table and its
+    # last node beyond it
+    assert np.array_equal(u, interp(value_tab, half_log))
+    assert np.all(u[:4] == value_tab[0]) and np.all(u[4:] == value_tab[-1])
+    # each term asked for alone has the bits it has in a fused call
+    assert np.array_equal(_terms(model, d2)[0], w)
+    assert np.array_equal(_terms(model, d2, with_forces=False, with_energy=True)[2], u)
 
-    r = np.geomspace(0.6 * min_sep, 0.9 * model.r_max, 4001)
-    for got, tab, log_r in ((model.force(r), force_tab, np.log(np.maximum(r, min_sep))),
-                            (model.force_over_dist_sq(r * r), w_tab, np.log(r)),
-                            (model.value_from_dist_sq(r * r), value_tab, np.log(r))):
-        ref = interp(tab, log_r)
+    r = np.geomspace(0.6 * min_sep, 0.9 * _R_MAX, 4001)
+    w, _, u = _terms(model, r * r, with_energy=True)
+    for got, tab in ((w, w_tab), (u, value_tab)):
+        ref = interp(tab, np.log(r))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -534,7 +544,7 @@ def test_half_pair_kernel_matches_pair_loop_property(case, dim, tabulated, n_par
     # own weights times the pair offsets, to rounding of each row's magnitude
     diff = x[:, None] - x[None]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    w = model.force_over_dist_sq(d2)
+    w = _terms(model, d2)[0]
     own = -(w[..., None] * diff).sum(axis=1) / n_part
     magnitude = (np.abs(w) * np.sqrt(d2)).sum(axis=1) / n_part
     assert np.all(np.linalg.norm(acc - own, axis=1) <= 1e-9 * magnitude)
@@ -555,7 +565,7 @@ def _reference_lookup(model, table, d2):
     """The table lookup as first written: from 0.5 log d^2, with
     ``np.floor`` for the cell."""
     tab, slope = table
-    x0, x1 = math.log(0.5 * model.min_sep), math.log(model.r_max)
+    x0, x1 = math.log(0.5 * model.min_sep), math.log(_R_MAX)
     with np.errstate(divide="ignore"):
         s = 0.5 * np.log(d2)
     s = np.clip((s - x0) * ((_TABLE_SIZE - 1) / (x1 - x0)), 0.0, _TABLE_SIZE - 1)
@@ -685,16 +695,21 @@ def _count_force_passes(monkeypatch):
     return calls
 
 
+def _forget(config):
+    """Empty the force memo of the config's force model."""
+    _config_model(config).last_pass = None
+
+
 def _fresh_step(state, config):
     """step_second_order with its force memo emptied first."""
-    simulate._FSAL_CACHE.clear()
+    _forget(config)
     return step_second_order(state, config)
 
 
 def test_second_order_run_equals_fresh_steps_bit_for_bit(monkeypatch):
     cfg = _second_order_config()
     calls = _count_force_passes(monkeypatch)
-    simulate._FSAL_CACHE.clear()
+    _forget(cfg)
     final, summary = run(cfg)
     assert len(calls) == cfg.steps + 1  # one pass per step, plus the first
     # every step re-evaluated from scratch gives the same bits
@@ -729,6 +744,7 @@ def test_second_order_memo_misses_for_another_model(monkeypatch):
     cfg = _second_order_config()
     other = _second_order_config(tabulated_forces=False)
     state = step_second_order(initial_state(cfg), cfg)
+    _forget(other)
     calls = _count_force_passes(monkeypatch)
     out = step_second_order(state, other)  # same positions, another model
     assert len(calls) == 2
@@ -743,24 +759,25 @@ def test_first_order_step_reads_the_memo_only_at_its_positions_and_model(monkeyp
                       tabulated_forces=False)
     model = _cached_model(POT, cfg.min_separation, True)
     state = initial_state(cfg)
+    _forget(exact)
     calls = _count_force_passes(monkeypatch)
     # a memo taken at these positions with this force model is read: its
     # zero accelerations leave the positions in place, and no pass is made
-    simulate._remember(model, state.positions, np.zeros_like(state.positions))
+    model.last_pass = (state.positions.copy(), np.zeros_like(state.positions))
     out = step_first_order(state, cfg)
     assert calls == [] and np.array_equal(out.positions, state.positions)
     # another model at the same positions misses and gets a fresh pass
     out = step_first_order(state, exact)
     assert len(calls) == 1
-    simulate._FSAL_CACHE.clear()
+    _forget(exact)
     assert np.array_equal(out.positions, step_first_order(state, exact).positions)
     # and so do positions edited in place since the memo was taken
-    simulate._remember(model, state.positions, np.zeros_like(state.positions))
+    model.last_pass = (state.positions.copy(), np.zeros_like(state.positions))
     state.positions[5] += 1e-3
     calls.clear()
     out = step_first_order(state, cfg)
     assert len(calls) == 1
-    simulate._FSAL_CACHE.clear()
+    _forget(cfg)
     assert np.array_equal(out.positions, step_first_order(state, cfg).positions)
 
 
@@ -770,30 +787,27 @@ def test_first_order_run_takes_record_energies_in_the_next_force_pass(monkeypatc
     cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, steps=4,
                     seed=21, record_stride=100)
     forces = _count_force_passes(monkeypatch)
-    fused, energies = [], []
-    force_pass, energy = simulate._force_pass, simulate.interaction_energy
+    passes = []
+    force_pass = simulate._force_pass
 
-    def counted_pass(x, model, with_energy=False):
-        if with_energy:
-            fused.append(x.shape[0])
-        return force_pass(x, model, with_energy)
-
-    def counted_energy(state, config):
-        energies.append(state.positions.shape[0])
-        return energy(state, config)
+    def counted_pass(x, model, with_energy=False, with_forces=True):
+        passes.append((with_forces, with_energy))
+        return force_pass(x, model, with_energy, with_forces)
 
     monkeypatch.setattr(simulate, "_force_pass", counted_pass)
-    monkeypatch.setattr(simulate, "interaction_energy", counted_energy)
-    simulate._FSAL_CACHE.clear()
+    _forget(cfg)
     final, summary = run(cfg)
-    assert (len(forces), len(fused), len(energies)) == (3, 1, 1)
+    assert len(forces) == 3
+    assert [passes.count(kind) for kind in ((True, False), (True, True), (False, True))] \
+        == [3, 1, 1]
     # every step taken from scratch, every energy in its own pass
+    monkeypatch.setattr(simulate, "_force_pass", force_pass)
     state = initial_state(cfg)
     records = []
     for i in range(cfg.steps):
-        simulate._FSAL_CACHE.clear()
+        _forget(cfg)
         state = step_first_order(state, cfg)
         if i in (0, cfg.steps - 1):
-            records.append((state.time, energy(state, cfg)))
+            records.append((state.time, interaction_energy(state, cfg)))
     assert np.array_equal(final.positions, state.positions)
     assert [(r["time"], r["interaction_energy"]) for r in summary.records] == records
