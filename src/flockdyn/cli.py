@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from itertools import repeat, starmap
 
 import numpy as np
@@ -288,6 +289,11 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    if args.steps < 1:
+        raise _UsageError(f"--steps must be at least 1, got {args.steps}")
+    for flag, value in (("--delta0", args.delta0), ("--ratio", args.ratio)):
+        if not (0.0 < value < math.inf):
+            raise _UsageError(f"{flag} must be positive and finite, got {value}")
     limit = EllLimit.UPPER if args.sweep_ell == "upper" else EllLimit.LOWER
     C, k, n = args.C, args.k, args.dimension
     if n == 3:
@@ -302,10 +308,8 @@ def _cmd_asymptotics(args) -> int:
         else:
             ell = ell_hi * (1.0 - d) if limit is EllLimit.UPPER else d
         params = ModelParams(n=n, C=C, ell=ell, k=k)
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             r_formula = asymptotic_radius(params, limit)
         r_solver, _ = find_support_radius(params)
         rows.append((ell, r_formula, r_solver, abs(r_formula / r_solver - 1.0)))
@@ -401,9 +405,16 @@ def _cmd_compare(args) -> int:
 
 def _cmd_specfun_table(args) -> int:
     orders = [float(v) for v in args.orders.split(",")]
-    kind, lo, hi, num = args.x_grid.split(":")
-    lo, hi, num = float(lo), float(hi), int(num)
-    xs = np.geomspace(lo, hi, num) if kind == "log" else np.linspace(lo, hi, num)
+    try:
+        kind, lo, hi, num = args.x_grid.split(":")
+        ends, num = np.array([float(lo), float(hi)]), int(num)
+    except ValueError:
+        kind = None
+    if (kind not in ("lin", "log") or num < 1 or not np.isfinite(ends).all()
+            or kind == "log" and ends.min() <= 0.0):
+        raise _UsageError(f"--x-grid must be KIND:LO:HI:NUM with KIND log or lin, finite LO "
+                          f"and HI (both > 0 for log) and NUM >= 1, got {args.x_grid!r}")
+    xs = np.geomspace(*ends, num) if kind == "log" else np.linspace(*ends, num)
     rows = [
         (
             nu,

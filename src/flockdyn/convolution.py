@@ -30,10 +30,11 @@ non-positive exponent.  Measured limits:
   QuadratureNonConvergenceError at k = 2000 in 3-D (k = 3000 in 2-D);
   at 65 equispaced radii it still converges at k = 10^4.
 * Closed form: finite up to k R / ell = 5 * 10^4 on the oscillatory
-  branch and 2 * 10^5 on the quadratic branch.  The exponential branch
-  (A < 0) is assembled from pieces scaled by e^{-a R}, so its values are
-  finite wherever they fit in a double (all of [0, R] at a R = 715 in the
-  measured cases) and overflow to inf, not nan, beyond.
+  branch and 2 * 10^5 on the quadratic branch.  On the exponential branch
+  (A < 0) it is built from the scaled weights of ``solver._mode_weights``
+  (those of ``mode_coeffs``), so its values are finite wherever they fit
+  in a double (all of [0, R] at a R = 715 in the measured cases) and
+  overflow to inf, not nan, beyond.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from . import specfun
 from ._codec import encode
 from .errors import OutOfSupportError, QuadratureNonConvergenceError, VerificationFailureError
 from .potentials import ModelParams, QuasiMorse, Sign, aggregate_param
-from .solver import FlockProfile, _boundary_eval, _check_case, density_eval
+from .solver import (FlockProfile, _case_of, _check_case, _mode_weights, _radial_j, _times_exp,
+                     density_eval)
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_DEPTH = 40
@@ -84,41 +86,19 @@ class ConvolutionReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _radial_ive(n: int, beta: float, r):
-    """r^{1-n/2} e^{-beta r} I_{n/2-1}(beta r) with its finite r -> 0 limit."""
-    r = np.asarray(r, dtype=np.float64)
-    out = np.empty_like(r)
-    zero = r == 0.0
-    out[zero] = (0.5 * beta) ** (0.5 * n - 1.0) / math.gamma(0.5 * n)
-    nz = ~zero
-    if np.any(nz):
-        val = specfun.bessel_i(0.5 * n - 1.0, beta * r[nz], scaled=True)
-        out[nz] = r[nz] ** (1.0 - 0.5 * n) * val
-    return out
-
-
-def _bracket_term(params: ModelParams, R: float, cap_l: float, cap_1: float, r, shift: float):
-    """The I-mode part of the closed form,
-
-    (R^{n/2}/k) r^{1-n/2} [cap_1 K_{n/2}(kR) I_{n/2-1}(kr)
-                           - C ell^{n-1} cap_l K_{n/2}(kR/ell) I_{n/2-1}(kr/ell)],
-
-    from caps given times e^{-shift}.  Each term is a product of scaled
-    factors times e^{shift - k (R - r)} (k/ell for the second).  The larger
-    exponent, where it is positive, is taken out of the difference and
-    applied last in two halves, so no finite value passes through inf."""
-    n, C, ell, k = params.n, params.C, params.ell, params.k
-    half = 0.5 * n
+def _bracket_term(params: ModelParams, R: float, r, w_l: float, w_1: float, shift: float):
+    """The I-mode part of the closed form, lambda_1 r^{1-n/2} I_{n/2-1}(kr/ell)
+    + lambda_2 r^{1-n/2} I_{n/2-1}(kr), from ``solver._mode_weights``: each
+    term is its weight times the scaled I times e^{shift - k (R - r)} (k/ell
+    for the first).  The larger exponent, where it is positive, is taken out
+    and applied last in two halves, so no finite value passes through inf."""
+    n, ell, k = params.n, params.ell, params.k
     exp_att = shift - k * (R - r)
     exp_rep = shift - (k / ell) * (R - r)
     top = np.maximum(np.maximum(exp_att, exp_rep), 0.0)
-    term_att = (cap_1 * specfun.bessel_k(half, k * R, scaled=True) * _radial_ive(n, k, r)
-                * np.exp(exp_att - top))
-    term_rep = (C * ell ** (n - 1.0) * cap_l * specfun.bessel_k(half, k * R / ell, scaled=True)
-                * _radial_ive(n, k / ell, r) * np.exp(exp_rep - top))
-    half_top = np.exp(0.5 * top)
-    with np.errstate(over="ignore"):
-        return (R ** (0.5 * n) / k) * (term_att - term_rep) * half_top * half_top
+    term_att = w_1 * _radial_j(n, k, r, Sign.NEGATIVE) * np.exp(exp_att - top)
+    term_rep = w_l * _radial_j(n, k / ell, r, Sign.NEGATIVE) * np.exp(exp_rep - top)
+    return _times_exp((R ** (0.5 * n) / k) * (term_att - term_rep), top)
 
 
 def convolution_closed_at(
@@ -131,9 +111,8 @@ def convolution_closed_at(
     and r^2 terms, so all three branches agree with quadrature for any
     admissible parameters, not only on the C ell^n = 1 manifold.
     """
-    A, a = aggregate_param(params)
     if case is None:
-        case = Sign.POSITIVE if A > 0.0 else (Sign.NEGATIVE if A < 0.0 else Sign.ZERO)
+        case = _case_of(aggregate_param(params)[0])
     arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     scalar = np.asarray(r).ndim == 0
     if np.any(arr < 0.0) or np.any(arr > R * (1.0 + 1e-12)):
@@ -147,14 +126,7 @@ def convolution_closed_at(
         # oscillatory/exponential densities are only ODE solutions when the
         # branch matches sign(A); the quadratic branch is exact anywhere
         _check_case(params, case)
-    # on the exponential branch the caps grow as e^{aR}: they are formed
-    # times e^{-aR}, and the bracket's exponents put the factor back
-    shift = a * R if case is Sign.NEGATIVE else 0.0
-    b_l = _boundary_eval(params, case, ell, R, scaled=True)
-    b_1 = _boundary_eval(params, case, 1.0, R, scaled=True)
-    cap_l = b_l * mu1 + mu2 * math.exp(-shift)
-    cap_1 = b_1 * mu1 + mu2 * math.exp(-shift)
-    bracket = _bracket_term(params, R, cap_l, cap_1, arr, shift)
+    bracket = _bracket_term(params, R, arr, *_mode_weights(params, case, R, mu1, mu2))
 
     if case is Sign.ZERO:
         # exact for rho = mu1 r^2 + mu2 at any parameters; the r^2 and mu2
@@ -302,7 +274,7 @@ def convolution_quadrature(density, potential: QuasiMorse, R: float, r, tol: flo
     total = np.empty((len(arr), 2))
     pos = arr > 0.0
     for j, k_eff in enumerate(scales):
-        total[:, j] = _radial_ive(n, k_eff, arr) * outer[at, j]
+        total[:, j] = _radial_j(n, k_eff, arr, Sign.NEGATIVE) * outer[at, j]
         total[pos, j] += (
             arr[pos] ** (1.0 - 0.5 * n)
             * specfun.bessel_k(0.5 * n - 1.0, k_eff * arr[pos], scaled=True)

@@ -614,8 +614,8 @@ def radial_histogram(state: ParticleState, bins: int) -> RadialHistogram:
     """Shell-volume-normalized radial density about the center of mass."""
     x = state.positions
     n_part, dim = x.shape
-    if bins > n_part:
-        raise DomainError("more bins than particles")
+    if not 1 <= bins <= n_part:
+        raise DomainError(f"bins must be between 1 and the {n_part} particles, got {bins}")
     center = x.mean(axis=0)
     radii = np.linalg.norm(x - center, axis=1)
     r_max = float(radii.max()) * (1.0 + 1e-12)

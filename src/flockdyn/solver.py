@@ -16,6 +16,11 @@ tan(aR); consecutive poles bracket exactly one root, and the j-th root
 lies between the j-th and (j+1)-th pole.  In 2-D the brackets end at the
 zeros of J_1(aR), and the first one is narrowed to the cell of a 512-point
 scan where det M first changes sign.
+
+On the exponential branch (A < 0) Btilde grows as e^{aR}: ``_boundary_eval``
+gives Btilde e^{-aR}, and ``_mode_weights`` the scaled growing-mode weights
+that feed both the closed form of W * rho and ``mode_coeffs``.  Raw values
+are formed only at the public edges, ``boundary_coeff`` and ``mode_coeffs``.
 """
 
 from __future__ import annotations
@@ -137,64 +142,66 @@ def _check_case(params: ModelParams, case: Sign) -> tuple[float, float]:
     return A, a
 
 
-def boundary_coeff(params: ModelParams, case: Sign, xi: float, R, general: bool = False):
+def boundary_coeff(params: ModelParams, case: Sign, xi: float, R):
     """Boundary coefficient Btilde(xi) at support radius R.
 
     ``case`` selects the branch by the sign of the aggregate parameter; it
     must not contradict the parameters (the quadratic branch tolerates
-    |A| <= 1e-4 so near-separatrix limits can be probed).  With
-    ``general=True`` the dimension-independent formula is used as a
-    cross-check path; the dimension-specialized forms are authoritative.
-    R may be a scalar or an array.
+    |A| <= 1e-4 so near-separatrix limits can be probed).  A value that
+    fits in a double is finite, one past it +-inf.  R may be a scalar or an array.
     """
-    _check_case(params, case)
-    return _boundary_eval(params, case, xi, R, general=general)
+    _, a = _check_case(params, case)
+    out = _boundary_eval(params, case, xi, R)
+    if case is Sign.NEGATIVE:
+        out = _times_exp(out, a * np.asarray(R, dtype=np.float64))
+    return out
 
 
-def _boundary_eval(params: ModelParams, case: Sign, xi: float, R, general: bool = False,
-                   scaled: bool = False):
+def _times_exp(x, e):
+    """x e^e, with e^e applied in two halves: finite wherever x e^e fits a double."""
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * e)
+        return x * half * half
+
+
+def _boundary_eval(params: ModelParams, case: Sign, xi: float, R):
     """Branch dispatch without the case gate (the quadratic branch is exact
     for parabola densities at any parameters; the convolution module relies
-    on that).  ``scaled`` gives Btilde(xi) e^{-aR} on the exponential branch
-    (A < 0), which stays finite for any aR; the other branches ignore it."""
+    on that).  On the exponential branch (A < 0) it gives Btilde(xi) e^{-aR},
+    which stays finite for any aR."""
     A, a = aggregate_param(params)
     arr = np.atleast_1d(np.asarray(R, dtype=np.float64))
     scalar = np.asarray(R).ndim == 0
     if np.any(arr <= 0.0):
         raise BracketFailureError("boundary_coeff requires R > 0")
     n, k = params.n, params.k
-    if general:
-        out = _boundary_general(n, k, a, case, xi, arr)
-    elif case is Sign.ZERO:
+    if case is Sign.ZERO:
         out = _boundary_zero(n, k, xi, arr)
     elif n == 3:
-        out = _boundary_3d(k, a, case, xi, arr, scaled)
+        out = _boundary_3d(k, a, case, xi, arr)
     else:
-        out = _boundary_2d(k, a, case, xi, arr, *_radial_2d(a, case, arr, scaled))
+        out = _boundary_2d(k, a, case, xi, arr, *_radial_2d(a, case, arr))
     return float(out[0]) if scalar else out
 
 
-def _boundary_3d(k, a, case, xi, R, scaled=False):
+def _boundary_3d(k, a, case, xi, R):
     pref = math.sqrt(2.0 / (a * math.pi)) * k / (k * R + xi)
     if case is Sign.POSITIVE:
         gain = 1.0 / (1.0 + (a * xi / k) ** 2)
         return pref * gain * (np.sin(a * R) + (a * xi / k) * np.cos(a * R))
     gain = 1.0 / (1.0 - (a * xi / k) ** 2)
-    if scaled:  # sinh(aR) e^{-aR} and cosh(aR) e^{-aR}
-        sinh, cosh = -0.5 * np.expm1(-2.0 * a * R), 0.5 + 0.5 * np.exp(-2.0 * a * R)
-    else:
-        sinh, cosh = np.sinh(a * R), np.cosh(a * R)
+    # sinh(aR) e^{-aR} and cosh(aR) e^{-aR}
+    sinh, cosh = -0.5 * np.expm1(-2.0 * a * R), 0.5 + 0.5 * np.exp(-2.0 * a * R)
     return pref * gain * (sinh + (a * xi / k) * cosh)
 
 
-def _radial_2d(a, case, R, scaled=False):
-    """(J_0(aR), J_1(aR)) on the positive branch, (I_0(aR), I_1(aR)) on the
-    negative one, times e^{-aR} if ``scaled``: the R-dependence of
-    Btilde(xi) shared by every xi."""
+def _radial_2d(a, case, R):
+    """(J_0(aR), J_1(aR)) on the positive branch, e^{-aR} (I_0(aR), I_1(aR))
+    on the negative one: the R-dependence of Btilde(xi) shared by every xi."""
     aR = a * R
     if case is Sign.POSITIVE:
         return specfun.bessel_j(0.0, aR), specfun.bessel_j(1.0, aR)
-    return specfun.bessel_i(0.0, aR, scaled=scaled), specfun.bessel_i(1.0, aR, scaled=scaled)
+    return specfun.bessel_i(0.0, aR, scaled=True), specfun.bessel_i(1.0, aR, scaled=True)
 
 
 def _k_ratio_2d(k, xi, R):
@@ -224,6 +231,8 @@ def _boundary_zero(n, k, xi, R):
 
 
 def _boundary_general(n, k, a, case, xi, R):
+    """Btilde(xi) by the dimension-independent formula, a test reference; times
+    e^{-aR} on the negative branch (exact: the formula is linear in I)."""
     half = 0.5 * n
     if case is Sign.ZERO:
         return _boundary_zero(n, k, xi, R)
@@ -237,8 +246,8 @@ def _boundary_general(n, k, a, case, xi, R):
         f_lo = specfun.bessel_j(half - 2.0, a * R)
     else:
         gain = 1.0 / (1.0 - (a * xi / k) ** 2)
-        f_hi = specfun.bessel_i(half - 1.0, a * R)
-        f_lo = specfun.bessel_i(half - 2.0, a * R)
+        f_hi = specfun.bessel_i(half - 1.0, a * R, scaled=True)
+        f_lo = specfun.bessel_i(half - 2.0, a * R, scaled=True)
     return (
         R ** (1.0 - half)
         * gain
@@ -324,9 +333,8 @@ def flock_determinant(params: ModelParams, R):
             c1 = (C - 1.0) * a * ell**2 / (k * (1.0 - ell**2)) * (
                 kr_l / (C * ell) - kr_1
             )
-            f0, f1 = _radial_2d(a, Sign.NEGATIVE, arr, scaled=True)
-            with np.errstate(over="ignore"):
-                out = (c0 * f0 + c1 * f1) * np.exp(a * arr)
+            f0, f1 = _radial_2d(a, Sign.NEGATIVE, arr)
+            out = _times_exp(c0 * f0 + c1 * f1, a * arr)
     return float(out[0]) if scalar else out
 
 
@@ -428,18 +436,20 @@ def enumerate_roots(
     return [(r, j) for j, r in enumerate(roots, start=1)]
 
 
-def _radial_j(n: int, a: float, r):
-    """r^{1-n/2} J_{n/2-1}(a r) with its finite r -> 0 limit."""
+def _radial_j(n: int, a: float, r, case: Sign = Sign.POSITIVE):
+    """r^{1-n/2} J_{n/2-1}(a r) on the positive branch and
+    r^{1-n/2} e^{-a r} I_{n/2-1}(a r) on the negative one, with the finite
+    r -> 0 limit (a/2)^{n/2-1} / Gamma(n/2) that both share."""
     r = np.asarray(r, dtype=np.float64)
     out = np.empty_like(r)
     zero = r == 0.0
     out[zero] = (0.5 * a) ** (0.5 * n - 1.0) / math.gamma(0.5 * n)
     nz = ~zero
     if np.any(nz):
-        if n == 2:
-            out[nz] = specfun.bessel_j(0.0, a * r[nz])
-        else:
-            out[nz] = r[nz] ** -0.5 * specfun.bessel_j(0.5, a * r[nz])
+        nu, x = 0.5 * n - 1.0, a * r[nz]
+        pos = case is Sign.POSITIVE
+        val = specfun.bessel_j(nu, x) if pos else specfun.bessel_i(nu, x, scaled=True)
+        out[nz] = r[nz] ** (1.0 - 0.5 * n) * val
     return out
 
 
@@ -513,27 +523,34 @@ def solve_profile(
     return profile
 
 
+def _mode_weights(params: ModelParams, case: Sign, R: float, mu1: float, mu2: float):
+    """Scaled growing-mode weights (w_l, w_1) and their shift s: lambda_1 =
+    -(R^{n/2}/k) w_l e^{s - kR/ell} and lambda_2 = (R^{n/2}/k) w_1 e^{s - kR}.
+    The caps Btilde(xi) mu1 + mu2 are formed times e^{-s}, with s = aR on the
+    exponential branch, where they grow as e^{aR}, and 0 on the others."""
+    A, a = aggregate_param(params)
+    n, C, ell, k = params.n, params.C, params.ell, params.k
+    half = 0.5 * n
+    shift = a * R if case is Sign.NEGATIVE else 0.0
+    cap_l = _boundary_eval(params, case, ell, R) * mu1 + mu2 * math.exp(-shift)
+    cap_1 = _boundary_eval(params, case, 1.0, R) * mu1 + mu2 * math.exp(-shift)
+    w_l = C * ell ** (n - 1.0) * cap_l * specfun.bessel_k(half, k * R / ell, scaled=True)
+    w_1 = cap_1 * specfun.bessel_k(half, k * R, scaled=True)
+    return w_l, w_1, shift
+
+
 def mode_coeffs(
     params: ModelParams, R: float, mu1: float, mu2: float
 ) -> ModeCoefficients:
     """Growing-mode weights lambda_1, lambda_2 for the density direction
-    (mu1, mu2) at support radius R; both vanish exactly at a solved profile."""
-    A, a = aggregate_param(params)
-    case = _case_of(A)
-    n, C, ell, k = params.n, params.C, params.ell, params.k
-    b_l = boundary_coeff(params, case, ell, R)
-    b_1 = boundary_coeff(params, case, 1.0, R)
-    cap_l = b_l * mu1 + mu2
-    cap_1 = b_1 * mu1 + mu2
-    half = 0.5 * n
-    lam1 = (
-        -C
-        * (R**half / k)
-        * ell ** (n - 1.0)
-        * cap_l
-        * specfun.bessel_k(half, k * R / ell)
-    )
-    lam2 = (R**half / k) * cap_1 * specfun.bessel_k(half, k * R)
+    (mu1, mu2) at support radius R; both vanish exactly at a solved profile.
+    Each is finite wherever its value fits in a double."""
+    A, _ = aggregate_param(params)
+    w_l, w_1, shift = _mode_weights(params, _case_of(A), R, mu1, mu2)
+    ell, k = params.ell, params.k
+    scale = R ** (0.5 * params.n) / k
+    lam1 = -_times_exp(scale * w_l, shift - k * R / ell)
+    lam2 = _times_exp(scale * w_1, shift - k * R)
     return ModeCoefficients(lambda1=float(lam1), lambda2=float(lam2))
 
 
@@ -551,8 +568,10 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
     leading-order balance equation, refined by the bracketed Brent solver
     below the first zero of J_0 (lower).
     Far from the requested limit a LimitMismatchWarning is emitted but the
-    formula value is still returned.
+    formula value is still returned.  Raises NoRootError where A <= 0 and
+    RegimeError outside the biologically relevant regime, as the solver does.
     """
+    A, a = _require_positive_A(params, allow_nonbiological=False)
     n, C, ell, k = params.n, params.C, params.ell, params.k
     if n == 3:
         cl3 = C * ell**3
@@ -575,14 +594,11 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
         )
         return math.pi * math.sqrt(C * ell - 1.0) / (2.0 * k * math.sqrt(C * C - 1.0))
     # n == 2
-    A, a = aggregate_param(params)
     if limit is EllLimit.UPPER:
         _warn_if_far(
             0.0 < 1.0 - C * ell**2 < 0.25,
             f"ell = {ell} is not close to C^(-1/2) = {C ** -0.5:.6g}",
         )
-        if A <= 0.0:
-            raise NoRootError("2-D upper-limit asymptotics require A > 0")
         return _j1_zero(1) / a
     _warn_if_far(ell < 0.2 * C**-0.5, f"ell = {ell} is not close to 0")
     s = math.sqrt(C - 1.0)

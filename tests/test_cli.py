@@ -495,6 +495,28 @@ def test_asymptotics_sweep_trend(tmp_path):
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
+@pytest.mark.parametrize("flags", [
+    ["--ratio", "0"],
+    ["--ratio", "inf"],
+    ["--delta0", "0"],
+    ["--steps", "0"],
+    ["--steps", "-2"],
+    ["--ratio", "-5"],
+    ["--delta0", "-0.01"],
+], ids=["ratio_0", "ratio_inf", "delta0_0", "steps_0", "steps_neg", "ratio_neg", "delta0_neg"])
+def test_asymptotics_rejects_bad_inputs(tmp_path, capsys, flags):
+    # the first three once ended in a ZeroDivisionError traceback, the
+    # --steps cases wrote a header-only CSV and the last two exited 5 with
+    # only "math domain error"
+    out = tmp_path / "asym.csv"
+    assert main(["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2",
+                 "--sweep-ell", "upper", *flags, "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flags[0] in err
+    assert not out.exists()
+
+
 # ------------------------------------------------- simulate + compare chain
 
 
@@ -645,6 +667,39 @@ def test_specfun_table_matches_golden_file(tmp_path):
     )
     golden = Path(__file__).parent / "data" / "specfun_golden.csv"
     assert read(out) == golden.read_bytes()
+
+
+@pytest.mark.parametrize("grid", [
+    "foo:0.1:1:3",
+    "log:0.1:1:0",
+    "log:0.1:1",
+    "log:0:1:3",
+    "lin:0.1:nan:3",
+    "lin:0.1:1:2.5",
+])
+def test_specfun_table_rejects_bad_x_grid(tmp_path, capsys, grid):
+    # the first once ran as a linear grid, the second wrote a header-only
+    # CSV, the third exited 5 with an unpacking message
+    out = tmp_path / "sf.csv"
+    assert main(["specfun-table", "--x-grid", grid, "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: --x-grid") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compare_rejects_zero_bins(tmp_path, capsys):
+    # once exited 0 with l1_error = 1.0002 from an empty histogram
+    profile = str(tmp_path / "prof")
+    assert main(["solve", *REF3D_FLAGS, "-o", profile]) == 0
+    state = tmp_path / "state.csv"
+    state.write_text("x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    out = tmp_path / "cmp"
+    capsys.readouterr()
+    assert main(["compare", "--state", str(state), "--profile", profile + ".json",
+                 "--bins", "0", "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not Path(str(out) + ".json").exists()
 
 
 def test_specfun_table_hidden_from_help(capsys):

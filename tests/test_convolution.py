@@ -354,6 +354,47 @@ def test_wrhosol_mode_identity():
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
+def _i_mode(n, beta, r, lam):
+    """lam r^{1-n/2} I_{n/2-1}(beta r), with e^{beta r} applied in two halves
+    so that a tiny lam times a large I stays representable."""
+    nu = 0.5 * n - 1.0
+    if r == 0.0:
+        return lam * (0.5 * beta) ** nu / math.gamma(0.5 * n)
+    half = np.exp(0.5 * beta * r)
+    return lam * r ** (1.0 - 0.5 * n) * sf.bessel_i(nu, beta * r, scaled=True) * half * half
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    ell=st.floats(0.3, 0.95),
+    c=st.floats(1.05, 3.0),
+    k=st.floats(0.05, 2.0),
+    aR=st.floats(0.01, 50.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_wrhosol_mode_identity_exponential_branch_property(n, ell, c, k, aR, theta, fracs):
+    # the identity above over A < 0 draws with a_negative_draw's marginals
+    # (C = c ell^-n) and any direction (mu1, mu2), on which both sides are
+    # linear; the bound is relative to the value, or to the sum of the three
+    # terms' sizes where they cancel
+    from flockdyn.solver import mode_coeffs
+
+    mu1, mu2 = math.cos(theta), math.sin(theta)
+    params = ModelParams(n, c * ell**-n, ell, k)
+    _, a = aggregate_param(params)
+    R = aR / a
+    mc = mode_coeffs(params, R, mu1, mu2)
+    C = params.C
+    for r in (f * R for f in fracs):
+        terms = (mu2 * (C * ell**n - 1.0) / k**2, _i_mode(n, k / ell, r, mc.lambda1),
+                 _i_mode(n, k, r, mc.lambda2))
+        lhs = convolution_closed_at(params, R, mu1, mu2, r)
+        size = sum(map(abs, terms))
+        assert lhs == pytest.approx(sum(terms), rel=1e-11, abs=1e-11 * size)
+
+
 # --------------------------------------------------------- brute-force rigs
 
 

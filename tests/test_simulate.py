@@ -257,6 +257,14 @@ def test_histogram_single_shell():
     assert np.argmax(hist.density) == 9
 
 
+@pytest.mark.parametrize("bins", [0, -1, 4])
+def test_histogram_rejects_bins_outside_one_to_n(bins):
+    # bins = 0 once gave an empty histogram that compare scored as l1 = 1.0002
+    state = ParticleState(positions=np.eye(3), velocities=None)
+    with pytest.raises(DomainError):
+        radial_histogram(state, bins)
+
+
 def test_histogram_mass_is_one():
     rng = np.random.default_rng(1)
     state = ParticleState(positions=rng.normal(size=(50_000, 3)), velocities=None)

@@ -103,6 +103,7 @@ def test_boundary_2d_at_j0_zero():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_boundary_general_formula_cross_check(n):
+    # the negative branch compares the scaled values Btilde e^{-aR}
     rng = np.random.default_rng(5 + n)
     for _ in range(6):
         params = region_i_draw(rng, n)
@@ -110,14 +111,14 @@ def test_boundary_general_formula_cross_check(n):
         for xi in (params.ell, 1.0):
             for R in (0.3 / a, 2.0 / a, 8.0 / a):
                 s = boundary_coeff(params, Sign.POSITIVE, xi, R)
-                g = boundary_coeff(params, Sign.POSITIVE, xi, R, general=True)
+                g = sv._boundary_general(n, params.k, a, Sign.POSITIVE, xi, R)
                 assert s == pytest.approx(g, rel=1e-10)
         params = a_negative_draw(rng, n)
         _, a = aggregate_param(params)
         for xi in (params.ell, 1.0):
             for R in (0.5 / a, 3.0 / a):
-                s = boundary_coeff(params, Sign.NEGATIVE, xi, R)
-                g = boundary_coeff(params, Sign.NEGATIVE, xi, R, general=True)
+                s = sv._boundary_eval(params, Sign.NEGATIVE, xi, R)
+                g = sv._boundary_general(n, params.k, a, Sign.NEGATIVE, xi, R)
                 assert s == pytest.approx(g, rel=1e-10)
 
 
@@ -526,6 +527,70 @@ def test_mode_coeffs_nonzero_off_root():
     assert max(abs(mc.lambda1), abs(mc.lambda2)) > 1e-4
 
 
+def _exponential_branch_mpmath(params, a, R, mu1, mu2):
+    """(Btilde(ell), Btilde(1), lambda1, lambda2) on the exponential branch,
+    with mpmath's sinh, cosh, I and K at 50 digits, from the float a and R."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    n, C, ell, k = params.n, mp.mpf(params.C), mp.mpf(params.ell), mp.mpf(params.k)
+    a, R = mp.mpf(a), mp.mpf(R)
+    half = mp.mpf(n) / 2
+
+    def btilde(xi):
+        gain = 1 / (1 - (a * xi / k) ** 2)
+        if n == 3:
+            pref = mp.sqrt(2 / (a * mp.pi)) * k / (k * R + xi)
+            return pref * gain * (mp.sinh(a * R) + (a * xi / k) * mp.cosh(a * R))
+        ratio = mp.besselk(0, k * R / xi) / mp.besselk(1, k * R / xi)
+        return gain * (mp.besseli(0, a * R) + (a * xi / k) * mp.besseli(1, a * R) * ratio)
+
+    b_l, b_1 = btilde(ell), btilde(1)
+    lam1 = -C * R**half / k * ell ** (n - 1) * (b_l * mu1 + mu2) * mp.besselk(half, k * R / ell)
+    lam2 = R**half / k * (b_1 * mu1 + mu2) * mp.besselk(half, k * R)
+    return b_l, b_1, lam1, lam2
+
+
+def _exponential_point(n, aR):
+    """C = 3, ell = 0.9, k = 1 with R set so that a R = aR."""
+    params = ModelParams(n, 3.0, 0.9, 1.0)
+    _, a = aggregate_param(params)
+    return params, a, aR / a
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("aR", [5.0, 300.0, 705.0, 710.0, 715.0])
+def test_mode_coeffs_match_mpmath_on_the_exponential_branch(n, aR):
+    # the raw Btilde grows as e^{aR} and K_{n/2}(kR/xi) decays: their
+    # product once gave nan from aR = 705 on, and overflowed past 710
+    params, a, R = _exponential_point(n, aR)
+    mc = mode_coeffs(params, R, 1.0, 0.5)
+    *_, lam1, lam2 = _exponential_branch_mpmath(params, a, R, 1.0, 0.5)
+    for got, want in ((mc.lambda1, float(lam1)), (mc.lambda2, float(lam2))):
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("aR", [5.0, 300.0, 705.0, 710.0, 715.0])
+def test_boundary_coeff_negative_branch_matches_mpmath(n, aR):
+    # finite wherever the value fits in a double, +inf past it, and never a
+    # warning (the suite turns RuntimeWarning into an error)
+    params, a, R = _exponential_point(n, aR)
+    b_l, b_1, *_ = _exponential_branch_mpmath(params, a, R, 1.0, 0.5)
+    for xi, want in ((params.ell, float(b_l)), (1.0, float(b_1))):
+        got = boundary_coeff(params, Sign.NEGATIVE, xi, R)
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert np.array_equal(boundary_coeff(params, Sign.NEGATIVE, xi, np.array([R])), [got])
+    if aR == 710.0:
+        assert float(b_1) == pytest.approx(5.5285e307 if n == 2 else 1.6882e306, rel=1e-4)
+    if aR == 715.0:
+        assert boundary_coeff(params, Sign.NEGATIVE, 1.0, R) == math.inf
+
+
 # -------------------------------------------------------------- asymptotics
 
 
@@ -573,6 +638,18 @@ def test_asymptotic_radius_2d_lower_limit():
         errs.append(abs(r_formula / r_solver - 1.0))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.02
+
+
+@pytest.mark.parametrize("params, limit, error", [
+    (ModelParams(3, 1.255, 1.255 ** (-1 / 3.0), 0.2), EllLimit.UPPER, NoRootError),
+    (ModelParams(3, 1.255, 0.5, 0.2), EllLimit.LOWER, NoRootError),
+    (ModelParams(2, 0.9, 0.5, 0.2), EllLimit.LOWER, NoRootError),
+    (ModelParams(3, 0.3, 2.0, 0.2), EllLimit.UPPER, RegimeError),
+], ids=["3d_at_upper_end", "3d_below_lower_end", "2d_C_below_1", "3d_A_positive_ell_2"])
+def test_asymptotic_radius_rejects_parameters_outside_region_i(params, limit, error):
+    # the first once divided by zero, the next two raised "math domain error"
+    with pytest.raises(error):
+        asymptotic_radius(params, limit)
 
 
 def test_asymptotic_radius_warns_far_from_limit():
