@@ -39,6 +39,7 @@ from .potentials import (
     QuasiMorse,
     Region,
     Sign,
+    aggregate_param,
     phase_grid,
 )
 from .convolution import verify_flock
@@ -56,6 +57,7 @@ from .simulate import (
 from .solver import (
     EllLimit,
     FlockProfile,
+    _bracket_edges,
     asymptotic_radius,
     density_eval,
     enumerate_roots,
@@ -274,13 +276,12 @@ def _cmd_roots(args) -> int:
     roots = enumerate_roots(
         params, args.count, allow_nonbiological=args.allow_nonbiological
     )
-    _, bracket = find_support_radius(
-        params, allow_nonbiological=args.allow_nonbiological
-    )
+    # the first bracket is the one the enumeration refined its first root on
+    lo, hi = _bracket_edges(params, aggregate_param(params)[1], 1)
     meta = {"subcommand": "roots", **params.to_dict(), "count": args.count}
     payload = {
         "roots": [{"R": r, "index": j} for r, j in roots],
-        "first_bracket": {"lo": bracket.lo, "hi": bracket.hi},
+        "first_bracket": {"lo": lo, "hi": hi},
     }
     _write_json(args.output, payload, meta)
     for r, j in roots:
@@ -301,7 +302,12 @@ def _cmd_asymptotics(args) -> int:
     else:
         ell_hi, ell_lo = C**-0.5, 1e-3
     rows = []
-    deltas = [args.delta0 * args.ratio**-m for m in range(args.steps)]
+    try:
+        deltas = [args.delta0 * args.ratio**-m for m in range(args.steps)]
+    except OverflowError:
+        deltas = [math.inf]
+    if not math.isfinite(deltas[-1]):
+        raise _UsageError(f"--delta0 * --ratio^-m overflows for m < --steps = {args.steps}")
     for d in deltas:
         if n == 3:
             ell = ell_hi * (1.0 - d) if limit is EllLimit.UPPER else ell_lo * (1.0 + d)

@@ -197,7 +197,7 @@ def _running_sum(pieces, decay):
     return out
 
 
-def convolution_quadrature(density, potential: QuasiMorse, R: float, r, tol: float = None):
+def convolution_quadrature(density, potential: QuasiMorse, R: float, r):
     """W * rho at radii r >= 0 by adaptive quadrature of the radial reduction
     W * rho = -F_k + C ell^{n-2} F_{k/ell}, with nu = n/2 - 1 and
 
@@ -208,13 +208,13 @@ def convolution_quadrature(density, potential: QuasiMorse, R: float, r, tol: flo
     pass serves every radius and both scales.  Its panels start at 0, R and
     the radii inside (0, R); a panel is accepted when its Gauss rule and the
     sum of those on its halves agree for all four integrals, each to a share
-    of ``tol`` proportional to its width, and the failing panels of a level
-    are halved together (QuadratureNonConvergenceError past _MAX_DEPTH
+    of the tolerance proportional to its width, and a level's failing
+    panels are halved together (QuadratureNonConvergenceError past _MAX_DEPTH
     levels or _MAX_SPLITS splits, or at once on a non-finite integrand).
     The integrals over [0, r] and [r, R] are forward and backward running
     sums over the accepted panels with decay factors e^{-k width} <= 1.
-    ``tol`` is the absolute tolerance per integral; by default it is 1e-10
-    of the integrals' scale read from the first panels.
+    The absolute tolerance per integral is 1e-10 of the integrals' scale
+    read from the first panels.
     """
     params = potential.params
     n, C, ell, k = params.n, params.C, params.ell, params.k
@@ -230,9 +230,8 @@ def convolution_quadrature(density, potential: QuasiMorse, R: float, r, tol: flo
     a, b = edges[:-1], edges[1:]
     whole = _panel_pieces(n, scales, density, a, b)
     _check_finite(whole, a, b, 0)
-    if tol is None:
-        sums = np.abs(whole).sum(axis=0) * np.array([[1.0], [weight]])
-        tol = 1e-10 * max(float(sums.max()), 1e-280)
+    sums = np.abs(whole).sum(axis=0) * np.array([[1.0], [weight]])
+    tol = 1e-10 * max(float(sums.max()), 1e-280)
     done = []
     splits = 0
     for depth in range(_MAX_DEPTH + 1):

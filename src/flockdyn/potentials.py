@@ -11,9 +11,12 @@ to ``(1/(2 pi)) (C K_0(k r/ell) - K_0(k r))`` in 2-D.  Attraction strength
 and length scale are normalized to one, so the model is the tuple
 (n, C, ell, k).
 
-The module also evaluates radial force magnitudes U'(r), the aggregate
-parameter ``A = k^2 (1 - C ell^n) / (C ell^n - ell^2)`` whose sign decides
-flock existence, and the (C, ell) phase-diagram classification.
+This module alone knows the potential kinds.  One private evaluator,
+``_evaluate``, holds each kind's formulas for U and the radial force
+magnitude U' once, and the public evaluators are its projections;
+``_length_scale`` holds each kind's length scale.  The module also gives
+the aggregate parameter ``A = k^2 (1 - C ell^n) / (C ell^n - ell^2)``,
+whose sign decides flock existence, and the (C, ell) phase diagram.
 """
 
 from __future__ import annotations
@@ -131,13 +134,6 @@ def _positive_radii(r):
     return arr, scalar
 
 
-def quasi_morse_u(params: ModelParams, r):
-    """Quasi-Morse potential U(r); r > 0, scalar or array."""
-    arr, scalar = _positive_radii(r)
-    out, _ = _quasi_morse_u_du(params, arr, force=False)
-    return float(out[0]) if scalar else out
-
-
 def _raw_k(nu: float, x, lower: bool, upper: bool):
     """(K_nu(x), K_{nu+1}(x)), each None unless asked for, as ``bessel_k``
     forms them; both together come from one ``bessel_k_pair`` evaluation,
@@ -150,73 +146,85 @@ def _raw_k(nu: float, x, lower: bool, upper: bool):
     return scaled_lower * decay, scaled_upper * decay
 
 
-def _quasi_morse_u_du(params: ModelParams, arr, value: bool = True, force: bool = True):
-    """(U(r), U'(r)) of the Quasi-Morse potential at the radii ``arr`` > 0,
-    each None unless asked for.
+def _evaluate(spec: PotentialSpec, arr, value: bool = True, force: bool = True):
+    """(U(r), U'(r)) of any supported kind at the radii ``arr`` > 0, each
+    None unless asked for; every kind's formulas are written here once.
 
-    With nu = n/2 - 1, U carries K_nu and, since
+    Each Bessel pair or exponential that U and U' share is computed once.
+    For Quasi-Morse, with nu = n/2 - 1, U carries K_nu and, since
     d/dr [r^{-nu} K_nu(b r)] = -b r^{-nu} K_{nu+1}(b r), U' carries
     K_{nu+1}: asked for both, one Bessel evaluation per length scale serves
     them.  Temporaries are dropped as soon as they are used."""
-    n, C, ell, k = params.n, params.C, params.ell, params.k
-    half = 0.5 * n
-    nu = half - 1.0
-    att_u, att_du = _raw_k(nu, k * arr, value, force)
-    rep_u, rep_du = _raw_k(nu, k * arr / ell, value, force)
-    power = arr ** (1.0 - half)
-    norm = _TWO_PI ** (-half)
     u = du = None
-    if value:
-        u = norm * k**nu * power * (C * ell**nu * rep_u - att_u)
-        del att_u, rep_u
-    if force:
-        du = norm * k**half * power * (att_du - C * ell ** (half - 2.0) * rep_du)
+    if isinstance(spec, QuasiMorse):
+        n, C, ell, k = spec.params.n, spec.params.C, spec.params.ell, spec.params.k
+        half = 0.5 * n
+        nu = half - 1.0
+        att_u, att_du = _raw_k(nu, k * arr, value, force)
+        rep_u, rep_du = _raw_k(nu, k * arr / ell, value, force)
+        power = arr ** (1.0 - half)
+        norm = _TWO_PI ** (-half)
+        if value:
+            u = norm * k**nu * power * (C * ell**nu * rep_u - att_u)
+            del att_u, rep_u
+        if force:
+            du = norm * k**half * power * (att_du - C * ell ** (half - 2.0) * rep_du)
+    elif isinstance(spec, Morse):
+        rep, att = np.exp(-arr / spec.ell_R), np.exp(-arr / spec.ell_A)
+        if value:
+            u = spec.C_R * rep - spec.C_A * att
+        if force:
+            du = -spec.C_R / spec.ell_R * rep + (spec.C_A / spec.ell_A) * att
+    elif isinstance(spec, MorseLike):
+        p, C, ell = spec.p, spec.C, spec.ell
+        scaled = arr / ell
+        inner, outer = np.exp(-(arr**p) / p), np.exp(-(scaled**p) / p)
+        if value:
+            u = -inner + C * outer
+        if force:
+            du = arr ** (p - 1.0) * inner - (C / ell) * scaled ** (p - 1.0) * outer
+    else:
+        raise TypeError(f"not a potential spec: {spec!r}")
     return u, du
+
+
+def _project(spec: PotentialSpec, r, value: bool = True, force: bool = True):
+    """``_evaluate`` at r > 0, scalar or array; a scalar r gives floats."""
+    arr, scalar = _positive_radii(r)
+    u, du = _evaluate(spec, arr, value, force)
+    if scalar:
+        return (None if u is None else float(u[0]), None if du is None else float(du[0]))
+    return u, du
+
+
+def quasi_morse_u(params: ModelParams, r):
+    """Quasi-Morse potential U(r); r > 0, scalar or array."""
+    return _project(QuasiMorse(params), r, force=False)[0]
 
 
 def potential_value(spec: PotentialSpec, r):
     """U(r) for any supported potential kind; r > 0, scalar or array."""
-    if isinstance(spec, QuasiMorse):
-        return quasi_morse_u(spec.params, r)
-    arr, scalar = _positive_radii(r)
-    if isinstance(spec, Morse):
-        out = spec.C_R * np.exp(-arr / spec.ell_R) - spec.C_A * np.exp(-arr / spec.ell_A)
-    elif isinstance(spec, MorseLike):
-        p, C, ell = spec.p, spec.C, spec.ell
-        out = -np.exp(-(arr**p) / p) + C * np.exp(-((arr / ell) ** p) / p)
-    else:
-        raise TypeError(f"not a potential spec: {spec!r}")
-    return float(out[0]) if scalar else out
+    return _project(spec, r, force=False)[0]
 
 
 def potential_force_magnitude(spec: PotentialSpec, r):
     """Radial derivative U'(r), so that grad W(x) = U'(|x|) x/|x|."""
-    arr, scalar = _positive_radii(r)
-    if isinstance(spec, QuasiMorse):
-        _, out = _quasi_morse_u_du(spec.params, arr, value=False)
-    elif isinstance(spec, Morse):
-        out = -spec.C_R / spec.ell_R * np.exp(-arr / spec.ell_R) + (
-            spec.C_A / spec.ell_A
-        ) * np.exp(-arr / spec.ell_A)
-    elif isinstance(spec, MorseLike):
-        p, C, ell = spec.p, spec.C, spec.ell
-        out = arr ** (p - 1.0) * np.exp(-(arr**p) / p) - (C / ell) * (
-            arr / ell
-        ) ** (p - 1.0) * np.exp(-((arr / ell) ** p) / p)
-    else:
-        raise TypeError(f"not a potential spec: {spec!r}")
-    return float(out[0]) if scalar else out
+    return _project(spec, r, value=False)[1]
 
 
 def potential_value_and_force(spec: PotentialSpec, r):
     """(U(r), U'(r)), each equal bit for bit to ``potential_value`` and
-    ``potential_force_magnitude``; for Quasi-Morse both come from one
-    Bessel evaluation per length scale."""
-    if not isinstance(spec, QuasiMorse):
-        return potential_value(spec, r), potential_force_magnitude(spec, r)
-    arr, scalar = _positive_radii(r)
-    u, du = _quasi_morse_u_du(spec.params, arr)
-    return (float(u[0]), float(du[0])) if scalar else (u, du)
+    ``potential_force_magnitude``, from one evaluation of what they share."""
+    return _project(spec, r)
+
+
+def _length_scale(spec: PotentialSpec) -> float:
+    """A potential's length scale: ell_R for Morse, ell for the others."""
+    if isinstance(spec, QuasiMorse):
+        return spec.params.ell
+    if isinstance(spec, Morse):
+        return spec.ell_R
+    return spec.ell
 
 
 #: integer codes of the phase rule: indices into these tuples
@@ -355,22 +363,18 @@ def morse_like_regime(spec: MorseLike, n: int) -> tuple[bool, bool]:
     return relevant, h_stable
 
 
-def minimum_radius(spec: PotentialSpec, r_lo: float = None, r_hi: float = None) -> float:
-    """Radius of the potential minimum: a geometric scan finds the first
-    sign change of U' from - to +, and the bracketed Brent solver refines it.
+def minimum_radius(spec: PotentialSpec) -> float:
+    """Radius of the potential minimum: a geometric scan of 512 points over
+    [1e-4, 1e3] times the potential's length scale (over max(k, 1e-6)
+    for Quasi-Morse) finds the first sign change of U' from - to +, and the
+    bracketed Brent solver refines it.
 
     Raises DomainError if no sign change is found in the scan window.
     """
+    scale = _length_scale(spec)
     if isinstance(spec, QuasiMorse):
-        scale = spec.params.ell / max(spec.params.k, 1e-6)
-    elif isinstance(spec, Morse):
-        scale = spec.ell_R
-    else:
-        scale = spec.ell
-    lo = r_lo if r_lo is not None else 1e-4 * scale
-    hi = r_hi if r_hi is not None else 1e3 * scale
-
-    grid = np.geomspace(lo, hi, 512)
+        scale /= max(spec.params.k, 1e-6)
+    grid = np.geomspace(1e-4 * scale, 1e3 * scale, 512)
     vals = potential_force_magnitude(spec, grid)
     sign_change = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]
     if len(sign_change) == 0:

@@ -71,12 +71,10 @@ import numpy as np
 from ._codec import Record
 from .errors import DomainError, NumericalBlowupError
 from .potentials import (
-    Morse,
-    MorseLike,
     PotentialSpec,
-    QuasiMorse,
+    _evaluate,
+    _length_scale,
     potential_force_magnitude,
-    potential_value,
     potential_value_and_force,
 )
 from .solver import FlockProfile, _mass_closed, density_eval
@@ -141,14 +139,14 @@ class SimConfig(Record):
         if self.model not in ("first", "second"):
             raise DomainError("model must be 'first' or 'second'")
         if self.dt is None:
-            object.__setattr__(self, "dt", 0.01 * min(1.0, self._ell()))
+            object.__setattr__(self, "dt", 0.01 * min(1.0, _length_scale(self.potential)))
         _check_scale("dt", self.dt)
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError("alpha and beta must be finite")
         if self.model == "second" and not (self.alpha > 0.0 and self.beta > 0.0):
             raise DomainError("second-order runs need alpha, beta > 0")
         if self.min_separation is None:
-            object.__setattr__(self, "min_separation", 1e-6 * self._ell())
+            object.__setattr__(self, "min_separation", 1e-6 * _length_scale(self.potential))
         _check_scale("min_separation", self.min_separation)
         _check_scale("blowup_bound", self.blowup_bound)
         if not (self.convergence_tol >= 0.0 and math.isfinite(self.convergence_tol)):
@@ -157,14 +155,6 @@ class SimConfig(Record):
             raise DomainError("steps must be non-negative")
         if self.record_stride < 1:
             raise DomainError("record_stride must be at least 1")
-
-    def _ell(self) -> float:
-        pot = self.potential
-        if isinstance(pot, QuasiMorse):
-            return pot.params.ell
-        if isinstance(pot, Morse):
-            return pot.ell_R
-        return pot.ell
 
 
 @dataclass
@@ -243,8 +233,9 @@ class _ForceModel:
     on 2000 x 2000 pairs the closed forms of 3-D Quasi-Morse and Morse-like
     measured 1.5x slower than the lookup.  32768 nodes keep every table
     within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
-    towards min_sep and needed more than 16384.  ``tabulated=False``
-    evaluates the potential directly and is the exact reference.
+    towards min_sep and needed more than 16384.  ``tabulated=False`` is the
+    exact reference: one ``potentials._evaluate`` call per block forms U'
+    and U at max(d, min_sep), each only when the pass asks for it.
 
     ``last_pass`` is None or the (positions, accelerations) of the last
     force pass the next step may start from (see the module docstring)."""
@@ -315,13 +306,8 @@ class _ForceModel:
                 w = interpolate(self._w_tab, s)
         else:
             d = np.sqrt(d2)
-            r_eff = np.maximum(d, self.min_sep)
-            if with_forces and with_energy:
-                u, force = potential_value_and_force(self.potential, r_eff)
-            elif with_forces:
-                force = potential_force_magnitude(self.potential, r_eff)
-            else:
-                u = potential_value(self.potential, r_eff)
+            u, force = _evaluate(self.potential, np.maximum(d, self.min_sep),
+                                 value=with_energy, force=with_forces)
             if with_forces:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     w = force / d

@@ -503,11 +503,14 @@ def test_asymptotics_sweep_trend(tmp_path):
     ["--steps", "-2"],
     ["--ratio", "-5"],
     ["--delta0", "-0.01"],
-], ids=["ratio_0", "ratio_inf", "delta0_0", "steps_0", "steps_neg", "ratio_neg", "delta0_neg"])
+    ["--ratio", "1e-300", "--steps", "3"],
+], ids=["ratio_0", "ratio_inf", "delta0_0", "steps_0", "steps_neg", "ratio_neg", "delta0_neg",
+        "ratio_overflow"])
 def test_asymptotics_rejects_bad_inputs(tmp_path, capsys, flags):
     # the first three once ended in a ZeroDivisionError traceback, the
-    # --steps cases wrote a header-only CSV and the last two exited 5 with
-    # only "math domain error"
+    # --steps cases wrote a header-only CSV, the next two exited 5 with
+    # only "math domain error" and the last exited 3 with only "(34,
+    # 'Numerical result out of range')"
     out = tmp_path / "asym.csv"
     assert main(["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2",
                  "--sweep-ell", "upper", *flags, "-o", str(out)]) == 5

@@ -21,6 +21,7 @@ from flockdyn.potentials import (
     minimum_radius,
     potential_force_magnitude,
     potential_value,
+    potential_value_and_force,
 )
 from flockdyn.simulate import (
     _BLOCK_ROWS,
@@ -407,6 +408,32 @@ def test_tabulated_kernel_matches_exact_for_all_potentials(potential):
     w, _, u = _terms(model, r * r, with_energy=True)
     assert np.max(np.abs(w * r - force)) <= 1e-6 * np.max(np.abs(force))
     assert np.max(np.abs(u - value)) <= 1e-6 * np.max(np.abs(value))
+
+
+@pytest.mark.parametrize("potential", _KERNEL_CASES.values(), ids=_KERNEL_CASES.keys())
+@settings(max_examples=40, deadline=None)
+@given(d=st.lists(st.floats(min_value=4e-7, max_value=1e4), min_size=1, max_size=8))
+def test_evaluators_and_exact_pair_terms_agree_bit_for_bit(potential, d):
+    # the public evaluators are projections of one evaluation, for scalar
+    # and array radii, and the exact pair terms are the public ones at
+    # max(d, min_sep) for every d >= 0.5 min_sep, whatever terms are asked for
+    min_sep = 1e-6 * 0.8
+    for r in (*d, np.array(d)):
+        u, du = potential_value_and_force(potential, r)
+        assert type(u) is type(du) is (np.ndarray if isinstance(r, np.ndarray) else float)
+        assert np.array_equal(u, potential_value(potential, r))
+        assert np.array_equal(du, potential_force_magnitude(potential, r))
+    d2 = np.array(d) ** 2
+    dist = np.sqrt(d2)
+    r_eff = np.maximum(dist, min_sep)
+    w_ref = potential_force_magnitude(potential, r_eff) / dist
+    u_ref = potential_value(potential, r_eff)
+    model = _cached_model(potential, min_sep, False)
+    for with_forces, with_energy in ((True, False), (False, True), (True, True)):
+        w, _, u = _terms(model, d2, with_forces, with_energy)
+        assert (w is None) != with_forces and (u is None) != with_energy
+        assert not with_forces or np.array_equal(w, w_ref)
+        assert not with_energy or np.array_equal(u, u_ref)
 
 
 def test_table_lookup_reproduces_interp_endpoints_and_interior():
