@@ -72,16 +72,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_USAGE = 5
 
-_NUMERICAL_ERRORS = (
-    BracketFailureError,
-    DegenerateDenominatorError,
-    NumericalBlowupError,
-    PositivityFailureError,
-    QuadratureNonConvergenceError,
-    VerificationFailureError,
-    OverflowError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; the contract here is 5."""
@@ -95,13 +85,17 @@ class _UsageError(Exception):
     pass
 
 
-def _meta_lines(args_dict: dict) -> list[str]:
-    cfg = json.dumps(args_dict, sort_keys=True)
-    return [f"# flockdyn {__version__}", f"# config: {cfg}"]
-
-
-def _cell_format(v) -> str:
-    return "{:.17g}" if isinstance(v, float) else "{}"
+#: the exit code of an error, by the first entry its class matches
+_EXIT_CODES = (
+    ((_UsageError,), EXIT_USAGE),
+    ((NoRootError, RegimeError), EXIT_NO_ROOT),
+    ((BracketFailureError, DegenerateDenominatorError, NumericalBlowupError,
+      PositivityFailureError, QuadratureNonConvergenceError, VerificationFailureError,
+      OverflowError), EXIT_NUMERICAL),
+    ((OSError,), EXIT_IO),
+    ((DomainError, FlockdynError, ValueError), EXIT_USAGE),
+)
+_ERRORS = sum((kinds for kinds, _ in _EXIT_CODES), ())
 
 
 def _csv_lines(rows):
@@ -112,7 +106,7 @@ def _csv_lines(rows):
     first = next(rows, None)
     if first is None:
         return
-    line = ",".join(map(_cell_format, first)) + "\n"
+    line = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in first) + "\n"
     yield line.format(*first)
     yield from starmap(line.format, rows)
 
@@ -121,8 +115,7 @@ def _write_csv(path: str, header: list[str], lines, meta: dict) -> None:
     """Write the metadata header, the column header and the already
     formatted ``lines`` as they are produced."""
     with open(path, "w") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
+        fh.write(f"# flockdyn {__version__}\n# config: {json.dumps(meta, sort_keys=True)}\n")
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 
@@ -292,27 +285,30 @@ def _cmd_roots(args) -> int:
 def _cmd_asymptotics(args) -> int:
     if args.steps < 1:
         raise _UsageError(f"--steps must be at least 1, got {args.steps}")
-    for flag, value in (("--delta0", args.delta0), ("--ratio", args.ratio)):
+    C, k, n = args.C, args.k, args.dimension
+    for flag, value in (("-C", C), ("-k", k), ("--delta0", args.delta0), ("--ratio", args.ratio)):
         if not (0.0 < value < math.inf):
             raise _UsageError(f"{flag} must be positive and finite, got {value}")
-    limit = EllLimit.UPPER if args.sweep_ell == "upper" else EllLimit.LOWER
-    C, k, n = args.C, args.k, args.dimension
-    if n == 3:
-        ell_hi, ell_lo = C ** (-1.0 / 3.0), 1.0 / C
-    else:
-        ell_hi, ell_lo = C**-0.5, 1e-3
-    rows = []
+    limit = EllLimit(args.sweep_ell)
+    # the open interval of ell in region I, whose ends the sweep approaches
+    ell_lo, ell_hi = (1.0 / C, C ** (-1.0 / 3.0)) if n == 3 else (0.0, C**-0.5)
     try:
         deltas = [args.delta0 * args.ratio**-m for m in range(args.steps)]
     except OverflowError:
         deltas = [math.inf]
     if not math.isfinite(deltas[-1]):
         raise _UsageError(f"--delta0 * --ratio^-m overflows for m < --steps = {args.steps}")
-    for d in deltas:
-        if n == 3:
-            ell = ell_hi * (1.0 - d) if limit is EllLimit.UPPER else ell_lo * (1.0 + d)
-        else:
-            ell = ell_hi * (1.0 - d) if limit is EllLimit.UPPER else d
+    if limit is EllLimit.UPPER:
+        ells = [ell_hi * (1.0 - d) for d in deltas]
+    else:
+        ells = [ell_lo * (1.0 + d) if n == 3 else d for d in deltas]
+    for m, ell in enumerate(ells):
+        # an empty interval (3-D, C <= 1) is left to the solver's regime check
+        if ell_lo < ell_hi and not ell_lo < ell < ell_hi:
+            raise _UsageError(f"--delta0 * --ratio^-m at m = {m} gives ell = {ell!r}, outside "
+                              f"region I's open interval ({ell_lo!r}, {ell_hi!r})")
+    rows = []
+    for ell in ells:
         params = ModelParams(n=n, C=C, ell=ell, k=k)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -335,9 +331,7 @@ def _cmd_asymptotics(args) -> int:
 
 def _potential_from_args(args):
     if args.potential == "quasi_morse":
-        return QuasiMorse(
-            ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
-        )
+        return QuasiMorse(_model_params(args))
     if args.potential == "morse":
         return Morse(C_R=args.C, C_A=args.CA, ell_R=args.ell, ell_A=args.la)
     return MorseLike(p=args.p, C=args.C, ell=args.ell)
@@ -443,22 +437,15 @@ def _cmd_specfun_table(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="flockdyn", description=__doc__)
-    parser.add_argument("--config", help="JSON file with flag values", default=None)
-    # metavar hides undocumented subcommands from the usage brace list
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-    parser.subcommands = sub.choices
-
-    p = sub.add_parser("solve", help="solve a flock profile and export (r, rho)")
+def _solve_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--root-index", type=int, default=1)
     p.add_argument("--allow-nonbiological", action="store_true")
     p.add_argument("-o", "--output", default="profile")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("phase", help="classify a (C, ell) grid")
+
+def _phase_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--dimension", type=int, required=True, choices=(2, 3))
     p.add_argument("-k", type=float, default=1.0)
     p.add_argument("--c-min", type=float, default=0.2)
@@ -467,23 +454,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--ell-max", type=float, default=1.2)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("-o", "--output", default="phase.csv")
-    p.set_defaults(func=_cmd_phase)
 
-    p = sub.add_parser("verify", help="re-check W*rho = D for a solved profile")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", required=True, help="JSON written by solve")
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("roots", help="enumerate determinant roots")
+
+def _roots_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--allow-nonbiological", action="store_true")
     p.add_argument("-o", "--output", default="roots.json")
-    p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("asymptotics", help="support-radius asymptotics sweep")
+
+def _asymptotics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--dimension", type=int, required=True, choices=(2, 3))
     p.add_argument("-C", type=float, required=True)
     p.add_argument("-k", type=float, required=True)
@@ -492,9 +479,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta0", type=float, default=0.02)
     p.add_argument("--ratio", type=float, default=5.0)
     p.add_argument("-o", "--output", default="asymptotics.csv")
-    p.set_defaults(func=_cmd_asymptotics)
 
-    p = sub.add_parser("simulate", help="run an N-body simulation")
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--potential", choices=("quasi_morse", "morse", "morse_like"),
                    default="quasi_morse")
     p.add_argument("-n", "--dimension", type=int, required=True, choices=(2, 3))
@@ -516,24 +503,66 @@ def _build_parser() -> _Parser:
     p.add_argument("--exact-forces", action="store_true")
     p.add_argument("--stop-when-converged", action="store_true")
     p.add_argument("-o", "--output", default="state")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="compare a state checkpoint with a profile")
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("-o", "--output", default="compare",
                    help="prefix for the .json report and .csv histogram")
-    p.set_defaults(func=_cmd_compare)
 
-    # intentionally undocumented: golden-file regression dumps
-    p = sub.add_parser("specfun-table")
+
+def _specfun_table_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--orders", default="0,0.5,1,1.5")
     p.add_argument("--x-grid", default="log:0.01:100:25")
     p.add_argument("--scaled", action="store_true")
     p.add_argument("-o", "--output", default="specfun.csv")
-    p.set_defaults(func=_cmd_specfun_table)
 
+
+#: name -> (help, flags, handler), in the order of ``--help``.  A
+#: command without help is left out of the help; specfun-table is
+#: intentionally undocumented (golden-file regression dumps)
+_COMMANDS = {
+    "solve": ("solve a flock profile and export (r, rho)", _solve_flags, _cmd_solve),
+    "phase": ("classify a (C, ell) grid", _phase_flags, _cmd_phase),
+    "verify": ("re-check W*rho = D for a solved profile", _verify_flags, _cmd_verify),
+    "roots": ("enumerate determinant roots", _roots_flags, _cmd_roots),
+    "asymptotics": ("support-radius asymptotics sweep", _asymptotics_flags, _cmd_asymptotics),
+    "simulate": ("run an N-body simulation", _simulate_flags, _cmd_simulate),
+    "compare": ("compare a state checkpoint with a profile", _compare_flags, _cmd_compare),
+    "specfun-table": (None, _specfun_table_flags, _cmd_specfun_table),
+}
+
+
+def _command_name(argv: list[str]):
+    """The first token of ``argv`` that names a command, or None.  The path
+    after a separate ``--config`` (or a prefix of it, which argparse takes
+    too) is skipped, since it may be a file named like a command."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _COMMANDS:
+            return token
+        if len(token) > 2 and "--config".startswith(token):
+            next(tokens, None)
+    return None
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """Every command is listed, but only the one ``argv`` names gets flags,
+    ``-h`` included: argparse parses with that one alone, and the others'
+    flags would cost about 2 ms on every call."""
+    parser = _Parser(prog="flockdyn", description=__doc__)
+    parser.add_argument("--config", help="JSON file with flag values", default=None)
+    # metavar hides undocumented subcommands from the usage brace list
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
+    parser.subcommands = sub.choices
+    chosen = _command_name(argv)
+    for name, (help_, add_flags, _) in _COMMANDS.items():
+        listed = {} if help_ is None else {"help": help_}
+        p = sub.add_parser(name, add_help=name == chosen, **listed)
+        if name == chosen:
+            add_flags(p)
     return parser
 
 
@@ -572,27 +601,16 @@ def _apply_config(subparser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
             _apply_config(parser.subcommands[args.subcommand], args)
-        return args.func(args)
-    except _UsageError as exc:
+        return _COMMANDS[args.subcommand][2](args)
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NoRootError, RegimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DomainError, FlockdynError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def console() -> None:

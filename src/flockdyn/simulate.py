@@ -77,7 +77,7 @@ from .potentials import (
     potential_force_magnitude,
     potential_value_and_force,
 )
-from .solver import FlockProfile, _mass_closed, density_eval
+from .solver import FlockProfile, _mass_closed, _sphere_area, density_eval
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -648,28 +648,72 @@ def compare_profile(hist: RadialHistogram, profile: FlockProfile) -> tuple[float
     return total, support_error
 
 
+#: nodes of the cumulative-mass table that seeds each sampled radius, and
+#: the most safeguarded Newton steps that polish it
+_SAMPLE_TABLE_NODES = 1024
+_SAMPLE_NEWTON_STEPS = 3
+
+
 def sample_profile_positions(profile: FlockProfile, count: int, seed: int = 0) -> np.ndarray:
     """Draw positions from the analytic density by inverse-CDF sampling of
-    the radial mass distribution (vectorized bisection on the closed-form
-    cumulative mass ``solver._mass_closed``)."""
+    the radial mass distribution.
+
+    The closed-form cumulative mass ``solver._mass_closed`` is tabulated on
+    ``[0, R*]``.  Each uniform draw ``u`` is interpolated to ``s = r^n`` in
+    its table cell, by the cubic Hermite form with ``ds/dm = n / (|S| rho)``
+    (smooth through the centre, where the mass grows as ``r^n``).  Newton
+    steps on ``dm/dr = |S| r^(n-1) rho(r)`` polish it to the closed form's
+    rounding; a step that leaves the cell's shrinking bracket bisects it.
+    Raises DomainError for a negative count, or for a profile whose mass
+    is not non-decreasing (its density is negative somewhere, as that of a
+    higher root can be)."""
+    if count < 0:
+        raise DomainError(f"count must be non-negative, got {count}")
+    n, a, mu1, mu2 = profile.params.n, profile.a, profile.mu1, profile.mu2
+    surface = _sphere_area(n)
+    r_tab = np.linspace(0.0, profile.R_star, _SAMPLE_TABLE_NODES)
+    m_tab = _mass_closed(n, a, r_tab, mu1, mu2)
+    dm = np.diff(m_tab)
+    if not np.all(dm >= 0.0):
+        raise DomainError(
+            f"the profile's mass is not non-decreasing on [0, R*] (its least value "
+            f"is {np.min(m_tab):.3g}), so its density is negative somewhere"
+        )
+    s_tab = r_tab**n
+    ds = np.diff(s_tab)
+    rho = density_eval(profile, r_tab)
+    ds_dm = np.divide(n / surface, rho, out=np.zeros_like(rho), where=rho > 0.0)
+    # s = s_i + t ds + t (1 - t) ((1 - t) c_i - t d_i) over cell i, with t
+    # the fraction of its mass below u
+    c, d = dm * ds_dm[:-1] - ds, dm * ds_dm[1:] - ds
+
     rng = np.random.default_rng(seed)
-    dim = profile.params.n
-
-    def cdf(r):
-        return _mass_closed(dim, profile.a, r, profile.mu1, profile.mu2)
-
     u = rng.uniform(size=count)
-    lo = np.zeros(count)
-    hi = np.full(count, profile.R_star)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        takes_hi = cdf(mid) < u
-        lo = np.where(takes_hi, mid, lo)
-        hi = np.where(takes_hi, hi, mid)
-    radii = 0.5 * (lo + hi)
-    direc = rng.normal(size=(count, dim))
+    cell = np.clip(np.searchsorted(m_tab, u, side="right"), 1, dm.size) - 1
+    lo, hi = r_tab[cell], r_tab[cell + 1]
+    t = np.divide(u - m_tab[cell], dm[cell], out=np.zeros_like(u), where=dm[cell] > 0.0)
+    s = s_tab[cell] + t * ds[cell] + t * (1.0 - t) * ((1.0 - t) * c[cell] - t * d[cell])
+    r = np.clip(s ** (1.0 / n), lo, hi)
+
+    todo = np.arange(count)
+    for _ in range(_SAMPLE_NEWTON_STEPS):
+        x, x_lo, x_hi = r[todo], lo[todo], hi[todo]
+        f = _mass_closed(n, a, x, mu1, mu2) - u[todo]
+        slope = surface * x ** (n - 1) * density_eval(profile, x)
+        step = np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0.0)
+        lo[todo] = x_lo = np.where(f < 0.0, x, x_lo)
+        hi[todo] = x_hi = np.where(f < 0.0, x_hi, x)
+        new = x - step
+        # a step that lands on an end of the bracket is inside it
+        bisect = ~((new >= x_lo) & (new <= x_hi))
+        new[bisect] = 0.5 * (x_lo[bisect] + x_hi[bisect])
+        r[todo] = new
+        # once a step is this small, quadratic convergence leaves the next
+        # one below rounding
+        todo = todo[bisect | (np.abs(step) > 1e-8 * x)]
+    direc = rng.normal(size=(count, n))
     direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    return direc * radii[:, None]
+    return direc * r[:, None]
 
 
 # Rows of a checkpoint CSV formatted per block, which bounds the text held

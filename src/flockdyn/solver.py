@@ -466,10 +466,15 @@ def density_eval(profile: FlockProfile, r):
     return float(out[0]) if scalar else out
 
 
+def _sphere_area(n: int) -> float:
+    """Area of the unit sphere in n dimensions."""
+    return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+
+
 def _mass_closed(n: int, a: float, R, mu1: float, mu2: float):
     # integral of x^{n/2} J_{n/2-1}(a x) over [0, R] is R^{n/2} J_{n/2}(a R)/a;
     # R may be a float or an array of radii
-    surface = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+    surface = _sphere_area(n)
     term1 = mu1 * R ** (0.5 * n) * specfun.bessel_j(0.5 * n, a * R) / a
     term2 = mu2 * R**n / n
     return surface * (term1 + term2)

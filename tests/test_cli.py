@@ -1,10 +1,12 @@
 """End-to-end CLI tests: subcommand behaviour, exit-code contract, metadata
 headers, and byte-stability of outputs."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flockdyn import cli
 from flockdyn.cli import main
 from flockdyn.errors import DegenerateDenominatorError, DomainError
 from flockdyn.potentials import ModelParams, aggregate_param, classify
@@ -504,13 +507,19 @@ def test_asymptotics_sweep_trend(tmp_path):
     ["--ratio", "-5"],
     ["--delta0", "-0.01"],
     ["--ratio", "1e-300", "--steps", "3"],
+    ["--delta0", "2", "--steps", "2"],
+    ["--ratio", "1e300", "--steps", "3"],
+    ["-C", "0"],
 ], ids=["ratio_0", "ratio_inf", "delta0_0", "steps_0", "steps_neg", "ratio_neg", "delta0_neg",
-        "ratio_overflow"])
+        "ratio_overflow", "delta0_past_the_end", "ratio_underflow", "C_0"])
 def test_asymptotics_rejects_bad_inputs(tmp_path, capsys, flags):
     # the first three once ended in a ZeroDivisionError traceback, the
     # --steps cases wrote a header-only CSV, the next two exited 5 with
-    # only "math domain error" and the last exited 3 with only "(34,
-    # 'Numerical result out of range')"
+    # only "math domain error" and ratio_overflow exited 3 with only "(34,
+    # 'Numerical result out of range')".  A swept ell outside region I
+    # exited 5 naming neither flag (delta0_past_the_end: ell <= 0) or 2 with
+    # "no flock profile exists for A = 0" (ratio_underflow: ell on the
+    # separatrix); -C 0 ended in a ZeroDivisionError traceback
     out = tmp_path / "asym.csv"
     assert main(["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2",
                  "--sweep-ell", "upper", *flags, "-o", str(out)]) == 5
@@ -711,3 +720,68 @@ def test_specfun_table_hidden_from_help(capsys):
     text = capsys.readouterr().out
     assert "solve" in text
     assert "specfun-table" not in text
+
+
+# ------------------------------------------------------------- the parser
+
+_COMMAND_NAMES = ["solve", "phase", "verify", "roots", "asymptotics", "simulate", "compare",
+                  "specfun-table"]
+# argparse's help layout and messages differ between Python versions; the
+# snapshots in tests/data/help are Python 3.11's at 80 columns
+_PY311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                            reason="snapshots of Python 3.11's argparse output")
+
+
+@_PY311
+@pytest.mark.parametrize("command", [None, *_COMMAND_NAMES])
+def test_help_matches_the_snapshot(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"] if command is None else [command, "--help"])
+    assert stop.value.code == 0
+    snapshot = Path(__file__).parent / "data" / "help" / f"{command or 'flockdyn'}.txt"
+    assert capsys.readouterr().out.encode() == snapshot.read_bytes()
+
+
+@_PY311
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument SUBCOMMAND: invalid choice: 'bogus' (choose from 'solve', 'phase', "
+                "'verify', 'roots', 'asymptotics', 'simulate', 'compare', 'specfun-table')"),
+    ([], "the following arguments are required: SUBCOMMAND"),
+    (["--config", "solve"], "the following arguments are required: SUBCOMMAND"),
+    (["solve", *REF3D_FLAGS, "--resolution", "8"], "unrecognized arguments: --resolution 8"),
+])
+def test_usage_errors_keep_their_messages(capsys, argv, message):
+    assert main(argv) == 5
+    usage = "usage: flockdyn [-h] [--config CONFIG] SUBCOMMAND ...\n"
+    assert capsys.readouterr().err == f"{usage}error: {message}\n"
+
+
+@pytest.mark.parametrize("head", [
+    ["--config", "cfg.json"],
+    ["--config=cfg.json"],
+    ["--config", "phase"],  # a config file named like a command
+    ["--config=phase"],
+    ["--conf", "phase"],  # argparse takes a prefix of --config
+])
+def test_config_before_the_command_in_every_form(tmp_path, monkeypatch, head):
+    monkeypatch.chdir(tmp_path)
+    for name in ("cfg.json", "phase"):
+        Path(name).write_text(json.dumps({"grid": 7}))
+    assert main([*head, "solve", *REF3D_FLAGS, "--grid", "99", "-o", "out"]) == 0
+    assert len(Path("out.csv").read_text().splitlines()) == 3 + 7
+
+
+def test_main_builds_only_the_chosen_commands_flags(tmp_path, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        if args != ("-h", "--help"):
+            added.append(self.prog)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(["solve", *REF3D_FLAGS, "--grid", "4", "-o", str(tmp_path / "p")]) == 0
+    assert set(added) == {"flockdyn", "flockdyn solve"}
+    assert list(cli._COMMANDS) == _COMMAND_NAMES  # every command has a help snapshot

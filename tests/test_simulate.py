@@ -46,7 +46,7 @@ from flockdyn.simulate import (
     step_first_order,
     step_second_order,
 )
-from flockdyn.solver import density_eval, solve_profile
+from flockdyn.solver import _mass_closed, density_eval, solve_profile
 
 REF3D = ModelParams(3, 1.255, 0.8, 0.2)
 REF2D = ModelParams(2, 10.0 / 9.0, 0.75, 0.5)
@@ -294,6 +294,70 @@ def test_compare_profile_inverse_cdf_oracle():
     l1, support_err = compare_profile(hist, prof)
     assert l1 <= 0.02
     assert support_err <= 0.01
+
+
+def _bisection_positions(profile, count, seed):
+    """The sampler's draws by 60 bisection passes on the closed-form mass:
+    the radii and unit directions from the same random stream."""
+    rng = np.random.default_rng(seed)
+    n = profile.params.n
+    u = rng.uniform(size=count)
+    lo, hi = np.zeros(count), np.full(count, profile.R_star)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        takes_hi = _mass_closed(n, profile.a, mid, profile.mu1, profile.mu2) < u
+        lo = np.where(takes_hi, mid, lo)
+        hi = np.where(takes_hi, hi, mid)
+    direc = rng.normal(size=(count, n))
+    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+    return 0.5 * (lo + hi), direc
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    C=st.floats(1.05, 6.0),
+    place=st.floats(0.01, 0.99),
+    k=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_matches_the_bisection_oracle(n, C, place, k, seed):
+    # ell anywhere in region I but the outer 1% of its span at each end
+    lo, hi = (C**-1.0, C ** (-1.0 / 3.0)) if n == 3 else (0.0, C**-0.5)
+    profile = solve_profile(ModelParams(n, C, lo + place * (hi - lo), k))
+    pos = sample_profile_positions(profile, 2000, seed=seed)
+    radii, direc = _bisection_positions(profile, 2000, seed)
+    r = np.linalg.norm(pos, axis=1)
+    assert np.max(np.abs(r - radii)) <= 1e-14 * profile.R_star
+    np.testing.assert_allclose(pos / r[:, None], direc, rtol=0.0, atol=1e-14)
+
+
+def test_sampler_evaluates_the_mass_about_once_per_point(monkeypatch):
+    # a table, then one Newton step per draw; the bisection took 60 per draw
+    points = []
+
+    def counted(n, a, R, mu1, mu2):
+        points.append(np.size(R))
+        return _mass_closed(n, a, R, mu1, mu2)
+
+    monkeypatch.setattr(simulate, "_mass_closed", counted)
+    for params in (REF3D, REF2D):
+        points.clear()
+        sample_profile_positions(solve_profile(params), 20_000, seed=2)
+        assert points[0] == simulate._SAMPLE_TABLE_NODES
+        assert len(points) <= 1 + simulate._SAMPLE_NEWTON_STEPS
+        assert sum(points[1:]) <= 1.01 * 20_000
+
+
+def test_sampler_rejects_a_negative_count_and_a_negative_density():
+    # -1 escaped as numpy's "negative dimensions"; the second root's density
+    # is negative on part of its support, so its mass dips to -1.8 before it
+    # reaches 1, and radii were returned without complaint
+    with pytest.raises(DomainError, match="count"):
+        sample_profile_positions(solve_profile(REF3D), -1)
+    with pytest.raises(DomainError, match="non-decreasing"):
+        sample_profile_positions(solve_profile(REF3D, root_index=2), 100)
+    assert sample_profile_positions(solve_profile(REF3D), 0).shape == (0, 3)
 
 
 def test_compare_profile_uniform_lower_bound():
