@@ -52,7 +52,17 @@ from .potentials import ModelParams, QuasiMorse, Sign, aggregate_param
 from .solver import (FlockProfile, _case_of, _check_case, _mode_weights, _radial_j, _times_exp,
                      density_eval)
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# The 15-point Gauss-Legendre rule, numpy's ``leggauss(15)`` bit for bit,
+# written out so that importing this module does not load numpy.polynomial
+# (7 ms of start-up); its nodes and weights are symmetric about 0.
+_GAUSS_HALF_NODES = (0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+                     0.7244177313601701, 0.8482065834104272, 0.9372733924007058,
+                     0.9879925180204854)
+_GAUSS_HALF_WEIGHTS = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+                       0.16626920581699398, 0.13957067792615444, 0.10715922046717141,
+                       0.0703660474881084, 0.030753241996117203)
+_GAUSS_NODES = np.concatenate([np.negative(_GAUSS_HALF_NODES[:0:-1]), _GAUSS_HALF_NODES])
+_GAUSS_WEIGHTS = np.concatenate([_GAUSS_HALF_WEIGHTS[:0:-1], _GAUSS_HALF_WEIGHTS])
 _MAX_DEPTH = 40
 #: panel splits per pass: an integrand whose rounding noise exceeds the
 #: tolerance would otherwise double its active panels at every level

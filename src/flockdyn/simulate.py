@@ -13,17 +13,23 @@ solution).
 Forces and the interaction energy come from one loop, ``_force_pass``,
 an O(N^2) direct sum over the unordered pairs, taken in blocks of
 ``_BLOCK_ROWS`` rows against the columns j >= i: each pair's weight
-U'(d)/d is computed once and applied to both particles, and the pair work
-arrays take O(N * _BLOCK_ROWS) memory rather than O(N^2).  A pass gives the
-forces, the energy, or both from the same pair terms.  Blocks, and the sums
-within them, run in fixed index order, so trajectories are bit-reproducible
-for a given seed and configuration regardless of how the surrounding code
-schedules work.  Pairs closer than ``min_separation`` use the force
-magnitude U'(min_sep) frozen at that separation, down to d -> 0 (the
-Quasi-Morse potential is singular at the origin for n >= 2, so the clamp
-makes the regularization explicit); exactly coincident pairs exert no
-force.  Those few close pairs are summed from their offsets, so their force
-keeps its direction however small d is next to |x|.
+U'(d)/d is computed once and applied to both particles.  Consecutive
+blocks are laid end to end in flat work arrays of at most
+``_GROUP_ENTRIES`` entries, or one block where a block is larger, and the
+elementwise work runs once per such group, which spares the narrow blocks
+of small N most of their fixed per-call cost.  So the work arrays take
+O(max(_GROUP_ENTRIES, N * _BLOCK_ROWS)) memory rather than O(N^2).  A pass
+gives the forces, the energy, or both from the same pair terms.  Blocks,
+and the sums within them, run in fixed index order, and every sum is
+taken per block, so results do not depend on the grouping, and
+trajectories are bit-reproducible for a given seed and configuration
+regardless of how the surrounding code schedules work.  Pairs closer than
+``min_separation`` use the force magnitude U'(min_sep) frozen at that
+separation, down to d -> 0 (the Quasi-Morse potential is singular at the
+origin for n >= 2, so the clamp makes the regularization explicit);
+exactly coincident pairs exert no force.  Those few close pairs are summed
+from their offsets, so their force keeps its direction however small d is
+next to |x|.
 
 A block's pair differences x_i - x_j are, per coordinate, the matrix
 product of the rows [x_i, 1] with the columns [1, -x_j] (inner dimension
@@ -187,18 +193,21 @@ class RunSummary:
     final_max_displacement: float
 
 
-# Rows of the pair kernel handled per block.  A pass allocates its
-# (_BLOCK_ROWS, N) work arrays once and reuses them for every block, so
-# memory grows as O(N) rather than O(N^2).  At 32 rows the arrays stay near
-# cache size (512 KB each at N = 2000); 64 rows measured the same up to
-# N = 2000, while 128 and 256 rows were up to 1.7x slower at N = 5000.
-# With the half-pair kernel, 64, 128 and 160 rows again measured no better
-# at N = 400 or N = 2000.
+# Rows of the pair kernel per block.  At 32 rows a block of the widest
+# pass measured near cache size (512 KB per work array at N = 2000); 64
+# rows measured the same up to N = 2000, while 128 and 256 rows were up to
+# 1.7x slower at N = 5000.  With the half-pair kernel, 64, 128 and 160 rows
+# again measured no better at N = 400 or N = 2000.
 _BLOCK_ROWS = 32
 
-# The pairs j <= i of a block's diagonal square (the block's rows against
-# its own columns), which a pass over the unordered pairs j > i leaves out.
-_DIAG_MASK = np.tri(_BLOCK_ROWS, dtype=bool)
+# Entries of the flat work arrays that a group of consecutive row blocks
+# shares (see ``_pair_groups``), about one N = 2000 block.  A pass makes its
+# ~20 elementwise numpy calls once per group rather than once per block,
+# which at small N, where a block holds a few thousand pairs, saves most of
+# their fixed per-call cost.  A block larger than this forms a group by
+# itself, so each work array holds at most max(2^16, _BLOCK_ROWS N)
+# entries: for N >= 2048 that is one block, as without groups.
+_GROUP_ENTRIES = 1 << 16
 
 # Nodes of the force and energy tables, uniform in log r, and the tables'
 # upper end.
@@ -234,7 +243,7 @@ class _ForceModel:
     measured 1.5x slower than the lookup.  32768 nodes keep every table
     within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
     towards min_sep and needed more than 16384.  ``tabulated=False`` is the
-    exact reference: one ``potentials._evaluate`` call per block forms U'
+    exact reference: one ``potentials._evaluate`` call per group forms U'
     and U at max(d, min_sep), each only when the pass asks for it.
 
     ``last_pass`` is None or the (positions, accelerations) of the last
@@ -271,7 +280,7 @@ class _ForceModel:
         - clamped holds the flat indices of the pairs closer than min_sep.
         - u is U(max(d, min_sep)).
 
-        ``work`` is the work arrays of a ``_pair_blocks`` block.  A
+        ``work`` is the flat work arrays of a ``_force_pass`` group.  A
         tabulated call overwrites d2 with its log, then with the cell
         fractions, and reads w and u at the same cells and fractions; the
         last of them overwrites d2, and u, when both are asked for, fills
@@ -287,11 +296,12 @@ class _ForceModel:
                 s = np.log(d2, out=d2)
             s -= self._two_x0
             s *= self._half_inv_h
-            np.maximum(s, 0.0, out=s)
-            np.minimum(s, _TABLE_SIZE - 1, out=s)
-            # s >= 0, so the cast truncates s to its cell floor(s)
-            np.copyto(index, s, casting="unsafe")
-            s -= index
+            np.clip(s, 0.0, _TABLE_SIZE - 1, out=s)
+            # the cell floor(s), whose float is subtracted: s - index would
+            # convert the integers on the fly, at twice the cost of both
+            cell = np.floor(s, out=scratch)
+            np.copyto(index, cell, casting="unsafe")
+            s -= cell
 
             def interpolate(table, out):
                 # the clip above keeps every index inside the table
@@ -337,53 +347,54 @@ def _config_model(config: SimConfig) -> _ForceModel:
     return _cached_model(config.potential, config.min_separation, config.tabulated_forces)
 
 
-def _pair_blocks(x: np.ndarray, fused: bool = False):
-    """Yield (lo, hi, d2, work) for the row blocks lo:hi of the pair kernel
-    in fixed order: d2 holds |x_i - x_j|^2 for the rows i in lo:hi against
-    the columns j >= lo, and work is the (scratch, index) pair of the table
-    lookup, with a third array for the pair values of a ``fused`` pass.
-    Column k of d2 is particle lo + k, so the block's leading square
-    d2[:, :hi - lo] holds its rows against themselves; its diagonal, the
-    self pairs that every caller drops, holds the placeholder 1 rather
-    than 0, so that small entries mark close distinct pairs only.  The
-    arrays are allocated once and reused by every block, so a caller must
-    finish with a block before the next.
+@functools.lru_cache(maxsize=8)
+def _pair_groups(n_part: int, budget: int):
+    """(groups, size): the layout of a pass over ``n_part`` particles.
 
-    d2 is summed from the coordinate differences, so coincident particles
-    give exactly 0 and close pairs keep their relative accuracy.  The Gram
-    expansion |x_i|^2 + |x_j|^2 - 2 x_i.x_j guarantees neither: its
-    rounding leaves a few eps |x|^2, which the 1/d weight turns into a
-    spurious force at and near d = 0.  Each coordinate's differences are
-    the K = 2 product [x_i, 1] @ [1, -x_j], which rounds like the
-    subtraction (see the module docstring)."""
-    n_part, dim = x.shape
-    # per coordinate, the rows [x_i, 1] and the columns [1, -x_j]
-    rows = np.ones((dim, n_part, 2))
-    rows[:, :, 0] = x.T
-    cols = np.ones((dim, 2, n_part))
-    np.negative(x.T, out=cols[:, 1])
-    size = min(_BLOCK_ROWS, n_part) * n_part
-    buffers = [np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)]
-    if fused:
-        buffers.append(np.empty(size))
+    The row blocks lo:hi of ``_BLOCK_ROWS`` rows, against the columns
+    j >= lo, are taken in fixed order and laid end to end in flat work
+    arrays, as many consecutive blocks at a time as fit in ``budget``
+    entries; each such run of blocks is a group, and ``size`` is the
+    largest group's extent.  A group is (blocks, self_pairs, lower_pairs):
+    blocks lists each block's (lo, hi, start, stop), its rows' segment
+    start:stop of the flat arrays, which holds the block as a C-ordered
+    (hi - lo, n_part - lo) array, so column k is particle lo + k and the
+    block's leading square holds its rows against themselves.  self_pairs
+    are the flat indices of the squares' diagonals, the pairs i = j, and
+    lower_pairs those of their pairs j <= i, which a pass over the
+    unordered pairs j > i leaves out."""
+    groups, blocks, end = [], [], 0
     for lo in range(0, n_part, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_part)
-        shape = (hi - lo, n_part - lo)
-        d2, *work = (buf[: shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        for k in range(dim):
-            diff = np.matmul(rows[k, lo:hi], cols[k, :, lo:], out=work[0] if k else d2)
-            np.multiply(diff, diff, out=diff)
-            if k:
-                d2 += diff
-        # the leading square's diagonal, every (n_part - lo + 1)-th entry
-        d2.reshape(-1)[:: shape[1] + 1] = 1.0
-        yield lo, hi, d2, tuple(work)
+        entries = (hi - lo) * (n_part - lo)
+        if blocks and end + entries > budget:
+            groups.append(blocks)
+            blocks, end = [], 0
+        blocks.append((lo, hi, end, end + entries))
+        end += entries
+    groups.append(blocks)
+    layout = []
+    for blocks in groups:
+        self_pairs, lower_pairs = [], []
+        for lo, hi, start, _ in blocks:
+            width = n_part - lo
+            rows, cols = np.tril_indices(hi - lo)
+            self_pairs.append(start + np.arange(hi - lo) * (width + 1))
+            lower_pairs.append(start + rows * width + cols)
+        layout.append((tuple(blocks), np.concatenate(self_pairs), np.concatenate(lower_pairs)))
+    return tuple(layout), max(blocks[-1][3] for blocks in groups)
 
 
-def _drop_lower_pairs(block: np.ndarray, rows: int) -> None:
-    """Zero the pairs j <= i in the leading square of a row block, leaving
-    the pairs j > i that a block of ``_pair_blocks`` owns."""
-    np.copyto(block[:, :rows], 0.0, where=_DIAG_MASK[:rows, :rows])
+def _work_arrays(size: int, count: int) -> np.ndarray:
+    """A (count, size) float64 array, whose rows are the work arrays of a
+    pass: one slab, in which the rows start whole 4 KiB pages plus 0, 4,
+    8, ... cache lines apart, so that no two share their offset modulo
+    4 KiB, and at one stride, so that one batched product can fill several.
+    At N = 400, in 10 processes each (2-core Xeon, one BLAS thread), a 3-D
+    force pass took 1.24-2.00 ms (median 1.91) with staggered rows against
+    1.64-2.67 ms (median 2.39) with separately allocated arrays."""
+    stride = -(-size // 512) * 512 + 32
+    return np.empty((count, stride))[:, :size]
 
 
 def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
@@ -393,13 +404,25 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
     energy (1/(2 N^2)) sum_{i != j} U(|x_i - x_j|) at the same positions
     (None unless ``with_energy``).  This is the only loop over the pairs.
 
-    One pass over the unordered pairs: each row block of ``_pair_blocks``
+    One pass over the unordered pairs: each row block of ``_pair_groups``
     keeps its pairs j > i, and each weight w_ij = U'(d_ij)/d_ij = w_ji is
     computed once and applied to both particles.  With x extended by a
     column of ones to x1, particle i needs s_i = sum_j w_ij x1_j, and the
     acceleration collapses to (sum_j w_ij) x_i - (w x)_i without forming
     pair offsets.  A block adds its rows' sums, w @ x1[lo:], and its
     columns' sums, x1[lo:hi].T @ w, into one (n + 1, N) array.
+
+    The elementwise work runs once per group of blocks: the squares and
+    sums of the differences, the self pairs' placeholder 1 (so that small
+    entries mark close distinct pairs only), the pair terms and the zeroing
+    of the pairs j <= i.  Each block's differences, its two sums, its
+    clamped pairs and its energy are taken on its own segment, block by
+    block, so every result has the bits of a pass that takes one block at
+    a time.  d2 is summed from the coordinate differences, so coincident
+    particles give exactly 0 and close pairs keep their relative accuracy.
+    The Gram expansion |x_i|^2 + |x_j|^2 - 2 x_i.x_j guarantees neither:
+    its rounding leaves a few eps |x|^2, which the 1/d weight turns into a
+    spurious force at and near d = 0.
 
     The collapsed form rounds at eps |w| |x|, which the clamp's weight
     U'(min_sep)/d makes large next to the pair's force as d -> 0.  So the
@@ -410,32 +433,57 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
     a fused pass reads U(d) from the table cell and fraction of the pair's
     weight, and an energy-only pass reads the U table alone.  Both give the
     same bits."""
-    n_part = x.shape[0]
+    n_part, dim = x.shape
     x_one_t = np.vstack([x.T, np.ones(n_part)])
     x_one = x_one_t.T
+    # per coordinate, the rows [x_i, 1] and the columns [1, -x_j] whose
+    # K = 2 product is the differences x_i - x_j (see the module docstring)
+    rows = np.ones((dim, n_part, 2))
+    rows[:, :, 0] = x.T
+    cols = np.ones((dim, 2, n_part))
+    np.negative(x.T, out=cols[:, 1])
+    groups, size = _pair_groups(n_part, _GROUP_ENTRIES)
+    fused = with_forces and with_energy
+    # d2, the lookup's scratch, its cells and, for a fused pass, the
+    # energies; the first dim of them take the coordinates' differences
+    slots = _work_arrays(size, 4 if fused else 3)
     sums = np.zeros_like(x_one_t)
     near = np.zeros_like(x)
     total = 0.0
-    for lo, hi, d2, work in _pair_blocks(x, with_forces and with_energy):
+    for blocks, self_pairs, lower_pairs in groups:
+        for lo, hi, start, stop in blocks:
+            np.matmul(rows[:, lo:hi], cols[:, :, lo:],
+                      out=slots[:dim, start:stop].reshape(dim, hi - lo, n_part - lo))
+        d2, *work = slots[:, : blocks[-1][3]]
+        np.multiply(d2, d2, out=d2)
+        for diff in work[: dim - 1]:
+            np.multiply(diff, diff, out=diff)
+            d2 += diff
+        d2[self_pairs] = 1.0
+        work[1] = work[1].view(np.intp)
         w, clamped, u = model.pair_terms(d2, work, with_forces, with_energy)
         if with_energy:
-            _drop_lower_pairs(u, hi - lo)
-            total += float(u.sum())
+            u[lower_pairs] = 0.0
+            for lo, hi, start, stop in blocks:
+                total += float(u[start:stop].reshape(hi - lo, n_part - lo).sum())
         if not with_forces:
             continue
-        _drop_lower_pairs(w, hi - lo)
+        w[lower_pairs] = 0.0
         if clamped.size:
-            rows, cols = np.divmod(clamped, w.shape[1])
-            rows += lo
-            cols += lo
-            upper = cols > rows
-            rows, cols = rows[upper], cols[upper]
-            pair_acc = w.flat[clamped[upper]][:, None] * (x[rows] - x[cols])
-            w.flat[clamped] = 0.0
-            np.add.at(near, rows, pair_acc)
-            np.subtract.at(near, cols, pair_acc)
-        sums[:, lo:hi] += (w @ x_one[lo:]).T
-        sums[:, lo:] += x_one_t[:, lo:hi] @ w
+            # block by block, in the order of a pass one block at a time
+            owners = np.searchsorted(clamped, [block[2] for block in blocks[1:]])
+            for (lo, _, start, _), own in zip(blocks, np.split(clamped, owners)):
+                i, j = np.divmod(own - start, n_part - lo)
+                upper = j > i
+                i, j = i[upper] + lo, j[upper] + lo
+                pair_acc = w[own[upper]][:, None] * (x[i] - x[j])
+                np.add.at(near, i, pair_acc)
+                np.subtract.at(near, j, pair_acc)
+            w[clamped] = 0.0
+        for lo, hi, start, stop in blocks:
+            block = w[start:stop].reshape(hi - lo, n_part - lo)
+            sums[:, lo:hi] += (block @ x_one[lo:]).T
+            sums[:, lo:] += x_one_t[:, lo:hi] @ block
     energy = total / n_part**2 if with_energy else None
     if not with_forces:
         return None, energy

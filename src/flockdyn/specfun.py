@@ -7,7 +7,7 @@ nothing here pretends to be a general-order library.  Evaluation strategy:
   series is accumulated in 80-bit ``longdouble`` above x = 4 because its
   terms alternate and cancel,
 * Miller's normalized downward recurrence for integer-order J beyond the
-  series range,
+  series range, and Hankel's large-x expansion from x = 1e4 on,
 * closed (hyperbolic) trigonometric forms for half-integer orders outside
   the series range,
 * for integer-order K: the log/Euler-gamma series below x = 2, a Steed-type
@@ -53,6 +53,12 @@ EULER_GAMMA = 0.57721566490153286061
 _SUPPORTED_ORDERS = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
 
 _J_SERIES_CUT = 12.0
+# integer-order J from here on by Hankel's expansion, whose cost does not
+# grow with x as the downward recurrence's does
+_J_HANKEL_CUT = 1e4
+# terms of each of its two sums: at x >= 1e4 and orders up to 3 the next
+# term is below 1e-30 of the sum it would join
+_J_HANKEL_TERMS = 4
 _J_EXTENDED_CUT = 4.0
 _I_SERIES_CUT = 30.0
 _K_SERIES_CUT = 2.0
@@ -65,6 +71,7 @@ _LOG_2 = math.log(2.0)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
+_SQRT_PI = math.sqrt(math.pi)
 
 # the K series coefficients, tabulated once: the harmonic numbers H_m (each
 # summed as 1 + 1/2 + ...) and H_m + H_{m+1} - 2 gamma
@@ -224,6 +231,34 @@ def _j_int_miller(order: int, x):
     return wanted[order] / norm
 
 
+def _j_int_hankel(order: int, x):
+    """Integer-order J by Hankel's expansion; x >= _J_HANKEL_CUT.
+
+    J_n(x) = sqrt(2 / (pi x)) (P cos chi - Q sin chi), chi = x - pi/4 - n pi/2,
+    with P = a_0 - a_2 / x^2 + ... and Q = a_1 / x - a_3 / x^3 + ..., and
+    a_k = prod_{j <= k} (4 n^2 - (2j - 1)^2) / (8 j).  x - pi/4 would lose
+    the phase to rounding once x is large (at 1e20 it rounds to x), so cos
+    and sin of chi come from those of x, exactly rotated by a quarter turn
+    per order; the eighth turn, pi/4, leaves cos x + sin x and sin x - cos x,
+    whose factor 1/sqrt(2) the envelope absorbs.  A fixed number of terms
+    keeps each element independent of the others."""
+    mu4 = 4.0 * order * order
+    term = p = 1.0
+    q = 0.0
+    for k in range(1, 2 * _J_HANKEL_TERMS):
+        term = term * ((mu4 - (2 * k - 1) ** 2) / (8.0 * k)) / x
+        if k % 2:
+            q = q + term if k % 4 == 1 else q - term
+        else:
+            p = p + term if k % 4 == 0 else p - term
+    cos, sin = np.cos(x), np.sin(x)
+    # sqrt(2) cos(x - pi/4) and sqrt(2) sin(x - pi/4)
+    cos, sin = cos + sin, sin - cos
+    for _ in range(order % 4):
+        cos, sin = sin, -cos  # chi decreases by a quarter turn
+    return (p * cos - q * sin) / (_SQRT_PI * np.sqrt(x))
+
+
 def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x).
 
@@ -243,11 +278,15 @@ def bessel_j(nu, x):
         raise DomainError("bessel_j requires x >= 0")
     if nu < 0.0 and _any(x == 0.0):
         raise DomainError(f"bessel_j order {nu} diverges at x = 0")
+    if nu == int(nu):
+        large = [((x > _J_SERIES_CUT) & (x < _J_HANKEL_CUT), lambda v: _j_int_miller(int(nu), v)),
+                 (x >= _J_HANKEL_CUT, lambda v: _j_int_hankel(int(nu), v))]
+    else:
+        large = [(x > _J_SERIES_CUT, lambda v: _j_half_closed(nu, v))]
     out = _piecewise(x, [
         (x == 0.0, lambda v: 1.0 if nu == 0.0 else 0.0),
         ((x > 0.0) & (x <= _J_SERIES_CUT), lambda v: _power_series(nu, v, -1.0)),
-        (x > _J_SERIES_CUT,
-         lambda v: _j_int_miller(int(nu), v) if nu == int(nu) else _j_half_closed(nu, v)),
+        *large,
     ])
     return _restore(out, shape)
 
@@ -268,13 +307,16 @@ def _asym_series(nu: float, x, sign: float):
 
 
 def _ive_asym(nu: float, x):
-    """e^{-x} I_nu(x) by the large-x expansion; x >= 30."""
-    return _asym_series(nu, x, -1.0) / np.sqrt(2.0 * math.pi * x)
+    """e^{-x} I_nu(x) by the large-x expansion; x >= 30.  Its envelope
+    4 sqrt(2 pi (x / 16)) has the bits of sqrt(2 pi x), since the scalings
+    by powers of 2 are exact, and stays finite where 2 pi x overflows."""
+    return _asym_series(nu, x, -1.0) / (4.0 * np.sqrt(2.0 * math.pi * (0.0625 * x)))
 
 
 def _kve_asym(nu: float, x):
-    """e^{x} K_nu(x) by the large-x expansion; x >= 30."""
-    return np.sqrt(math.pi / (2.0 * x)) * _asym_series(nu, x, 1.0)
+    """e^{x} K_nu(x) by the large-x expansion; x >= 30.  (pi / 2) / x
+    rounds like pi / (2 x) and stays finite where 2 x overflows."""
+    return np.sqrt(0.5 * math.pi / x) * _asym_series(nu, x, 1.0)
 
 
 def bessel_i(nu, x, scaled=False):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -697,6 +698,26 @@ def test_specfun_table_rejects_bad_x_grid(tmp_path, capsys, grid):
     err = capsys.readouterr().err
     assert err.startswith("error: --x-grid") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_specfun_table_at_the_top_of_the_double_range(tmp_path, capsys):
+    # integer-order J once took minutes here (its recurrence grew with x);
+    # scaled, the table is written, and raw I stops with a clean overflow
+    out = tmp_path / "sf.csv"
+    start = time.perf_counter()
+    assert main(["specfun-table", "--x-grid", "lin:1e308:1e308:2", "--scaled",
+                 "-o", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = [line.split(",") for line in read(out).decode().splitlines()
+            if line and not line.startswith("#")][1:]
+    values = [float(v) for row in rows for v in row[2:]]
+    assert len(rows) == 8 and all(math.isfinite(v) and v != 0.0 for v in values)
+    capsys.readouterr()
+    assert main(["specfun-table", "--x-grid", "lin:1e308:1e308:2", "-o",
+                 str(tmp_path / "raw.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: raw bessel_i") and err.count("\n") == 1
+    assert not (tmp_path / "raw.csv").exists()
 
 
 def test_compare_rejects_zero_bins(tmp_path, capsys):

@@ -3,6 +3,9 @@ against brute-force integration oracles, and the flock verification gate."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +18,8 @@ from scipy.special import kv as scipy_kv, kve as scipy_kve
 
 from flockdyn import specfun as sf
 from flockdyn.convolution import (
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     _MAX_SPLITS,
     ConvolutionReport,
     convolution_closed,
@@ -45,6 +50,18 @@ def oscillatory_density(params, mu1, mu2):
 
 
 # ----------------------------------------------------------- basic contract
+
+
+def test_gauss_rule_is_leggauss_bit_for_bit_without_loading_numpy_polynomial():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert np.array_equal(_GAUSS_NODES.view(np.int64), nodes.view(np.int64))
+    assert np.array_equal(_GAUSS_WEIGHTS.view(np.int64), weights.view(np.int64))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, flockdyn.cli; "
+         "print(any(m.startswith('numpy.polynomial') for m in sys.modules))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert loaded.stdout.strip() == "False"
 
 
 def test_zero_density_gives_zero():

@@ -5,6 +5,7 @@ import csv
 import math
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -740,12 +741,59 @@ def test_pair_pass_equals_the_first_written_kernel_bit_for_bit(case, dim, tabula
     for (a, b), gap in zip(zip(order[0::2], order[1::2]), (0.0, 0.7, 0.3)):
         direc = rng.normal(size=dim)
         x[b] = x[a] + gap * min_sep * direc / np.linalg.norm(direc)
-    model = _cached_model(potential, min_sep, tabulated)
+    _assert_passes_equal_the_reference(x, cfg)
+
+
+def _assert_passes_equal_the_reference(x, cfg):
+    # force, energy-only and fused passes, each against ``_reference_pass``
+    model = _config_model(cfg)
     acc_ref, energy_ref = _reference_pass(x, model)
     assert np.array_equal(_accelerations(x, model), acc_ref)
     assert interaction_energy(ParticleState(positions=x, velocities=None), cfg) == energy_ref
     acc, energy = simulate._force_pass(x, model, with_energy=True)
     assert np.array_equal(acc, acc_ref) and energy == energy_ref
+
+
+# (N, group budget): five groups, the first block alone over the budget and
+# two groups of two blocks; three groups, none over; four groups of single
+# blocks, three of them over the budget
+_GROUP_LAYOUTS = [(200, 6000), (150, 8000), (97, 1000)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_KERNEL_CASES)),
+    dim=st.sampled_from([2, 3]),
+    tabulated=st.booleans(),
+    layout=st.sampled_from(_GROUP_LAYOUTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_pair_pass_equals_the_first_written_kernel_bit_for_bit(case, dim, tabulated,
+                                                                       layout, seed):
+    # a small group budget makes the pass span several groups; a coincident
+    # pair, a pair below min_sep and one below 0.5 min_sep are each owned by
+    # a block of a different group
+    n_part, budget = layout
+    potential = _KERNEL_CASES[case]
+    if isinstance(potential, QuasiMorse):
+        dim = potential.params.n
+    cfg = SimConfig(potential=potential, dimension=dim, N=n_part, tabulated_forces=tabulated)
+    groups = simulate._pair_groups(n_part, budget)[0]
+    assert len(groups) >= 3
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n_part, dim))
+    # the rows i < N - 1 of each group, which can own a pair (i, j > i)
+    owners = [range(blocks[0][0], min(blocks[-1][1], n_part - 1)) for blocks, _, _ in groups]
+    used = set()
+    for g, gap in zip(rng.permutation([g for g, rows in enumerate(owners) if rows])[:3],
+                      (0.0, 0.7, 0.3)):
+        a = int(rng.choice([i for i in owners[g] if i not in used]))
+        b = int(rng.choice([j for j in range(a + 1, n_part) if j not in used]))
+        used |= {a, b}
+        direc = rng.normal(size=dim)
+        x[b] = x[a] + gap * cfg.min_separation * direc / np.linalg.norm(direc)
+    with mock.patch.object(simulate, "_GROUP_ENTRIES", budget):
+        _assert_passes_equal_the_reference(x, cfg)
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -1.5, 3.0e10, 1e308, -1e308,

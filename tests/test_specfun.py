@@ -75,6 +75,19 @@ def test_j_accuracy_vs_scipy(nu):
     assert np.max(np.abs(ours[mask] / ref[mask] - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_j_integer_order_at_large_x_vs_mpmath(nu):
+    # Hankel's expansion from x = 1e4 on; relative to the envelope, since
+    # near its zeros J itself has no relative accuracy to keep
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    for x in (1e4, 1e6, 1e10, 1e20, 1e300):
+        envelope = mp.sqrt(2 / (mp.pi * mp.mpf(x)))
+        ref = mp.besselj(nu, mp.mpf(x))
+        assert float(abs(sf.bessel_j(nu, x) - ref) / envelope) < 1e-14, x
+
+
 def test_j_negative_order_reflection():
     for x in (0.1, 1.0, 10.0, 40.0):
         assert sf.bessel_j(-1.0, x) == -sf.bessel_j(1.0, x)
@@ -138,6 +151,14 @@ def test_i_overflow_raises_distinctly():
     )
     with pytest.raises(DomainError):
         sf.bessel_i(0.0, -0.5)
+    # the expansions' envelopes stay finite up to the largest double
+    big = np.finfo(np.float64).max
+    assert sf.bessel_i(0.0, big, scaled=True) == pytest.approx(
+        1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(big), rel=1e-14)
+    assert sf.bessel_k(0.0, big, scaled=True) == pytest.approx(
+        math.sqrt(math.pi / 2.0) / math.sqrt(big), rel=1e-14)
+    with pytest.raises(OverflowError):
+        sf.bessel_i(0.0, big)
 
 
 # ---------------------------------------------------------------- bessel_k
@@ -350,14 +371,16 @@ def test_half_integer_forms_consistent_with_closed_expressions():
         )
 
 
-# the log grid, uniform draws across every evaluator's range (dense enough
-# to see a one-ulp difference in exp or log), each crossover (K series /
-# continued fraction at 2, longdouble J series at 4, J series / Miller at
-# 12, I and K expansions at 30) with its two floating-point neighbours, and
+# the log grid, a few points far out, uniform draws across every
+# evaluator's range (dense enough to see a one-ulp difference in exp or
+# log), each crossover (K series / continued fraction at 2, longdouble J
+# series at 4, J series / Miller at 12, I and K expansions at 30, Miller /
+# Hankel's J expansion at 1e4) with its two floating-point neighbours, and
 # a NaN, which matches no piece and must give NaN on both routes
-_CROSSOVERS = [2.0, 4.0, 12.0, 30.0]
+_CROSSOVERS = [2.0, 4.0, 12.0, 30.0, sf._J_HANKEL_CUT]
 AGREEMENT_X = np.append(np.unique(np.concatenate([
     np.logspace(-3, 3, 37),
+    [1e6, 1e20, 1e300],
     np.random.default_rng(8).uniform(0.0, 4.0, 120),
     np.random.default_rng(9).uniform(4.0, 40.0, 120),
     _CROSSOVERS,

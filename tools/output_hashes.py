@@ -5,7 +5,8 @@ they write, one ``sha256  file`` line each, sorted by file name.
 
 The outputs of flockdyn are byte-stable, so two checkouts that should give
 the same results are compared with one ``diff`` of this script's output,
-each run with its own ``PYTHONPATH``.  The commands run in-process, inside
+each run with its own ``PYTHONPATH`` and the same copy of the script, so
+that a command added to the list runs in both.  The commands run in-process, inside
 ``OUTDIR`` and with relative paths, so that the metadata headers, which
 record the paths a command was given, do not depend on where ``OUTDIR``
 is.  The hashes depend on numpy's ``log`` and BLAS, so they compare two
@@ -31,9 +32,9 @@ _MORSE_LIKE = ["--potential", "morse_like", "-n", "2", "--p", "0.5", "-C", "0.6"
 
 def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> list[list[str]]:
     """The argv of each command, in the order they run.  ``n_part`` is the
-    particle count of every ``simulate``, ``resolution`` the side of the
-    second ``phase`` grid and ``x_points`` the length of the wide
-    ``specfun-table`` grid."""
+    particle count of every ``simulate`` but one at N = 600, ``resolution``
+    the side of the second ``phase`` grid and ``x_points`` the length of the
+    wide ``specfun-table`` grid."""
     run = ["-N", str(n_part), "--seed", "1", "--stride", "2", "--steps", "5"]
     qm3d = [*_REF3D, "--dt", "1.0", "--init", "ball:0.7"]
     return [
@@ -55,6 +56,9 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
          "--la", "1.0", "--dt", "0.01", "--init", "ball:1.0", *run, "-o", "morse"],
         ["simulate", *_REF3D, "--init", "ball:0.7", *run[:-4], "--model", "second",
          "--dt", "0.02", "--steps", "12", "--stride", "5", "-o", "qm3d_second"],
+        # N = 600 spans four groups of row blocks in the pair pass, with
+        # fused and energy-only passes for the records
+        ["simulate", *qm3d, "-N", "600", *run[2:], "-o", "qm3d_n600"],
         ["compare", "--state", "qm3d", "--profile", "ref3d.json", "--bins", "8",
          "-o", "compare3d.json"],
         ["compare", "--state", "qm2d", "--profile", "ref2d.json", "--bins", "8",
