@@ -535,30 +535,47 @@ _COMMANDS = {
 }
 
 
+def _is_config(token: str) -> bool:
+    """Whether ``token`` is ``--config`` or a prefix of it, which argparse
+    takes too, with or without ``=PATH``."""
+    flag = token.partition("=")[0]
+    return len(flag) > 2 and "--config".startswith(flag)
+
+
 def _command_name(argv: list[str]):
-    """The first token of ``argv`` that names a command, or None.  The path
-    after a separate ``--config`` (or a prefix of it, which argparse takes
-    too) is skipped, since it may be a file named like a command."""
+    """(name, alone): the first token of ``argv`` that names a command, or
+    None, and whether only ``--config`` and its path come before it.  The
+    path after a separate ``--config`` is skipped, since it may be a file
+    named like a command."""
     tokens = iter(argv)
+    alone = True
     for token in tokens:
         if token in _COMMANDS:
-            return token
-        if len(token) > 2 and "--config".startswith(token):
-            next(tokens, None)
-    return None
+            return token, alone
+        if _is_config(token):
+            if "=" not in token:
+                next(tokens, None)
+        else:
+            alone = False
+    return None, False
 
 
 def _build_parser(argv: list[str]) -> _Parser:
-    """Every command is listed, but only the one ``argv`` names gets flags,
-    ``-h`` included: argparse parses with that one alone, and the others'
-    flags would cost about 2 ms on every call."""
+    """Only the command ``argv`` names gets flags, ``-h`` included: argparse
+    parses with that one alone, and the others' flags would cost about 2 ms
+    on every call.  When nothing but ``--config`` comes before it, it is the
+    only command added.  Otherwise every command is added, since argparse
+    may list them all: in the top-level help (``-h`` before the command) or
+    in the message for an invalid command."""
     parser = _Parser(prog="flockdyn", description=__doc__)
     parser.add_argument("--config", help="JSON file with flag values", default=None)
     # metavar hides undocumented subcommands from the usage brace list
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
     parser.subcommands = sub.choices
-    chosen = _command_name(argv)
+    chosen, alone = _command_name(argv)
     for name, (help_, add_flags, _) in _COMMANDS.items():
+        if alone and name != chosen:
+            continue
         listed = {} if help_ is None else {"help": help_}
         p = sub.add_parser(name, add_help=name == chosen, **listed)
         if name == chosen:

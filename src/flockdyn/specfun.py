@@ -29,18 +29,31 @@ float64 array.  A size-one input (a float, a 0-d array or a one-element
 array) takes the float route: the same terms in the same order with the
 same stop test, on plain floats (``longdouble`` scalars for the upper J
 series), which costs microseconds where one-element array operations cost
-a millisecond.  Its value equals the array route's bit for bit.  That is
-why ``exp``, ``log`` and ``power`` come from numpy on both routes: numpy's
-array loops may use their own vectorised kernels, and ``math.exp`` has been
-seen to differ from ``np.exp`` by an ulp on about one argument in twenty
-(``math.log`` more rarely); a numpy function on a float runs the same loop
-as on an array.  ``sqrt``, ``sin`` and ``cos`` also come from numpy.
+a millisecond.  Its value equals, bit for bit, the value the array route
+gives for that element alone.  Within a longer array it may not: an array
+loop runs until its slowest element meets the stop test, so every element
+takes that many terms, and near a zero of J the extra terms show
+(``bessel_j(0, [2.404825, 3.99])[0]`` is 3 ulp below
+``bessel_j(0, 2.404825)``).  An array loop updates its terms and sums in
+place, and tests a sentinel first, the element expected to converge last,
+in scalar arithmetic; it tests the whole array only once the sentinel
+passes, so it runs as many iterations as a test of every element on every
+iteration would.  An array that falls in one piece of a function's domain
+goes to that piece's evaluator whole.
+
+The float route gives the array route's bits because ``exp``, ``log`` and
+``power`` come from numpy on both routes: numpy's array loops may use their
+own vectorised kernels, and ``math.exp`` has been seen to differ from
+``np.exp`` by an ulp on about one argument in twenty (``math.log`` more
+rarely); a numpy function on a float runs the same loop as on an array.
+``sqrt``, ``sin`` and ``cos`` also come from numpy.
 ``bessel_k_pair`` returns the scaled K_nu and K_{nu+1} from one evaluation,
 for callers that need both.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -89,13 +102,14 @@ def _check_order(nu) -> float:
 
 
 def _route(x):
-    """(values, shape): a size-one input as a float, any other as a float64
-    array; shape is None for a scalar or 0-d input, else the input's shape."""
+    """(values, shape): a size-one input as a float, any other as a flat
+    float64 array; shape is None for a scalar or 0-d input, else the
+    input's shape."""
     if isinstance(x, float):
         return float(x), None
     arr = np.asarray(x, dtype=np.float64)
     shape = None if arr.ndim == 0 else arr.shape
-    return (arr.item() if arr.size == 1 else arr), shape
+    return (arr.item() if arr.size == 1 else arr.ravel()), shape
 
 
 def _restore(values, shape):
@@ -103,20 +117,30 @@ def _restore(values, shape):
     array of the input's shape."""
     if shape is None:
         return float(values)
-    return np.full(shape, values) if np.ndim(values) == 0 else values
+    return np.full(shape, values) if np.ndim(values) == 0 else values.reshape(shape)
 
 
-# np.all, np.any and np.maximum for an evaluator that may hold floats
-def _all(cond):
-    return cond.all() if isinstance(cond, np.ndarray) else cond
-
-
+# np.any and an in-place np.maximum for an evaluator that may hold floats
 def _any(cond):
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
 def _max(a, b):
-    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+    return np.maximum(a, b, out=a) if isinstance(a, np.ndarray) else max(a, b)
+
+
+def _sentinel(x, largest: bool):
+    """Index of the element of x whose stop test is expected to pass last:
+    the largest x for a power series, the smallest for the continued
+    fraction and the large-x expansion.  None for a float."""
+    if not isinstance(x, np.ndarray):
+        return None
+    return int(x.argmax() if largest else x.argmin())
+
+
+def _at(a, index):
+    """Element ``index`` of an array; a float (index None) is itself."""
+    return a if index is None else a[index]
 
 
 def _piecewise(x, pieces, width=0):
@@ -125,17 +149,21 @@ def _piecewise(x, pieces, width=0):
     ``pieces`` lists (condition, evaluator) pairs whose conditions do not
     overlap.  A float takes the evaluator whose condition holds (nan where
     none does); an array gets each evaluator on the elements its condition
-    selects.  ``width`` is the number of values an evaluator returns when
-    it returns a tuple.
+    selects, or the whole array when one condition selects every element.
+    ``width`` is the number of values an evaluator returns when it returns
+    a tuple.
     """
     if not isinstance(x, np.ndarray):
         for cond, fn in pieces:
             if cond:
                 return fn(x)
         return (math.nan,) * width if width else math.nan
+    counts = [np.count_nonzero(cond) for cond, _ in pieces]
+    if x.size and x.size in counts:
+        return pieces[counts.index(x.size)][1](x)
     out = np.full((width,) + x.shape if width else x.shape, np.nan)
-    for cond, fn in pieces:
-        if cond.any():
+    for (cond, fn), count in zip(pieces, counts):
+        if count:
             out[..., cond] = fn(x[cond])
     return out
 
@@ -165,16 +193,19 @@ def _series_sum(nu: float, x, sign: float, dtype):
     term = np.power(half, dtype(nu)) / dtype(math.gamma(nu + 1.0))
     if not isinstance(term, np.ndarray):
         term = dtype(term)  # a float stays a plain float through the loop
-    total = term
+    total = +term  # a copy, as term is updated in place
     q = dtype(sign) * 0.25 * xl * xl
     peak = abs(term)
     stop = 1e-25 if dtype is np.longdouble else 1e-18
+    last = _sentinel(x, largest=True)
     for m in range(1, 400):
-        term = term * q / (m * (nu + m))
-        total = total + term
+        term *= q
+        term /= m * (nu + m)
+        total += term
         size = abs(term)
         peak = _max(peak, size)
-        if _all(size <= stop * (peak + 1e-300)):
+        if _at(size, last) <= stop * (_at(peak, last) + 1e-300) and (
+                last is None or (size <= stop * (peak + 1e-300)).all()):
             break
     else:  # pragma: no cover - series converges long before 400 terms
         raise ArithmeticError("power series failed to converge")
@@ -298,11 +329,18 @@ def _asym_series(nu: float, x, sign: float):
     negating the term."""
     mu4 = 4.0 * nu * nu
     term = total = 1.0
-    for k in range(1, 40):
-        term = term * (sign * (mu4 - (2 * k - 1) ** 2)) / (8.0 * k * x)
-        total = total + term
-        if _all(abs(term) <= 1e-18 * abs(total)):
-            break
+    last = _sentinel(x, largest=False)
+    # 8 k x overflows to inf above x = 2.2e307, where the term is 0 all the
+    # same; an array warns of it, a float does not
+    quiet = contextlib.nullcontext() if last is None else np.errstate(over="ignore")
+    with quiet:
+        for k in range(1, 40):
+            term *= sign * (mu4 - (2 * k - 1) ** 2)
+            term /= 8.0 * k * x
+            total += term
+            if abs(_at(term, last)) <= 1e-18 * abs(_at(total, last)) and (
+                    last is None or (abs(term) <= 1e-18 * abs(total)).all()):
+                break
     return total
 
 
@@ -375,12 +413,16 @@ def _kve01_series(x):
     # K1 = 1/x + log(x/2) I1 - (x/4) sum_{m>=0} (H_m + H_{m+1} - 2 gamma) q^m / (m! (m+1)!)
     term1 = 1.0
     acc1 = _K1_COEFF[0]
+    last = _sentinel(x, largest=True)
     for m in range(1, 60):
-        term = term * q / (m * m)
-        acc0 = acc0 + _HARMONIC[m] * term
-        term1 = term1 * q / (m * (m + 1))
-        acc1 = acc1 + _K1_COEFF[m] * term1
-        if _all(term <= 1e-20) and _all(term1 <= 1e-20):
+        term *= q
+        term /= m * m
+        acc0 += _HARMONIC[m] * term
+        term1 *= q
+        term1 /= m * (m + 1)
+        acc1 += _K1_COEFF[m] * term1
+        if _at(term, last) <= 1e-20 and _at(term1, last) <= 1e-20 and (
+                last is None or ((term <= 1e-20).all() and (term1 <= 1e-20).all())):
             break
     k0 = -(lg + EULER_GAMMA) * i0 + acc0
     with np.errstate(over="ignore"):
@@ -397,26 +439,31 @@ def _kve01_cf2(x):
     mu2 = 0.0  # order mu = 0
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
-    delh = h = d
+    delh, h = +d, +d  # copies, as each is updated in place
     q1, q2 = 0.0, 1.0
     a1 = 0.25 - mu2
     c = q = a1
     a = -a1
     s = 1.0 + q * delh
+    last = _sentinel(x, largest=False)
     for i in range(2, 600):
         a -= 2.0 * (i - 1)
         c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
+        # the next q, (q1 - b q2) / a, formed in the place of q1
+        q1 -= b * q2
+        q1 /= a
+        q1, q2 = q2, q1
+        q += c * q2
+        b += 2.0
+        d *= a  # d = 1 / (b + a d)
+        d += b
+        d = 1.0 / d
+        delh *= b * d - 1.0
+        h += delh
         dels = q * delh
-        s = s + dels
-        if _all(abs(dels) <= 1e-17 * abs(s)):
+        s += dels
+        if abs(_at(dels, last)) <= 1e-17 * abs(_at(s, last)) and (
+                last is None or (abs(dels) <= 1e-17 * abs(s)).all()):
             break
     else:  # pragma: no cover
         raise ArithmeticError("K continued fraction failed to converge")

@@ -771,6 +771,9 @@ def test_help_matches_the_snapshot(monkeypatch, capsys, command):
     ([], "the following arguments are required: SUBCOMMAND"),
     (["--config", "solve"], "the following arguments are required: SUBCOMMAND"),
     (["solve", *REF3D_FLAGS, "--resolution", "8"], "unrecognized arguments: --resolution 8"),
+    (["bogus", "solve"], "argument SUBCOMMAND: invalid choice: 'bogus' (choose from 'solve', "
+                         "'phase', 'verify', 'roots', 'asymptotics', 'simulate', 'compare', "
+                         "'specfun-table')"),
 ])
 def test_usage_errors_keep_their_messages(capsys, argv, message):
     assert main(argv) == 5
@@ -794,15 +797,38 @@ def test_config_before_the_command_in_every_form(tmp_path, monkeypatch, head):
 
 
 def test_main_builds_only_the_chosen_commands_flags(tmp_path, monkeypatch):
-    added = []
+    monkeypatch.chdir(tmp_path)
+    Path("phase").write_text("{}")
+    added, commands = [], []
     add_argument = argparse.ArgumentParser.add_argument
+    add_parser = argparse._SubParsersAction.add_parser
 
     def spy(self, *args, **kwargs):
         if args != ("-h", "--help"):
             added.append(self.prog)
         return add_argument(self, *args, **kwargs)
 
+    def parser_spy(self, name, **kwargs):
+        commands.append(name)
+        return add_parser(self, name, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
-    assert main(["solve", *REF3D_FLAGS, "--grid", "4", "-o", str(tmp_path / "p")]) == 0
-    assert set(added) == {"flockdyn", "flockdyn solve"}
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", parser_spy)
+    # only --config may come before the command for it to be built alone
+    for head in ([], ["--config", "phase"], ["--conf=phase"]):
+        added.clear()
+        commands.clear()
+        assert main([*head, "solve", *REF3D_FLAGS, "--grid", "4", "-o", "p"]) == 0
+        assert set(added) == {"flockdyn", "flockdyn solve"}
+        assert commands == ["solve"]
     assert list(cli._COMMANDS) == _COMMAND_NAMES  # every command has a help snapshot
+
+
+@_PY311
+@pytest.mark.parametrize("head", [["-h"], ["--he"], ["--config", "cfg.json", "--help"]])
+def test_help_before_the_command_lists_every_command(monkeypatch, capsys, head):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main([*head, "solve", *REF3D_FLAGS])
+    snapshot = Path(__file__).parent / "data" / "help" / "flockdyn.txt"
+    assert capsys.readouterr().out.encode() == snapshot.read_bytes()

@@ -10,10 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special as sp
 
 from flockdyn import specfun as sf
 from flockdyn.errors import DomainError, UnsupportedOrderError
+from specfun_oracle import installed as reference_loops_installed
 
 ALL_ORDERS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 
@@ -371,7 +375,8 @@ def test_half_integer_forms_consistent_with_closed_expressions():
         )
 
 
-# the log grid, a few points far out, uniform draws across every
+# the log grid, a few points far out up to the largest double (where the
+# large-x expansion's 8 k x overflows), uniform draws across every
 # evaluator's range (dense enough to see a one-ulp difference in exp or
 # log), each crossover (K series / continued fraction at 2, longdouble J
 # series at 4, J series / Miller at 12, I and K expansions at 30, Miller /
@@ -380,7 +385,7 @@ def test_half_integer_forms_consistent_with_closed_expressions():
 _CROSSOVERS = [2.0, 4.0, 12.0, 30.0, sf._J_HANKEL_CUT]
 AGREEMENT_X = np.append(np.unique(np.concatenate([
     np.logspace(-3, 3, 37),
-    [1e6, 1e20, 1e300],
+    [1e6, 1e20, 1e300, np.finfo(np.float64).max],
     np.random.default_rng(8).uniform(0.0, 4.0, 120),
     np.random.default_rng(9).uniform(4.0, 40.0, 120),
     _CROSSOVERS,
@@ -470,3 +475,95 @@ def test_k0_at_the_smallest_subnormal_is_finite_and_silent():
         assert k0 == pytest.approx(want, rel=1e-15) and k1 == math.inf
         k0s, k1s = sf.bessel_k_pair(0.0, np.array([x, 1.0]))
         assert k0s[0] == k0 and k1s[0] == math.inf
+
+
+# ---------------------------------------------- the array loops against the reference
+
+# zeros of J_0, J_1 and J_2, where an element's bits depend on how many
+# terms are summed, and each crossover with its floating-point neighbours
+_J_ZEROS = [2.404825, 3.831706, 5.135622, 5.520078, 7.015587, 8.653728, 11.791534]
+_SPECIAL_X = [*_J_ZEROS, *_CROSSOVERS,
+              *[np.nextafter(c, side) for c in _CROSSOVERS for side in (0.0, math.inf)],
+              5e-324, 1e-310, np.finfo(np.float64).tiny, 1e-300, 1e5, 1e300,
+              np.finfo(np.float64).max]
+_LOOP_X = st.one_of(
+    st.floats(min_value=5e-324, max_value=45.0),
+    st.floats(min_value=1.5, max_value=4.5),  # dense about the K and J crossovers
+    st.sampled_from(_SPECIAL_X),
+    st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormals
+)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the name and message of what it raised."""
+    try:
+        return np.asarray(fn(*args, **kwargs))
+    except (ArithmeticError, RuntimeWarning) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _public_values(x):
+    """Every public function at every order and scaling on x > 0, as a
+    dict of arrays or errors: J and I of order >= 0 also at x = 0 (the
+    first element set to 0), raw I only below its overflow.  Below
+    x = 1e-300 a ratio of K may divide inf by inf or overflow, with a
+    warning; this compares only values, so those warnings are not
+    reported."""
+    with_zero = x.copy()
+    with_zero.flat[0] = 0.0
+    values = {}
+    for nu in ALL_ORDERS:
+        at = with_zero if nu >= 0.0 else x
+        values[f"J{nu}"] = _outcome(sf.bessel_j, nu, at)
+        values[f"I{nu}"] = _outcome(sf.bessel_i, nu, np.minimum(at, 700.0))
+        values[f"Ie{nu}"] = _outcome(sf.bessel_i, nu, at, scaled=True)
+        values[f"K{nu}"] = _outcome(sf.bessel_k, nu, x)
+        values[f"Ke{nu}"] = _outcome(sf.bessel_k, nu, x, scaled=True)
+        if nu + 1.0 in ALL_ORDERS:
+            values[f"Kpair{nu}"] = _outcome(sf.bessel_k_pair, nu, x)
+        if nu >= 0.0 and nu + 1.0 in ALL_ORDERS:
+            for fn in (sf.ratio_k_over_xk, sf.ratio_k, sf.ratio_k_inverse):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values[f"{fn.__name__}{nu}"] = _outcome(fn, nu, x)
+    return values
+
+
+def _assert_same_bits(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        if isinstance(want[name], str) or isinstance(got[name], str):
+            assert got[name] == want[name], name
+            continue
+        assert got[name].shape == want[name].shape, name
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(2, 600), elements=_LOOP_X), st.booleans())
+def test_array_loops_equal_the_reference_loops_bit_for_bit(x, two_rows):
+    # in-place updates, the sentinel stop test and the one-piece dispatch
+    # change no value: every loop runs as many terms as the reference
+    if two_rows and x.size % 2 == 0:
+        x = x.reshape(2, -1)
+    with reference_loops_installed():
+        want = _public_values(x)
+    _assert_same_bits(_public_values(x), want)
+
+
+def _first_to_converge(x, largest):
+    # the element whose stop test passes first, the opposite of the sentinel
+    return None if not isinstance(x, np.ndarray) else int(x.argmin() if largest else x.argmax())
+
+
+def _first_element(x, largest):
+    return 0 if isinstance(x, np.ndarray) else None
+
+
+@pytest.mark.parametrize("wrong", [_first_to_converge, _first_element])
+def test_a_wrong_sentinel_changes_no_value(monkeypatch, wrong):
+    # the sentinel only decides when the whole array is tested, so any
+    # element in its place gives the same values
+    x = np.concatenate([AGREEMENT_X[:-1], _J_ZEROS, np.linspace(1.9, 2.1, 41)])
+    want = _public_values(x)
+    monkeypatch.setattr(sf, "_sentinel", wrong)
+    _assert_same_bits(_public_values(x), want)
