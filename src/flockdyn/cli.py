@@ -91,7 +91,7 @@ _EXIT_CODES = (
     ((NoRootError, RegimeError), EXIT_NO_ROOT),
     ((BracketFailureError, DegenerateDenominatorError, NumericalBlowupError,
       PositivityFailureError, QuadratureNonConvergenceError, VerificationFailureError,
-      OverflowError), EXIT_NUMERICAL),
+      ArithmeticError), EXIT_NUMERICAL),
     ((OSError,), EXIT_IO),
     ((DomainError, FlockdynError, ValueError), EXIT_USAGE),
 )

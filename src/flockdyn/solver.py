@@ -15,7 +15,9 @@ branch collapses to ``c_sin sin(aR) + c_cos cos(aR)``, which equals
 tan(aR); consecutive poles bracket exactly one root, and the j-th root
 lies between the j-th and (j+1)-th pole.  In 2-D the brackets end at the
 zeros of J_1(aR), and the first one is narrowed to the cell of a 512-point
-scan where det M first changes sign.
+scan where det M first changes sign.  A call refines only the brackets of
+the roots it returns: ``solve_profile(root_index=k)`` refines bracket k alone.
+A scalar R stays a float down to the Bessel kernels (``specfun``'s float route).
 
 On the exponential branch (A < 0) Btilde grows as e^{aR}: ``_boundary_eval``
 gives Btilde e^{-aR}, and ``_mode_weights`` the scaled growing-mode weights
@@ -26,6 +28,7 @@ are formed only at the public edges, ``boundary_coeff`` and ``mode_coeffs``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,17 +60,12 @@ TAN_FIXPOINT = 4.493409457909064
 #: |A| below which the quadratic (A = 0) branch may be selected explicitly
 A_ZERO_TOL = 1e-4
 
-_J1_ZERO_CACHE: dict[int, float] = {}
 
-
+@functools.cache
 def _j1_zero(m: int) -> float:
     """m-th positive zero of J_1, refined inside its McMahon bracket."""
-    if m not in _J1_ZERO_CACHE:
-        approx = (m + 0.25) * math.pi
-        _J1_ZERO_CACHE[m] = bracketed_root(
-            lambda x: specfun.bessel_j(1.0, x), approx - 0.6, approx + 0.6
-        )
-    return _J1_ZERO_CACHE[m]
+    approx = (m + 0.25) * math.pi
+    return bracketed_root(lambda x: specfun.bessel_j(1.0, x), approx - 0.6, approx + 0.6)
 
 
 @dataclass(frozen=True)
@@ -151,10 +149,11 @@ def boundary_coeff(params: ModelParams, case: Sign, xi: float, R):
     fits in a double is finite, one past it +-inf.  R may be a scalar or an array.
     """
     _, a = _check_case(params, case)
+    R, shape = specfun._route(R)
     out = _boundary_eval(params, case, xi, R)
     if case is Sign.NEGATIVE:
-        out = _times_exp(out, a * np.asarray(R, dtype=np.float64))
-    return out
+        out = _times_exp(out, a * R)
+    return specfun._restore(out, shape)
 
 
 def _times_exp(x, e):
@@ -168,20 +167,17 @@ def _boundary_eval(params: ModelParams, case: Sign, xi: float, R):
     """Branch dispatch without the case gate (the quadratic branch is exact
     for parabola densities at any parameters; the convolution module relies
     on that).  On the exponential branch (A < 0) it gives Btilde(xi) e^{-aR},
-    which stays finite for any aR."""
+    which stays finite for any aR.  R is a float or a flat array, as
+    ``specfun._route`` gives it."""
     A, a = aggregate_param(params)
-    arr = np.atleast_1d(np.asarray(R, dtype=np.float64))
-    scalar = np.asarray(R).ndim == 0
-    if np.any(arr <= 0.0):
+    if specfun._any(R <= 0.0):
         raise BracketFailureError("boundary_coeff requires R > 0")
     n, k = params.n, params.k
     if case is Sign.ZERO:
-        out = _boundary_zero(n, k, xi, arr)
-    elif n == 3:
-        out = _boundary_3d(k, a, case, xi, arr)
-    else:
-        out = _boundary_2d(k, a, case, xi, arr, *_radial_2d(a, case, arr))
-    return float(out[0]) if scalar else out
+        return _boundary_zero(n, k, xi, R)
+    if n == 3:
+        return _boundary_3d(k, a, case, xi, R)
+    return _boundary_2d(k, a, case, xi, R, *_radial_2d(a, case, R))
 
 
 def _boundary_3d(k, a, case, xi, R):
@@ -271,14 +267,15 @@ def f_minus(params: ModelParams, R):
     if params.n != 3 or A >= 0.0:
         raise CaseMismatchError("f_minus is defined for n = 3 with A < 0")
     C, ell, k = params.C, params.ell, params.k
-    R = np.asarray(R, dtype=np.float64)
+    R, shape = specfun._route(R)
     th = np.tanh(a * R)
     cl3 = C * ell**3
-    return (
+    return specfun._restore(
         (a * ell / k) * (1.0 - cl3)
         + k * R * (1.0 - cl3) * th
         + (ell - cl3) * a * R
-        + (1.0 - C * ell**4) * th
+        + (1.0 - C * ell**4) * th,
+        shape,
     )
 
 
@@ -290,9 +287,8 @@ def flock_determinant(params: ModelParams, R):
     rather than NaN.  R may be a scalar or an array.
     """
     A, a = aggregate_param(params)
-    arr = np.atleast_1d(np.asarray(R, dtype=np.float64))
-    scalar = np.asarray(R).ndim == 0
-    if np.any(arr <= 0.0):
+    arr, shape = specfun._route(R)
+    if specfun._any(arr <= 0.0):
         raise BracketFailureError("flock_determinant requires R > 0")
     n, C, ell, k = params.n, params.C, params.ell, params.k
 
@@ -306,19 +302,12 @@ def flock_determinant(params: ModelParams, R):
             c_sin, c_cos = _det_pos_coeffs(params, a, arr)
             out = c_sin * np.sin(a * arr) + c_cos * np.cos(a * arr)
         else:
-            f0, f1 = _radial_2d(a, Sign.POSITIVE, arr)
-            out = _boundary_2d(k, a, Sign.POSITIVE, ell, arr, f0, f1) - _boundary_2d(
-                k, a, Sign.POSITIVE, 1.0, arr, f0, f1
-            )
+            f = _radial_2d(a, Sign.POSITIVE, arr)
+            out = (_boundary_2d(k, a, Sign.POSITIVE, ell, arr, *f)
+                   - _boundary_2d(k, a, Sign.POSITIVE, 1.0, arr, *f))
     else:
         if n == 3:
-            pref = (
-                math.sqrt(2.0 / (math.pi * a))
-                * k
-                * ell**2
-                * (C * ell - 1.0)
-                / (1.0 - ell**2)
-            )
+            pref = math.sqrt(2.0 / (math.pi * a)) * k * ell**2 * (C * ell - 1.0) / (1.0 - ell**2)
             with np.errstate(over="ignore"):
                 out = (
                     pref
@@ -335,7 +324,7 @@ def flock_determinant(params: ModelParams, R):
             )
             f0, f1 = _radial_2d(a, Sign.NEGATIVE, arr)
             out = _times_exp(c0 * f0 + c1 * f1, a * arr)
-    return float(out[0]) if scalar else out
+    return specfun._restore(out, shape)
 
 
 def tangent_offset(params: ModelParams, R):
@@ -345,11 +334,11 @@ def tangent_offset(params: ModelParams, R):
     if params.n != 3 or A <= 0.0:
         raise CaseMismatchError("tangent_offset is defined for n = 3 with A > 0")
     ell, k = params.ell, params.k
-    R = np.asarray(R, dtype=np.float64)
+    R, shape = specfun._route(R)
     a2 = a * a
     num = (a2 * ell - k * k) * k * R + a2 * ell * (ell + 1.0)
     den = a2 * (ell + 1.0) * k * R + k * k + a2 * (ell * ell + ell + 1.0)
-    return (a / k) * num / den
+    return specfun._restore((a / k) * num / den, shape)
 
 
 def _require_positive_A(params: ModelParams, allow_nonbiological: bool):
@@ -369,18 +358,16 @@ def _require_positive_A(params: ModelParams, allow_nonbiological: bool):
     return A, a
 
 
-def _bracket_edges(params: ModelParams, a: float, count: int) -> list[float]:
-    """Edges of the first ``count`` root brackets of det M: the poles
+def _bracket_edges(params: ModelParams, a: float, last: int, first: int = 1) -> list[float]:
+    """Edges of root brackets ``first..last`` of det M: the poles
     (j - 1/2) pi / a of tan(aR) in 3-D, where det M_+ = +-c_sin alternates in
     sign; in 2-D a point near the origin, then the zeros of J_1(aR)."""
     if params.n == 3:
-        return [(j - 0.5) * math.pi / a for j in range(1, count + 2)]
-    return [1e-8 / a] + [_j1_zero(m) / a for m in range(1, count + 1)]
+        return [(j - 0.5) * math.pi / a for j in range(first, last + 2)]
+    return [_j1_zero(m) / a if m else 1e-8 / a for m in range(first - 1, last + 1)]
 
 
-def _first_sign_change_2d(
-    params: ModelParams, lo: float, hi: float
-) -> tuple[float, float]:
+def _first_sign_change_2d(params: ModelParams, lo: float, hi: float) -> tuple[float, float]:
     """Grid cell of the first sign change of det M on a fine scan of the
     first 2-D bracket; warns when the scan sees more than one."""
     grid = np.linspace(lo, hi, 512)
@@ -397,16 +384,15 @@ def _first_sign_change_2d(
     return float(grid[flips[0]]), float(grid[flips[0] + 1])
 
 
-def _refined_roots(params: ModelParams, edges: list[float]) -> list[float]:
-    """det M refined on each bracket (edges[j-1], edges[j]); a 2-D first
-    bracket is narrowed to its first sign change before refinement."""
+def _refined_roots(params: ModelParams, a: float, last: int, first: int = 1):
+    """The edges of brackets ``first..last`` and the root of det M refined on
+    each; a 2-D first bracket is narrowed to its first sign change before."""
+    edges = _bracket_edges(params, a, last, first)
     brackets = list(zip(edges[:-1], edges[1:]))
-    if params.n == 2:
+    if params.n == 2 and first == 1:
         brackets[0] = _first_sign_change_2d(params, *brackets[0])
-    return [
-        bracketed_root(lambda R: flock_determinant(params, R), lo, hi)
-        for lo, hi in brackets
-    ]
+    return edges, [bracketed_root(lambda R: flock_determinant(params, R), lo, hi)
+                   for lo, hi in brackets]
 
 
 def find_support_radius(
@@ -419,8 +405,7 @@ def find_support_radius(
     unless explicitly allowed.
     """
     A, a = _require_positive_A(params, allow_nonbiological)
-    edges = _bracket_edges(params, a, 1)
-    root = _refined_roots(params, edges)[0]
+    edges, (root,) = _refined_roots(params, a, 1)
     return root, RootBracket(lo=edges[0], hi=edges[1], index=1)
 
 
@@ -432,7 +417,7 @@ def enumerate_roots(
     if count < 1:
         raise ValueError("count must be >= 1")
     A, a = _require_positive_A(params, allow_nonbiological)
-    roots = _refined_roots(params, _bracket_edges(params, a, count))
+    _, roots = _refined_roots(params, a, count)
     return [(r, j) for j, r in enumerate(roots, start=1)]
 
 
@@ -487,11 +472,8 @@ def mass(profile: FlockProfile) -> float:
     )
 
 
-def solve_profile(
-    params: ModelParams,
-    root_index: int = 1,
-    allow_nonbiological: bool = False,
-) -> FlockProfile:
+def solve_profile(params: ModelParams, root_index: int = 1,
+                  allow_nonbiological: bool = False) -> FlockProfile:
     """Solve for the flock profile at the given determinant root.
 
     The null-space direction is fixed by mu2 = -Btilde(1)|_{R*} mu1 and the
@@ -500,8 +482,9 @@ def solve_profile(
     roots are returned unchecked for the sign-structure experiments.
     """
     A, a = _require_positive_A(params, allow_nonbiological)
-    roots = enumerate_roots(params, root_index, allow_nonbiological=allow_nonbiological)
-    R_star = roots[root_index - 1][0]
+    if root_index < 1:
+        raise ValueError("root_index must be >= 1")
+    _, (R_star,) = _refined_roots(params, a, root_index, root_index)
     b1 = boundary_coeff(params, Sign.POSITIVE, 1.0, R_star)
     mu1, mu2 = 1.0, -b1
     total = _mass_closed(params.n, a, R_star, mu1, mu2)

@@ -7,7 +7,7 @@ nothing here pretends to be a general-order library.  Evaluation strategy:
   series is accumulated in 80-bit ``longdouble`` above x = 4 because its
   terms alternate and cancel,
 * Miller's normalized downward recurrence for integer-order J beyond the
-  series range, and Hankel's large-x expansion from x = 1e4 on,
+  series range, and Hankel's large-x expansion from x = 1e3 on,
 * closed (hyperbolic) trigonometric forms for half-integer orders outside
   the series range,
 * for integer-order K: the log/Euler-gamma series below x = 2, a Steed-type
@@ -66,11 +66,12 @@ EULER_GAMMA = 0.57721566490153286061
 _SUPPORTED_ORDERS = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
 
 _J_SERIES_CUT = 12.0
-# integer-order J from here on by Hankel's expansion, whose cost does not
-# grow with x as the downward recurrence's does
-_J_HANKEL_CUT = 1e4
-# terms of each of its two sums: at x >= 1e4 and orders up to 3 the next
-# term is below 1e-30 of the sum it would join
+# integer-order J from here on by Hankel's expansion: unlike the downward
+# recurrence's, its cost does not grow with x, and its error stays below 1e-15
+# of the envelope sqrt(2 / (pi x)) (the recurrence's reaches 5e-14 below 1e4)
+_J_HANKEL_CUT = 1e3
+# terms of each of its two sums: at x >= 1e3 and orders up to 3 the next
+# term is below 2e-23 of the sum it would join
 _J_HANKEL_TERMS = 4
 _J_EXTENDED_CUT = 4.0
 _I_SERIES_CUT = 30.0
@@ -176,6 +177,9 @@ def _power_series(nu: float, x, sign: float):
     cancelling noticeably beyond x = 4, so 80-bit accumulation is used
     there; elsewhere plain doubles keep the hot vectorized paths fast.
     """
+    if nu < 0.0 and _any(0.5 * x == 0.0):  # (x/2)^nu is inf: x = 5e-324
+        raise ArithmeticError(f"order {nu} power series cannot start at x = 5e-324, "
+                              "where x/2 rounds to 0")
     if sign < 0.0:
         # each precision regime is summed on its own, so a value does not
         # depend on which other elements share the call
@@ -546,16 +550,15 @@ def bessel_k(nu, x, scaled=False):
     return _restore(out, shape)
 
 
-def _k_pair(name: str, nu, x):
-    """Scaled (K_|nu|(x), K_|nu+1|(x)) from one evaluation, with x routed and
-    its shape; the orders and x > 0 are checked on behalf of ``name``."""
+def _pair_args(name: str, nu, x):
+    """(nu, nu + 1, x routed, its shape), the orders and x > 0 checked on
+    behalf of ``name``."""
     nu = _check_order(nu)
     upper = _check_order(nu + 1.0)
     x, shape = _route(x)
     if _any(x <= 0.0):
         raise DomainError(f"{name} requires x > 0")
-    lower, upper = _kve([abs(nu), abs(upper)], x)
-    return lower, upper, x, shape
+    return nu, upper, x, shape
 
 
 def bessel_k_pair(nu, x):
@@ -565,15 +568,29 @@ def bessel_k_pair(nu, x):
     integer orders both come from one K_0, K_1 evaluation, which
     ``bessel_k`` would repeat per order.  nu and nu + 1 must be supported.
     """
-    lower, upper, _, shape = _k_pair("bessel_k_pair", nu, x)
+    nu, upper, x, shape = _pair_args("bessel_k_pair", nu, x)
+    lower, upper = _kve([abs(nu), abs(upper)], x)
     return _restore(lower, shape), _restore(upper, shape)
 
 
-def _ratio_pair(name: str, nu, x):
-    """``_k_pair`` for the ratio families, which need nu >= 0."""
+def _ratio(name: str, nu, x, of_pair, of_lead):
+    """One K-ratio family at nu >= 0: ``of_pair(K_nu, K_{nu+1}, x)`` from the
+    scaled pair, and below _K_OVERFLOW_X, where K of the upper order may
+    leave the double range, ``of_lead(p, q, x)`` from the leading small-x
+    term p / q of x K_{nu+1}(x) / K_nu(x): 2 nu, or 1 / (ln 2 - ln x - gamma)
+    at nu = 0.  Its relative error there is below 1e-80."""
     if _check_order(nu) < 0.0:
         raise DomainError(f"{name} requires nu >= 0")
-    return _k_pair(name, nu, x)
+    nu, upper, x, shape = _pair_args(name, nu, x)
+
+    def lead(v):
+        return of_lead(2.0 * nu or 1.0, 1.0 if nu else _LOG_2 - np.log(v) - EULER_GAMMA, v)
+
+    with np.errstate(over="ignore"):  # a small-x quotient past the double range is inf
+        return _restore(_piecewise(x, [
+            (x >= _K_OVERFLOW_X, lambda v: of_pair(*_kve([nu, upper], v), v)),
+            (x < _K_OVERFLOW_X, lead),
+        ]), shape)
 
 
 def ratio_k_over_xk(nu, x):
@@ -581,17 +598,16 @@ def ratio_k_over_xk(nu, x):
 
     One of the three strictly decreasing ratio families; nu >= 0.
     """
-    lower, upper, x, shape = _ratio_pair("ratio_k_over_xk", nu, x)
-    return _restore(upper / (x * lower), shape)
+    return _ratio("ratio_k_over_xk", nu, x, lambda lo, up, v: up / (v * lo),
+                  lambda p, q, v: p / q / v / v)
 
 
 def ratio_k(nu, x):
     """K_{nu+1}(x) / K_nu(x); strictly decreasing on (0, inf) for nu >= 0."""
-    lower, upper, _, shape = _ratio_pair("ratio_k", nu, x)
-    return _restore(upper / lower, shape)
+    return _ratio("ratio_k", nu, x, lambda lo, up, v: up / lo, lambda p, q, v: p / q / v)
 
 
 def ratio_k_inverse(nu, x):
     """K_nu(x) / (x K_{nu+1}(x)), the companion decreasing family."""
-    lower, upper, x, shape = _ratio_pair("ratio_k_inverse", nu, x)
-    return _restore(lower / (x * upper), shape)
+    return _ratio("ratio_k_inverse", nu, x, lambda lo, up, v: lo / (v * up),
+                  lambda p, q, v: q / p)

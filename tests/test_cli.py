@@ -720,6 +720,17 @@ def test_specfun_table_at_the_top_of_the_double_range(tmp_path, capsys):
     assert not (tmp_path / "raw.csv").exists()
 
 
+def test_specfun_table_at_the_smallest_subnormal(tmp_path, capsys):
+    # order -1/2's series cannot start where x/2 rounds to 0; this ended in
+    # a traceback with a divide-by-zero warning
+    out = tmp_path / "sf.csv"
+    assert main(["specfun-table", "--orders=-0.5", "--x-grid", "log:5e-324:1:3",
+                 "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: order -0.5 power series") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_compare_rejects_zero_bins(tmp_path, capsys):
     # once exited 0 with l1_error = 1.0002 from an empty histogram
     profile = str(tmp_path / "prof")

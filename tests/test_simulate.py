@@ -787,7 +787,9 @@ def test_grouped_pair_pass_equals_the_first_written_kernel_bit_for_bit(case, dim
     used = set()
     for g, gap in zip(rng.permutation([g for g, rows in enumerate(owners) if rows])[:3],
                       (0.0, 0.7, 0.3)):
-        a = int(rng.choice([i for i in owners[g] if i not in used]))
+        # a row with a free row above it, for b
+        top = max(j for j in range(n_part) if j not in used)
+        a = int(rng.choice([i for i in owners[g] if i not in used and i < top]))
         b = int(rng.choice([j for j in range(a + 1, n_part) if j not in used]))
         used |= {a, b}
         direc = rng.normal(size=dim)

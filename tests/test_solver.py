@@ -461,11 +461,89 @@ def test_density_limits_and_support():
     )
 
 
+def _solve_each_root_equals_the_enumeration(params, count=40):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # MultipleRootsWarning
+        roots = enumerate_roots(params, count)
+        assert enumerate_roots(params, 7) == roots[:7]
+        for k in range(1, count + 1):
+            assert _bits(solve_profile(params, root_index=k).R_star) == _bits(roots[k - 1][0])
+
+
+@pytest.mark.parametrize("params", [REF3D, REF2D])
+def test_solve_at_each_root_index_equals_the_enumeration(params):
+    # solve_profile refines bracket k alone; enumerate_roots refines 1..k
+    _solve_each_root_equals_the_enumeration(params)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+def test_solve_at_each_root_index_equals_the_enumeration_on_draws(seed, n):
+    _solve_each_root_equals_the_enumeration(region_i_draw(np.random.default_rng(seed), n))
+
+
+def test_solve_at_a_high_2d_root_refines_one_bracket(monkeypatch):
+    _, a = aggregate_param(REF2D)
+    zeros = {m: sv._j1_zero(m) for m in (49, 50)}
+    asked, brackets = [], []
+    refine = sv.bracketed_root
+    monkeypatch.setattr(sv, "_j1_zero", lambda m: asked.append(m) or zeros[m])
+    monkeypatch.setattr(
+        sv, "bracketed_root", lambda f, lo, hi: brackets.append((lo, hi)) or refine(f, lo, hi)
+    )
+    R_star = solve_profile(REF2D, root_index=50).R_star
+    assert asked == [49, 50]
+    assert brackets == [(zeros[49] / a, zeros[50] / a)]
+    assert brackets[0][0] < R_star < brackets[0][1]
+    monkeypatch.undo()
+    assert R_star == enumerate_roots(REF2D, 50)[49][0]
+
+
+def test_solve_at_the_millionth_3d_root():
+    # once ran for over a minute, refining every root below it
+    _, a = aggregate_param(REF3D)
+    j = 10**6
+    R_star = solve_profile(REF3D, root_index=j).R_star
+    assert (j - 0.5) * math.pi / a < R_star < (j + 0.5) * math.pi / a
+
+
+def test_solve_rejects_a_root_index_below_one():
+    with pytest.raises(ValueError):
+        solve_profile(REF3D, root_index=0)
+
+
 def test_second_root_density_changes_sign():
     prof2 = solve_profile(REF3D, root_index=2)
     _, a = aggregate_param(REF3D)
     r_tilde2 = 1.5 * math.pi / a
     assert density_eval(prof2, 0.0) * density_eval(prof2, r_tilde2) < 0.0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scalar_radius_gives_a_float_equal_to_the_one_element_call(n):
+    # a scalar R stays a float from the solver down to specfun, and the
+    # value has the bits of the one-element array call
+    pos, neg = (REF3D if n == 3 else REF2D), ModelParams(n, 3.0, 0.9, 1.0)
+    cases = [
+        lambda R: flock_determinant(pos, R),
+        lambda R: flock_determinant(neg, R),
+        lambda R: boundary_coeff(pos, Sign.POSITIVE, pos.ell, R),
+        lambda R: boundary_coeff(neg, Sign.NEGATIVE, neg.ell, R),
+        lambda R: boundary_coeff(neg, Sign.NEGATIVE, 1.0, R),
+    ]
+    if n == 3:
+        cases += [lambda R: sv.f_minus(neg, R), lambda R: tangent_offset(pos, R)]
+    for fn in cases:
+        for R in (1e-9, 0.3, 1.3, 7.0, 715.0):
+            got = fn(R)
+            assert type(got) is float and type(fn(np.float64(R))) is float
+            assert type(fn(np.array(R))) is float
+            one = fn(np.array([R]))
+            assert one.shape == (1,) and _bits(one) == _bits(got)
 
 
 def test_mass_special_cases():

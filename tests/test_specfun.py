@@ -81,7 +81,7 @@ def test_j_accuracy_vs_scipy(nu):
 
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
 def test_j_integer_order_at_large_x_vs_mpmath(nu):
-    # Hankel's expansion from x = 1e4 on; relative to the envelope, since
+    # Hankel's expansion from x = 1e3 on; relative to the envelope, since
     # near its zeros J itself has no relative accuracy to keep
     import mpmath as mp
 
@@ -90,6 +90,25 @@ def test_j_integer_order_at_large_x_vs_mpmath(nu):
         envelope = mp.sqrt(2 / (mp.pi * mp.mpf(x)))
         ref = mp.besselj(nu, mp.mpf(x))
         assert float(abs(sf.bessel_j(nu, x) - ref) / envelope) < 1e-14, x
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_j_integer_order_between_1e3_and_1e4_vs_mpmath(nu):
+    # Hankel's expansion with four terms per sum takes over at 1e3; the
+    # downward recurrence it replaced erred by up to 5e-14 of the envelope
+    # on [1e3, 1e4), the expansion by about 5e-16
+    import mpmath as mp
+
+    assert sf._J_HANKEL_CUT == 1e3
+    mp.mp.dps = 40
+    xs = np.random.default_rng(52).uniform(1e3, 1e4, 300).tolist()
+    xs += [1e3, np.nextafter(1e4, 0.0)]
+    worst = 0.0
+    for x in xs:
+        envelope = mp.sqrt(2 / (mp.pi * mp.mpf(x)))
+        ref = mp.besselj(nu, mp.mpf(x))
+        worst = max(worst, float(abs(sf.bessel_j(nu, x) - ref) / envelope))
+    assert worst < 1e-15
 
 
 def test_j_negative_order_reflection():
@@ -351,6 +370,47 @@ def test_ratio_ode_residual(nu):
     assert np.max(np.abs(residual) / scale) < 1e-6
 
 
+RATIO_ORDERS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+@pytest.mark.parametrize("nu", RATIO_ORDERS)
+def test_ratio_families_below_the_k_overflow_cut_vs_mpmath(nu):
+    # below 1e-80 K of the upper order can leave the double range, and the
+    # ratios come from the leading small-x term instead of the scaled pair;
+    # a ratio past the double range is inf, silently, on both routes
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    xs = [1e-81, 1e-100, 1e-200, 1e-300, 2.2e-308, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in xs:
+            r = mp.besselk(nu + 1, mp.mpf(x)) / mp.besselk(nu, mp.mpf(x))
+            for fn, want in ((sf.ratio_k, r), (sf.ratio_k_inverse, 1 / (x * r)),
+                             (sf.ratio_k_over_xk, r / x)):
+                got, want = fn(nu, x), float(want)
+                assert type(got) is float
+                assert fn(nu, np.array([x, 1.0]))[0] == got
+                if math.isinf(want):
+                    assert got == want, (fn.__name__, x)
+                else:
+                    assert got == pytest.approx(want, rel=1e-15), (fn.__name__, x)
+
+
+@pytest.mark.parametrize("nu", RATIO_ORDERS)
+def test_ratio_families_at_and_above_the_k_overflow_cut_keep_the_pair_quotient(nu):
+    # from 1e-80 on, each family is the quotient of the scaled pair, also
+    # where the call holds x below the cut
+    xs = np.array([sf._K_OVERFLOW_X, np.nextafter(sf._K_OVERFLOW_X, 1.0), 1e-20, 0.5, 3.0, 40.0])
+    lower, upper = sf.bessel_k_pair(nu, xs)
+    mixed = np.concatenate([[1e-100], xs])
+    for fn, want in ((sf.ratio_k, upper / lower), (sf.ratio_k_inverse, lower / (xs * upper)),
+                     (sf.ratio_k_over_xk, upper / (xs * lower))):
+        assert np.array_equal(fn(nu, xs), want)
+        assert np.array_equal(fn(nu, mixed)[1:], want)
+        assert [fn(nu, x) for x in xs.tolist()] == want.tolist()
+
+
 def test_ratio_domain_errors():
     with pytest.raises(DomainError):
         sf.ratio_k_over_xk(0.0, 0.0)
@@ -380,7 +440,7 @@ def test_half_integer_forms_consistent_with_closed_expressions():
 # evaluator's range (dense enough to see a one-ulp difference in exp or
 # log), each crossover (K series / continued fraction at 2, longdouble J
 # series at 4, J series / Miller at 12, I and K expansions at 30, Miller /
-# Hankel's J expansion at 1e4) with its two floating-point neighbours, and
+# Hankel's J expansion at 1e3) with its two floating-point neighbours, and
 # a NaN, which matches no piece and must give NaN on both routes
 _CROSSOVERS = [2.0, 4.0, 12.0, 30.0, sf._J_HANKEL_CUT]
 AGREEMENT_X = np.append(np.unique(np.concatenate([

@@ -40,12 +40,19 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
     return [
         ["solve", *_REF3D, "-o", "ref3d"],
         ["solve", *_REF2D, "-o", "ref2d"],
+        # a higher root refines its own bracket alone
+        ["solve", *_REF3D, "--root-index", "3", "-o", "ref3d_root3"],
+        ["solve", *_REF2D, "--root-index", "3", "-o", "ref2d_root3"],
+        ["solve", *_REF2D, "--root-index", "40", "-o", "ref2d_root40"],
         ["roots", *_REF3D, "--count", "3", "-o", "roots3d.json"],
         ["roots", *_REF2D, "--count", "3", "-o", "roots2d.json"],
         ["verify", "--profile", "ref3d.json", "-o", "verify3d.json"],
         ["verify", "--profile", "ref2d.json", "--format", "csv", "-o", "verify2d.csv"],
         ["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2", "--sweep-ell", "upper",
          "-o", "asymptotics3d.csv"],
+        # the 2-D upper formula is the first zero of J_1
+        ["asymptotics", "-n", "2", "-C", "1.1111111111111112", "-k", "0.5", "--sweep-ell",
+         "upper", "-o", "asymptotics2d.csv"],
         ["phase", "-n", "3", "-o", "phase3d.csv"],
         ["phase", "-n", "2", "--resolution", str(resolution), "-o", "phase2d.csv"],
         ["simulate", *qm3d, *run, "-o", "qm3d"],
