@@ -29,7 +29,9 @@ separation, down to d -> 0 (the Quasi-Morse potential is singular at the
 origin for n >= 2, so the clamp makes the regularization explicit);
 exactly coincident pairs exert no force.  Those few close pairs are summed
 from their offsets, so their force keeps its direction however small d is
-next to |x|.
+next to |x|.  A group looks for them, and clips its table positions, only
+when the least of its d^2 is below min_separation^2 (or, for the clip, the
+largest above (_R_MAX / 2)^2); a flock's groups usually skip both.
 
 A block's pair differences x_i - x_j are, per coordinate, the matrix
 product of the rows [x_i, 1] with the columns [1, -x_j] (inner dimension
@@ -214,6 +216,17 @@ _GROUP_ENTRIES = 1 << 16
 _TABLE_SIZE = 32768
 _R_MAX = 1e4
 
+# Chunks the table grid is evaluated in.  The special-function series and
+# continued fractions stop at the slowest element of a call, so a chunk of
+# the grid stops at its own; each node keeps its bits.  Each chunk is
+# written into the tables, so a build holds one chunk's temporaries at a
+# time.  8 chunks measured 29-31 -> 20-23 ms for the 2-D Quasi-Morse build
+# (2-core Xeon, alternating builds in one process).
+_TABLE_CHUNKS = 8
+
+# The clamp search's result where no pair is closer than min_sep.
+_NO_PAIRS = np.empty(0, dtype=np.intp)
+
 
 def _with_slopes(tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A table and its per-cell slopes, padded with a zero slope so that the
@@ -235,16 +248,22 @@ class _ForceModel:
     Arguments are clipped to the table, which reproduces ``np.interp``'s
     endpoint values below 0.5 min_sep and above _R_MAX; below the table
     U'(r)/r is then replaced by the clamp U'(min_sep)/d (see
-    ``pair_terms``).
+    ``pair_terms``).  A group whose d^2 all lie in [min_sep^2,
+    (_R_MAX / 2)^2], as a flock's usually do, skips the clip and the clamp
+    search: there every position lies log 2 / h cells (about 950 at the 3-D
+    reference parameters) inside either end of the table, where the clip
+    changes nothing.  One min and one max of d^2 decide it.
 
     The tables are kept for all potentials, although 3-D Quasi-Morse, Morse
     and Morse-like have closed forms built from exponentials and powers:
     on 2000 x 2000 pairs the closed forms of 3-D Quasi-Morse and Morse-like
     measured 1.5x slower than the lookup.  32768 nodes keep every table
     within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
-    towards min_sep and needed more than 16384.  ``tabulated=False`` is the
-    exact reference: one ``potentials._evaluate`` call per group forms U'
-    and U at max(d, min_sep), each only when the pass asks for it.
+    towards min_sep and needed more than 16384.  The grid is evaluated in
+    ``_TABLE_CHUNKS`` pieces, which give the bits of one call.
+    ``tabulated=False`` is the exact reference: one ``potentials._evaluate``
+    call per group forms U' and U at max(d, min_sep), each only when the
+    pass asks for it.
 
     ``last_pass`` is None or the (positions, accelerations) of the last
     force pass the next step may start from (see the module docstring)."""
@@ -260,8 +279,12 @@ class _ForceModel:
         if tabulated:
             x0, x1 = math.log(0.5 * min_sep), math.log(_R_MAX)
             grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
-            value_tab, force_tab = potential_value_and_force(
-                potential, np.maximum(grid, min_sep))
+            r = np.maximum(grid, min_sep)
+            value_tab, force_tab = np.empty_like(r), np.empty_like(r)
+            step = -(-_TABLE_SIZE // _TABLE_CHUNKS)
+            for lo in range(0, _TABLE_SIZE, step):
+                value_tab[lo:lo + step], force_tab[lo:lo + step] = potential_value_and_force(
+                    potential, r[lo:lo + step])
             self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
             self._two_x0 = 2.0 * x0
             self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
@@ -286,17 +309,24 @@ class _ForceModel:
         last of them overwrites d2, and u, when both are asked for, fills
         the third work array."""
         w = clamped = u = None
+        # one read of d2 decides the clamp search and the clip; NaN fails
+        # the comparison and takes both
+        close = (with_forces or self.tabulated) and not d2.min() >= self._min_sep_sq
         if with_forces:
-            clamped = np.flatnonzero(d2 < self._min_sep_sq)
+            clamped = np.flatnonzero(d2 < self._min_sep_sq) if close else _NO_PAIRS
             d_clamped = np.sqrt(d2.flat[clamped]) if clamped.size else None
         if self.tabulated:
+            # from min_sep to _R_MAX / 2 the clip changes nothing (see the
+            # class docstring)
+            clip = close or not d2.max() <= (0.5 * _R_MAX) ** 2
             scratch, index, *spare = work
             # -inf at d = 0, which the clip takes to the table's first node
             with np.errstate(divide="ignore"):
                 s = np.log(d2, out=d2)
             s -= self._two_x0
             s *= self._half_inv_h
-            np.clip(s, 0.0, _TABLE_SIZE - 1, out=s)
+            if clip:
+                np.clip(s, 0.0, _TABLE_SIZE - 1, out=s)
             # the cell floor(s), whose float is subtracted: s - index would
             # convert the integers on the fly, at twice the cost of both
             cell = np.floor(s, out=scratch)
@@ -304,7 +334,8 @@ class _ForceModel:
             s -= cell
 
             def interpolate(table, out):
-                # the clip above keeps every index inside the table
+                # the clip above, or the gate that skips it, keeps every
+                # index inside the table
                 tab, slope = table
                 np.multiply(s, np.take(slope, index, out=scratch, mode="clip"), out=out)
                 out += np.take(tab, index, out=scratch, mode="clip")
@@ -373,13 +404,19 @@ def _pair_groups(n_part: int, budget: int):
         blocks.append((lo, hi, end, end + entries))
         end += entries
     groups.append(blocks)
+    # a full block's square, shared by all of them
+    full_rows, full_cols = np.tril_indices(_BLOCK_ROWS)
+    full_diag = np.arange(_BLOCK_ROWS)
     layout = []
     for blocks in groups:
         self_pairs, lower_pairs = [], []
         for lo, hi, start, _ in blocks:
             width = n_part - lo
-            rows, cols = np.tril_indices(hi - lo)
-            self_pairs.append(start + np.arange(hi - lo) * (width + 1))
+            if hi - lo == _BLOCK_ROWS:
+                rows, cols, diag = full_rows, full_cols, full_diag
+            else:
+                (rows, cols), diag = np.tril_indices(hi - lo), np.arange(hi - lo)
+            self_pairs.append(start + diag * (width + 1))
             lower_pairs.append(start + rows * width + cols)
         layout.append((tuple(blocks), np.concatenate(self_pairs), np.concatenate(lower_pairs)))
     return tuple(layout), max(blocks[-1][3] for blocks in groups)
@@ -802,14 +839,20 @@ def save_checkpoint(state: ParticleState, config: SimConfig, prefix: str) -> tup
 
 def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
     """Read a checkpoint written by save_checkpoint.  ``prefix`` may be the
-    bare prefix or the CSV path itself."""
+    bare prefix or the CSV path itself.
+
+    The header is read as CSV; each row below it must be plain
+    comma-separated floats, as save_checkpoint writes them (a quoted field
+    is not a float)."""
     path = Path(prefix)
     csv_path = path if path.suffix == ".csv" else Path(f"{prefix}.csv")
     meta_path = csv_path.with_suffix(".json")
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
+    # universal newlines end the rows where csv.reader would
+    with open(csv_path) as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        rows = fh.read().split("\n")
+    if rows[-1] == "":
+        rows.pop()
     dim = sum(1 for c in header if c.startswith("x"))
     has_v = any(c.startswith("v") for c in header)
     if dim == 0:
@@ -817,11 +860,23 @@ def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
     if not rows:
         raise DomainError(f"{csv_path}: no particle rows")
     for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
+        fields = row.count(",") + 1 if row else 0
+        if fields != len(header):
             raise DomainError(
-                f"{csv_path}: line {line} has {len(row)} fields, the header {len(header)}"
+                f"{csv_path}: line {line} has {fields} fields, the header {len(header)}"
             )
-    data = np.array([[float(v) for v in row] for row in rows])
+    try:
+        data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
+    except ValueError:
+        for line, row in enumerate(rows, start=2):
+            for field in row.split(","):
+                try:
+                    float(field)
+                except ValueError:
+                    raise DomainError(
+                        f"{csv_path}: line {line} has a field that is not a float: {field!r}"
+                    ) from None
+        raise
     if not np.all(np.isfinite(data)):
         line = 2 + int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
         raise DomainError(f"{csv_path}: non-finite value on line {line}")

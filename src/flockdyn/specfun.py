@@ -177,9 +177,6 @@ def _power_series(nu: float, x, sign: float):
     cancelling noticeably beyond x = 4, so 80-bit accumulation is used
     there; elsewhere plain doubles keep the hot vectorized paths fast.
     """
-    if nu < 0.0 and _any(0.5 * x == 0.0):  # (x/2)^nu is inf: x = 5e-324
-        raise ArithmeticError(f"order {nu} power series cannot start at x = 5e-324, "
-                              "where x/2 rounds to 0")
     if sign < 0.0:
         # each precision regime is summed on its own, so a value does not
         # depend on which other elements share the call
@@ -194,7 +191,13 @@ def _series_sum(nu: float, x, sign: float, dtype):
     """The power series of ``_power_series`` accumulated in ``dtype``."""
     xl = x.astype(dtype) if isinstance(x, np.ndarray) else dtype(x)
     half = 0.5 * xl
-    term = np.power(half, dtype(nu)) / dtype(math.gamma(nu + 1.0))
+    if nu < 0.0 and _any(half == 0.0):
+        # x/2 rounds to 0 at x = 5e-324, where (x/2)^nu is x^nu 2^-nu
+        lead = np.where(half == 0.0, np.power(xl, dtype(nu)) * dtype(2.0**-nu),
+                        np.power(np.where(half == 0.0, 1.0, half), dtype(nu)))
+    else:
+        lead = np.power(half, dtype(nu))
+    term = lead / dtype(math.gamma(nu + 1.0))
     if not isinstance(term, np.ndarray):
         term = dtype(term)  # a float stays a plain float through the loop
     total = +term  # a copy, as term is updated in place

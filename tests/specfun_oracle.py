@@ -40,7 +40,12 @@ def _piecewise(x, pieces, width=0):
 def _series_sum(nu, x, sign, dtype):
     xl = x.astype(dtype) if isinstance(x, np.ndarray) else dtype(x)
     half = 0.5 * xl
-    term = np.power(half, dtype(nu)) / dtype(math.gamma(nu + 1.0))
+    with np.errstate(divide="ignore"):
+        lead = np.power(half, dtype(nu))
+    if nu < 0.0:
+        # x/2 rounds to 0 at x = 5e-324, where (x/2)^nu is x^nu 2^-nu
+        lead = np.where(half == 0.0, np.power(xl, dtype(nu)) * dtype(2.0**-nu), lead)
+    term = lead / dtype(math.gamma(nu + 1.0))
     if not isinstance(term, np.ndarray):
         term = dtype(term)
     total = term

@@ -617,6 +617,7 @@ _BAD_CHECKPOINTS = {
     "ragged_row": "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5\n0.7,0.8,0.9\n",
     # compare once exited 0 with l1_error = nan
     "nonfinite": "x1,x2,x3\n0.1,0.2,0.3\nnan,0.5,0.6\n0.7,0.8,0.9\n",
+    "non_numeric": "x1,x2,x3\n0.1,0.2,0.3\n0.4,abc,0.6\n0.7,0.8,0.9\n",
 }
 
 
@@ -630,6 +631,17 @@ def test_simulate_rejects_bad_checkpoint(tmp_path, capsys, content):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
     assert not Path(str(out) + ".csv").exists()
+
+
+def test_bad_checkpoint_field_names_the_file_and_line(tmp_path, capsys):
+    # once only "error: could not convert string to float: 'abc'"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,x2,x3\n0.1,0.2,0.3\n0.4,abc,0.6\n0.7,0.8,0.9\n")
+    assert main(["simulate", *REF3D_FLAGS, "-N", "3", "--steps", "1",
+                 "--init", f"file:{bad}", "-o", str(tmp_path / "x")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 3 ") and err.count("\n") == 1
+    assert "'abc'" in err
 
 
 @pytest.mark.parametrize("content", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS.keys())
@@ -721,14 +733,19 @@ def test_specfun_table_at_the_top_of_the_double_range(tmp_path, capsys):
 
 
 def test_specfun_table_at_the_smallest_subnormal(tmp_path, capsys):
-    # order -1/2's series cannot start where x/2 rounds to 0; this ended in
-    # a traceback with a divide-by-zero warning
+    # order -1/2's series starts from x^nu 2^-nu where x/2 rounds to 0; this
+    # once ended in a traceback with a divide-by-zero warning, then exited 3
     out = tmp_path / "sf.csv"
     assert main(["specfun-table", "--orders=-0.5", "--x-grid", "log:5e-324:1:3",
-                 "-o", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: order -0.5 power series") and err.count("\n") == 1
-    assert not out.exists()
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert rows[0] == ["nu", "x", "J", "I", "K"] and len(rows) == 4
+    first = dict(zip(rows[0], map(float, rows[1])))
+    assert first["x"] == 5e-324
+    value = math.sqrt(2.0 / math.pi) / math.sqrt(5e-324)  # sqrt(2 / (pi x)), 3.6e161
+    assert first["J"] == first["I"] == pytest.approx(value, rel=1e-15)
 
 
 def test_compare_rejects_zero_bins(tmp_path, capsys):

@@ -116,7 +116,7 @@ def test_j_negative_order_reflection():
         assert sf.bessel_j(-1.0, x) == -sf.bessel_j(1.0, x)
     x = 2.3
     assert sf.bessel_j(-0.5, x) == pytest.approx(
-        math.sqrt(2.0 / (math.pi * x)) * math.cos(x), rel=1e-14
+        math.sqrt(2.0 / math.pi) / math.sqrt(x) * math.cos(x), rel=1e-14
     )
 
 
@@ -370,6 +370,28 @@ def test_ratio_ode_residual(nu):
     assert np.max(np.abs(residual) / scale) < 1e-6
 
 
+def test_order_minus_half_at_the_smallest_subnormal_vs_mpmath():
+    # x / 2 rounds to 0 at x = 5e-324, where the series starts from
+    # x^nu 2^-nu; J and I of order -1/2 are sqrt(2 / (pi x)) = 3.6e161
+    # there (this raised ArithmeticError), and every other element keeps its bits
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    x = 5e-324
+    others = np.array([1e-310, 2.2e-308, 1e-300, 0.3, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, ref in ((sf.bessel_j, mp.besselj), (sf.bessel_i, mp.besseli)):
+            want = float(ref(-0.5, mp.mpf(x)))
+            assert want == pytest.approx(math.sqrt(2.0 / math.pi) / math.sqrt(x), rel=1e-15)
+            got = fn(-0.5, x)
+            assert type(got) is float and got == pytest.approx(want, rel=1e-15)
+            mixed = fn(-0.5, np.concatenate([[x], others, [x]]))
+            assert mixed[0] == mixed[-1] == got
+            assert np.array_equal(mixed[1:-1], fn(-0.5, others))
+        assert sf.bessel_i(-0.5, x, scaled=True) == sf.bessel_i(-0.5, x)
+
+
 RATIO_ORDERS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
 
 
@@ -425,7 +447,7 @@ def test_half_integer_forms_consistent_with_closed_expressions():
     # sampled away from the zeros of the oscillatory forms
     xs = [0.3, 0.7, 1.9, 2.7, 5.3, 8.1, 14.2]
     for x in xs:
-        s = math.sqrt(2.0 / (math.pi * x))
+        s = math.sqrt(2.0 / math.pi) / math.sqrt(x)
         assert sf.bessel_j(0.5, x) == pytest.approx(s * math.sin(x), rel=1e-14)
         assert sf.bessel_j(-0.5, x) == pytest.approx(s * math.cos(x), rel=1e-14)
         assert sf.bessel_i(0.5, x) == pytest.approx(s * math.sinh(x), rel=1e-14)

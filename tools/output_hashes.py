@@ -27,6 +27,8 @@ from flockdyn import cli
 
 _REF3D = ["-n", "3", "-C", "1.255", "-l", "0.8", "-k", "0.2"]
 _REF2D = ["-n", "2", "-C", "1.1111111111111112", "-l", "0.75", "-k", "0.5"]
+_MORSE = ["--potential", "morse", "-n", "3", "-C", "2.0", "-l", "0.5", "--CA", "1.0",
+          "--la", "1.0"]
 _MORSE_LIKE = ["--potential", "morse_like", "-n", "2", "--p", "0.5", "-C", "0.6", "-l", "0.2"]
 
 
@@ -59,8 +61,12 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         ["simulate", *qm3d, *run, "--exact-forces", "-o", "qm3d_exact"],
         ["simulate", *_REF2D, "--dt", "0.5", "--init", "ball:0.9", *run, "-o", "qm2d"],
         ["simulate", *_MORSE_LIKE, "--dt", "0.005", "--init", "ball:0.1", *run, "-o", "ml"],
-        ["simulate", "--potential", "morse", "-n", "3", "-C", "2.0", "-l", "0.5", "--CA", "1.0",
-         "--la", "1.0", "--dt", "0.01", "--init", "ball:1.0", *run, "-o", "morse"],
+        ["simulate", *_MORSE, "--dt", "0.01", "--init", "ball:1.0", *run, "-o", "morse"],
+        # at the start most pairs are closer than min_separation = 5e-7, and
+        # some below the tables' lower edge: the pair pass's clamp search and clip
+        ["simulate", *_MORSE, "--dt", "0.01", "--init", "ball:3e-7", *run, "-o", "morse_close"],
+        # pairs farther than half the tables' upper end, many beyond it: the clip
+        ["simulate", *qm3d[:-2], "--init", "gauss:4000", *run, "-o", "qm3d_far"],
         ["simulate", *_REF3D, "--init", "ball:0.7", *run[:-4], "--model", "second",
          "--dt", "0.02", "--steps", "12", "--stride", "5", "-o", "qm3d_second"],
         # N = 600 spans four groups of row blocks in the pair pass, with
