@@ -216,14 +216,6 @@ _GROUP_ENTRIES = 1 << 16
 _TABLE_SIZE = 32768
 _R_MAX = 1e4
 
-# Chunks the table grid is evaluated in.  The special-function series and
-# continued fractions stop at the slowest element of a call, so a chunk of
-# the grid stops at its own; each node keeps its bits.  Each chunk is
-# written into the tables, so a build holds one chunk's temporaries at a
-# time.  8 chunks measured 29-31 -> 20-23 ms for the 2-D Quasi-Morse build
-# (2-core Xeon, alternating builds in one process).
-_TABLE_CHUNKS = 8
-
 # The clamp search's result where no pair is closer than min_sep.
 _NO_PAIRS = np.empty(0, dtype=np.intp)
 
@@ -259,11 +251,9 @@ class _ForceModel:
     on 2000 x 2000 pairs the closed forms of 3-D Quasi-Morse and Morse-like
     measured 1.5x slower than the lookup.  32768 nodes keep every table
     within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
-    towards min_sep and needed more than 16384.  The grid is evaluated in
-    ``_TABLE_CHUNKS`` pieces, which give the bits of one call.
-    ``tabulated=False`` is the exact reference: one ``potentials._evaluate``
-    call per group forms U' and U at max(d, min_sep), each only when the
-    pass asks for it.
+    towards min_sep and needed more than 16384.  ``tabulated=False`` is the
+    exact reference: one ``potentials._evaluate`` call per group forms U'
+    and U at max(d, min_sep), each only when the pass asks for it.
 
     ``last_pass`` is None or the (positions, accelerations) of the last
     force pass the next step may start from (see the module docstring)."""
@@ -279,12 +269,8 @@ class _ForceModel:
         if tabulated:
             x0, x1 = math.log(0.5 * min_sep), math.log(_R_MAX)
             grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
-            r = np.maximum(grid, min_sep)
-            value_tab, force_tab = np.empty_like(r), np.empty_like(r)
-            step = -(-_TABLE_SIZE // _TABLE_CHUNKS)
-            for lo in range(0, _TABLE_SIZE, step):
-                value_tab[lo:lo + step], force_tab[lo:lo + step] = potential_value_and_force(
-                    potential, r[lo:lo + step])
+            value_tab, force_tab = potential_value_and_force(
+                potential, np.maximum(grid, min_sep))
             self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
             self._two_x0 = 2.0 * x0
             self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
@@ -404,19 +390,13 @@ def _pair_groups(n_part: int, budget: int):
         blocks.append((lo, hi, end, end + entries))
         end += entries
     groups.append(blocks)
-    # a full block's square, shared by all of them
-    full_rows, full_cols = np.tril_indices(_BLOCK_ROWS)
-    full_diag = np.arange(_BLOCK_ROWS)
     layout = []
     for blocks in groups:
         self_pairs, lower_pairs = [], []
         for lo, hi, start, _ in blocks:
             width = n_part - lo
-            if hi - lo == _BLOCK_ROWS:
-                rows, cols, diag = full_rows, full_cols, full_diag
-            else:
-                (rows, cols), diag = np.tril_indices(hi - lo), np.arange(hi - lo)
-            self_pairs.append(start + diag * (width + 1))
+            rows, cols = np.tril_indices(hi - lo)
+            self_pairs.append(start + np.arange(hi - lo) * (width + 1))
             lower_pairs.append(start + rows * width + cols)
         layout.append((tuple(blocks), np.concatenate(self_pairs), np.concatenate(lower_pairs)))
     return tuple(layout), max(blocks[-1][3] for blocks in groups)
@@ -839,44 +819,31 @@ def save_checkpoint(state: ParticleState, config: SimConfig, prefix: str) -> tup
 
 def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
     """Read a checkpoint written by save_checkpoint.  ``prefix`` may be the
-    bare prefix or the CSV path itself.
-
-    The header is read as CSV; each row below it must be plain
-    comma-separated floats, as save_checkpoint writes them (a quoted field
-    is not a float)."""
+    bare prefix or the CSV path itself."""
     path = Path(prefix)
     csv_path = path if path.suffix == ".csv" else Path(f"{prefix}.csv")
     meta_path = csv_path.with_suffix(".json")
-    # universal newlines end the rows where csv.reader would
-    with open(csv_path) as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        rows = fh.read().split("\n")
-    if rows[-1] == "":
-        rows.pop()
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(reader)
     dim = sum(1 for c in header if c.startswith("x"))
     has_v = any(c.startswith("v") for c in header)
     if dim == 0:
         raise DomainError(f"{csv_path}: the header names no coordinate columns")
     if not rows:
         raise DomainError(f"{csv_path}: no particle rows")
+    values = []
     for line, row in enumerate(rows, start=2):
-        fields = row.count(",") + 1 if row else 0
-        if fields != len(header):
+        if len(row) != len(header):
             raise DomainError(
-                f"{csv_path}: line {line} has {fields} fields, the header {len(header)}"
+                f"{csv_path}: line {line} has {len(row)} fields, the header {len(header)}"
             )
-    try:
-        data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
-    except ValueError:
-        for line, row in enumerate(rows, start=2):
-            for field in row.split(","):
-                try:
-                    float(field)
-                except ValueError:
-                    raise DomainError(
-                        f"{csv_path}: line {line} has a field that is not a float: {field!r}"
-                    ) from None
-        raise
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise DomainError(f"{csv_path}: line {line}: {exc}") from None
+    data = np.array(values)
     if not np.all(np.isfinite(data)):
         line = 2 + int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
         raise DomainError(f"{csv_path}: non-finite value on line {line}")

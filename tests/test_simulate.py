@@ -19,7 +19,6 @@ from flockdyn.potentials import (
     Morse,
     MorseLike,
     QuasiMorse,
-    _length_scale,
     minimum_radius,
     potential_force_magnitude,
     potential_value,
@@ -422,68 +421,6 @@ def test_checkpoint_csv_is_the_csv_module_output(tmp_path):
             for row in rows:
                 writer.writerow([f"{v:.17g}" for v in row])
         assert Path(csv_path).read_bytes() == expected.read_bytes()
-
-
-def _csv_module_parse(csv_path):
-    """The checkpoint rows as a ``csv.reader`` parse gives them."""
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    return np.array([[float(v) for v in row] for row in rows])
-
-
-_FINITE = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
-                     1.7976931348623157e308, 1.0 / 3.0]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n_part=st.integers(1, 40),
-    dim=st.sampled_from([2, 3]),
-    with_velocities=st.booleans(),
-    data=st.data(),
-)
-def test_checkpoint_reader_equals_a_csv_module_parse(tmp_path_factory, n_part, dim,
-                                                     with_velocities, data):
-    # one conversion of all fields gives the bits of float() per csv field,
-    # signed zeros, subnormals and extreme exponents included
-    columns = 2 * dim if with_velocities else dim
-    values = np.array(data.draw(st.lists(_FINITE, min_size=n_part * columns,
-                                         max_size=n_part * columns)), dtype=float)
-    rows = values.reshape(n_part, columns)
-    state = ParticleState(positions=rows[:, :dim],
-                          velocities=rows[:, dim:] if with_velocities else None)
-    cfg = SimConfig(potential=POT, dimension=dim, N=max(n_part, 2))
-    prefix = str(tmp_path_factory.mktemp("chk") / "chk")
-    csv_path, _ = save_checkpoint(state, cfg, prefix)
-    loaded, _ = load_checkpoint(prefix)
-    got = loaded.positions if not with_velocities else np.hstack([loaded.positions,
-                                                                  loaded.velocities])
-    expected = _csv_module_parse(csv_path)
-    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
-    assert got.view(np.int64).tolist() == rows.view(np.int64).tolist()
-
-
-def test_checkpoint_reader_names_the_line_of_a_bad_field(tmp_path):
-    # a field that is not a float once gave only "could not convert string
-    # to float: 'abc'"; a quoted field, which csv.reader unquoted, is not a float
-    for text, field in (("0.4,abc,0.6", "'abc'"), ('0.4,"0.5",0.6', "'\"0.5\"'")):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"x1,x2,x3\n0.1,0.2,0.3\n{text}\n0.7,0.8,0.9\n")
-        with pytest.raises(DomainError) as info:
-            load_checkpoint(str(bad))
-        message = str(info.value)
-        assert message.startswith(f"{bad}: line 3 ") and message.endswith(field)
-    # the field count and the rows' ends are csv.reader's: a blank line has
-    # no fields, and \r\n, \r and \n all end a row
-    bad.write_text("x1,x2\r\n0.1,0.2\r\n\r\n0.3,0.4\r\n")
-    with pytest.raises(DomainError, match="line 3 has 0 fields, the header 2"):
-        load_checkpoint(str(bad))
-    good = tmp_path / "good.csv"
-    good.write_text("x1,x2\r0.1,0.2\r\n0.3,0.4\n0.5,0.6")
-    assert np.array_equal(load_checkpoint(str(good))[0].positions, _csv_module_parse(good))
 
 
 def test_from_file_initialization(tmp_path):
@@ -926,91 +863,6 @@ def test_a_nan_distance_takes_the_clamp_search_and_the_clip():
     assert clamped.size == 0 and np.isnan(w[0]) and np.isnan(u[0])
     w_ref, _, u_ref = _terms(model, d2[1:], with_energy=True)
     assert np.array_equal(w[1:], w_ref) and np.array_equal(u[1:], u_ref)
-
-
-def _region_i(n):
-    """Quasi-Morse parameters of region I in n dimensions, as the acceptance
-    tests draw them."""
-    def params(C, place, k):
-        lo, hi = (C**-1.0, C ** (-1.0 / 3.0)) if n == 3 else (0.05, C**-0.5)
-        return QuasiMorse(ModelParams(n, C, lo + place * (hi - lo), k))
-    return st.builds(params, st.floats(1.05, 6.0), st.floats(0.03, 0.97), st.floats(0.05, 2.0))
-
-
-_POSITIVE = st.floats(0.1, 5.0)
-_TABLE_POTENTIALS = st.one_of(
-    _region_i(2), _region_i(3),
-    st.builds(Morse, _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE),
-    st.builds(MorseLike, st.floats(0.3, 3.0), st.floats(0.1, 0.95), st.floats(0.05, 0.95)),
-)
-
-
-def _assert_chunked_tables_equal_one_build(potential, min_sep):
-    chunked = simulate._ForceModel(potential, min_sep, True)
-    with mock.patch.object(simulate, "_TABLE_CHUNKS", 1):
-        whole = simulate._ForceModel(potential, min_sep, True)
-    assert chunked._force_at_min == whole._force_at_min
-    for got, want in ((chunked._w_tab, whole._w_tab), (chunked._value_tab, whole._value_tab)):
-        for a, b in zip(got, want):
-            assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
-
-
-@pytest.mark.parametrize("potential", [
-    QuasiMorse(REF3D), QuasiMorse(REF2D), MorseLike(0.5, 0.6, 0.2),
-    MorseLike(1.5, 0.6, 0.95 * 0.6 ** (1.0 / 1.5)), Morse(2.0, 1.0, 0.5, 1.0),
-], ids=["qm3d", "qm2d", "morse_like_half", "morse_like_three_halves", "morse"])
-def test_chunked_tables_equal_a_whole_grid_build_at_the_acceptance_configurations(potential):
-    # each chunk's series and continued fractions stop at its own slowest
-    # node, and every node keeps its bits
-    _assert_chunked_tables_equal_one_build(potential, 1e-6 * _length_scale(potential))
-
-
-@settings(max_examples=40, deadline=None)
-@given(potential=_TABLE_POTENTIALS, scale=st.floats(0.1, 10.0))
-def test_chunked_tables_equal_a_whole_grid_build(potential, scale):
-    # about the default min_separation, 1e-6 of the length scale
-    _assert_chunked_tables_equal_one_build(potential, scale * 1e-6 * _length_scale(potential))
-
-
-def _reference_pair_groups(n_part, budget):
-    """The pair layout as first written: one ``np.tril_indices`` per block."""
-    groups, blocks, end = [], [], 0
-    for lo in range(0, n_part, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_part)
-        entries = (hi - lo) * (n_part - lo)
-        if blocks and end + entries > budget:
-            groups.append(blocks)
-            blocks, end = [], 0
-        blocks.append((lo, hi, end, end + entries))
-        end += entries
-    groups.append(blocks)
-    layout = []
-    for blocks in groups:
-        self_pairs, lower_pairs = [], []
-        for lo, hi, start, _ in blocks:
-            width = n_part - lo
-            rows, cols = np.tril_indices(hi - lo)
-            self_pairs.append(start + np.arange(hi - lo) * (width + 1))
-            lower_pairs.append(start + rows * width + cols)
-        layout.append((tuple(blocks), np.concatenate(self_pairs), np.concatenate(lower_pairs)))
-    return tuple(layout), max(blocks[-1][3] for blocks in groups)
-
-
-@pytest.mark.parametrize("sizes", [[(n, simulate._GROUP_ENTRIES) for n in range(2, 301)],
-                                   [(600, simulate._GROUP_ENTRIES), (2100, 1 << 16),
-                                    *_GROUP_LAYOUTS]],
-                         ids=["n_2_to_300", "multi_group"])
-def test_template_layout_equals_the_per_block_layout(sizes):
-    for n_part, budget in sizes:
-        (groups, size), (ref_groups, ref_size) = (
-            simulate._pair_groups.__wrapped__(n_part, budget),
-            _reference_pair_groups(n_part, budget))
-        assert size == ref_size and len(groups) == len(ref_groups)
-        for (blocks, self_pairs, lower), (ref_blocks, ref_self, ref_lower) in zip(groups,
-                                                                                ref_groups):
-            assert blocks == ref_blocks
-            assert self_pairs.dtype == ref_self.dtype and lower.dtype == ref_lower.dtype
-            assert np.array_equal(self_pairs, ref_self) and np.array_equal(lower, ref_lower)
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -1.5, 3.0e10, 1e308, -1e308,
