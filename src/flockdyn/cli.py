@@ -339,14 +339,12 @@ def _potential_from_args(args):
 
 def _cmd_simulate(args) -> int:
     potential = _potential_from_args(args)
-    if args.init.startswith("ball:"):
-        init = UniformBall(radius=float(args.init.split(":", 1)[1]))
-    elif args.init.startswith("gauss:"):
-        init = Gaussian(sigma=float(args.init.split(":", 1)[1]))
-    elif args.init.startswith("file:"):
-        init = FromFile(path=args.init.split(":", 1)[1])
-    else:
-        raise _UsageError(f"bad --init {args.init!r}; use ball:R, gauss:S or file:PATH")
+    kind, colon, value = args.init.partition(":")
+    try:
+        make = {"ball:": UniformBall, "gauss:": Gaussian, "file:": FromFile}[kind + colon]
+        init_arg = value if make is FromFile else float(value)
+    except (KeyError, ValueError):
+        raise _UsageError(f"bad --init {args.init!r}; use ball:R, gauss:S or file:PATH") from None
     config = SimConfig(
         potential=potential,
         dimension=args.dimension,
@@ -357,7 +355,7 @@ def _cmd_simulate(args) -> int:
         alpha=args.alpha,
         beta=args.beta,
         seed=args.seed,
-        init=init,
+        init=make(init_arg),
         record_stride=args.stride,
         tabulated_forces=not args.exact_forces,
         stop_when_converged=args.stop_when_converged,

@@ -1,6 +1,6 @@
 r"""Convolution of the Quasi-Morse potential with radial densities.
 
-Two independent evaluation routes are provided:
+Two independent routes, both under ``specfun``'s scalar/array contract in r:
 
 * ``convolution_closed`` -- the algebraic few-term expression obtained by
   reducing W * rho with the Bessel product integrals.  Exact (up to
@@ -123,9 +123,8 @@ def convolution_closed_at(
     """
     if case is None:
         case = _case_of(aggregate_param(params)[0])
-    arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    scalar = np.asarray(r).ndim == 0
-    if np.any(arr < 0.0) or np.any(arr > R * (1.0 + 1e-12)):
+    arr, shape = specfun._route(r)
+    if specfun._any(arr < 0.0) or specfun._any(arr > R * (1.0 + 1e-12)):
         raise OutOfSupportError(
             "closed-form convolution is only asserted for 0 <= r <= R"
         )
@@ -145,10 +144,10 @@ def convolution_closed_at(
             2.0 * n * mu1 * (C * ell ** (n + 2) - 1.0) / k**4
             + mu2 * (celln - 1.0) / k**2
         )
-        out = const + mu1 * (celln - 1.0) / k**2 * arr**2 + bracket
+        out = const + mu1 * (celln - 1.0) / k**2 * np.power(arr, 2) + bracket
     else:
         out = mu2 * (celln - 1.0) / k**2 + bracket
-    return float(out[0]) if scalar else out
+    return specfun._restore(out, shape)
 
 
 def convolution_closed(profile: FlockProfile, r):
@@ -228,8 +227,8 @@ def convolution_quadrature(density, potential: QuasiMorse, R: float, r):
     """
     params = potential.params
     n, C, ell, k = params.n, params.C, params.ell, params.k
-    arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    scalar = np.asarray(r).ndim == 0
+    r, shape = specfun._route(r)
+    arr = np.ravel(r)  # the pass runs on a flat array of radii
     if not (np.all(arr >= 0.0) and 0.0 < R < math.inf):
         raise OutOfSupportError("convolution needs radii >= 0 and a finite R > 0")
     arr = np.where(arr < _R_ZERO, 0.0, arr)
@@ -290,7 +289,7 @@ def convolution_quadrature(density, potential: QuasiMorse, R: float, r):
             * inner[pos, j]
         )
     out = -total[:, 0] + weight * total[:, 1]
-    return float(out[0]) if scalar else out
+    return specfun._restore(out.reshape(np.shape(r)), shape)
 
 
 def verify_flock(profile: FlockProfile, grid_size: int = 256) -> ConvolutionReport:
@@ -306,7 +305,7 @@ def verify_flock(profile: FlockProfile, grid_size: int = 256) -> ConvolutionRepo
     dens = lambda s: density_eval(profile, s)
     pot = QuasiMorse(profile.params)
     quad = convolution_quadrature(dens, pot, profile.R_star, grid)
-    scale = max(abs(profile.D), abs(float(density_eval(profile, 0.0))))
+    scale = max(abs(profile.D), abs(density_eval(profile, 0.0)))
     report = ConvolutionReport(
         r_grid=grid,
         closed_form=closed,

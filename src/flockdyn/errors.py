@@ -59,12 +59,13 @@ class VerificationFailureError(FlockdynError):
 class NumericalBlowupError(FlockdynError):
     """A simulated coordinate exceeded the configured bound.
 
-    The step index at which the blowup was detected is attached as ``step``.
+    The bound and the index of the step that exceeded it are attached as
+    ``bound`` and ``step``, and the message names both.
     """
 
-    def __init__(self, message, step):
-        super().__init__(message)
-        self.step = step
+    def __init__(self, bound, step):
+        super().__init__(f"coordinate exceeded bound {bound:g} at step {step}")
+        self.bound, self.step = bound, step
 
 
 class LimitMismatchWarning(UserWarning):

@@ -13,10 +13,11 @@ and length scale are normalized to one, so the model is the tuple
 
 This module alone knows the potential kinds.  One private evaluator,
 ``_evaluate``, holds each kind's formulas for U and the radial force
-magnitude U' once, and the public evaluators are its projections;
-``_length_scale`` holds each kind's length scale.  The module also gives
-the aggregate parameter ``A = k^2 (1 - C ell^n) / (C ell^n - ell^2)``,
-whose sign decides flock existence, and the (C, ell) phase diagram.
+magnitude U' once, and the public evaluators are its projections (r > 0,
+under ``specfun``'s scalar/array contract); ``_length_scale`` holds each
+kind's length scale.  The module also gives the aggregate parameter
+``A = k^2 (1 - C ell^n) / (C ell^n - ell^2)``, whose sign decides flock
+existence, and the (C, ell) phase diagram.
 """
 
 from __future__ import annotations
@@ -125,15 +126,6 @@ class RegimeClass:
     a_sign: Sign
 
 
-def _positive_radii(r):
-    arr = np.asarray(r, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
-        raise DomainError("potential is singular at r = 0; r must be > 0")
-    return arr, scalar
-
-
 def _raw_k(nu: float, x, lower: bool, upper: bool):
     """(K_nu(x), K_{nu+1}(x)), each None unless asked for, as ``bessel_k``
     forms them; both together come from one ``bessel_k_pair`` evaluation,
@@ -147,8 +139,9 @@ def _raw_k(nu: float, x, lower: bool, upper: bool):
 
 
 def _evaluate(spec: PotentialSpec, arr, value: bool = True, force: bool = True):
-    """(U(r), U'(r)) of any supported kind at the radii ``arr`` > 0, each
-    None unless asked for; every kind's formulas are written here once.
+    """(U(r), U'(r)) of any supported kind at the radii ``arr`` > 0 (a float
+    or a float64 array), each None unless asked for; every kind's formulas
+    are written here once, with ``np.power``, which gives a float an array's bits.
 
     Each Bessel pair or exponential that U and U' share is computed once.
     For Quasi-Morse, with nu = n/2 - 1, U carries K_nu and, since
@@ -162,7 +155,7 @@ def _evaluate(spec: PotentialSpec, arr, value: bool = True, force: bool = True):
         nu = half - 1.0
         att_u, att_du = _raw_k(nu, k * arr, value, force)
         rep_u, rep_du = _raw_k(nu, k * arr / ell, value, force)
-        power = arr ** (1.0 - half)
+        power = np.power(arr, 1.0 - half)
         norm = _TWO_PI ** (-half)
         if value:
             u = norm * k**nu * power * (C * ell**nu * rep_u - att_u)
@@ -178,23 +171,23 @@ def _evaluate(spec: PotentialSpec, arr, value: bool = True, force: bool = True):
     elif isinstance(spec, MorseLike):
         p, C, ell = spec.p, spec.C, spec.ell
         scaled = arr / ell
-        inner, outer = np.exp(-(arr**p) / p), np.exp(-(scaled**p) / p)
+        inner, outer = np.exp(-np.power(arr, p) / p), np.exp(-np.power(scaled, p) / p)
         if value:
             u = -inner + C * outer
         if force:
-            du = arr ** (p - 1.0) * inner - (C / ell) * scaled ** (p - 1.0) * outer
+            du = np.power(arr, p - 1.0) * inner - (C / ell) * np.power(scaled, p - 1.0) * outer
     else:
         raise TypeError(f"not a potential spec: {spec!r}")
     return u, du
 
 
 def _project(spec: PotentialSpec, r, value: bool = True, force: bool = True):
-    """``_evaluate`` at r > 0, scalar or array; a scalar r gives floats."""
-    arr, scalar = _positive_radii(r)
+    """``_evaluate`` at r > 0, through ``specfun._route`` and ``_restore``."""
+    arr, shape = specfun._route(r)
+    if specfun._any(arr <= 0.0):
+        raise DomainError("potential is singular at r = 0; r must be > 0")
     u, du = _evaluate(spec, arr, value, force)
-    if scalar:
-        return (None if u is None else float(u[0]), None if du is None else float(du[0]))
-    return u, du
+    return tuple(None if v is None else specfun._restore(v, shape) for v in (u, du))
 
 
 def quasi_morse_u(params: ModelParams, r):

@@ -277,7 +277,7 @@ class _ForceModel:
             self._w_tab = _with_slopes(force_tab / grid)
             self._value_tab = _with_slopes(value_tab)
         else:
-            self._force_at_min = float(potential_force_magnitude(potential, np.array([min_sep]))[0])
+            self._force_at_min = potential_force_magnitude(potential, min_sep)
 
     def pair_terms(self, d2, work, with_forces=True, with_energy=False):
         """(w, clamped, u) at the squared distances ``d2``; w and clamped
@@ -523,11 +523,14 @@ def interaction_energy(state: ParticleState, config: SimConfig) -> float:
                        with_forces=False)[1]
 
 
-def _check_blowup(x: np.ndarray, bound: float, step: int) -> None:
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > bound:
-        raise NumericalBlowupError(
-            f"coordinate exceeded bound {bound:g} at step {step}", step
-        )
+def _exceeds(x: np.ndarray, bound: float) -> bool:
+    return not np.all(np.isfinite(x)) or np.max(np.abs(x)) > bound
+
+
+def _check_blowup(x: np.ndarray, bound: float) -> None:
+    # a step function takes one step, step 0; ``run`` gives the step's index
+    if _exceeds(x, bound):
+        raise NumericalBlowupError(bound, 0)
 
 
 def step_first_order(state: ParticleState, config: SimConfig) -> ParticleState:
@@ -535,7 +538,7 @@ def step_first_order(state: ParticleState, config: SimConfig) -> ParticleState:
     force pass when it was taken at the same positions and force model."""
     acc = _config_model(config).accelerations(state.positions)
     new_x = state.positions + config.dt * acc
-    _check_blowup(new_x, config.blowup_bound, 0)
+    _check_blowup(new_x, config.blowup_bound)
     return ParticleState(positions=new_x, velocities=None, time=state.time + config.dt)
 
 
@@ -568,7 +571,7 @@ def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
     acc = _accelerations(x, model)
     v = v + 0.5 * dt * acc
-    _check_blowup(x, config.blowup_bound, 0)
+    _check_blowup(x, config.blowup_bound)
     model.last_pass = (x.copy(), acc)
     return ParticleState(positions=x, velocities=v, time=state.time + dt)
 
@@ -612,6 +615,8 @@ def run(config: SimConfig, state: ParticleState = None) -> tuple[ParticleState, 
         state = initial_state(config)
     else:
         state = state.copy()
+    if _exceeds(state.positions, config.blowup_bound):
+        raise DomainError(f"initial state exceeds the blowup bound {config.blowup_bound:g}")
     step_fn = step_first_order if config.model == "first" else step_second_order
     r_ref = max(float(np.max(np.linalg.norm(state.positions, axis=1))), 1e-12)
     records = []
@@ -624,7 +629,7 @@ def run(config: SimConfig, state: ParticleState = None) -> tuple[ParticleState, 
         try:
             state = step_fn(state, config)
         except NumericalBlowupError as exc:
-            raise NumericalBlowupError(str(exc), step=i) from None
+            raise NumericalBlowupError(exc.bound, i) from None
         steps_done = i + 1
         max_disp = float(np.max(np.linalg.norm(state.positions - prev, axis=1)))
         if max_disp < config.convergence_tol * r_ref:

@@ -17,7 +17,8 @@ lies between the j-th and (j+1)-th pole.  In 2-D the brackets end at the
 zeros of J_1(aR), and the first one is narrowed to the cell of a 512-point
 scan where det M first changes sign.  A call refines only the brackets of
 the roots it returns: ``solve_profile(root_index=k)`` refines bracket k alone.
-A scalar R stays a float down to the Bessel kernels (``specfun``'s float route).
+Functions of R or r keep ``specfun``'s scalar/array contract, and a scalar
+stays a float down to the Bessel kernels (``specfun``'s float route).
 
 On the exponential branch (A < 0) Btilde grows as e^{aR}: ``_boundary_eval``
 gives Btilde e^{-aR}, and ``_mode_weights`` the scaled growing-mode weights
@@ -424,31 +425,28 @@ def enumerate_roots(
 def _radial_j(n: int, a: float, r, case: Sign = Sign.POSITIVE):
     """r^{1-n/2} J_{n/2-1}(a r) on the positive branch and
     r^{1-n/2} e^{-a r} I_{n/2-1}(a r) on the negative one, with the finite
-    r -> 0 limit (a/2)^{n/2-1} / Gamma(n/2) that both share."""
-    r = np.asarray(r, dtype=np.float64)
-    out = np.empty_like(r)
-    zero = r == 0.0
-    out[zero] = (0.5 * a) ** (0.5 * n - 1.0) / math.gamma(0.5 * n)
-    nz = ~zero
-    if np.any(nz):
-        nu, x = 0.5 * n - 1.0, a * r[nz]
-        pos = case is Sign.POSITIVE
-        val = specfun.bessel_j(nu, x) if pos else specfun.bessel_i(nu, x, scaled=True)
-        out[nz] = r[nz] ** (1.0 - 0.5 * n) * val
-    return out
+    r -> 0 limit (a/2)^{n/2-1} / Gamma(n/2) that both share.  r is a float
+    or a float64 array."""
+    nu = 0.5 * n - 1.0
+    limit = (0.5 * a) ** nu / math.gamma(0.5 * n)
+    pos = case is Sign.POSITIVE
+    bessel = specfun.bessel_j if pos else functools.partial(specfun.bessel_i, scaled=True)
+    return specfun._piecewise(r, [
+        (r == 0.0, lambda v: np.full_like(v, limit)),
+        (r != 0.0, lambda v: np.power(v, 1.0 - 0.5 * n) * bessel(nu, a * v)),
+    ])
 
 
 def density_eval(profile: FlockProfile, r):
-    """Flock density rho(r); zero outside the support, finite at r = 0."""
-    arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    scalar = np.asarray(r).ndim == 0
-    out = np.zeros_like(arr)
+    """Flock density rho(r); zero outside the support (also at nan and
+    +-inf), finite at r = 0."""
+    arr, shape = specfun._route(r)
     inside = (arr >= 0.0) & (arr <= profile.R_star)
-    if np.any(inside):
-        out[inside] = profile.mu1 * _radial_j(
-            profile.params.n, profile.a, arr[inside]
-        ) + profile.mu2
-    return float(out[0]) if scalar else out
+    out = specfun._piecewise(arr, [
+        (inside, lambda v: profile.mu1 * _radial_j(profile.params.n, profile.a, v) + profile.mu2),
+        (np.logical_not(inside), np.zeros_like),
+    ])
+    return specfun._restore(out, shape)
 
 
 def _sphere_area(n: int) -> float:

@@ -21,8 +21,12 @@ series oracle; see the test suite for the regression grids.
 Exponentially scaled variants ``e^{-x} I_nu`` and ``e^{x} K_nu`` are the
 internal currency (products like ``I(k r / ell) K(k R / ell)`` overflow and
 underflow long before their combination does); raw values are reconstructed
-at the API boundary.  All functions accept scalars or numpy arrays and are
-pure, so unrestricted concurrent use is safe.
+at the API boundary.  All functions are pure, so unrestricted concurrent
+use is safe.  Every function of r in the package (these kernels, the
+potentials, the flock density and both convolution routes) keeps one
+scalar/array contract: a float or a 0-d array gives a float, any other
+array an array of its shape.  ``_route`` and ``_restore`` alone turn an
+argument into a float or a flat float64 array and the result back.
 
 Each evaluator is written once, as arithmetic that runs on a float or on a
 float64 array.  A size-one input (a float, a 0-d array or a one-element

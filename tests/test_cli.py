@@ -580,6 +580,28 @@ def test_simulate_bad_init_flag(tmp_path):
     )
 
 
+@pytest.mark.parametrize("init", ["ball:abc", "gauss:", "ball", "cube:1.0"])
+def test_simulate_bad_init_value_names_the_flag(tmp_path, capsys, init):
+    # "ball:abc" once gave only "could not convert string to float: 'abc'"
+    out = tmp_path / "x"
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "1", "--init", init,
+                 "-o", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        f"error: bad --init {init!r}; use ball:R, gauss:S or file:PATH\n")
+    assert not Path(str(out) + ".csv").exists()
+
+
+def test_simulate_refuses_an_initial_state_beyond_the_bound(tmp_path, capsys):
+    # once a force pass on overflowing d^2 (three RuntimeWarnings, errors
+    # under this suite's filter), then exit 3 "coordinate exceeded bound
+    # 1e+06 at step 0"
+    out = tmp_path / "x"
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "2", "--init", "gauss:1e200",
+                 "-o", str(out)]) == 5
+    assert capsys.readouterr().err == "error: initial state exceeds the blowup bound 1e+06\n"
+    assert not Path(str(out) + ".csv").exists()
+
+
 @pytest.mark.parametrize("counts", [["--stride", "0"], ["--steps", "-1"]])
 def test_simulate_rejects_bad_counts(tmp_path, counts):
     # a zero stride used to escape as ZeroDivisionError, negative steps to

@@ -151,6 +151,26 @@ def test_blowup_detection():
         run(cfg, state)
 
 
+def test_blowup_reports_its_step_in_the_message():
+    # the message once said "at step 0" for a blowup at step 200
+    cfg = SimConfig(potential=Morse(2.0, 1.0, 0.5, 1.0), dimension=3, N=20, dt=0.5,
+                    steps=400, model="second", alpha=100.0, beta=1.0, blowup_bound=1e3,
+                    seed=3, init=UniformBall(0.5))
+    with pytest.raises(NumericalBlowupError) as info:
+        run(cfg)
+    assert info.value.step == 200 and info.value.bound == 1e3
+    assert str(info.value) == "coordinate exceeded bound 1000 at step 200"
+
+
+@pytest.mark.parametrize("value", [2e3, math.inf, math.nan])
+def test_run_refuses_an_initial_state_beyond_the_bound(value):
+    cfg = SimConfig(potential=Morse(5.0, 0.1, 0.2, 5.0), dimension=2, N=2, dt=0.1,
+                    steps=3, blowup_bound=1e3)
+    state = ParticleState(positions=np.array([[0.05, 0.0], [value, 0.0]]), velocities=None)
+    with pytest.raises(DomainError, match="^initial state exceeds the blowup bound 1000$"):
+        run(cfg, state)
+
+
 # -------------------------------------------------------- second-order step
 
 

@@ -55,6 +55,12 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         # the 2-D upper formula is the first zero of J_1
         ["asymptotics", "-n", "2", "-C", "1.1111111111111112", "-k", "0.5", "--sweep-ell",
          "upper", "-o", "asymptotics2d.csv"],
+        # the lower sweeps: scalar Brent and Bessel calls that no other command makes
+        # (in 2-D the balance equation's root below the first zero of J_0)
+        ["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2", "--sweep-ell", "lower",
+         "-o", "asymptotics3d_lower.csv"],
+        ["asymptotics", "-n", "2", "-C", "1.1111111111111112", "-k", "0.5", "--sweep-ell",
+         "lower", "-o", "asymptotics2d_lower.csv"],
         ["phase", "-n", "3", "-o", "phase3d.csv"],
         ["phase", "-n", "2", "--resolution", str(resolution), "-o", "phase2d.csv"],
         ["simulate", *qm3d, *run, "-o", "qm3d"],
