@@ -1,4 +1,5 @@
-"""The one JSON codec of the package's records, driven by dataclass fields.
+"""The one JSON codec of the package's records, driven by dataclass fields,
+and the one writer of its JSON documents and of its float tables.
 
 A record is a dataclass; ``Record`` gives one its ``to_dict`` and
 ``from_dict``.  Its JSON form is a flat object with one key per field, and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import re
 import typing
 
@@ -121,3 +123,29 @@ def _value(cls: type, name: str, rule, value):
     ):
         return float(value) if rule is float else value
     raise DomainError(f"{cls.__name__}: {name!r} must be {rule.__name__}, got {value!r}")
+
+
+#: rows of a table formatted by one ``%``: small blocks bound the text held
+#: at once, and of 256 to 4096 rows, 512 gave the benchmark's profile_pipeline
+#: its lowest peak RSS, through the allocator (the README lists the sizes)
+_TABLE_BLOCK_ROWS = 512
+
+
+def table_lines(values, newline: str = "\n"):
+    """The text of the 2-D float array ``values``, a line per row of its
+    fields as ``%.17g`` (which reads back as the same double) joined by
+    commas and ended by ``newline``, in blocks of ``_TABLE_BLOCK_ROWS``
+    rows, each filled by one ``%``."""
+    values = np.asarray(values, dtype=np.float64)
+    row = ",".join(["%.17g"] * values.shape[1]) + newline
+    for start in range(0, len(values), _TABLE_BLOCK_ROWS):
+        block = values[start : start + _TABLE_BLOCK_ROWS]
+        yield row * len(block) % tuple(block.ravel().tolist())
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as every JSON document of the package is written: keys
+    sorted, an indent of 2 and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")

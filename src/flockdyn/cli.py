@@ -15,11 +15,11 @@ import json
 import math
 import sys
 import warnings
-from itertools import repeat, starmap
 
 import numpy as np
 
 from . import __version__
+from ._codec import table_lines, write_json
 from .errors import (
     BracketFailureError,
     DegenerateDenominatorError,
@@ -98,34 +98,18 @@ _EXIT_CODES = (
 _ERRORS = sum((kinds for kinds, _ in _EXIT_CODES), ())
 
 
-def _csv_lines(rows):
-    """The CSV lines of ``rows``.  Every column holds one type, so its
-    format is chosen from the first row: 17 significant digits for a float,
-    str otherwise."""
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return
-    line = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in first) + "\n"
-    yield line.format(*first)
-    yield from starmap(line.format, rows)
-
-
 def _write_csv(path: str, header: list[str], lines, meta: dict) -> None:
     """Write the metadata header, the column header and the already
-    formatted ``lines`` as they are produced."""
+    formatted ``lines``, such as ``table_lines(rows)``, as they come."""
     with open(path, "w") as fh:
         fh.write(f"# flockdyn {__version__}\n# config: {json.dumps(meta, sort_keys=True)}\n")
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 
 
-def _write_json(path: str, payload: dict, meta: dict) -> None:
-    doc = {"meta": {"tool": "flockdyn", "version": __version__, "config": meta}}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _with_meta(payload: dict, meta: dict) -> dict:
+    """A command's JSON document: its ``payload`` and a ``meta`` object."""
+    return {"meta": {"tool": "flockdyn", "version": __version__, "config": meta}, **payload}
 
 
 def _model_params(args) -> ModelParams:
@@ -147,15 +131,10 @@ def _cmd_solve(args) -> int:
         params, root_index=args.root_index, allow_nonbiological=args.allow_nonbiological
     )
     meta = {"subcommand": "solve", **params.to_dict(), "grid": args.grid}
-    _write_json(f"{args.output}.json", {"profile": profile.to_dict()}, meta)
+    write_json(f"{args.output}.json", _with_meta({"profile": profile.to_dict()}, meta))
     grid = np.linspace(0.0, profile.R_star, args.grid)
-    rho = density_eval(profile, grid)
-    _write_csv(
-        f"{args.output}.csv",
-        ["r", "rho"],
-        _csv_lines(zip(grid.tolist(), rho.tolist())),
-        meta,
-    )
+    rows = np.column_stack([grid, density_eval(profile, grid)])
+    _write_csv(f"{args.output}.csv", ["r", "rho"], table_lines(rows), meta)
     print(
         f"solved: R* = {profile.R_star:.12g}, A = {profile.A:.12g}, "
         f"mu1 = {profile.mu1:.12g}, mu2 = {profile.mu2:.12g}, D = {profile.D:.12g}"
@@ -163,20 +142,14 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-#: the C rows of one block of the phase CSV, whose text is built and filled
-#: at once.  Small blocks keep the transient strings small.  The size also
-#: moves the process's peak RSS through the allocator: of 1, 4 and 16 rows,
-#: 4 measured lowest in the benchmark's profile_pipeline
-_PHASE_BLOCK_ROWS = 4
-
 #: region and sign names by code; the code -1 of an invalid cell picks the last
 _REGION_NAMES = [r.value for r in Region] + ["invalid"]
 _SIGN_NAMES = [s.value for s in Sign] + ["invalid"]
 
-#: the class columns of a phase cell and a slot for its A, by the code
+#: the class columns of a phase cell, between its ell and its A, by the code
 #: ((region * 4 + a_sign) * 2 + biologically_relevant) * 2 + h_stable
 _PHASE_CLASSES = tuple(
-    f",{region},{sign},{bio},{h_stable},%.17g\n"
+    f",{region},{sign},{bio},{h_stable},"
     for region in _REGION_NAMES
     for sign in _SIGN_NAMES
     for bio in (0, 1)
@@ -185,24 +158,28 @@ _PHASE_CLASSES = tuple(
 
 
 def _phase_lines(grid):
-    """The grid's CSV text in blocks of C rows, C outer and ell inner.  Each
-    C and ell is formatted once; every A of a block is filled by one ``%``."""
-    ells = [f"{v:.17g}" for v in grid.ell.tolist()]
+    """The grid's CSV text, C outer and ell inner, in the blocks of cells
+    ``table_lines`` writes A in.  A cell's line joins its C, ell and class
+    strings, gathered by its row, column and class code, with its A line."""
+    c_text, ell_text = ("".join(table_lines(v[:, None])).split() for v in (grid.C, grid.ell))
+    texts = [np.array(t, dtype=object) for t in ([c + "," for c in c_text], ell_text,
+                                                  _PHASE_CLASSES)]
     # numpy's % takes the code -1 to the last name
     region = grid.region % len(_REGION_NAMES)
     sign = grid.a_sign % len(_SIGN_NAMES)
     code = (region * len(_SIGN_NAMES) + sign) * 2 + grid.biologically_relevant
-    code = (code * 2 + grid.h_stable).tolist()
-    for start in range(0, grid.C.size, _PHASE_BLOCK_ROWS):
-        block = slice(start, start + _PHASE_BLOCK_ROWS)
-        parts = []
-        for c, row in zip(grid.C[block].tolist(), code[block]):
-            # the C, ell and class strings of each cell in turn
-            cells = [f"{c:.17g},"] * (3 * len(ells))
-            cells[1::3] = ells
-            cells[2::3] = map(_PHASE_CLASSES.__getitem__, row)
-            parts += cells
-        yield "".join(parts) % tuple(grid.A[block].ravel().tolist())
+    code = (code * 2 + grid.h_stable).ravel()
+    start = 0
+    for block in table_lines(grid.A.reshape(-1, 1)):
+        a_lines = block.splitlines(True)
+        cells = np.arange(start, start + len(a_lines))
+        start += len(a_lines)
+        row, col = divmod(cells, grid.ell.size)
+        parts = [None] * (4 * len(a_lines))
+        for k, (text, index) in enumerate(zip(texts, (row, col, code[cells]))):
+            parts[k::4] = text[index].tolist()
+        parts[3::4] = a_lines
+        yield "".join(parts)
 
 
 def _cmd_phase(args) -> int:
@@ -252,11 +229,11 @@ def _cmd_verify(args) -> int:
     meta = {"subcommand": "verify", "profile": args.profile, "grid": args.grid}
     if args.output:
         if args.format == "json":
-            _write_json(f"{args.output}", {"report": report.to_dict()}, meta)
+            write_json(args.output, _with_meta({"report": report.to_dict()}, meta))
         else:
-            rows = zip(report.r_grid.tolist(), report.closed_form.tolist(),
-                       report.quadrature.tolist(), repeat(report.D))
-            _write_csv(args.output, ["r", "closed", "quadrature", "D"], _csv_lines(rows), meta)
+            rows = np.column_stack([report.r_grid, report.closed_form, report.quadrature,
+                                    np.full_like(report.r_grid, report.D)])
+            _write_csv(args.output, ["r", "closed", "quadrature", "D"], table_lines(rows), meta)
     print(
         f"verified: sup|closed-D| = {report.sup_dev_closed:.3e}, "
         f"sup|quad-D| = {report.sup_dev_quad:.3e}, cross = {report.cross_dev:.3e}"
@@ -276,7 +253,7 @@ def _cmd_roots(args) -> int:
         "roots": [{"R": r, "index": j} for r, j in roots],
         "first_bracket": {"lo": lo, "hi": hi},
     }
-    _write_json(args.output, payload, meta)
+    write_json(args.output, _with_meta(payload, meta))
     for r, j in roots:
         print(f"root {j}: R = {r:.12g}")
     return EXIT_OK
@@ -323,7 +300,7 @@ def _cmd_asymptotics(args) -> int:
         "sweep_ell": args.sweep_ell,
         "steps": args.steps,
     }
-    _write_csv(args.output, ["ell", "R_formula", "R_solver", "rel_dev"], _csv_lines(rows), meta)
+    _write_csv(args.output, ["ell", "R_formula", "R_solver", "rel_dev"], table_lines(rows), meta)
     for ell, rf, rs, dev in rows:
         print(f"ell = {ell:.10g}: formula {rf:.8g}, solver {rs:.8g}, dev {dev:.3e}")
     return EXIT_OK
@@ -342,7 +319,8 @@ def _cmd_simulate(args) -> int:
     kind, colon, value = args.init.partition(":")
     try:
         make = {"ball:": UniformBall, "gauss:": Gaussian, "file:": FromFile}[kind + colon]
-        init_arg = value if make is FromFile else float(value)
+        # float("") refuses an empty R or S, and so an empty PATH too
+        init_arg = value if make is FromFile and value else float(value)
     except (KeyError, ValueError):
         raise _UsageError(f"bad --init {args.init!r}; use ball:R, gauss:S or file:PATH") from None
     config = SimConfig(
@@ -383,20 +361,15 @@ def _cmd_compare(args) -> int:
         "profile": args.profile,
         "bins": args.bins,
     }
-    edges, density = hist.bin_edges.tolist(), hist.density.tolist()
     payload = {
         "l1_error": l1,
         "support_error": support,
-        "histogram": {"bin_edges": edges, "density": density},
+        "histogram": {"bin_edges": hist.bin_edges.tolist(), "density": hist.density.tolist()},
     }
     base = args.output[:-5] if args.output.endswith(".json") else args.output
-    _write_json(f"{base}.json", payload, meta)
-    _write_csv(
-        f"{base}.csv",
-        ["r_lo", "r_hi", "density"],
-        _csv_lines(zip(edges[:-1], edges[1:], density)),
-        meta,
-    )
+    write_json(f"{base}.json", _with_meta(payload, meta))
+    rows = np.column_stack([hist.bin_edges[:-1], hist.bin_edges[1:], hist.density])
+    _write_csv(f"{base}.csv", ["r_lo", "r_hi", "density"], table_lines(rows), meta)
     print(f"l1_error = {l1:.4f}, support_error = {support:.4f}")
     return EXIT_OK
 
@@ -430,7 +403,7 @@ def _cmd_specfun_table(args) -> int:
         "x_grid": args.x_grid,
         "scaled": args.scaled,
     }
-    _write_csv(args.output, ["nu", "x", "J", "I", "K"], _csv_lines(rows), meta)
+    _write_csv(args.output, ["nu", "x", "J", "I", "K"], table_lines(rows), meta)
     print(f"{len(rows)} rows -> {args.output}")
     return EXIT_OK
 

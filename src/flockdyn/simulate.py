@@ -76,7 +76,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._codec import Record
+from ._codec import Record, table_lines, write_json
+from .convolution import _GAUSS_NODES, _GAUSS_WEIGHTS
 from .errors import DomainError, NumericalBlowupError
 from .potentials import (
     PotentialSpec,
@@ -390,14 +391,16 @@ def _pair_groups(n_part: int, budget: int):
         blocks.append((lo, hi, end, end + entries))
         end += entries
     groups.append(blocks)
+    # a block of m rows has the first m (m + 1) / 2 pairs j <= i of a full one
+    tri_rows, tri_cols = np.tril_indices(_BLOCK_ROWS)
     layout = []
     for blocks in groups:
         self_pairs, lower_pairs = [], []
         for lo, hi, start, _ in blocks:
-            width = n_part - lo
-            rows, cols = np.tril_indices(hi - lo)
-            self_pairs.append(start + np.arange(hi - lo) * (width + 1))
-            lower_pairs.append(start + rows * width + cols)
+            width, m = n_part - lo, hi - lo
+            pairs = m * (m + 1) // 2
+            self_pairs.append(start + np.arange(m) * (width + 1))
+            lower_pairs.append(start + tri_rows[:pairs] * width + tri_cols[:pairs])
         layout.append((tuple(blocks), np.concatenate(self_pairs), np.concatenate(lower_pairs)))
     return tuple(layout), max(blocks[-1][3] for blocks in groups)
 
@@ -724,6 +727,15 @@ _SAMPLE_TABLE_NODES = 1024
 _SAMPLE_NEWTON_STEPS = 3
 
 
+def _mass_tail(profile: FlockProfile, r: np.ndarray) -> np.ndarray:
+    """1 - M(r), the integral of |S| s^(n-1) rho(s) over [r, R*] by the
+    15-point Gauss rule, which keeps its relative accuracy where it is small."""
+    half = 0.5 * (profile.R_star - r)
+    s = (r + half)[:, None] + half[:, None] * _GAUSS_NODES
+    terms = s ** (profile.params.n - 1) * density_eval(profile, s)
+    return _sphere_area(profile.params.n) * half * (terms @ _GAUSS_WEIGHTS)
+
+
 def sample_profile_positions(profile: FlockProfile, count: int, seed: int = 0) -> np.ndarray:
     """Draw positions from the analytic density by inverse-CDF sampling of
     the radial mass distribution.
@@ -732,8 +744,11 @@ def sample_profile_positions(profile: FlockProfile, count: int, seed: int = 0) -
     ``[0, R*]``.  Each uniform draw ``u`` is interpolated to ``s = r^n`` in
     its table cell, by the cubic Hermite form with ``ds/dm = n / (|S| rho)``
     (smooth through the centre, where the mass grows as ``r^n``).  Newton
-    steps on ``dm/dr = |S| r^(n-1) rho(r)`` polish it to the closed form's
-    rounding; a step that leaves the cell's shrinking bracket bisects it.
+    steps on ``dm/dr = |S| r^(n-1) rho(r)`` polish it to rounding; a step
+    that leaves the cell's shrinking bracket bisects it.  Above the median
+    they solve ``_mass_tail(r) = 1 - u`` instead, whose right side is exact:
+    near R*, where the slope is small, ``M(r) = u`` fixes r only to an ulp
+    of 1 over the slope.
     Raises DomainError for a negative count, or for a profile whose mass
     is not non-decreasing (its density is negative somewhere, as that of a
     higher root can be)."""
@@ -768,7 +783,10 @@ def sample_profile_positions(profile: FlockProfile, count: int, seed: int = 0) -
     todo = np.arange(count)
     for _ in range(_SAMPLE_NEWTON_STEPS):
         x, x_lo, x_hi = r[todo], lo[todo], hi[todo]
-        f = _mass_closed(n, a, x, mu1, mu2) - u[todo]
+        upper = u[todo] > 0.5
+        f = np.empty_like(x)
+        f[~upper] = _mass_closed(n, a, x[~upper], mu1, mu2) - u[todo[~upper]]
+        f[upper] = (1.0 - u[todo[upper]]) - _mass_tail(profile, x[upper])
         slope = surface * x ** (n - 1) * density_eval(profile, x)
         step = np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0.0)
         lo[todo] = x_lo = np.where(f < 0.0, x, x_lo)
@@ -786,39 +804,19 @@ def sample_profile_positions(profile: FlockProfile, count: int, seed: int = 0) -
     return direc * r[:, None]
 
 
-# Rows of a checkpoint CSV formatted per block, which bounds the text held
-# at once for large N.
-_CSV_BLOCK_ROWS = 1024
-
-
 def save_checkpoint(state: ParticleState, config: SimConfig, prefix: str) -> tuple[str, str]:
     """Write positions (and velocities) as CSV plus a JSON sidecar with the
     config and time; returns the two paths."""
     csv_path = f"{prefix}.csv"
     meta_path = f"{prefix}.json"
-    dim = state.positions.shape[1]
-    cols = [f"x{i+1}" for i in range(dim)]
-    if state.velocities is not None:
-        cols += [f"v{i+1}" for i in range(dim)]
-    if state.velocities is not None:
-        rows = np.hstack([state.positions, state.velocities])
-    else:
-        rows = state.positions
-    # the lines of csv.writer's excel dialect, a block of rows per %
-    line = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    parts = [state.positions] + ([] if state.velocities is None else [state.velocities])
+    cols = [f"{c}{i + 1}" for c in "xv"[: len(parts)] for i in range(state.positions.shape[1])]
+    rows = np.hstack(parts)
+    # the lines of csv.writer's excel dialect
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\r\n")
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start : start + _CSV_BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {"config": config.to_dict(), "time": state.time},
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+        fh.writelines(table_lines(rows, "\r\n"))
+    write_json(meta_path, {"config": config.to_dict(), "time": state.time})
     return csv_path, meta_path
 
 

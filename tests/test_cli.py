@@ -580,9 +580,10 @@ def test_simulate_bad_init_flag(tmp_path):
     )
 
 
-@pytest.mark.parametrize("init", ["ball:abc", "gauss:", "ball", "cube:1.0"])
+@pytest.mark.parametrize("init", ["ball:abc", "gauss:", "ball", "cube:1.0", "file:"])
 def test_simulate_bad_init_value_names_the_flag(tmp_path, capsys, init):
-    # "ball:abc" once gave only "could not convert string to float: 'abc'"
+    # "ball:abc" once gave only "could not convert string to float: 'abc'",
+    # and "file:" exit 4 with "No such file or directory: '.csv'"
     out = tmp_path / "x"
     assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "1", "--init", init,
                  "-o", str(out)]) == 5

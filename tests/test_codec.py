@@ -1,7 +1,9 @@
 """The JSON codec of the records: round trips through JSON text, the wire
-format pinned key by key, and files written before the codec existed."""
+format pinned key by key, and files written before the codec existed; and
+the float-table writer against the per-field text."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -169,3 +171,37 @@ def test_files_written_before_the_codec_still_load():
     )
     assert SimConfig.from_dict(doc) == config
     assert config.to_dict() == doc
+
+
+# floats whose text is easy to get wrong: signed zeros and infinities, nan,
+# subnormals, the extremes and a value that needs all 17 digits
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+           2.2250738585072014e-308, 1.7e308, -1.7e308, 1.7976931348623157e308, 1.0 / 3.0]
+BLOCK = _codec._TABLE_BLOCK_ROWS
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]),
+    cols=st.integers(1, 7),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                               st.sampled_from(SPECIAL) | st.floats()), max_size=40),
+)
+def test_table_lines_equal_the_per_field_text(rows, cols, newline, seed, planted):
+    # magnitudes from the subnormals to 1e308, either sign, with the drawn
+    # floats planted at random places
+    rng = np.random.default_rng(seed)
+    values = (rng.choice([-1.0, 1.0], size=(rows, cols)) * rng.uniform(1.0, 10.0, (rows, cols))
+              * 10.0 ** rng.integers(-323, 308, (rows, cols)))
+    for place, value in planted:
+        values.flat[int(place * values.size)] = value
+    blocks = list(_codec.table_lines(values, newline))
+    assert len(blocks) == -(-rows // BLOCK)
+    # line by line, so that a failure does not diff two 100 kB strings
+    lines = "".join(blocks).splitlines(True)
+    assert len(lines) == rows
+    for line, row in zip(lines, values.tolist()):
+        for spell in ("%.17g".__mod__, lambda v: format(v, ".17g")):
+            assert line == ",".join(map(spell, row)) + newline

@@ -25,8 +25,9 @@ def test_output_hashes_lists_every_output_and_repeats(tmp_path):
                 "qm3d_second", "qm3d_n600"):
         assert {f"{tag}.csv", f"{tag}.json", f"{tag}.records.jsonl"} <= set(names)
     assert {"ref3d.json", "ref2d.json", "roots3d.json", "verify3d.json", "verify2d.csv",
+            "verify3d.csv",
             "asymptotics3d.csv", "asymptotics3d_lower.csv", "asymptotics2d_lower.csv",
-            "phase3d.csv", "phase2d.csv", "compare3d.json", "specfun.csv",
+            "phase3d.csv", "phase2d.csv", "phase2d_edges.csv", "compare3d.json", "specfun.csv",
             "specfun_wide.csv"} <= set(names)
     # the outputs are byte-stable and name no directory: a second run
     # elsewhere gives the same lines

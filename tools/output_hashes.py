@@ -50,6 +50,7 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         ["roots", *_REF2D, "--count", "3", "-o", "roots2d.json"],
         ["verify", "--profile", "ref3d.json", "-o", "verify3d.json"],
         ["verify", "--profile", "ref2d.json", "--format", "csv", "-o", "verify2d.csv"],
+        ["verify", "--profile", "ref3d.json", "--format", "csv", "-o", "verify3d.csv"],
         ["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2", "--sweep-ell", "upper",
          "-o", "asymptotics3d.csv"],
         # the 2-D upper formula is the first zero of J_1
@@ -63,6 +64,10 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
          "lower", "-o", "asymptotics2d_lower.csv"],
         ["phase", "-n", "3", "-o", "phase3d.csv"],
         ["phase", "-n", "2", "--resolution", str(resolution), "-o", "phase2d.csv"],
+        # invalid cells (C <= 0 or ell <= 0), A = 0 exactly (C = 4, ell = 0.5)
+        # and degenerate cells, whose A is nan (C = 1)
+        ["phase", "-n", "2", "--c-min", "-1", "--c-max", "4", "--ell-min", "-1", "--ell-max",
+         "1.5", "--resolution", "11", "-o", "phase2d_edges.csv"],
         ["simulate", *qm3d, *run, "-o", "qm3d"],
         ["simulate", *qm3d, *run, "--exact-forces", "-o", "qm3d_exact"],
         ["simulate", *_REF2D, "--dt", "0.5", "--init", "ball:0.9", *run, "-o", "qm2d"],
