@@ -112,6 +112,11 @@ def _with_meta(payload: dict, meta: dict) -> dict:
     return {"meta": {"tool": "flockdyn", "version": __version__, "config": meta}, **payload}
 
 
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _model_params(args) -> ModelParams:
     return ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
 
@@ -124,8 +129,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_solve(args) -> int:
-    if args.grid < 2:
-        raise _UsageError(f"--grid must be at least 2, got {args.grid}")
+    _require_at_least("--grid", args.grid, 2)
+    _require_at_least("--root-index", args.root_index, 1)
     params = _model_params(args)
     profile = solve_profile(
         params, root_index=args.root_index, allow_nonbiological=args.allow_nonbiological
@@ -183,8 +188,7 @@ def _phase_lines(grid):
 
 
 def _cmd_phase(args) -> int:
-    if args.resolution < 1:
-        raise _UsageError(f"--resolution must be at least 1, got {args.resolution}")
+    _require_at_least("--resolution", args.resolution, 1)
     window = {"--c-min": args.c_min, "--c-max": args.c_max,
               "--ell-min": args.ell_min, "--ell-max": args.ell_max}
     for flag, value in window.items():
@@ -224,6 +228,7 @@ def _read_profile(path: str) -> FlockProfile:
 
 
 def _cmd_verify(args) -> int:
+    _require_at_least("--grid", args.grid, 2)
     profile = _read_profile(args.profile)
     report = verify_flock(profile, grid_size=args.grid)
     meta = {"subcommand": "verify", "profile": args.profile, "grid": args.grid}
@@ -242,6 +247,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    _require_at_least("--count", args.count, 1)
     params = _model_params(args)
     roots = enumerate_roots(
         params, args.count, allow_nonbiological=args.allow_nonbiological
@@ -260,8 +266,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    if args.steps < 1:
-        raise _UsageError(f"--steps must be at least 1, got {args.steps}")
+    _require_at_least("--steps", args.steps, 1)
     C, k, n = args.C, args.k, args.dimension
     for flag, value in (("-C", C), ("-k", k), ("--delta0", args.delta0), ("--ratio", args.ratio)):
         if not (0.0 < value < math.inf):
@@ -315,6 +320,7 @@ def _potential_from_args(args):
 
 
 def _cmd_simulate(args) -> int:
+    _require_at_least("--stride", args.stride, 1)
     potential = _potential_from_args(args)
     kind, colon, value = args.init.partition(":")
     try:
@@ -375,28 +381,35 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_specfun_table(args) -> int:
-    orders = [float(v) for v in args.orders.split(",")]
+    try:
+        orders = [float(v) for v in args.orders.split(",")]
+    except ValueError:
+        orders = []
+    if not orders or not all(nu in specfun._SUPPORTED_ORDERS for nu in orders):
+        raise _UsageError(f"--orders must list orders of {specfun._SUPPORTED_ORDERS}, "
+                          f"separated by commas, got {args.orders!r}")
     try:
         kind, lo, hi, num = args.x_grid.split(":")
         ends, num = np.array([float(lo), float(hi)]), int(num)
     except ValueError:
         kind = None
-    if (kind not in ("lin", "log") or num < 1 or not np.isfinite(ends).all()
-            or kind == "log" and ends.min() <= 0.0):
-        raise _UsageError(f"--x-grid must be KIND:LO:HI:NUM with KIND log or lin, finite LO "
-                          f"and HI (both > 0 for log) and NUM >= 1, got {args.x_grid!r}")
+    # K is defined for x > 0 alone
+    if kind not in ("lin", "log") or num < 1 or not (np.isfinite(ends) & (ends > 0.0)).all():
+        raise _UsageError(f"--x-grid must be KIND:LO:HI:NUM with KIND log or lin, finite "
+                          f"LO and HI > 0 and NUM >= 1, got {args.x_grid!r}")
     xs = np.geomspace(*ends, num) if kind == "log" else np.linspace(*ends, num)
-    rows = [
-        (
-            nu,
-            x,
-            specfun.bessel_j(nu, x),
-            specfun.bessel_i(nu, x, scaled=args.scaled),
-            specfun.bessel_k(nu, x, scaled=args.scaled),
-        )
+    # one array call per function and order: an element of an array call
+    # equals the float call at that element, bit for bit
+    rows = np.concatenate([
+        np.column_stack([
+            np.full(xs.size, nu),
+            xs,
+            specfun.bessel_j(nu, xs),
+            specfun.bessel_i(nu, xs, scaled=args.scaled),
+            specfun.bessel_k(nu, xs, scaled=args.scaled),
+        ])
         for nu in orders
-        for x in xs.tolist()
-    ]
+    ])
     meta = {
         "subcommand": "specfun-table",
         "orders": args.orders,

@@ -856,6 +856,18 @@ def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
     time = 0.0
     if meta_path.exists():
         with open(meta_path) as fh:
-            meta = json.load(fh)
-        time = float(meta.get("time", 0.0))
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise DomainError(f"{meta_path}: not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DomainError(f"{meta_path}: must hold a JSON object")
+        time = meta.get("time", 0.0)
+        try:
+            finite = type(time) in (int, float) and math.isfinite(time)
+        except OverflowError:  # an integer past the double range
+            finite = False
+        if not finite:
+            raise DomainError(f"{meta_path}: 'time' must be a finite number, got {time!r}")
+        time = float(time)
     return ParticleState(positions=positions, velocities=velocities, time=time), meta

@@ -33,17 +33,22 @@ float64 array.  A size-one input (a float, a 0-d array or a one-element
 array) takes the float route: the same terms in the same order with the
 same stop test, on plain floats (``longdouble`` scalars for the upper J
 series), which costs microseconds where one-element array operations cost
-a millisecond.  Its value equals, bit for bit, the value the array route
-gives for that element alone.  Within a longer array it may not: an array
-loop runs until its slowest element meets the stop test, so every element
-takes that many terms, and near a zero of J the extra terms show
-(``bessel_j(0, [2.404825, 3.99])[0]`` is 3 ulp below
-``bessel_j(0, 2.404825)``).  An array loop updates its terms and sums in
-place, and tests a sentinel first, the element expected to converge last,
-in scalar arithmetic; it tests the whole array only once the sentinel
-passes, so it runs as many iterations as a test of every element on every
-iteration would.  An array that falls in one piece of a function's domain
-goes to that piece's evaluator whole.
+a millisecond.  The contract between the routes is one rule: an element
+of an array call equals the float call at that element, bit for bit.
+
+The power series behind J and I keeps it by stopping each element where
+its own stop test passes: from then on that element adds exact zeros, and
+the loop ends once every element has stopped.  Near a zero of J its sum
+cancels far below its largest term, so any further term would move the
+last bits.  The other three array loops (the K series, the continued
+fraction and the large-x expansion) run until every element has passed,
+testing a sentinel first, the element expected to converge last, in
+scalar arithmetic, and the whole array only once the sentinel passes.
+There a term past an element's own stop is below half an ulp of the sum
+it joins, so it leaves that element's result unchanged; each loop says
+why.  Array loops update their terms and sums in place, and an array
+that falls in one piece of a function's domain goes to that piece's
+evaluator whole.
 
 The float route gives the array route's bits because ``exp``, ``log`` and
 ``power`` come from numpy on both routes: numpy's array loops may use their
@@ -136,7 +141,7 @@ def _max(a, b):
 
 def _sentinel(x, largest: bool):
     """Index of the element of x whose stop test is expected to pass last:
-    the largest x for a power series, the smallest for the continued
+    the largest x for the K series, the smallest for the continued
     fraction and the large-x expansion.  None for a float."""
     if not isinstance(x, np.ndarray):
         return None
@@ -202,25 +207,30 @@ def _series_sum(nu: float, x, sign: float, dtype):
     else:
         lead = np.power(half, dtype(nu))
     term = lead / dtype(math.gamma(nu + 1.0))
-    if not isinstance(term, np.ndarray):
+    array = isinstance(term, np.ndarray)
+    if not array:
         term = dtype(term)  # a float stays a plain float through the loop
     total = +term  # a copy, as term is updated in place
     q = dtype(sign) * 0.25 * xl * xl
     peak = abs(term)
     stop = 1e-25 if dtype is np.longdouble else 1e-18
-    last = _sentinel(x, largest=True)
     for m in range(1, 400):
         term *= q
         term /= m * (nu + m)
         total += term
         size = abs(term)
         peak = _max(peak, size)
-        if _at(size, last) <= stop * (_at(peak, last) + 1e-300) and (
-                last is None or (size <= stop * (peak + 1e-300)).all()):
+        done = size <= stop * (peak + 1e-300)
+        if not array:
+            if done:
+                break
+        elif done.all():
             break
+        else:
+            term[done] = 0.0  # adds exact zeros past the element's own stop
     else:  # pragma: no cover - series converges long before 400 terms
         raise ArithmeticError("power series failed to converge")
-    return total.astype(np.float64) if isinstance(total, np.ndarray) else float(total)
+    return total.astype(np.float64) if array else float(total)
 
 
 def _j_half_closed(nu: float, x):
@@ -246,9 +256,9 @@ def _j_half_closed(nu: float, x):
 
 def _j_int_miller(order: int, x):
     """Integer-order J by Miller's downward recurrence with the
-    J_0 + 2 J_2 + 2 J_4 + ... = 1 normalization.  Used for x > 12 where the
-    alternating series cancels; accuracy is a few ulp.  An array is
-    evaluated element by element."""
+    J_0 + 2 J_2 + 2 J_4 + ... = 1 normalization.  Used for 12 < x < 1e3,
+    where the alternating series cancels; its error grows with x (see
+    _J_HANKEL_CUT).  An array is evaluated element by element."""
     if isinstance(x, np.ndarray):
         return np.array([_j_int_miller(order, v) for v in x.tolist()])
     m_hi = int(x + 18.0 + 14.0 * x ** (1.0 / 3.0))
@@ -337,7 +347,12 @@ def _asym_series(nu: float, x, sign: float):
     """sum_k sign^k a_k(nu) / x^k, the large-x expansion shared by
     e^{-x} I_nu(x) (sign -1) and e^{x} K_nu(x) (sign +1); x >= 30.  The
     sign multiplies the scalar factor of each term, which rounds like
-    negating the term."""
+    negating the term.
+
+    An array runs until every element has stopped.  That leaves every
+    element's sum as its own stop left it: each later term is smaller than
+    the one before (their ratio, below 2/3 for k < 40 and x >= 30), so it
+    stays below 1e-18 of the sum, under the half ulp that would move it."""
     mu4 = 4.0 * nu * nu
     term = total = 1.0
     last = _sentinel(x, largest=False)
@@ -405,6 +420,16 @@ def _kve01_series(x):
 
     K_1 is inf where its 1/x term overflows (subnormal x); K_0 stays finite
     there, down to the smallest subnormal, and neither route warns.
+
+    An array runs until every element has stopped, and the terms past an
+    element's own stop leave its K_0 and K_1 as they were.  Each is below
+    1e-20 q, while acc0 is at least q, so acc0 rounds back to itself.  acc1
+    starts at 1 - 2 gamma and crosses 0 near x = 0.9308; within 7e-10 of
+    there those terms can move its last bits, but acc1 then enters K_1 as
+    (x/4) acc1 < 1e-10 beside 1/x > 1, and the move, below 3e-26, is
+    3e-10 of an ulp of K_1.  On 200,001 points within 1e-6 of that zero,
+    with x = 2 - 1e-7 in the same call, 133 acc1 values moved and no K_0
+    or K_1 did.
     """
     i0 = _power_series(0.0, x, +1.0)
     i1 = _power_series(1.0, x, +1.0)
@@ -446,6 +471,12 @@ def _kve01_cf2(x):
     """Scaled K_0 and K_1 by the Steed/Thompson-Barnett continued fraction.
 
     Solid for x >= 2 (converges in a few dozen iterations).
+
+    An array runs until every element has stopped.  Past an element's own
+    stop, each dels is below 1e-17 of s and shrinking, under the half ulp
+    that would move s, and h, which converges far faster than s, moves by
+    less than 1e-28 of itself (measured on 120,000 draws in [2, 30)), so
+    the element's K_0 and K_1 are those of its own stop.
     """
     mu2 = 0.0  # order mu = 0
     b = 2.0 * (1.0 + x)

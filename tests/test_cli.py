@@ -20,6 +20,7 @@ from flockdyn import cli
 from flockdyn.cli import main
 from flockdyn.errors import DegenerateDenominatorError, DomainError
 from flockdyn.potentials import ModelParams, aggregate_param, classify
+from flockdyn.simulate import load_checkpoint
 
 REF3D_FLAGS = ["-n", "3", "-C", "1.255", "-l", "0.8", "-k", "0.2"]
 
@@ -633,26 +634,52 @@ def test_simulate_rejects_nonfinite_inputs(tmp_path, capsys, flags):
     assert not Path(str(out) + ".csv").exists()
 
 
+_STATE = "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n"
+#: name -> (checkpoint CSV, its JSON sidecar or None)
 _BAD_CHECKPOINTS = {
     # once an IndexError traceback (exit 1) from both commands
-    "header_only": "x1,x2,x3\n",
+    "header_only": ("x1,x2,x3\n", None),
     # compare once reported "histogram and profile dimensions differ"
-    "ragged_row": "x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5\n0.7,0.8,0.9\n",
+    "ragged_row": ("x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5\n0.7,0.8,0.9\n", None),
     # compare once exited 0 with l1_error = nan
-    "nonfinite": "x1,x2,x3\n0.1,0.2,0.3\nnan,0.5,0.6\n0.7,0.8,0.9\n",
-    "non_numeric": "x1,x2,x3\n0.1,0.2,0.3\n0.4,abc,0.6\n0.7,0.8,0.9\n",
+    "nonfinite": ("x1,x2,x3\n0.1,0.2,0.3\nnan,0.5,0.6\n0.7,0.8,0.9\n", None),
+    "non_numeric": ("x1,x2,x3\n0.1,0.2,0.3\n0.4,abc,0.6\n0.7,0.8,0.9\n", None),
+    # once an AttributeError and a TypeError traceback
+    "sidecar_not_an_object": (_STATE, "[1]"),
+    "sidecar_time_a_list": (_STATE, '{"time": [1]}'),
+    # once a message that named no file
+    "sidecar_not_json": (_STATE, "{time: 1}"),
+    "sidecar_empty": (_STATE, ""),
+    "sidecar_time_text": (_STATE, '{"time": "abc"}'),
+    # once accepted
+    "sidecar_time_nan": (_STATE, '{"time": NaN}'),
+    "sidecar_time_inf": (_STATE, '{"time": 1e400}'),
+    "sidecar_time_huge_int": (_STATE, '{"time": 1' + "0" * 400 + "}"),
+    "sidecar_time_bool": (_STATE, '{"time": true}'),
 }
 
 
-@pytest.mark.parametrize("content", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS.keys())
-def test_simulate_rejects_bad_checkpoint(tmp_path, capsys, content):
+def _bad_checkpoint(tmp_path, case):
+    """The CSV path of ``case`` written under tmp_path, and the path its
+    error must name."""
+    content, sidecar = case
     bad = tmp_path / "bad.csv"
     bad.write_text(content)
+    if sidecar is None:
+        return bad, bad
+    meta = tmp_path / "bad.json"
+    meta.write_text(sidecar)
+    return bad, meta
+
+
+@pytest.mark.parametrize("case", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS.keys())
+def test_simulate_rejects_bad_checkpoint(tmp_path, capsys, case):
+    bad, named = _bad_checkpoint(tmp_path, case)
     out = tmp_path / "x"
     assert main(["simulate", *REF3D_FLAGS, "-N", "3", "--steps", "1",
                  "--init", f"file:{bad}", "-o", str(out)]) == 5
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and "\n" not in err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
     assert not Path(str(out) + ".csv").exists()
 
 
@@ -667,17 +694,24 @@ def test_bad_checkpoint_field_names_the_file_and_line(tmp_path, capsys):
     assert err.rstrip().endswith("'abc'")
 
 
-@pytest.mark.parametrize("content", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS.keys())
-def test_compare_rejects_bad_checkpoint(tmp_path, capsys, content):
+def test_checkpoint_without_a_sidecar_starts_at_time_zero(tmp_path):
+    path = tmp_path / "state.csv"
+    path.write_text(_STATE)
+    state, meta = load_checkpoint(str(path))
+    assert meta is None and state.time == 0.0 and state.positions.shape == (3, 3)
+
+
+@pytest.mark.parametrize("case", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS.keys())
+def test_compare_rejects_bad_checkpoint(tmp_path, capsys, case):
     profile = str(tmp_path / "prof")
     assert main(["solve", *REF3D_FLAGS, "-o", profile]) == 0
-    bad = tmp_path / "bad.csv"
-    bad.write_text(content)
+    bad, named = _bad_checkpoint(tmp_path, case)
     out = tmp_path / "cmp"
+    capsys.readouterr()
     assert main(["compare", "--state", str(bad), "--profile", profile + ".json",
                  "--bins", "2", "-o", str(out)]) == 5
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and "\n" not in err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
     assert not Path(str(out) + ".json").exists()
 
 

@@ -291,25 +291,33 @@ def test_roots_match_brentq_inside_brackets(seed, n):
         assert abs(r - ref) <= TOL_ROOT * ref
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([2, 3]),
-    picks=st.lists(st.integers(0, 511), min_size=1, max_size=8),
-)
-def test_scalar_determinant_equals_scan_entry(seed, n, picks):
+def _assert_scans_equal_scalar_calls(params):
     # Brent refines the 2-D root from the scan cell where det M changes
     # sign, evaluating det M at scalar R; a scalar value that differs from
-    # the scan's in the last bit can lose that sign change
-    params = region_i_draw(np.random.default_rng(seed), n)
+    # the scan's in the last bit can lose that sign change.  A refinement of
+    # many brackets at once would take its values from array calls too.
     _, a = aggregate_param(params)
-    lo, hi = sv._bracket_edges(params, a, 1)
-    grid = np.linspace(lo, hi, 512)
-    scan = flock_determinant(params, grid)
-    flips = np.flatnonzero(np.sign(scan[:-1]) != np.sign(scan[1:]))
-    for i in picks + [int(f) for f in flips] + [int(f) + 1 for f in flips]:
-        assert np.array_equal(flock_determinant(params, float(grid[i])), scan[i])
-        assert np.array_equal(flock_determinant(params, grid[i : i + 1]), scan[i : i + 1])
+    edges = sv._bracket_edges(params, a, 3)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # in 2-D the first is the grid of _first_sign_change_2d
+        grid = np.linspace(lo, hi, 512)
+        scan = flock_determinant(params, grid)
+        scalar = np.array([flock_determinant(params, R) for R in grid.tolist()])
+        assert np.array_equal(scan, scalar)
+        flips = np.flatnonzero(np.sign(scan[:-1]) != np.sign(scan[1:]))
+        for i in [*flips.tolist(), *(flips + 1).tolist()]:
+            assert np.array_equal(flock_determinant(params, grid[i : i + 1]), scan[i : i + 1])
+
+
+@pytest.mark.parametrize("params", [REF2D, REF3D], ids=["REF2D", "REF3D"])
+def test_determinant_scan_equals_scalar_calls(params):
+    _assert_scans_equal_scalar_calls(params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+def test_scalar_determinant_equals_scan_entry(seed, n):
+    _assert_scans_equal_scalar_calls(region_i_draw(np.random.default_rng(seed), n))
 
 
 def test_find_support_radius_ref3d():

@@ -10,14 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special as sp
 
 from flockdyn import specfun as sf
 from flockdyn.errors import DomainError, UnsupportedOrderError
-from specfun_oracle import installed as reference_loops_installed
 
 ALL_ORDERS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
 
@@ -465,52 +464,59 @@ def test_half_integer_forms_consistent_with_closed_expressions():
 # Hankel's J expansion at 1e3) with its two floating-point neighbours, and
 # a NaN, which matches no piece and must give NaN on both routes
 _CROSSOVERS = [2.0, 4.0, 12.0, 30.0, sf._J_HANKEL_CUT]
+_CROSSOVER_X = [*_CROSSOVERS,
+                *[np.nextafter(c, side) for c in _CROSSOVERS for side in (0.0, math.inf)]]
 AGREEMENT_X = np.append(np.unique(np.concatenate([
     np.logspace(-3, 3, 37),
     [1e6, 1e20, 1e300, np.finfo(np.float64).max],
     np.random.default_rng(8).uniform(0.0, 4.0, 120),
     np.random.default_rng(9).uniform(4.0, 40.0, 120),
-    _CROSSOVERS,
-    [np.nextafter(c, side) for c in _CROSSOVERS for side in (0.0, math.inf)],
+    _CROSSOVER_X,
 ])), np.nan)
 
 
-def _agreement_cases():
-    """(id, evaluator, x) for every public function, order and scaling; a
-    K pair is stacked on a leading axis.  Raw I stops short of overflow."""
-    cases = []
-    below_overflow = AGREEMENT_X[~(AGREEMENT_X >= 700.0)]
+def _quiet(fn):
+    """fn with overflow and invalid operations unreported: below x = 1e-300
+    a ratio of K may divide inf by inf or overflow."""
+    def call(nu, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(nu, x)
+    return call
+
+
+def _public_calls():
+    """(id, evaluator, zero) for every public function, order and scaling;
+    zero says whether x = 0 is in the domain.  A K pair is stacked on a
+    leading axis.  Raw I is called below its overflow."""
+    calls = []
     for nu in ALL_ORDERS:
-        cases.append((f"J{nu}", lambda x, nu=nu: sf.bessel_j(nu, x), AGREEMENT_X))
-        for scaled in (False, True):
-            tag = "e" if scaled else ""
-            cases.append((
-                f"I{tag}{nu}",
-                lambda x, nu=nu, s=scaled: sf.bessel_i(nu, x, scaled=s),
-                AGREEMENT_X if scaled else below_overflow,
-            ))
-            cases.append((
-                f"K{tag}{nu}",
-                lambda x, nu=nu, s=scaled: sf.bessel_k(nu, x, scaled=s),
-                AGREEMENT_X,
-            ))
+        zero = nu >= 0.0
+        calls += [
+            (f"J{nu}", lambda x, nu=nu: sf.bessel_j(nu, x), zero),
+            (f"I{nu}", lambda x, nu=nu: sf.bessel_i(nu, np.minimum(x, 700.0)), zero),
+            (f"Ie{nu}", lambda x, nu=nu: sf.bessel_i(nu, x, scaled=True), zero),
+            (f"K{nu}", lambda x, nu=nu: sf.bessel_k(nu, x), False),
+            (f"Ke{nu}", lambda x, nu=nu: sf.bessel_k(nu, x, scaled=True), False),
+        ]
         if nu + 1.0 in ALL_ORDERS:
-            cases.append((
-                f"Kpair{nu}", lambda x, nu=nu: np.array(sf.bessel_k_pair(nu, x)), AGREEMENT_X
-            ))
+            calls.append((f"Kpair{nu}", lambda x, nu=nu: np.array(sf.bessel_k_pair(nu, x)),
+                          False))
         if nu >= 0.0 and nu + 1.0 in ALL_ORDERS:
             for fn in (sf.ratio_k_over_xk, sf.ratio_k, sf.ratio_k_inverse):
-                cases.append((
-                    f"{fn.__name__}{nu}", lambda x, nu=nu, fn=fn: fn(nu, x), AGREEMENT_X
-                ))
-    return cases
+                calls.append((f"{fn.__name__}{nu}", lambda x, nu=nu, fn=_quiet(fn): fn(nu, x),
+                              False))
+    return calls
+
+
+_PUBLIC_CALLS = _public_calls()
 
 
 def test_array_scalar_agreement():
     # a size-one input takes the float route; its value must equal the
     # array route's bit for bit, whether it comes as a float or as a
     # one-element array, and keep the input's form
-    for name, fn, xs in _agreement_cases():
+    xs = AGREEMENT_X
+    for name, fn, _ in _PUBLIC_CALLS:
         vector = np.asarray(fn(xs))
         floats = [fn(float(x)) for x in xs]
         singles = [np.asarray(fn(np.array([x]))) for x in xs]
@@ -559,77 +565,52 @@ def test_k0_at_the_smallest_subnormal_is_finite_and_silent():
         assert k0s[0] == k0 and k1s[0] == math.inf
 
 
-# ---------------------------------------------- the array loops against the reference
+# ------------------------------------------- every array element against its float call
 
-# zeros of J_0, J_1 and J_2, where an element's bits depend on how many
-# terms are summed, and each crossover with its floating-point neighbours
+# points within 1e-6 of the zeros of J_0, J_1 and J_2, where an element's
+# bits depend on how many terms are summed, each crossover with its
+# floating-point neighbours, subnormals and uniform draws
 _J_ZEROS = [2.404825, 3.831706, 5.135622, 5.520078, 7.015587, 8.653728, 11.791534]
-_SPECIAL_X = [*_J_ZEROS, *_CROSSOVERS,
-              *[np.nextafter(c, side) for c in _CROSSOVERS for side in (0.0, math.inf)],
-              5e-324, 1e-310, np.finfo(np.float64).tiny, 1e-300, 1e5, 1e300,
-              np.finfo(np.float64).max]
-_LOOP_X = st.one_of(
-    st.floats(min_value=5e-324, max_value=45.0),
-    st.floats(min_value=1.5, max_value=4.5),  # dense about the K and J crossovers
-    st.sampled_from(_SPECIAL_X),
+_ZEROS_TO_45 = sorted(z for n in (0, 1, 2) for z in sp.jn_zeros(n, 15).tolist() if z <= 45.0)
+_ELEMENT_X = st.one_of(
+    st.builds(lambda z, d: z + d, st.sampled_from(_ZEROS_TO_45), st.floats(-1e-6, 1e-6)),
+    st.sampled_from(_CROSSOVER_X),
     st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormals
+    st.floats(min_value=0.0, max_value=45.0, exclude_min=True),
 )
 
 
-def _outcome(fn, *args, **kwargs):
-    """fn's value, or the name and message of what it raised."""
-    try:
-        return np.asarray(fn(*args, **kwargs))
-    except (ArithmeticError, RuntimeWarning) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _public_values(x):
-    """Every public function at every order and scaling on x > 0, as a
-    dict of arrays or errors: J and I of order >= 0 also at x = 0 (the
-    first element set to 0), raw I only below its overflow.  Below
-    x = 1e-300 a ratio of K may divide inf by inf or overflow, with a
-    warning; this compares only values, so those warnings are not
-    reported."""
-    with_zero = x.copy()
-    with_zero.flat[0] = 0.0
-    values = {}
-    for nu in ALL_ORDERS:
-        at = with_zero if nu >= 0.0 else x
-        values[f"J{nu}"] = _outcome(sf.bessel_j, nu, at)
-        values[f"I{nu}"] = _outcome(sf.bessel_i, nu, np.minimum(at, 700.0))
-        values[f"Ie{nu}"] = _outcome(sf.bessel_i, nu, at, scaled=True)
-        values[f"K{nu}"] = _outcome(sf.bessel_k, nu, x)
-        values[f"Ke{nu}"] = _outcome(sf.bessel_k, nu, x, scaled=True)
-        if nu + 1.0 in ALL_ORDERS:
-            values[f"Kpair{nu}"] = _outcome(sf.bessel_k_pair, nu, x)
-        if nu >= 0.0 and nu + 1.0 in ALL_ORDERS:
-            for fn in (sf.ratio_k_over_xk, sf.ratio_k, sf.ratio_k_inverse):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    values[f"{fn.__name__}{nu}"] = _outcome(fn, nu, x)
-    return values
-
-
-def _assert_same_bits(got, want):
-    assert got.keys() == want.keys()
-    for name in want:
-        if isinstance(want[name], str) or isinstance(got[name], str):
-            assert got[name] == want[name], name
-            continue
-        assert got[name].shape == want[name].shape, name
-        assert np.array_equal(got[name], want[name], equal_nan=True), name
+def _with_zero(x):
+    """x after a 0, for the calls whose domain holds 0."""
+    return np.append(0.0, x)
 
 
 @settings(max_examples=30, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(2, 600), elements=_LOOP_X), st.booleans())
-def test_array_loops_equal_the_reference_loops_bit_for_bit(x, two_rows):
-    # in-place updates, the sentinel stop test and the one-piece dispatch
-    # change no value: every loop runs as many terms as the reference
-    if two_rows and x.size % 2 == 0:
-        x = x.reshape(2, -1)
-    with reference_loops_installed():
-        want = _public_values(x)
-    _assert_same_bits(_public_values(x), want)
+@given(hnp.arrays(np.float64, st.integers(2, 16), elements=_ELEMENT_X))
+@example(np.array([2.404825, 3.99]))  # 2.404825 was 3 ulp below its float call
+def test_every_array_element_equals_its_float_call(x):
+    with_zero = _with_zero(x)
+    for name, fn, zero in _PUBLIC_CALLS:
+        at = with_zero if zero else x
+        vector = np.asarray(fn(at))
+        floats = np.stack([np.asarray(fn(v)) for v in at.tolist()], axis=-1)
+        assert np.array_equal(vector, floats, equal_nan=True), name
+
+
+# 2001 points about the zero of J_0 at 2.404825, the last on it
+_NEAR_J0_ZERO = np.append(np.linspace(2.404825 - 1e-6, 2.404825 + 1e-6, 2000), 2.404825)
+
+
+@settings(max_examples=10, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(2, 32), elements=_ELEMENT_X), _ELEMENT_X)
+@example(_NEAR_J0_ZERO, 3.99)  # 3.99 once moved the element at 2.404825 by 3 ulp
+def test_appending_an_element_moves_no_other(x, extra):
+    longer = np.append(x, extra)
+    with_zero, longer_with_zero = _with_zero(x), _with_zero(longer)
+    for name, fn, zero in _PUBLIC_CALLS:
+        got = np.asarray(fn(longer_with_zero if zero else longer))
+        want = np.asarray(fn(with_zero if zero else x))
+        assert np.array_equal(got[..., :-1], want, equal_nan=True), name
 
 
 def _first_to_converge(x, largest):
@@ -643,9 +624,12 @@ def _first_element(x, largest):
 
 @pytest.mark.parametrize("wrong", [_first_to_converge, _first_element])
 def test_a_wrong_sentinel_changes_no_value(monkeypatch, wrong):
-    # the sentinel only decides when the whole array is tested, so any
-    # element in its place gives the same values
+    # the K series, the continued fraction and the large-x expansion test a
+    # sentinel before the whole array, and it decides only when they do, so
+    # any element in its place gives the same values; the power series
+    # reads none
     x = np.concatenate([AGREEMENT_X[:-1], _J_ZEROS, np.linspace(1.9, 2.1, 41)])
-    want = _public_values(x)
+    want = [np.asarray(fn(x)) for _, fn, _ in _PUBLIC_CALLS]
     monkeypatch.setattr(sf, "_sentinel", wrong)
-    _assert_same_bits(_public_values(x), want)
+    for (name, fn, _), value in zip(_PUBLIC_CALLS, want):
+        assert np.array_equal(np.asarray(fn(x)), value, equal_nan=True), name
