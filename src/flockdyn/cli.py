@@ -117,6 +117,15 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
         raise _UsageError(f"{flag} must be at least {low}, got {value}")
 
 
+def _require_finite(values: dict, positive: bool = False) -> None:
+    """Refuse the first of ``values`` (flag -> value) that is not finite, or
+    not positive and finite when ``positive``."""
+    for flag, value in values.items():
+        if not (0.0 < value < math.inf if positive else math.isfinite(value)):
+            kind = "positive and finite" if positive else "finite"
+            raise _UsageError(f"{flag} must be {kind}, got {value}")
+
+
 def _model_params(args) -> ModelParams:
     return ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
 
@@ -189,11 +198,8 @@ def _phase_lines(grid):
 
 def _cmd_phase(args) -> int:
     _require_at_least("--resolution", args.resolution, 1)
-    window = {"--c-min": args.c_min, "--c-max": args.c_max,
-              "--ell-min": args.ell_min, "--ell-max": args.ell_max}
-    for flag, value in window.items():
-        if not math.isfinite(value):
-            raise _UsageError(f"{flag} must be finite, got {value}")
+    _require_finite({"--c-min": args.c_min, "--c-max": args.c_max,
+                     "--ell-min": args.ell_min, "--ell-max": args.ell_max})
     grid = phase_grid(
         args.dimension,
         np.linspace(args.c_min, args.c_max, args.resolution),
@@ -268,9 +274,8 @@ def _cmd_roots(args) -> int:
 def _cmd_asymptotics(args) -> int:
     _require_at_least("--steps", args.steps, 1)
     C, k, n = args.C, args.k, args.dimension
-    for flag, value in (("-C", C), ("-k", k), ("--delta0", args.delta0), ("--ratio", args.ratio)):
-        if not (0.0 < value < math.inf):
-            raise _UsageError(f"{flag} must be positive and finite, got {value}")
+    _require_finite({"-C": C, "-k": k, "--delta0": args.delta0, "--ratio": args.ratio},
+                    positive=True)
     limit = EllLimit(args.sweep_ell)
     # the open interval of ell in region I, whose ends the sweep approaches
     ell_lo, ell_hi = (1.0 / C, C ** (-1.0 / 3.0)) if n == 3 else (0.0, C**-0.5)
@@ -320,7 +325,14 @@ def _potential_from_args(args):
 
 
 def _cmd_simulate(args) -> int:
+    _require_at_least("-N", args.N, 2)
+    _require_at_least("--steps", args.steps, 0)
     _require_at_least("--stride", args.stride, 1)
+    if args.dt is not None:
+        _require_finite({"--dt": args.dt}, positive=True)
+    # second-order runs need both coefficients positive
+    _require_finite({"--alpha": args.alpha, "--beta": args.beta},
+                    positive=args.model == "second")
     potential = _potential_from_args(args)
     kind, colon, value = args.init.partition(":")
     try:
@@ -359,6 +371,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     state, _ = load_checkpoint(args.state)
     profile = _read_profile(args.profile)
+    _require_at_least("--bins", args.bins, 1)
+    n_part = len(state.positions)
+    if args.bins > n_part:
+        raise _UsageError(f"--bins must be at most the {n_part} particles of --state, "
+                          f"got {args.bins}")
     hist = radial_histogram(state, args.bins)
     l1, support = compare_profile(hist, profile)
     meta = {

@@ -36,18 +36,11 @@ series), which costs microseconds where one-element array operations cost
 a millisecond.  The contract between the routes is one rule: an element
 of an array call equals the float call at that element, bit for bit.
 
-The power series behind J and I keeps it by stopping each element where
-its own stop test passes: from then on that element adds exact zeros, and
-the loop ends once every element has stopped.  Near a zero of J its sum
-cancels far below its largest term, so any further term would move the
-last bits.  The other three array loops (the K series, the continued
-fraction and the large-x expansion) run until every element has passed,
-testing a sentinel first, the element expected to converge last, in
-scalar arithmetic, and the whole array only once the sentinel passes.
-There a term past an element's own stop is below half an ulp of the sum
-it joins, so it leaves that element's result unchanged; each loop says
-why.  Array loops update their terms and sums in place, and an array
-that falls in one piece of a function's domain goes to that piece's
+Every series loop keeps it by one stop rule (``_Stop``): an element stops
+at the iteration where its own stop test passes, as its float call does,
+and from then on it adds exact zeros; the loop ends once every element
+has stopped.  Array loops update their terms and sums in place, and an
+array that falls in one piece of a function's domain goes to that piece's
 evaluator whole.
 
 The float route gives the array route's bits because ``exp``, ``log`` and
@@ -139,18 +132,27 @@ def _max(a, b):
     return np.maximum(a, b, out=a) if isinstance(a, np.ndarray) else max(a, b)
 
 
-def _sentinel(x, largest: bool):
-    """Index of the element of x whose stop test is expected to pass last:
-    the largest x for the K series, the smallest for the continued
-    fraction and the large-x expansion.  None for a float."""
-    if not isinstance(x, np.ndarray):
-        return None
-    return int(x.argmax() if largest else x.argmin())
+class _Stop:
+    """The stop rule of every series loop on an array; a float stops where
+    its own test passes.  Called once per iteration with that iteration's
+    stop test ``done`` and the loop's recurrent terms, it says whether the
+    loop ends, which is once every element's test has passed.  Until then
+    an element whose test passes has its terms zeroed, so it adds exact
+    zeros from there on, and its test, now on zero terms, passes on every
+    later iteration.  So the count of passed elements grows exactly when
+    an element stops, and terms are zeroed only then."""
 
+    count = 0
 
-def _at(a, index):
-    """Element ``index`` of an array; a float (index None) is itself."""
-    return a if index is None else a[index]
+    def __call__(self, done, *terms):
+        count = np.count_nonzero(done)
+        if count == done.size:
+            return True
+        if count > self.count:
+            self.count = count
+            for term in terms:
+                term[done] = 0.0
+        return False
 
 
 def _piecewise(x, pieces, width=0):
@@ -213,21 +215,17 @@ def _series_sum(nu: float, x, sign: float, dtype):
     total = +term  # a copy, as term is updated in place
     q = dtype(sign) * 0.25 * xl * xl
     peak = abs(term)
-    stop = 1e-25 if dtype is np.longdouble else 1e-18
+    tol = 1e-25 if dtype is np.longdouble else 1e-18
+    stop = _Stop() if array else None
     for m in range(1, 400):
         term *= q
         term /= m * (nu + m)
         total += term
         size = abs(term)
         peak = _max(peak, size)
-        done = size <= stop * (peak + 1e-300)
-        if not array:
-            if done:
-                break
-        elif done.all():
+        done = size <= tol * (peak + 1e-300)
+        if stop(done, term) if array else done:
             break
-        else:
-            term[done] = 0.0  # adds exact zeros past the element's own stop
     else:  # pragma: no cover - series converges long before 400 terms
         raise ArithmeticError("power series failed to converge")
     return total.astype(np.float64) if array else float(total)
@@ -347,25 +345,21 @@ def _asym_series(nu: float, x, sign: float):
     """sum_k sign^k a_k(nu) / x^k, the large-x expansion shared by
     e^{-x} I_nu(x) (sign -1) and e^{x} K_nu(x) (sign +1); x >= 30.  The
     sign multiplies the scalar factor of each term, which rounds like
-    negating the term.
-
-    An array runs until every element has stopped.  That leaves every
-    element's sum as its own stop left it: each later term is smaller than
-    the one before (their ratio, below 2/3 for k < 40 and x >= 30), so it
-    stays below 1e-18 of the sum, under the half ulp that would move it."""
+    negating the term."""
     mu4 = 4.0 * nu * nu
     term = total = 1.0
-    last = _sentinel(x, largest=False)
+    array = isinstance(x, np.ndarray)
     # 8 k x overflows to inf above x = 2.2e307, where the term is 0 all the
     # same; an array warns of it, a float does not
-    quiet = contextlib.nullcontext() if last is None else np.errstate(over="ignore")
+    quiet = np.errstate(over="ignore") if array else contextlib.nullcontext()
+    stop = _Stop() if array else None
     with quiet:
         for k in range(1, 40):
             term *= sign * (mu4 - (2 * k - 1) ** 2)
             term /= 8.0 * k * x
             total += term
-            if abs(_at(term, last)) <= 1e-18 * abs(_at(total, last)) and (
-                    last is None or (abs(term) <= 1e-18 * abs(total)).all()):
+            done = abs(term) <= 1e-18 * abs(total)
+            if stop(done, term) if array else done:
                 break
     return total
 
@@ -420,16 +414,6 @@ def _kve01_series(x):
 
     K_1 is inf where its 1/x term overflows (subnormal x); K_0 stays finite
     there, down to the smallest subnormal, and neither route warns.
-
-    An array runs until every element has stopped, and the terms past an
-    element's own stop leave its K_0 and K_1 as they were.  Each is below
-    1e-20 q, while acc0 is at least q, so acc0 rounds back to itself.  acc1
-    starts at 1 - 2 gamma and crosses 0 near x = 0.9308; within 7e-10 of
-    there those terms can move its last bits, but acc1 then enters K_1 as
-    (x/4) acc1 < 1e-10 beside 1/x > 1, and the move, below 3e-26, is
-    3e-10 of an ulp of K_1.  On 200,001 points within 1e-6 of that zero,
-    with x = 2 - 1e-7 in the same call, 133 acc1 values moved and no K_0
-    or K_1 did.
     """
     i0 = _power_series(0.0, x, +1.0)
     i1 = _power_series(1.0, x, +1.0)
@@ -449,7 +433,8 @@ def _kve01_series(x):
     # K1 = 1/x + log(x/2) I1 - (x/4) sum_{m>=0} (H_m + H_{m+1} - 2 gamma) q^m / (m! (m+1)!)
     term1 = 1.0
     acc1 = _K1_COEFF[0]
-    last = _sentinel(x, largest=True)
+    array = isinstance(x, np.ndarray)
+    stop = _Stop() if array else None
     for m in range(1, 60):
         term *= q
         term /= m * m
@@ -457,8 +442,8 @@ def _kve01_series(x):
         term1 *= q
         term1 /= m * (m + 1)
         acc1 += _K1_COEFF[m] * term1
-        if _at(term, last) <= 1e-20 and _at(term1, last) <= 1e-20 and (
-                last is None or ((term <= 1e-20).all() and (term1 <= 1e-20).all())):
+        done = (term <= 1e-20) & (term1 <= 1e-20)
+        if stop(done, term, term1) if array else done:
             break
     k0 = -(lg + EULER_GAMMA) * i0 + acc0
     with np.errstate(over="ignore"):
@@ -471,12 +456,6 @@ def _kve01_cf2(x):
     """Scaled K_0 and K_1 by the Steed/Thompson-Barnett continued fraction.
 
     Solid for x >= 2 (converges in a few dozen iterations).
-
-    An array runs until every element has stopped.  Past an element's own
-    stop, each dels is below 1e-17 of s and shrinking, under the half ulp
-    that would move s, and h, which converges far faster than s, moves by
-    less than 1e-28 of itself (measured on 120,000 draws in [2, 30)), so
-    the element's K_0 and K_1 are those of its own stop.
     """
     mu2 = 0.0  # order mu = 0
     b = 2.0 * (1.0 + x)
@@ -487,7 +466,8 @@ def _kve01_cf2(x):
     c = q = a1
     a = -a1
     s = 1.0 + q * delh
-    last = _sentinel(x, largest=False)
+    array = isinstance(x, np.ndarray)
+    stop = _Stop() if array else None
     for i in range(2, 600):
         a -= 2.0 * (i - 1)
         c = -a * c / i
@@ -504,8 +484,8 @@ def _kve01_cf2(x):
         h += delh
         dels = q * delh
         s += dels
-        if abs(_at(dels, last)) <= 1e-17 * abs(_at(s, last)) and (
-                last is None or (abs(dels) <= 1e-17 * abs(s)).all()):
+        done = abs(dels) <= 1e-17 * abs(s)
+        if stop(done, delh) if array else done:
             break
     else:  # pragma: no cover
         raise ArithmeticError("K continued fraction failed to converge")

@@ -604,12 +604,36 @@ def test_simulate_refuses_an_initial_state_beyond_the_bound(tmp_path, capsys):
     assert not Path(str(out) + ".csv").exists()
 
 
-@pytest.mark.parametrize("counts", [["--stride", "0"], ["--steps", "-1"]])
-def test_simulate_rejects_bad_counts(tmp_path, counts):
+@pytest.mark.parametrize("counts", [["--stride", "0"], ["--steps", "-1"], ["-N", "1"]])
+def test_simulate_rejects_bad_counts(tmp_path, capsys, counts):
     # a zero stride used to escape as ZeroDivisionError, negative steps to
-    # exit 0 after running nothing
+    # exit 0 after running nothing; --steps and -N then named no flag
+    # ("steps must be non-negative", "need at least two particles")
     out = tmp_path / "x"
     assert main(["simulate", *REF3D_FLAGS, "-N", "8", *counts, "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {counts[0]} must be at least ") and err.count("\n") == 1
+    assert not Path(str(out) + ".csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dt", "0"],
+    ["--dt", "-1"],
+    ["--dt", "nan"],
+    ["--alpha", "inf"],
+    ["--beta", "nan"],
+    ["--alpha", "0", "--model", "second"],
+    ["--beta", "-1", "--model", "second"],
+], ids=["dt_0", "dt_neg", "dt_nan", "alpha_inf", "beta_nan", "second_alpha_0",
+        "second_beta_neg"])
+def test_simulate_bad_value_names_the_flag(tmp_path, capsys, flags):
+    # each once named only the field: "dt must be positive and finite",
+    # "alpha and beta must be finite", "second-order runs need alpha, beta > 0"
+    out = tmp_path / "x"
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "2", *flags,
+                 "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} must be ") and err.count("\n") == 1
     assert not Path(str(out) + ".csv").exists()
 
 
@@ -806,18 +830,20 @@ def test_specfun_table_at_the_smallest_subnormal(tmp_path, capsys):
 
 
 def test_compare_rejects_zero_bins(tmp_path, capsys):
-    # once exited 0 with l1_error = 1.0002 from an empty histogram
+    # 0 once exited 0 with l1_error = 1.0002 from an empty histogram; both
+    # values then exited 5 with "bins must be between 1 and the 2 particles"
     profile = str(tmp_path / "prof")
     assert main(["solve", *REF3D_FLAGS, "-o", profile]) == 0
     state = tmp_path / "state.csv"
     state.write_text("x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
     out = tmp_path / "cmp"
     capsys.readouterr()
-    assert main(["compare", "--state", str(state), "--profile", profile + ".json",
-                 "--bins", "0", "-o", str(out)]) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not Path(str(out) + ".json").exists()
+    for bins in ("0", "3"):  # the state holds 2 particles
+        assert main(["compare", "--state", str(state), "--profile", profile + ".json",
+                     "--bins", bins, "-o", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bins must be at ") and err.count("\n") == 1
+        assert not Path(str(out) + ".json").exists()
 
 
 def test_specfun_table_hidden_from_help(capsys):

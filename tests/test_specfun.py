@@ -567,13 +567,18 @@ def test_k0_at_the_smallest_subnormal_is_finite_and_silent():
 
 # ------------------------------------------- every array element against its float call
 
-# points within 1e-6 of the zeros of J_0, J_1 and J_2, where an element's
-# bits depend on how many terms are summed, each crossover with its
-# floating-point neighbours, subnormals and uniform draws
-_J_ZEROS = [2.404825, 3.831706, 5.135622, 5.520078, 7.015587, 8.653728, 11.791534]
+# points within 1e-6 of the zeros of J_0, J_1 and J_2 and within 1e-9 of
+# the zero of the K_1 series sum near 0.9308, where an element's bits depend
+# on how many terms are summed, each crossover with its floating-point
+# neighbours, points within 1e-6 of K's crossovers at 2 and 30, subnormals
+# and uniform draws
 _ZEROS_TO_45 = sorted(z for n in (0, 1, 2) for z in sp.jn_zeros(n, 15).tolist() if z <= 45.0)
+# sum_m (H_m + H_{m+1} - 2 gamma) (x^2/4)^m / (m! (m+1)!) = 0, by mpmath
+_K1_SUM_ZERO = 0.930778009682853
 _ELEMENT_X = st.one_of(
     st.builds(lambda z, d: z + d, st.sampled_from(_ZEROS_TO_45), st.floats(-1e-6, 1e-6)),
+    st.builds(lambda d: _K1_SUM_ZERO + d, st.floats(-1e-9, 1e-9)),
+    st.builds(lambda c, d: c + d, st.sampled_from([2.0, 30.0]), st.floats(-1e-6, 1e-6)),
     st.sampled_from(_CROSSOVER_X),
     st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormals
     st.floats(min_value=0.0, max_value=45.0, exclude_min=True),
@@ -588,6 +593,11 @@ def _with_zero(x):
 @settings(max_examples=30, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(2, 16), elements=_ELEMENT_X))
 @example(np.array([2.404825, 3.99]))  # 2.404825 was 3 ulp below its float call
+# the last element of each call is the slowest of a loop: of the K series
+# just below 2, of the continued fraction at 2, of the large-x expansion at 30
+@example(np.array([_K1_SUM_ZERO, 1e-3, np.nextafter(2.0, 0.0)]))
+@example(np.array([np.nextafter(30.0, 0.0), 2.0 + 1e-9, 2.0]))
+@example(np.array([1e6, 30.0 + 1e-9, 30.0]))
 def test_every_array_element_equals_its_float_call(x):
     with_zero = _with_zero(x)
     for name, fn, zero in _PUBLIC_CALLS:
@@ -597,13 +607,17 @@ def test_every_array_element_equals_its_float_call(x):
         assert np.array_equal(vector, floats, equal_nan=True), name
 
 
-# 2001 points about the zero of J_0 at 2.404825, the last on it
+# 2001 points about the zero of J_0 at 2.404825, the last on it, and 201
+# about the zero of the K_1 series sum
 _NEAR_J0_ZERO = np.append(np.linspace(2.404825 - 1e-6, 2.404825 + 1e-6, 2000), 2.404825)
+_NEAR_K1_SUM_ZERO = np.linspace(_K1_SUM_ZERO - 1e-9, _K1_SUM_ZERO + 1e-9, 201)
 
 
 @settings(max_examples=10, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(2, 32), elements=_ELEMENT_X), _ELEMENT_X)
 @example(_NEAR_J0_ZERO, 3.99)  # 3.99 once moved the element at 2.404825 by 3 ulp
+@example(_NEAR_K1_SUM_ZERO, np.nextafter(2.0, 0.0))  # the K series's slowest element
+@example(np.array([np.nextafter(30.0, 0.0), 2.5]), 2.0)  # the continued fraction's
 def test_appending_an_element_moves_no_other(x, extra):
     longer = np.append(x, extra)
     with_zero, longer_with_zero = _with_zero(x), _with_zero(longer)
@@ -611,25 +625,3 @@ def test_appending_an_element_moves_no_other(x, extra):
         got = np.asarray(fn(longer_with_zero if zero else longer))
         want = np.asarray(fn(with_zero if zero else x))
         assert np.array_equal(got[..., :-1], want, equal_nan=True), name
-
-
-def _first_to_converge(x, largest):
-    # the element whose stop test passes first, the opposite of the sentinel
-    return None if not isinstance(x, np.ndarray) else int(x.argmin() if largest else x.argmax())
-
-
-def _first_element(x, largest):
-    return 0 if isinstance(x, np.ndarray) else None
-
-
-@pytest.mark.parametrize("wrong", [_first_to_converge, _first_element])
-def test_a_wrong_sentinel_changes_no_value(monkeypatch, wrong):
-    # the K series, the continued fraction and the large-x expansion test a
-    # sentinel before the whole array, and it decides only when they do, so
-    # any element in its place gives the same values; the power series
-    # reads none
-    x = np.concatenate([AGREEMENT_X[:-1], _J_ZEROS, np.linspace(1.9, 2.1, 41)])
-    want = [np.asarray(fn(x)) for _, fn, _ in _PUBLIC_CALLS]
-    monkeypatch.setattr(sf, "_sentinel", wrong)
-    for (name, fn, _), value in zip(_PUBLIC_CALLS, want):
-        assert np.array_equal(np.asarray(fn(x)), value, equal_nan=True), name

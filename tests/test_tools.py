@@ -28,7 +28,7 @@ def test_output_hashes_lists_every_output_and_repeats(tmp_path):
             "verify3d.csv",
             "asymptotics3d.csv", "asymptotics3d_lower.csv", "asymptotics2d_lower.csv",
             "phase3d.csv", "phase2d.csv", "phase2d_edges.csv", "compare3d.json", "specfun.csv",
-            "specfun_wide.csv"} <= set(names)
+            "specfun_wide.csv", "specfun_dense.csv"} <= set(names)
     # the outputs are byte-stable and name no directory: a second run
     # elsewhere gives the same lines
     assert tool.output_hashes(tmp_path / "b", **sizes) == lines

@@ -90,6 +90,10 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         ["specfun-table", "-o", "specfun.csv"],
         ["specfun-table", "--orders=-1,-0.5,0,0.5,1,1.5,2,2.5,3,3.5",
          "--x-grid", f"log:1e-300:700:{x_points}", "-o", "specfun_wide.csv"],
+        # dense across K's crossovers at 2 and 30 and the zero of the K_1
+        # series sum near 0.9308, where the array loops stop element by element
+        ["specfun-table", "--orders", "0,1,2,3", "--x-grid", "lin:0.5:40:4001", "--scaled",
+         "-o", "specfun_dense.csv"],
     ]
 
 
