@@ -127,6 +127,7 @@ def _require_finite(values: dict, positive: bool = False) -> None:
 
 
 def _model_params(args) -> ModelParams:
+    _require_finite({"-C": args.C, "-l": args.ell, "-k": args.k}, positive=True)
     return ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
 
 
@@ -320,7 +321,10 @@ def _potential_from_args(args):
     if args.potential == "quasi_morse":
         return QuasiMorse(_model_params(args))
     if args.potential == "morse":
+        _require_finite({"-C": args.C, "-l": args.ell, "--CA": args.CA, "--la": args.la},
+                        positive=True)
         return Morse(C_R=args.C, C_A=args.CA, ell_R=args.ell, ell_A=args.la)
+    _require_finite({"--p": args.p, "-C": args.C, "-l": args.ell}, positive=True)
     return MorseLike(p=args.p, C=args.C, ell=args.ell)
 
 
@@ -341,6 +345,8 @@ def _cmd_simulate(args) -> int:
         init_arg = value if make is FromFile and value else float(value)
     except (KeyError, ValueError):
         raise _UsageError(f"bad --init {args.init!r}; use ball:R, gauss:S or file:PATH") from None
+    if make is not FromFile:
+        _require_finite({"--init": init_arg}, positive=True)
     config = SimConfig(
         potential=potential,
         dimension=args.dimension,

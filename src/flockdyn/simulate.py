@@ -51,17 +51,15 @@ switches to direct evaluation for exactness-sensitive experiments.  The
 tables are kept even for the potentials with cheap closed forms, which
 measured slower than the lookup (see ``_ForceModel``).
 
-A second-order step needs the force at its start and at its end.  The end
-of one step is the start of the next ("first same as last"), so the force
-model keeps, in ``last_pass``, the positions and accelerations of the last
-pass a step may start from, and a step starts from it when its positions
-are the same: ``step_second_order`` leaves its end-of-step pass there, so
-a run costs one force pass per step.  A first-order run takes a record's
-interaction energy in the pass that gives the next step's forces and
-leaves those in the memo, which ``step_first_order`` reads: a run costs
-one pass per step and one energy-only pass for the last record.  Either
-way the results are those of fresh evaluations bit for bit.  The memo
-lives on the cached model, so another force model never reads it.
+A second-order step needs the force at its start and at its end, and the
+end of one step is the start of the next ("first same as last").  So
+``run`` carries the accelerations at its current positions from step to
+step and takes one force pass per step.  A record's interaction energy
+comes from the pass at the record's positions: for a second-order record
+the fused end-of-step pass, for a first-order record a fused pass that
+also gives the next step's forces, or an energy-only pass after the last
+step.  A fused pass gives the bits of separate passes, so a run equals a
+loop of the public steps and ``interaction_energy`` bit for bit.
 """
 
 from __future__ import annotations
@@ -229,7 +227,7 @@ def _with_slopes(tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _ForceModel:
     """U'(r)/r and U(r) with the min-separation clamp, optionally via dense
-    interpolation tables on a grid uniform in log r, and the force memo.
+    interpolation tables on a grid uniform in log r.
 
     The tables cover [0.5 min_sep, _R_MAX].  Since the grid is uniform, a
     lookup finds its cell by index arithmetic instead of the binary search
@@ -254,16 +252,12 @@ class _ForceModel:
     within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
     towards min_sep and needed more than 16384.  ``tabulated=False`` is the
     exact reference: one ``potentials._evaluate`` call per group forms U'
-    and U at max(d, min_sep), each only when the pass asks for it.
-
-    ``last_pass`` is None or the (positions, accelerations) of the last
-    force pass the next step may start from (see the module docstring)."""
+    and U at max(d, min_sep), each only when the pass asks for it."""
 
     def __init__(self, potential: PotentialSpec, min_sep: float, tabulated: bool):
         self.potential = potential
         self.min_sep = min_sep
         self.tabulated = tabulated
-        self.last_pass = None
         # pairs closer than min_sep are clamped, and below the table's lower
         # edge U'(r)/r is U'(min_sep)/d in both modes
         self._min_sep_sq = min_sep * min_sep
@@ -346,14 +340,6 @@ class _ForceModel:
                 w.flat[clamped[below]] = np.where(d_below > 0.0,
                                                   self._force_at_min / d_below, 0.0)
         return w, clamped, u
-
-    def accelerations(self, x: np.ndarray) -> np.ndarray:
-        """The accelerations a step starts from: the memo's when its pass
-        was taken at these positions ("first same as last"), else a fresh
-        pass, also for positions edited in place since."""
-        if self.last_pass is not None and np.array_equal(self.last_pass[0], x):
-            return self.last_pass[1]
-        return _accelerations(x, self)
 
 
 @functools.lru_cache(maxsize=8)
@@ -530,19 +516,24 @@ def _exceeds(x: np.ndarray, bound: float) -> bool:
     return not np.all(np.isfinite(x)) or np.max(np.abs(x)) > bound
 
 
-def _check_blowup(x: np.ndarray, bound: float) -> None:
-    # a step function takes one step, step 0; ``run`` gives the step's index
+def _check_blowup(x: np.ndarray, bound: float, step: int) -> None:
     if _exceeds(x, bound):
-        raise NumericalBlowupError(bound, 0)
+        raise NumericalBlowupError(bound, step)
+
+
+def _euler(state: ParticleState, config: SimConfig, acc: np.ndarray) -> ParticleState:
+    """One explicit Euler step from the accelerations ``acc`` at the state's
+    positions."""
+    return ParticleState(positions=state.positions + config.dt * acc, velocities=None,
+                         time=state.time + config.dt)
 
 
 def step_first_order(state: ParticleState, config: SimConfig) -> ParticleState:
-    """One explicit Euler step of the aggregation system, from the memo's
-    force pass when it was taken at the same positions and force model."""
-    acc = _config_model(config).accelerations(state.positions)
-    new_x = state.positions + config.dt * acc
-    _check_blowup(new_x, config.blowup_bound)
-    return ParticleState(positions=new_x, velocities=None, time=state.time + config.dt)
+    """One explicit Euler step of the aggregation system, from a fresh force
+    pass; a blow-up is reported at step 0."""
+    state = _euler(state, config, _accelerations(state.positions, _config_model(config)))
+    _check_blowup(state.positions, config.blowup_bound, 0)
+    return state
 
 
 def _propel_exact(v: np.ndarray, alpha: float, beta: float, dt: float) -> np.ndarray:
@@ -555,28 +546,30 @@ def _propel_exact(v: np.ndarray, alpha: float, beta: float, dt: float) -> np.nda
     return v * factor[:, None]
 
 
-def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
-    """One velocity-Verlet-style step of the self-propelled system.
-
-    The force pass at the start of a step is the one that ended the
-    previous call when the positions and the force model are the same
-    ("first same as last"); anything else, including positions edited in
-    place since, gets a fresh pass."""
+def _verlet(state: ParticleState, config: SimConfig, model: _ForceModel, acc: np.ndarray,
+            with_energy: bool) -> tuple[ParticleState, np.ndarray, Optional[float]]:
+    """(state, acc, energy): one velocity-Verlet-style step from the
+    accelerations ``acc`` at the state's positions, and the accelerations
+    and, if ``with_energy``, the interaction energy of its end-of-step pass."""
     if state.velocities is None:
         raise DomainError("second-order step needs velocities")
-    model = _config_model(config)
     dt, alpha, beta = config.dt, config.alpha, config.beta
-    x, v = state.positions, state.velocities
-    acc = model.accelerations(x)
-    v = v + 0.5 * dt * acc
+    v = state.velocities + 0.5 * dt * acc
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
-    x = x + dt * v
+    x = state.positions + dt * v
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
-    acc = _accelerations(x, model)
+    acc, energy = _force_pass(x, model, with_energy=with_energy)
     v = v + 0.5 * dt * acc
-    _check_blowup(x, config.blowup_bound)
-    model.last_pass = (x.copy(), acc)
-    return ParticleState(positions=x, velocities=v, time=state.time + dt)
+    return ParticleState(positions=x, velocities=v, time=state.time + dt), acc, energy
+
+
+def step_second_order(state: ParticleState, config: SimConfig) -> ParticleState:
+    """One velocity-Verlet-style step of the self-propelled system, from a
+    fresh force pass at its start; a blow-up is reported at step 0."""
+    model = _config_model(config)
+    state = _verlet(state, config, model, _accelerations(state.positions, model), False)[0]
+    _check_blowup(state.positions, config.blowup_bound, 0)
+    return state
 
 
 def initial_state(config: SimConfig) -> ParticleState:
@@ -609,18 +602,17 @@ def initial_state(config: SimConfig) -> ParticleState:
 
 def run(config: SimConfig, state: ParticleState = None) -> tuple[ParticleState, RunSummary]:
     """Integrate ``config.steps`` steps (or fewer if convergence stopping is
-    enabled), recording diagnostics every ``record_stride`` steps.
-
-    A first-order record before the last step takes its energy in the pass
-    that also gives the next step's forces, and leaves those in the memo
-    the step reads; the records and the trajectory keep their bits."""
+    enabled), recording diagnostics every ``record_stride`` steps, with one
+    force pass per step (see the module docstring)."""
     if state is None:
         state = initial_state(config)
     else:
         state = state.copy()
     if _exceeds(state.positions, config.blowup_bound):
         raise DomainError(f"initial state exceeds the blowup bound {config.blowup_bound:g}")
-    step_fn = step_first_order if config.model == "first" else step_second_order
+    model = _config_model(config)
+    second = config.model == "second"
+    acc = None  # the accelerations at the current positions, once a pass gave them
     r_ref = max(float(np.max(np.linalg.norm(state.positions, axis=1))), 1e-12)
     records = []
     quiet = 0
@@ -629,23 +621,26 @@ def run(config: SimConfig, state: ParticleState = None) -> tuple[ParticleState, 
     steps_done = 0
     for i in range(config.steps):
         prev = state.positions
-        try:
-            state = step_fn(state, config)
-        except NumericalBlowupError as exc:
-            raise NumericalBlowupError(exc.bound, i) from None
+        if acc is None:
+            acc = _accelerations(prev, model)
+        last = i == config.steps - 1
+        record = i % config.record_stride == 0 or last
+        if second:
+            state, acc, energy = _verlet(state, config, model, acc, record)
+        else:
+            state, acc = _euler(state, config, acc), None
+        _check_blowup(state.positions, config.blowup_bound, i)
         steps_done = i + 1
         max_disp = float(np.max(np.linalg.norm(state.positions - prev, axis=1)))
         if max_disp < config.convergence_tol * r_ref:
             quiet += 1
         else:
             quiet = 0
-        if i % config.record_stride == 0 or i == config.steps - 1:
-            if config.model == "first" and i < config.steps - 1:
-                model = _config_model(config)
-                acc, energy = _force_pass(state.positions, model, with_energy=True)
-                model.last_pass = (state.positions.copy(), acc)
-            else:
+        if record:
+            if not second and last:
                 energy = interaction_energy(state, config)
+            elif not second:
+                acc, energy = _force_pass(state.positions, model, with_energy=True)
             rec = {
                 "step": i,
                 "time": state.time,

@@ -70,13 +70,17 @@ def test_solve_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("flag", ["-C", "-l", "-k"])
 def test_solve_rejects_nonfinite_params(tmp_path, capsys, flag):
-    # -C inf once exited 2 with A = nan, -k inf exited 3
-    flags = {"-C": "1.255", "-l": "0.8", "-k": "0.2", flag: "inf"}
+    # -C inf once exited 2 with A = nan, -k inf exited 3; a value out of
+    # range once named no flag ("C, ell and k must be strictly positive")
     out = tmp_path / "inf"
-    argv = ["solve", "-n", "3"] + [v for kv in flags.items() for v in kv]
-    assert main([*argv, "-o", str(out)]) == 5
-    assert "finite" in capsys.readouterr().err
-    assert not Path(str(out) + ".json").exists()
+    for command in ("solve", "roots"):
+        for value in ("inf", "nan", "0", "-1"):
+            flags = {"-C": "1.255", "-l": "0.8", "-k": "0.2", flag: value}
+            argv = [command, "-n", "3"] + [v for kv in flags.items() for v in kv]
+            assert main([*argv, "-o", str(out)]) == 5
+            err = capsys.readouterr().err
+            assert err == f"error: {flag} must be positive and finite, got {float(value)}\n"
+            assert not out.exists() and not Path(str(out) + ".json").exists()
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])
@@ -624,11 +628,25 @@ def test_simulate_rejects_bad_counts(tmp_path, capsys, counts):
     ["--beta", "nan"],
     ["--alpha", "0", "--model", "second"],
     ["--beta", "-1", "--model", "second"],
+    ["--init", "ball:nan"],
+    ["--init", "gauss:inf"],
+    ["-C", "-1"],
+    ["-l", "0"],
+    ["-k", "nan"],
+    ["--CA", "nan", "--potential", "morse"],
+    ["--la", "0", "--potential", "morse"],
+    ["-l", "inf", "--potential", "morse"],
+    ["--p", "nan", "--potential", "morse_like"],
+    ["-C", "0", "--potential", "morse_like"],
 ], ids=["dt_0", "dt_neg", "dt_nan", "alpha_inf", "beta_nan", "second_alpha_0",
-        "second_beta_neg"])
+        "second_beta_neg", "ball_nan", "gauss_inf", "C_neg", "l_0", "k_nan", "morse_CA_nan",
+        "morse_la_0", "morse_l_inf", "morse_like_p_nan", "morse_like_C_0"])
 def test_simulate_bad_value_names_the_flag(tmp_path, capsys, flags):
     # each once named only the field: "dt must be positive and finite",
-    # "alpha and beta must be finite", "second-order runs need alpha, beta > 0"
+    # "alpha and beta must be finite", "second-order runs need alpha, beta > 0",
+    # "ball radius must be positive and finite", "C, ell and k must be
+    # strictly positive", "Morse strengths and scales must be positive and
+    # finite", "MorseLike requires finite p, C, ell > 0"
     out = tmp_path / "x"
     assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "2", *flags,
                  "-o", str(out)]) == 5

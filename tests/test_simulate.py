@@ -945,135 +945,93 @@ def test_k2_product_forms_the_differences_bit_for_bit(a, b):
 # ------------------------------------------------ one force pass per step
 
 
-def _second_order_config(**kw):
-    return SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05,
-                     steps=10, model="second", seed=21, record_stride=3, **kw)
+_FORCES, _FUSED, _ENERGY = (True, False), (True, True), (False, True)
 
 
-def _count_force_passes(monkeypatch):
-    calls = []
-
-    def counted(x, model):
-        calls.append(x.shape[0])
-        return _accelerations(x, model)
-
-    monkeypatch.setattr(simulate, "_accelerations", counted)
-    return calls
-
-
-def _forget(config):
-    """Empty the force memo of the config's force model."""
-    _config_model(config).last_pass = None
-
-
-def _fresh_step(state, config):
-    """step_second_order with its force memo emptied first."""
-    _forget(config)
-    return step_second_order(state, config)
-
-
-def test_second_order_run_equals_fresh_steps_bit_for_bit(monkeypatch):
-    cfg = _second_order_config()
-    calls = _count_force_passes(monkeypatch)
-    _forget(cfg)
-    final, summary = run(cfg)
-    assert len(calls) == cfg.steps + 1  # one pass per step, plus the first
-    # every step re-evaluated from scratch gives the same bits
-    original = simulate.step_second_order
-    monkeypatch.setattr(simulate, "step_second_order", _fresh_step)
-    fresh, fresh_summary = run(cfg)
-    assert np.array_equal(final.positions, fresh.positions)
-    assert np.array_equal(final.velocities, fresh.velocities)
-    assert summary.records == fresh_summary.records
-    # and so do repeated calls of the public step outside run
-    monkeypatch.setattr(simulate, "step_second_order", original)
-    state = initial_state(cfg)
-    for _ in range(cfg.steps):
-        state = step_second_order(state, cfg)
-    assert np.array_equal(state.positions, final.positions)
-    assert np.array_equal(state.velocities, final.velocities)
-
-
-def test_second_order_memo_misses_after_an_in_place_edit(monkeypatch):
-    cfg = _second_order_config()
-    state = step_second_order(initial_state(cfg), cfg)
-    state.positions[5] += 1e-3  # edits the array the memo was taken at
-    calls = _count_force_passes(monkeypatch)
-    out = step_second_order(state, cfg)
-    assert len(calls) == 2
-    expected = _fresh_step(state, cfg)
-    assert np.array_equal(out.positions, expected.positions)
-    assert np.array_equal(out.velocities, expected.velocities)
-
-
-def test_second_order_memo_misses_for_another_model(monkeypatch):
-    cfg = _second_order_config()
-    other = _second_order_config(tabulated_forces=False)
-    state = step_second_order(initial_state(cfg), cfg)
-    _forget(other)
-    calls = _count_force_passes(monkeypatch)
-    out = step_second_order(state, other)  # same positions, another model
-    assert len(calls) == 2
-    expected = _fresh_step(state, other)
-    assert np.array_equal(out.positions, expected.positions)
-    assert np.array_equal(out.velocities, expected.velocities)
-
-
-def test_first_order_step_reads_the_memo_only_at_its_positions_and_model(monkeypatch):
-    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, seed=21)
-    exact = SimConfig(potential=POT, dimension=3, N=cfg.N, dt=cfg.dt, seed=cfg.seed,
-                      tabulated_forces=False)
-    model = _cached_model(POT, cfg.min_separation, True)
-    state = initial_state(cfg)
-    _forget(exact)
-    calls = _count_force_passes(monkeypatch)
-    # a memo taken at these positions with this force model is read: its
-    # zero accelerations leave the positions in place, and no pass is made
-    model.last_pass = (state.positions.copy(), np.zeros_like(state.positions))
-    out = step_first_order(state, cfg)
-    assert calls == [] and np.array_equal(out.positions, state.positions)
-    # another model at the same positions misses and gets a fresh pass
-    out = step_first_order(state, exact)
-    assert len(calls) == 1
-    _forget(exact)
-    assert np.array_equal(out.positions, step_first_order(state, exact).positions)
-    # and so do positions edited in place since the memo was taken
-    model.last_pass = (state.positions.copy(), np.zeros_like(state.positions))
-    state.positions[5] += 1e-3
-    calls.clear()
-    out = step_first_order(state, cfg)
-    assert len(calls) == 1
-    _forget(cfg)
-    assert np.array_equal(out.positions, step_first_order(state, cfg).positions)
-
-
-def test_first_order_run_takes_record_energies_in_the_next_force_pass(monkeypatch):
-    # steps 0 and 3 are recorded: step 1 reads the pass of step 0's record,
-    # and the last record is an energy-only pass
-    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, steps=4,
-                    seed=21, record_stride=100)
-    forces = _count_force_passes(monkeypatch)
+def _count_passes(monkeypatch):
+    """The (with_forces, with_energy) kinds of the ``_force_pass`` calls."""
     passes = []
     force_pass = simulate._force_pass
 
-    def counted_pass(x, model, with_energy=False, with_forces=True):
+    def counted(x, model, with_energy=False, with_forces=True):
         passes.append((with_forces, with_energy))
         return force_pass(x, model, with_energy, with_forces)
 
-    monkeypatch.setattr(simulate, "_force_pass", counted_pass)
-    _forget(cfg)
-    final, summary = run(cfg)
-    assert len(forces) == 3
-    assert [passes.count(kind) for kind in ((True, False), (True, True), (False, True))] \
-        == [3, 1, 1]
-    # every step taken from scratch, every energy in its own pass
-    monkeypatch.setattr(simulate, "_force_pass", force_pass)
-    state = initial_state(cfg)
+    monkeypatch.setattr(simulate, "_force_pass", counted)
+    return passes
+
+
+def _public_step_records(config, steps_run):
+    """(state, records) of ``steps_run`` public steps from the initial state,
+    recorded as ``run`` records them, with ``interaction_energy``."""
+    step = step_second_order if config.model == "second" else step_first_order
+    state = initial_state(config)
     records = []
-    for i in range(cfg.steps):
-        _forget(cfg)
-        state = step_first_order(state, cfg)
-        if i in (0, cfg.steps - 1):
-            records.append((state.time, interaction_energy(state, cfg)))
+    for i in range(steps_run):
+        prev = state.positions
+        state = step(state, config)
+        if i % config.record_stride == 0 or i == config.steps - 1:
+            rec = {
+                "step": i,
+                "time": state.time,
+                "max_displacement": float(np.max(np.linalg.norm(state.positions - prev, axis=1))),
+                "com": [float(c) for c in state.positions.mean(axis=0)],
+                "interaction_energy": interaction_energy(state, config),
+            }
+            if state.velocities is not None:
+                rec["mean_speed"] = float(np.linalg.norm(state.velocities, axis=1).mean())
+            records.append(rec)
+    return state, records
+
+
+def test_second_order_run_equals_fresh_steps_bit_for_bit(monkeypatch):
+    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, steps=10,
+                    model="second", seed=21, record_stride=3)
+    passes = _count_passes(monkeypatch)
+    final, summary = run(cfg)
+    # one pass per step, plus the first; a record step's pass is fused and
+    # gives its energy, so no energy-only pass is made
+    assert len(passes) == cfg.steps + 1
+    assert passes.count(_FUSED) == len(summary.records) == 4
+    assert _ENERGY not in passes
+    # repeated calls of the public step, each from a fresh pass, give the
+    # same bits, and every record's energy is interaction_energy's there
+    monkeypatch.undo()
+    state, records = _public_step_records(cfg, cfg.steps)
+    assert np.array_equal(state.positions, final.positions)
+    assert np.array_equal(state.velocities, final.velocities)
+    assert summary.records == records
+
+
+@pytest.mark.parametrize("model", ["first", "second"])
+@pytest.mark.parametrize("steps, stride, stop", [
+    (0, 1, False), (1, 1, False), (1, 7, False), (5, 1, False), (5, 7, False), (5, 2, True),
+])
+def test_run_equals_a_loop_of_public_steps_bit_for_bit(model, steps, stride, stop):
+    # with stop, every step is quiet against the tolerance r_ref, so the run
+    # converges and stops after its second step
+    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, steps=steps,
+                    model=model, seed=21, record_stride=stride, convergence_tol=1.0,
+                    convergence_window=2, stop_when_converged=stop)
+    final, summary = run(cfg)
+    assert summary.steps_run == (2 if stop else steps)
+    state, records = _public_step_records(cfg, summary.steps_run)
     assert np.array_equal(final.positions, state.positions)
-    assert [(r["time"], r["interaction_energy"]) for r in summary.records] == records
+    assert model == "first" or np.array_equal(final.velocities, state.velocities)
+    assert final.time == state.time
+    assert summary.records == records
+
+
+def test_first_order_run_takes_record_energies_in_the_next_force_pass(monkeypatch):
+    # steps 0 and 3 are recorded: step 1 starts from the pass of step 0's
+    # record, and the last record is an energy-only pass
+    cfg = SimConfig(potential=POT, dimension=3, N=_BLOCK_ROWS + 45, dt=0.05, steps=4,
+                    seed=21, record_stride=100)
+    passes = _count_passes(monkeypatch)
+    final, summary = run(cfg)
+    assert [passes.count(kind) for kind in (_FORCES, _FUSED, _ENERGY)] == [3, 1, 1]
+    # every step taken from scratch, every energy in its own pass
+    monkeypatch.undo()
+    state, records = _public_step_records(cfg, cfg.steps)
+    assert np.array_equal(final.positions, state.positions)
+    assert summary.records == records

@@ -22,7 +22,7 @@ def test_output_hashes_lists_every_output_and_repeats(tmp_path):
     names = [line.split("  ")[1] for line in lines]
     assert names == sorted(names)
     for tag in ("qm3d", "qm3d_exact", "qm2d", "ml", "morse", "morse_close", "qm3d_far",
-                "qm3d_second", "qm3d_n600"):
+                "qm3d_second", "qm3d_second_stride1", "qm3d_one_step", "qm3d_n600"):
         assert {f"{tag}.csv", f"{tag}.json", f"{tag}.records.jsonl"} <= set(names)
     assert {"ref3d.json", "ref2d.json", "roots3d.json", "verify3d.json", "verify2d.csv",
             "verify3d.csv",

@@ -80,6 +80,11 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         ["simulate", *qm3d[:-2], "--init", "gauss:4000", *run, "-o", "qm3d_far"],
         ["simulate", *_REF3D, "--init", "ball:0.7", *run[:-4], "--model", "second",
          "--dt", "0.02", "--steps", "12", "--stride", "5", "-o", "qm3d_second"],
+        # every step recorded: each end-of-step pass is fused
+        ["simulate", *_REF3D, "--init", "ball:0.7", *run[:-4], "--model", "second",
+         "--dt", "0.02", "--steps", "4", "--stride", "1", "-o", "qm3d_second_stride1"],
+        # one step, whose record is the last: an energy-only pass alone
+        ["simulate", *qm3d, *run[:-2], "--steps", "1", "-o", "qm3d_one_step"],
         # N = 600 spans four groups of row blocks in the pair pass, with
         # fused and energy-only passes for the records
         ["simulate", *qm3d, "-N", "600", *run[2:], "-o", "qm3d_n600"],
