@@ -15,6 +15,7 @@ from .errors import (
     NoRootError,
     NumericalBlowupError,
     OutOfSupportError,
+    ParameterOverflowError,
     PositivityFailureError,
     QuadratureNonConvergenceError,
     RegimeError,

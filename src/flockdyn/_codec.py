@@ -15,9 +15,10 @@ each field's annotation picks one rule:
 * ``np.ndarray``: a list of floats; no record with one is read back.
 
 A missing key takes the field's default.  A key with no default, or a value
-of the wrong type, raises DomainError naming the class and the key.  Ranges
-and finiteness are each record's own ``__post_init__`` checks, which every
-decoded record passes.  The rules of a class are resolved once and cached.
+of the wrong type, raises DomainError naming the class and the key.  A field
+may declare its domain in its annotation (``Positive``, ``Annotated[int,
+at_least(1)]``), which every construction of the record, decoding included,
+checks.  The rules of a class are resolved once and cached.
 """
 
 from __future__ import annotations
@@ -25,16 +26,57 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import re
 import typing
+from typing import Annotated, Callable
 
 import numpy as np
 
 from .errors import DomainError
 
 
+@dataclasses.dataclass(frozen=True)
+class Domain:
+    """The values a field allows: ``test`` decides, ``text`` says which."""
+
+    text: str
+    test: Callable[[object], bool]
+
+
+FINITE = Domain("finite", math.isfinite)
+POSITIVE = Domain("positive and finite", lambda v: 0.0 < v < math.inf)
+NON_NEGATIVE = Domain("non-negative and finite", lambda v: 0.0 <= v < math.inf)
+Finite = Annotated[float, FINITE]
+Positive = Annotated[float, POSITIVE]
+
+
+def at_least(low: int) -> Domain:
+    return Domain(f"at least {low}", lambda v: v >= low)
+
+
+def one_of(*values) -> Domain:
+    return Domain(" or ".join(map(repr, values)), lambda v: v in values)
+
+
+def check(cls: type, name: str, value, domain: Domain = None) -> None:
+    """Raise DomainError, "{Class}: {field!r} must be {text}, got {value!r}",
+    unless ``value`` lies in ``domain``, by default the one that the field
+    ``name`` of ``cls`` declares; the error carries the field, the domain
+    and the value."""
+    domain = domain or domains(cls)[name]
+    if not domain.test(value):
+        raise DomainError(f"{cls.__name__}: {name!r} must be {domain.text}, got {value!r}",
+                          (cls, name), domain, value)
+
+
 class Record:
     """Base of the dataclasses read from and written to JSON."""
+
+    def __post_init__(self):
+        cls = type(self)
+        for name, domain in domains(cls).items():
+            check(cls, name, getattr(self, name), domain)
 
     def to_dict(self) -> dict:
         return encode(self)
@@ -53,21 +95,30 @@ def tag_table(union) -> dict:
 
 @functools.cache
 def _fields(cls: type) -> tuple:
-    """(name, rule, has default) per field; a rule is a record type, the
-    tag table of a Union, ``np.ndarray`` or a scalar type."""
-    hints = typing.get_type_hints(cls)
+    """(name, rule, has default, domain or None) per field; a rule is a
+    record type, the tag table of a Union, ``np.ndarray`` or a scalar type,
+    and a domain the one the field's annotation declares."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     out = []
     for f in dataclasses.fields(cls):
-        rule = hints[f.name]
+        rule, domain = hints[f.name], None
+        if typing.get_origin(rule) is Annotated:
+            rule, domain = typing.get_args(rule)
         if typing.get_origin(rule) is typing.Union:
             rule = tag_table(rule)
-        out.append((f.name, rule, f.default is not dataclasses.MISSING))
+        out.append((f.name, rule, f.default is not dataclasses.MISSING, domain))
     return tuple(out)
+
+
+@functools.cache
+def domains(cls: type) -> dict:
+    """Field name -> domain, in field order, of the fields that declare one."""
+    return {name: domain for name, _, _, domain in _fields(cls) if domain is not None}
 
 
 def encode(obj) -> dict:
     out = {}
-    for name, rule, _ in _fields(type(obj)):
+    for name, rule, _, _ in _fields(type(obj)):
         value = getattr(obj, name)
         if dataclasses.is_dataclass(rule):
             out.update(encode(value))
@@ -92,7 +143,7 @@ def decode(cls: type, d: dict):
     if not isinstance(d, dict):
         raise DomainError(f"{cls.__name__} must be a JSON object, got {d!r}")
     kwargs = {}
-    for name, rule, has_default in _fields(cls):
+    for name, rule, has_default, _ in _fields(cls):
         if dataclasses.is_dataclass(rule):
             kwargs[name] = decode(rule, d)
         elif name in d:

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from ._codec import table_lines, write_json
+from ._codec import FINITE, POSITIVE, at_least, domains, table_lines, write_json
 from .errors import (
     BracketFailureError,
     DegenerateDenominatorError,
@@ -27,6 +27,7 @@ from .errors import (
     FlockdynError,
     NoRootError,
     NumericalBlowupError,
+    ParameterOverflowError,
     PositivityFailureError,
     QuadratureNonConvergenceError,
     RegimeError,
@@ -112,23 +113,8 @@ def _with_meta(payload: dict, meta: dict) -> dict:
     return {"meta": {"tool": "flockdyn", "version": __version__, "config": meta}, **payload}
 
 
-def _require_at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise _UsageError(f"{flag} must be at least {low}, got {value}")
-
-
-def _require_finite(values: dict, positive: bool = False) -> None:
-    """Refuse the first of ``values`` (flag -> value) that is not finite, or
-    not positive and finite when ``positive``."""
-    for flag, value in values.items():
-        if not (0.0 < value < math.inf if positive else math.isfinite(value)):
-            kind = "positive and finite" if positive else "finite"
-            raise _UsageError(f"{flag} must be {kind}, got {value}")
-
-
-def _model_params(args) -> ModelParams:
-    _require_finite({"-C": args.C, "-l": args.ell, "-k": args.k}, positive=True)
-    return ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
+def _refusal(flag: str, domain, value) -> _UsageError:
+    return _UsageError(f"{flag} must be {domain.text}, got {value!r}")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -139,9 +125,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _require_at_least("--grid", args.grid, 2)
-    _require_at_least("--root-index", args.root_index, 1)
-    params = _model_params(args)
+    params = ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
     profile = solve_profile(
         params, root_index=args.root_index, allow_nonbiological=args.allow_nonbiological
     )
@@ -198,15 +182,15 @@ def _phase_lines(grid):
 
 
 def _cmd_phase(args) -> int:
-    _require_at_least("--resolution", args.resolution, 1)
-    _require_finite({"--c-min": args.c_min, "--c-max": args.c_max,
-                     "--ell-min": args.ell_min, "--ell-max": args.ell_max})
-    grid = phase_grid(
-        args.dimension,
-        np.linspace(args.c_min, args.c_max, args.resolution),
-        np.linspace(args.ell_min, args.ell_max, args.resolution),
-        args.k,
-    )
+    try:
+        grid = phase_grid(
+            args.dimension,
+            np.linspace(args.c_min, args.c_max, args.resolution),
+            np.linspace(args.ell_min, args.ell_max, args.resolution),
+            args.k,
+        )
+    except ParameterOverflowError as exc:
+        raise ParameterOverflowError(f"--ell-min/--ell-max: {exc}") from None
     meta = {
         "subcommand": "phase",
         "dimension": args.dimension,
@@ -235,7 +219,6 @@ def _read_profile(path: str) -> FlockProfile:
 
 
 def _cmd_verify(args) -> int:
-    _require_at_least("--grid", args.grid, 2)
     profile = _read_profile(args.profile)
     report = verify_flock(profile, grid_size=args.grid)
     meta = {"subcommand": "verify", "profile": args.profile, "grid": args.grid}
@@ -254,8 +237,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    _require_at_least("--count", args.count, 1)
-    params = _model_params(args)
+    params = ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
     roots = enumerate_roots(
         params, args.count, allow_nonbiological=args.allow_nonbiological
     )
@@ -273,10 +255,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    _require_at_least("--steps", args.steps, 1)
     C, k, n = args.C, args.k, args.dimension
-    _require_finite({"-C": C, "-k": k, "--delta0": args.delta0, "--ratio": args.ratio},
-                    positive=True)
     limit = EllLimit(args.sweep_ell)
     # the open interval of ell in region I, whose ends the sweep approaches
     ell_lo, ell_hi = (1.0 / C, C ** (-1.0 / 3.0)) if n == 3 else (0.0, C**-0.5)
@@ -319,34 +298,23 @@ def _cmd_asymptotics(args) -> int:
 
 def _potential_from_args(args):
     if args.potential == "quasi_morse":
-        return QuasiMorse(_model_params(args))
+        return QuasiMorse(ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k))
     if args.potential == "morse":
-        _require_finite({"-C": args.C, "-l": args.ell, "--CA": args.CA, "--la": args.la},
-                        positive=True)
         return Morse(C_R=args.C, C_A=args.CA, ell_R=args.ell, ell_A=args.la)
-    _require_finite({"--p": args.p, "-C": args.C, "-l": args.ell}, positive=True)
     return MorseLike(p=args.p, C=args.C, ell=args.ell)
 
 
 def _cmd_simulate(args) -> int:
-    _require_at_least("-N", args.N, 2)
-    _require_at_least("--steps", args.steps, 0)
-    _require_at_least("--stride", args.stride, 1)
-    if args.dt is not None:
-        _require_finite({"--dt": args.dt}, positive=True)
-    # second-order runs need both coefficients positive
-    _require_finite({"--alpha": args.alpha, "--beta": args.beta},
-                    positive=args.model == "second")
     potential = _potential_from_args(args)
     kind, colon, value = args.init.partition(":")
     try:
         make = {"ball:": UniformBall, "gauss:": Gaussian, "file:": FromFile}[kind + colon]
         # float("") refuses an empty R or S, and so an empty PATH too
-        init_arg = value if make is FromFile and value else float(value)
+        init = make(value if make is FromFile and value else float(value))
+    except DomainError as exc:  # a ValueError, whose handler would catch it too
+        raise _refusal("--init", exc.domain, exc.value) from None
     except (KeyError, ValueError):
         raise _UsageError(f"bad --init {args.init!r}; use ball:R, gauss:S or file:PATH") from None
-    if make is not FromFile:
-        _require_finite({"--init": init_arg}, positive=True)
     config = SimConfig(
         potential=potential,
         dimension=args.dimension,
@@ -357,7 +325,7 @@ def _cmd_simulate(args) -> int:
         alpha=args.alpha,
         beta=args.beta,
         seed=args.seed,
-        init=make(init_arg),
+        init=init,
         record_stride=args.stride,
         tabulated_forces=not args.exact_forces,
         stop_when_converged=args.stop_when_converged,
@@ -377,7 +345,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     state, _ = load_checkpoint(args.state)
     profile = _read_profile(args.profile)
-    _require_at_least("--bins", args.bins, 1)
     n_part = len(state.positions)
     if args.bins > n_part:
         raise _UsageError(f"--bins must be at most the {n_part} particles of --state, "
@@ -542,6 +509,50 @@ _COMMANDS = {
 }
 
 
+#: the domain of each numeric flag: the (record class, field name) of the
+#: field it sets, whose declared domain it takes, or its own; a (command, flag)
+#: key overrides a flag for one command.
+_FLAG_DOMAINS = {
+    "-C": (ModelParams, "C"), "-l": (ModelParams, "ell"), "-k": (ModelParams, "k"),
+    "--p": (MorseLike, "p"), "--CA": (Morse, "C_A"), "--la": (Morse, "ell_A"),
+    "-N": (SimConfig, "N"), "--dt": (SimConfig, "dt"), "--steps": (SimConfig, "steps"),
+    "--alpha": (SimConfig, "alpha"), "--beta": (SimConfig, "beta"),
+    "--seed": (SimConfig, "seed"), "--stride": (SimConfig, "record_stride"),
+    "--grid": at_least(2), "--root-index": at_least(1), "--count": at_least(1),
+    "--resolution": at_least(1), "--bins": at_least(1), ("asymptotics", "--steps"): at_least(1),
+    "--c-min": FINITE, "--c-max": FINITE, "--ell-min": FINITE, "--ell-max": FINITE,
+    "--delta0": POSITIVE, "--ratio": POSITIVE,
+}
+
+
+def _check_flags(subparser: argparse.ArgumentParser, args) -> dict:
+    """Refuse the first flag value outside its domain, naming the flag, and
+    return field -> flag.  A value of None, an unset --dt, is left to the
+    record's derived default."""
+    named = {}
+    for flag, action in subparser._option_string_actions.items():
+        domain = _FLAG_DOMAINS.get((args.subcommand, flag), _FLAG_DOMAINS.get(flag))
+        if domain is None:
+            continue
+        if isinstance(domain, tuple):
+            named[domain] = flag
+            domain = domains(domain[0])[domain[1]]
+        value = getattr(args, action.dest)
+        if value is not None and not domain.test(value):
+            raise _refusal(flag, domain, value)
+    return named
+
+
+def _message(named: dict, exc: Exception) -> str:
+    """The text of ``exc``, naming the ``named`` flags of the fields it carries
+    (a rule across fields, or a derived overflow).  No flag sets a field of a
+    record read from a file, so its errors keep their class and key."""
+    if isinstance(exc, DomainError) and exc.field in named:
+        return str(_refusal(named[exc.field], exc.domain, exc.value))
+    flags = [named[field] for field in getattr(exc, "fields", ()) if field in named]
+    return f"{', '.join(flags)}: {exc}" if flags else str(exc)
+
+
 def _is_config(token: str) -> bool:
     """Whether ``token`` is ``--config`` or a prefix of it, which argparse
     takes too, with or without ``=PATH``."""
@@ -627,13 +638,16 @@ def _apply_config(subparser: argparse.ArgumentParser, args) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv)
+    named = {}
     try:
         args = parser.parse_args(argv)
+        subparser = parser.subcommands[args.subcommand]
         if args.config:
-            _apply_config(parser.subcommands[args.subcommand], args)
+            _apply_config(subparser, args)
+        named = _check_flags(subparser, args)
         return _COMMANDS[args.subcommand][2](args)
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(named, exc)}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 

@@ -6,7 +6,17 @@ class FlockdynError(Exception):
 
 
 class DomainError(FlockdynError, ValueError):
-    """Argument lies outside a function's mathematical domain."""
+    """Argument lies outside a function's mathematical domain.
+
+    A record's field check sets ``field`` to (record class, field name),
+    ``domain`` to the field's domain and ``value`` to the refused value, so
+    that a caller can name the value its own way; elsewhere all three are
+    None.
+    """
+
+    def __init__(self, message, field=None, domain=None, value=None):
+        super().__init__(message)
+        self.field, self.domain, self.value = field, domain, value
 
 
 class UnsupportedOrderError(FlockdynError, ValueError):
@@ -15,6 +25,16 @@ class UnsupportedOrderError(FlockdynError, ValueError):
 
 class DegenerateDenominatorError(FlockdynError, ArithmeticError):
     """The aggregate parameter's denominator C*ell^n - ell^2 is (numerically) zero."""
+
+
+class ParameterOverflowError(FlockdynError, OverflowError):
+    """A quantity derived from parameters, such as ell^n, leaves the double
+    range.  ``fields`` holds the (record class, field name) of each
+    parameter the message names."""
+
+    def __init__(self, message, fields=()):
+        super().__init__(message)
+        self.fields = fields
 
 
 class CaseMismatchError(FlockdynError, ValueError):

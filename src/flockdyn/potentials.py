@@ -25,14 +25,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Annotated, Union
 
 import numpy as np
 
 from . import specfun
-from ._codec import Record, decode_tagged, encode_tagged, tag_table
+from ._codec import Positive, Record, check, decode_tagged, encode_tagged, one_of, tag_table
 from ._roots import bracketed_root
-from .errors import DegenerateDenominatorError, DomainError
+from .errors import DegenerateDenominatorError, DomainError, ParameterOverflowError
 
 #: tolerance on |C ell^n - 1| for separatrix / zero-sign classification
 EPS_A = 1e-10
@@ -57,51 +57,34 @@ class Region(enum.Enum):
 class ModelParams(Record):
     """Quasi-Morse parameter tuple: dimension, repulsion strength/scale, decay."""
 
-    n: int
-    C: float
-    ell: float
-    k: float
-
-    def __post_init__(self):
-        if self.n not in (2, 3):
-            raise DomainError(f"dimension must be 2 or 3, got {self.n}")
-        if not (self.C > 0.0 and self.ell > 0.0 and self.k > 0.0):
-            raise DomainError("C, ell and k must be strictly positive")
-        if not all(map(math.isfinite, (self.C, self.ell, self.k))):
-            raise DomainError("C, ell and k must be finite")
+    n: Annotated[int, one_of(2, 3)]
+    C: Positive
+    ell: Positive
+    k: Positive
 
 
 @dataclass(frozen=True)
-class QuasiMorse:
+class QuasiMorse(Record):
     params: ModelParams
 
 
 @dataclass(frozen=True)
-class Morse:
+class Morse(Record):
     """Conventional Morse potential C_R e^{-r/ell_R} - C_A e^{-r/ell_A}."""
 
-    C_R: float
-    C_A: float
-    ell_R: float
-    ell_A: float
-
-    def __post_init__(self):
-        values = (self.C_R, self.C_A, self.ell_R, self.ell_A)
-        if not all(v > 0.0 and math.isfinite(v) for v in values):
-            raise DomainError("Morse strengths and scales must be positive and finite")
+    C_R: Positive
+    C_A: Positive
+    ell_R: Positive
+    ell_A: Positive
 
 
 @dataclass(frozen=True)
-class MorseLike:
+class MorseLike(Record):
     """U = V - C V(./ell) with V(r) = -exp(-r^p / p); interpolates in p."""
 
-    p: float
-    C: float
-    ell: float
-
-    def __post_init__(self):
-        if not all(v > 0.0 and math.isfinite(v) for v in (self.p, self.C, self.ell)):
-            raise DomainError("MorseLike requires finite p, C, ell > 0")
+    p: Positive
+    C: Positive
+    ell: Positive
 
 
 PotentialSpec = Union[QuasiMorse, Morse, MorseLike]
@@ -258,9 +241,18 @@ def _phase_rule(C, ell, ell_n, ell_n2, k, select):
     return bio, celln > 1.0, region, a_sign, A, den, degenerate
 
 
+def _ell_powers(ell: float, n: int) -> tuple[float, float]:
+    """(ell^n, ell^(n-2)) by Python's ``**``, whose bits numpy's vector power
+    misses by an ulp on some inputs; an overflow raises ParameterOverflowError."""
+    try:
+        return ell**n, ell ** (n - 2)
+    except OverflowError:
+        raise ParameterOverflowError(f"ell^n overflows the double range at ell = {ell!r}, "
+                                     f"n = {n}", ((ModelParams, "ell"),)) from None
+
+
 def _point_rule(params: ModelParams):
-    ell, n = params.ell, params.n
-    return _phase_rule(params.C, ell, ell**n, ell ** (n - 2), params.k, _if)
+    return _phase_rule(params.C, params.ell, *_ell_powers(params.ell, params.n), params.k, _if)
 
 
 def aggregate_param(params: ModelParams) -> tuple[float, float]:
@@ -311,21 +303,18 @@ def phase_grid(n: int, C, ell, k: float) -> PhaseGrid:
     """classify and aggregate_param at every (C[i], ell[j]) in one array
     pass, bit for bit equal to the scalar calls.
 
-    ell^n and ell^(n-2) are taken with Python's ``**`` once per ell and
-    broadcast: numpy's vector power differs from it by an ulp on some
-    inputs, and the grid must equal the scalar calls bit for bit.
+    ell^n and ell^(n-2) are taken once per ell, as the scalar calls take
+    them (``_ell_powers``), and broadcast.  n and k must lie in the
+    domains ModelParams declares.
     """
-    if n not in (2, 3):
-        raise DomainError(f"dimension must be 2 or 3, got {n}")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"k must be positive and finite, got {k}")
+    check(ModelParams, "n", n)
+    check(ModelParams, "k", k)
     C = np.asarray(C, dtype=np.float64).reshape(-1)
     ell = np.asarray(ell, dtype=np.float64).reshape(-1)
     # a non-positive ell is an invalid cell, which the scalar calls never
     # reach; as nan its power cannot overflow
     valid = [e if e > 0.0 else math.nan for e in ell.tolist()]
-    ell_n = np.array([e**n for e in valid])
-    ell_n2 = np.array([e ** (n - 2) for e in valid])
+    ell_n, ell_n2 = np.array([_ell_powers(e, n) for e in valid]).reshape(-1, 2).T
     col = C[:, None]
     with np.errstate(all="ignore"):
         bio, h_stable, region, a_sign, A, _, _ = _phase_rule(

@@ -64,19 +64,21 @@ loop of the public steps and ``interaction_energy`` bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Annotated, Optional, Union
 
 import numpy as np
 
-from ._codec import Record, table_lines, write_json
+from ._codec import NON_NEGATIVE, POSITIVE, Finite, Positive, Record, at_least, check, one_of
+from ._codec import table_lines, write_json
 from .convolution import _GAUSS_NODES, _GAUSS_WEIGHTS
-from .errors import DomainError, NumericalBlowupError
+from .errors import DomainError, NumericalBlowupError, ParameterOverflowError
 from .potentials import (
     PotentialSpec,
     _evaluate,
@@ -87,29 +89,18 @@ from .potentials import (
 from .solver import FlockProfile, _mass_closed, _sphere_area, density_eval
 
 
-def _check_scale(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+@dataclass(frozen=True)
+class UniformBall(Record):
+    radius: Positive = 1.0
 
 
 @dataclass(frozen=True)
-class UniformBall:
-    radius: float = 1.0
-
-    def __post_init__(self):
-        _check_scale("ball radius", self.radius)
+class Gaussian(Record):
+    sigma: Positive = 1.0
 
 
 @dataclass(frozen=True)
-class Gaussian:
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        _check_scale("gaussian sigma", self.sigma)
-
-
-@dataclass(frozen=True)
-class FromFile:
+class FromFile(Record):
     path: str = ""
 
 
@@ -121,47 +112,32 @@ class SimConfig(Record):
     """Configuration of one N-body run; hashable so force models cache."""
 
     potential: PotentialSpec
-    dimension: int
-    N: int = 1000
-    dt: float = None
-    steps: int = 1000
-    model: str = "first"  # "first" or "second"
-    alpha: float = 1.0
-    beta: float = 0.5
-    seed: int = 0
+    dimension: Annotated[int, one_of(2, 3)]
+    N: Annotated[int, at_least(2)] = 1000
+    dt: Positive = None
+    steps: Annotated[int, at_least(0)] = 1000
+    model: Annotated[str, one_of("first", "second")] = "first"
+    alpha: Finite = 1.0
+    beta: Finite = 0.5
+    seed: Annotated[int, at_least(0)] = 0
     init: InitSpec = UniformBall(1.0)
-    min_separation: float = None
-    record_stride: int = 100
-    blowup_bound: float = 1e6
+    min_separation: Positive = None
+    record_stride: Annotated[int, at_least(1)] = 100
+    blowup_bound: Positive = 1e6
     tabulated_forces: bool = True
-    convergence_tol: float = 1e-9
-    convergence_window: int = 100
+    convergence_tol: Annotated[float, NON_NEGATIVE] = 1e-9
+    convergence_window: Annotated[int, at_least(1)] = 100
     stop_when_converged: bool = False
 
     def __post_init__(self):
-        if self.dimension not in (2, 3):
-            raise DomainError("dimension must be 2 or 3")
-        if self.N < 2:
-            raise DomainError("need at least two particles")
-        if self.model not in ("first", "second"):
-            raise DomainError("model must be 'first' or 'second'")
         if self.dt is None:
             object.__setattr__(self, "dt", 0.01 * min(1.0, _length_scale(self.potential)))
-        _check_scale("dt", self.dt)
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError("alpha and beta must be finite")
-        if self.model == "second" and not (self.alpha > 0.0 and self.beta > 0.0):
-            raise DomainError("second-order runs need alpha, beta > 0")
         if self.min_separation is None:
             object.__setattr__(self, "min_separation", 1e-6 * _length_scale(self.potential))
-        _check_scale("min_separation", self.min_separation)
-        _check_scale("blowup_bound", self.blowup_bound)
-        if not (self.convergence_tol >= 0.0 and math.isfinite(self.convergence_tol)):
-            raise DomainError("convergence_tol must be non-negative and finite")
-        if self.steps < 0:
-            raise DomainError("steps must be non-negative")
-        if self.record_stride < 1:
-            raise DomainError("record_stride must be at least 1")
+        super().__post_init__()
+        if self.model == "second":  # the propulsion needs both coefficients positive
+            check(SimConfig, "alpha", self.alpha, POSITIVE)
+            check(SimConfig, "beta", self.beta, POSITIVE)
 
 
 @dataclass
@@ -264,13 +240,21 @@ class _ForceModel:
         if tabulated:
             x0, x1 = math.log(0.5 * min_sep), math.log(_R_MAX)
             grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
-            value_tab, force_tab = potential_value_and_force(
-                potential, np.maximum(grid, min_sep))
+            # a table that leaves the double range is refused, whether a float
+            # power such as k^(n/2) raises or an array holds inf or nan
+            finite = False
+            with np.errstate(all="ignore"), contextlib.suppress(OverflowError):
+                value_tab, force_tab = potential_value_and_force(
+                    potential, np.maximum(grid, min_sep))
+                self._w_tab = _with_slopes(force_tab / grid)
+                self._value_tab = _with_slopes(value_tab)
+                finite = all(np.isfinite(t).all() for t in (*self._w_tab, *self._value_tab))
+            if not finite:
+                raise ParameterOverflowError(
+                    f"the force table of {potential} has a non-finite entry")
             self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
             self._two_x0 = 2.0 * x0
             self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
-            self._w_tab = _with_slopes(force_tab / grid)
-            self._value_tab = _with_slopes(value_tab)
         else:
             self._force_at_min = potential_force_magnitude(potential, min_sep)
 
@@ -536,6 +520,10 @@ def step_first_order(state: ParticleState, config: SimConfig) -> ParticleState:
     return state
 
 
+#: the largest argument of exp whose value is finite
+_EXP_MAX = math.log(np.finfo(np.float64).max)
+
+
 def _propel_exact(v: np.ndarray, alpha: float, beta: float, dt: float) -> np.ndarray:
     """Exact flow of dv/dt = (alpha - beta |v|^2) v over dt (direction fixed,
     |v|^2 follows the logistic equation)."""
@@ -554,6 +542,10 @@ def _verlet(state: ParticleState, config: SimConfig, model: _ForceModel, acc: np
     if state.velocities is None:
         raise DomainError("second-order step needs velocities")
     dt, alpha, beta = config.dt, config.alpha, config.beta
+    if not 2.0 * alpha * (0.5 * dt) <= _EXP_MAX:  # the growth in _propel_exact
+        raise ParameterOverflowError(
+            f"the propulsion factor exp(alpha dt) overflows the double range at "
+            f"alpha = {alpha!r}, dt = {dt!r}", ((SimConfig, "alpha"), (SimConfig, "dt")))
     v = state.velocities + 0.5 * dt * acc
     v = _propel_exact(v, alpha, beta, 0.5 * dt)
     x = state.positions + dt * v

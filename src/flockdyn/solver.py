@@ -33,23 +33,23 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import specfun
-from ._codec import Record
+from ._codec import Finite, Positive, Record, at_least, check
 from ._roots import bracketed_root
 from .errors import (
     BracketFailureError,
     CaseMismatchError,
-    DomainError,
     LimitMismatchWarning,
     MultipleRootsWarning,
     NoRootError,
     PositivityFailureError,
     RegimeError,
 )
-from .potentials import ModelParams, Sign, aggregate_param, classify
+from .potentials import EPS_A, ModelParams, Sign, aggregate_param, classify
 
 TOL_ROOT = 1e-12
 TOL_NULL = 1e-9
@@ -75,21 +75,13 @@ class FlockProfile(Record):
     the derived aggregate values and convolution constant D."""
 
     params: ModelParams
-    A: float
-    a: float
-    R_star: float
-    mu1: float
-    mu2: float
-    D: float
-    root_index: int = 1
-
-    def __post_init__(self):
-        finite = all(map(math.isfinite, (self.A, self.a, self.mu1, self.mu2, self.D)))
-        if not (finite and 0.0 < self.R_star < math.inf and self.root_index >= 1):
-            raise DomainError(
-                "a profile needs finite A, a, mu1, mu2 and D, a finite R_star > 0 "
-                f"and root_index >= 1, got {self}"
-            )
+    A: Finite
+    a: Finite
+    R_star: Positive
+    mu1: Finite
+    mu2: Finite
+    D: Finite
+    root_index: Annotated[int, at_least(1)] = 1
 
 
 @dataclass(frozen=True)
@@ -346,10 +338,9 @@ def _require_positive_A(params: ModelParams, allow_nonbiological: bool):
     A, a = aggregate_param(params)
     regime = classify(params)
     if A <= 0.0 or regime.a_sign is not Sign.POSITIVE:
-        raise NoRootError(
-            f"no flock profile exists for A = {A:.6g} <= 0 "
-            "(existence requires A > 0)"
-        )
+        where = (f"on the separatrix |1 - C ell^n| <= EPS_A = {EPS_A:g}"
+                 if regime.a_sign is Sign.ZERO else f"for A = {A:.6g} <= 0")
+        raise NoRootError(f"no flock profile exists {where} (existence requires A > 0)")
     if not regime.biologically_relevant and not allow_nonbiological:
         raise RegimeError(
             "parameters lie outside the biologically relevant regime "
@@ -480,8 +471,7 @@ def solve_profile(params: ModelParams, root_index: int = 1,
     roots are returned unchecked for the sign-structure experiments.
     """
     A, a = _require_positive_A(params, allow_nonbiological)
-    if root_index < 1:
-        raise ValueError("root_index must be >= 1")
+    check(FlockProfile, "root_index", root_index)
     _, (R_star,) = _refined_roots(params, a, root_index, root_index)
     b1 = boundary_coeff(params, Sign.POSITIVE, 1.0, R_star)
     mu1, mu2 = 1.0, -b1

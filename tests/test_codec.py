@@ -61,7 +61,7 @@ configs = st.builds(
     blowup_bound=positive,
     tabulated_forces=st.booleans(),
     convergence_tol=st.floats(min_value=0.0, max_value=1e100),
-    convergence_window=st.integers(0, 10**6),
+    convergence_window=st.integers(1, 10**6),
     stop_when_converged=st.booleans(),
 )
 
@@ -144,6 +144,10 @@ def test_wire_format():
         ("potential", {"kind": "morse_like", "p": 1.5, "C": 0.6}, "MorseLike: no 'ell'"),
         ("stop_when_converged", 1, "SimConfig: 'stop_when_converged'"),
         ("model", None, "SimConfig: 'model'"),
+        # a value of the right type outside the field's declared domain
+        ("seed", -1, "SimConfig: 'seed' must be at least 0, got -1"),
+        ("init", {"kind": "gaussian", "sigma": 0.0},
+         "Gaussian: 'sigma' must be positive and finite, got 0.0"),
     ],
 )
 def test_decode_names_the_class_and_the_key(key, value, where):

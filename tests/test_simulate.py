@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flockdyn import _codec, simulate
-from flockdyn.errors import DomainError, NumericalBlowupError
+from flockdyn.errors import DomainError, NumericalBlowupError, ParameterOverflowError
 from flockdyn.potentials import (
     ModelParams,
     Morse,
@@ -76,6 +76,12 @@ def test_config_defaults_and_validation():
         SimConfig(potential=POT, dimension=3, N=10, dt=-0.1)
     with pytest.raises(DomainError):
         SimConfig(potential=POT, dimension=3, N=10, model="second", alpha=-1.0)
+    # a negative seed once failed inside numpy ("expected non-negative
+    # integer"), and a window below 1 let run(stop_when_converged=True) stop
+    # as converged after one step
+    for field, value in (("seed", -1), ("convergence_window", 0), ("convergence_window", -5)):
+        with pytest.raises(DomainError, match=f"^SimConfig: '{field}' must be at least "):
+            SimConfig(potential=POT, dimension=3, N=10, **{field: value})
 
 
 def test_config_round_trip():
@@ -169,6 +175,27 @@ def test_run_refuses_an_initial_state_beyond_the_bound(value):
     state = ParticleState(positions=np.array([[0.05, 0.0], [value, 0.0]]), velocities=None)
     with pytest.raises(DomainError, match="^initial state exceeds the blowup bound 1000$"):
         run(cfg, state)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(3, 1.255, 1e-308, 0.2),  # once a run whose particles never moved
+    ModelParams(3, 1.255, 0.8, 1e308),  # k^(3/2) raises OverflowError
+    ModelParams(3, 1e308, 0.8, 0.2),
+])
+def test_force_table_with_a_nonfinite_entry_is_refused(params):
+    # under the suite's filter a RuntimeWarning of the table's build would raise
+    with pytest.raises(ParameterOverflowError, match="^the force table of .* non-finite"):
+        _config_model(SimConfig(potential=QuasiMorse(params), dimension=3))
+
+
+@pytest.mark.parametrize("alpha, dt", [(1.0, 1e308), (1e308, 0.008), (800.0, 1.0)])
+def test_propulsion_overflow_is_refused(alpha, dt):
+    # once "math range error", or RuntimeWarnings and then a blow-up at step 0
+    cfg = SimConfig(potential=POT, dimension=3, N=4, dt=dt, steps=2, model="second",
+                    alpha=alpha)
+    with pytest.raises(ParameterOverflowError, match=r"exp\(alpha dt\) overflows") as info:
+        run(cfg)
+    assert info.value.fields == ((SimConfig, "alpha"), (SimConfig, "dt"))
 
 
 # -------------------------------------------------------- second-order step
