@@ -1,5 +1,7 @@
 """The one JSON codec of the package's records, driven by dataclass fields,
-and the one writer of its JSON documents and of its float tables.
+and the one writer of its JSON documents and of its float tables, whose
+fields ``g17_rows`` writes as ``"%.17g" % x`` writes them, a whole array at
+once (see the notes above ``_K_MIN``).
 
 A record is a dataclass; ``Record`` gives one its ``to_dict`` and
 ``from_dict``.  Its JSON form is a flat object with one key per field, and
@@ -176,22 +178,220 @@ def _value(cls: type, name: str, rule, value):
     raise DomainError(f"{cls.__name__}: {name!r} must be {rule.__name__}, got {value!r}")
 
 
-#: rows of a table formatted by one ``%``: small blocks bound the text held
-#: at once, and of 256 to 4096 rows, 512 gave the benchmark's profile_pipeline
-#: its lowest peak RSS, through the allocator (the README lists the sizes)
-_TABLE_BLOCK_ROWS = 512
+# The float text of the package: every float of a table is written as
+# ``"%.17g" % x``, which reads back as the same double, and ``g17_rows``
+# writes those bytes for a whole array at once.  An element's 17
+# significant digits are the integer N = round(|x| 10^(16-k)), with
+# k = floor(log10 |x|).  The product y = |x| 10^(16-k) is taken as
+# (|x| 2^-s) (hi + lo), where 2^-s is exact and hi + lo is 10^(16-k) 2^s to
+# about 2^-106; the product of two doubles split in halves is exact
+# (Dekker), so y < 10^17 is known to about 2^-48, far better than 2^-40.
+# An element goes through Python's own ``%`` instead, and so has its bytes
+# by definition, when it is zero, subnormal, inf or nan, when y lies within
+# 2^-40 of a rounding tie, or when N falls outside [10^16, 10^17) (k one
+# off, next to a power of ten).
+
+#: the decimal exponents the tables cover: those of every normal double
+_K_MIN, _K_MAX = -310, 310
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+
+
+def _pow10_table():
+    """Per k: 2^-s and 10^(16-k) 2^s as hi + lo, with hi split in halves;
+    s ~ k log2(10) keeps every factor and product normal.  The powers come
+    from 128-bit mantissas stepped by 10 from 10^0 in integer arithmetic,
+    which truncation leaves within 2^-118; lo's rounding gives 2^-106.
+    The tables are built with Python numbers: the first run of a numpy
+    loop raises a process's resident memory (about 0.12 MB for several),
+    and numpy builds would run loops that nothing else does."""
+    up, down = [(1 << 127, -127)], [(1 << 127, -127)]
+    for powers, count in ((up, 16 - _K_MIN), (down, _K_MAX - 16)):
+        m, e = powers[0]
+        for _ in range(count):
+            m, e = (m * 10, e) if powers is up else ((m << 4) // 10, e - 4)
+            cut = m.bit_length() - 128
+            m, e = m >> cut, e + cut
+            powers.append((m, e))
+    # 10^a for a = 16 - k, k from _K_MIN up
+    powers = up[::-1] + down[1:]
+    s = [min(max((k * 1701) >> 9, -1023), 1023) for k in range(_K_MIN, _K_MAX + 1)]
+    # hi: the top 53 bits, exactly; lo: the 75 below them, rounded
+    hi = np.array([(m >> 75) * 2.0 ** (e + t + 75) for (m, e), t in zip(powers, s)])
+    lo = np.array([(m & ((1 << 75) - 1)) * 2.0 ** (e + t) for (m, e), t in zip(powers, s)])
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    return np.array([2.0**-t for t in s]), hi, hi_h, hi - hi_h, lo
+
+
+_INV, _HI, _HI_H, _HI_L, _LO = _pow10_table()
+
+
+def _digit_tables():
+    """The text of 0..9999 as four ASCII digits in one uint32 each, and per
+    place j of a 4-digit chunk among N's last 16 digits, the count of N's
+    significant digits when that chunk is the last nonzero one (0 for a
+    zero chunk; 1 at place 0, which stands for N = d 10^16)."""
+    ascii4 = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for place in range(4):
+        ascii4[..., place] = np.frombuffer(b"0123456789", dtype=np.uint8).reshape(
+            (1,) * place + (10,) + (1,) * (3 - place))
+    sig = np.empty((4, 10, 10, 10, 10), dtype=np.uint8)
+    for j in range(4):
+        # 1 + 4j digits before the chunk, then its digits up to the last nonzero one
+        sig[j] = 5 + 4 * j
+        sig[j, ..., 0], sig[j, ..., 0, 0], sig[j, ..., 0, 0, 0] = 4 + 4 * j, 3 + 4 * j, 2 + 4 * j
+        sig[j, 0, 0, 0, 0] = 0
+    sig[0, 0, 0, 0, 0] = 1
+    return ascii4.view(np.uint32).ravel(), sig.reshape(4, -1)
+
+
+_CHUNKS, _SIG = _digit_tables()
+_DIGIT_BYTES = 24  # 17 digits and the point, in three words
+
+
+def _layout_masks():
+    """Per pattern ``point * 18 + shown - 1``: the masks of three words that
+    put the point after ``point`` digits (18: no point) and keep ``shown``
+    digits, with the point if a digit follows it.  Of the digits D and the
+    digits one byte on, D', the text is (D & A) | P | (D' & B)."""
+    low = [(1 << (8 * n)) - 1 for n in range(20)]
+    a, p, b = [], [], []
+    for point in range(19):
+        for shown in range(1, 19):
+            length = shown + (shown > point)
+            a.append(low[min(point, length)])
+            p.append(0x2E << (8 * point) if point < length else 0)
+            b.append(low[length] & ~low[point + 1] if length > point + 1 else 0)
+    return [np.frombuffer(b"".join(v.to_bytes(_DIGIT_BYTES, "little") for v in masks),
+                          dtype=np.uint64).reshape(-1, 3) for masks in (a, p, b)]
+
+
+_MASK_A, _MASK_P, _MASK_B = _layout_masks()
+
+
+def _words(texts) -> np.ndarray:
+    """Each text as the uint64 of its bytes, little-endian, NUL padded."""
+    return np.array([int.from_bytes(t.encode(), "little") for t in texts], dtype=np.uint64)
+
+
+def _notation_tables():
+    """Per k, as ``%g`` writes 17 digits (fixed form for k in -4..16): where
+    the point goes (after 1 digit in scientific form, 18 for "0.000ddd",
+    whose point the prefix holds), how many digits stay however many are
+    zero, the prefix word for either sign (sign, "0." and zeros, right-
+    aligned, so that it meets the digits), and the exponent word ("e+dd",
+    "e-ddd") with its length in bits."""
+    ks = range(_K_MIN, _K_MAX + 1)
+    before = [max(k + 1, 0) if -4 <= k <= 16 else 1 for k in ks]
+    exponent = ["" if -4 <= k <= 16 else "e%+03d" % k for k in ks]
+    prefix = np.zeros(2 * len(ks), dtype=np.uint64)
+    prefix[len(ks):] = ord("-") << 56
+    for k in range(-4, 0):
+        fill = "0." + "0" * (-k - 1)
+        prefix[[k - _K_MIN, len(ks) + k - _K_MIN]] = _words([fill.rjust(8, "\0"),
+                                                             ("-" + fill).rjust(8, "\0")])
+    return (np.array([b or 18 for b in before]), np.array(before), prefix, _words(exponent),
+            np.array([8 * len(t) for t in exponent], dtype=np.uint64))
+
+
+_POINT, _BEFORE, _PREFIX, _EXPONENT, _EXPONENT_BITS = _notation_tables()
+
+#: bytes of a field's row: a prefix word, the digit words and one word for
+#: the exponent and the end
+FIELD_BYTES = 8 + _DIGIT_BYTES + 8
+
+
+def g17_rows(values, ends) -> np.ndarray:
+    """Each element of the float array ``values`` as the bytes of
+    ``"%.17g" % x`` followed by its end, in a row of FIELD_BYTES NUL-padded
+    uint8; the result has the shape of ``values`` and a last axis of rows.
+    ``ends`` is a string of at most 3 characters, or one per element of the
+    last axis.  ``text`` of the rows is the text.  The elements the notes
+    above leave to Python's ``%`` are written by it, one at a time."""
+    x = np.asarray(values, dtype=np.float64)
+    shape = x.shape
+    x = x.ravel()
+    n = x.size
+    ends = np.broadcast_to(_words([ends] if isinstance(ends, str) else ends), shape).ravel()
+    f = np.abs(x)
+    slow = ~((f >= 2.2250738585072014e-308) & (f <= 1.7976931348623157e308))
+    f[slow] = 1.0
+    # k, as the row of the tables
+    k = np.floor(np.log10(f)).astype(np.intp) - _K_MIN
+    g = f * _INV.take(k)
+    c = _SPLIT * g
+    g_h = c - (c - g)
+    g_l = g - g_h
+    hi_h, hi_l = _HI_H.take(k), _HI_L.take(k)
+    # y = yh + r; yh >= 2^53 is an integer
+    yh = g * _HI.take(k)
+    r = (((g_h * hi_h - yh) + g_h * hi_l + g_l * hi_h) + g_l * hi_l) + g * _LO.take(k)
+    r_int = np.floor(r + 0.5)
+    # floor(y) < 10^16 or N >= 10^17, compared in floats: yh - 10^m is exact
+    # next to 10^m, and of the right sign far from it
+    slow |= ((np.abs(r - r_int) > 0.5 - 2.0**-40) | ((yh - 1e16) + r < 0.0)
+             | ((yh - 1e17) + r_int >= 0.0))
+    N = yh.astype(np.int64) + r_int.astype(np.int64)
+    N[slow] = 10**16
+    # N's first digit, then its last 16 in four 4-digit chunks
+    high = N // 10**8
+    first = high // 10**8
+    halves = np.empty((n, 2), dtype=np.int64)
+    halves[:, 0] = high - first * 10**8
+    halves[:, 1] = N - high * 10**8
+    chunks = np.empty((n, 2, 2), dtype=np.intp)
+    chunks[..., 0] = halves // 10**4
+    chunks[..., 1] = halves - chunks[..., 0] * 10**4
+    chunks = chunks.reshape(n, 4)
+    sig = _SIG[3].take(chunks[:, 3])
+    for j in (2, 1, 0):
+        sig = np.where(sig, sig, _SIG[j].take(chunks[:, j]))
+    digits = np.zeros((n, _DIGIT_BYTES), dtype=np.uint8)
+    digits[:, 0] = first + 48
+    digits[:, 1:17] = _CHUNKS.take(chunks).view(np.uint8).reshape(n, 16)
+    D = digits.view(np.uint64)
+    # parts that share no byte are joined by +, a numpy loop the package
+    # runs anyway, where | would be a first (see _pow10_table)
+    D1 = D << 8
+    # the top byte of a word moves into the next; the last word's is NUL
+    D1.ravel()[1:] += (D >> 56).ravel()[:-1]
+    # the digits shown: every significant one and every one before the point
+    pattern = _POINT.take(k) * 18 + np.maximum(sig, _BEFORE.take(k)) - 1
+    out = np.empty((n, FIELD_BYTES // 8), dtype=np.uint64)
+    out[:, 0] = _PREFIX.take(np.signbit(x) * (_K_MAX - _K_MIN + 1) + k)
+    out[:, 1:4] = ((D & _MASK_A.take(pattern, axis=0)) + _MASK_P.take(pattern, axis=0)
+                   + (D1 & _MASK_B.take(pattern, axis=0)))
+    out[:, 4] = _EXPONENT.take(k) + (ends << _EXPONENT_BITS.take(k))
+    rows = out.view(np.uint8)
+    for i in np.flatnonzero(slow).tolist():
+        field = ("%.17g" % x[i]).encode() + int(ends[i]).to_bytes(8, "little").rstrip(b"\0")
+        rows[i] = 0
+        rows[i, : len(field)] = np.frombuffer(field, dtype=np.uint8)
+    return rows.reshape(*shape, FIELD_BYTES)
+
+
+def text(rows) -> str:
+    """The bytes of the uint8 array ``rows``, in order, without their NULs."""
+    rows = rows.ravel()
+    return rows[rows != 0].tobytes().decode("ascii")
+
+
+#: fields written per block of a table: each temporary of ``g17_rows`` is
+#: then a few dozen kB.  A 256 x 256 ``phase`` peaked at the same RSS with
+#: blocks of 1024, 2048 and 4096 fields and 0.7 MB higher with 8192; below
+#: 4096 the fixed cost of a block's numpy calls grows
+BLOCK_FIELDS = 4096
 
 
 def table_lines(values, newline: str = "\n"):
     """The text of the 2-D float array ``values``, a line per row of its
-    fields as ``%.17g`` (which reads back as the same double) joined by
-    commas and ended by ``newline``, in blocks of ``_TABLE_BLOCK_ROWS``
-    rows, each filled by one ``%``."""
+    fields as ``%.17g`` joined by commas and ended by ``newline``, in
+    blocks of about ``BLOCK_FIELDS`` fields."""
     values = np.asarray(values, dtype=np.float64)
-    row = ",".join(["%.17g"] * values.shape[1]) + newline
-    for start in range(0, len(values), _TABLE_BLOCK_ROWS):
-        block = values[start : start + _TABLE_BLOCK_ROWS]
-        yield row * len(block) % tuple(block.ravel().tolist())
+    ends = [","] * (values.shape[1] - 1) + [newline]
+    rows = max(1, BLOCK_FIELDS // values.shape[1])
+    for start in range(0, len(values), rows):
+        yield text(g17_rows(values[start : start + rows], ends))
 
 
 def write_json(path: str, doc: dict) -> None:

@@ -19,7 +19,18 @@ import warnings
 import numpy as np
 
 from . import __version__
-from ._codec import FINITE, POSITIVE, at_least, domains, table_lines, write_json
+from ._codec import (
+    BLOCK_FIELDS,
+    FIELD_BYTES,
+    FINITE,
+    POSITIVE,
+    at_least,
+    domains,
+    g17_rows,
+    table_lines,
+    text,
+    write_json,
+)
 from .errors import (
     BracketFailureError,
     DegenerateDenominatorError,
@@ -148,7 +159,7 @@ _SIGN_NAMES = [s.value for s in Sign] + ["invalid"]
 #: the class columns of a phase cell, between its ell and its A, by the code
 #: ((region * 4 + a_sign) * 2 + biologically_relevant) * 2 + h_stable
 _PHASE_CLASSES = tuple(
-    f",{region},{sign},{bio},{h_stable},"
+    f"{region},{sign},{bio},{h_stable},"
     for region in _REGION_NAMES
     for sign in _SIGN_NAMES
     for bio in (0, 1)
@@ -156,29 +167,41 @@ _PHASE_CLASSES = tuple(
 )
 
 
+def _padded(texts, right: bool) -> np.ndarray:
+    """The texts as rows of uint8, NUL padded to the longest on the left
+    (``right``-aligned) or on the right."""
+    width = max(map(len, texts))
+    pad = str.rjust if right else str.ljust
+    return np.frombuffer("".join(pad(t, width, "\0") for t in texts).encode(),
+                         dtype=np.uint8).reshape(len(texts), width)
+
+
 def _phase_lines(grid):
-    """The grid's CSV text, C outer and ell inner, in the blocks of cells
-    ``table_lines`` writes A in.  A cell's line joins its C, ell and class
-    strings, gathered by its row, column and class code, with its A line."""
-    c_text, ell_text = ("".join(table_lines(v[:, None])).split() for v in (grid.C, grid.ell))
-    texts = [np.array(t, dtype=object) for t in ([c + "," for c in c_text], ell_text,
-                                                  _PHASE_CLASSES)]
+    """The grid's CSV text, C outer and ell inner, in blocks of whole rows
+    of C of about ``BLOCK_FIELDS`` cells.  A block is one byte matrix, a
+    line per cell: its C text, its ell text, its class text, gathered by
+    its class code, and its A, each NUL padded; ``text`` drops the NULs.  C
+    and the class are right-aligned and ell left-aligned, so that a line's
+    bytes lie in few runs."""
+    c_text, ell_text = (text(g17_rows(v, ",")).split(",")[:-1] for v in (grid.C, grid.ell))
+    c_part = _padded([t + "," for t in c_text], right=True)
+    ell_part = _padded([t + "," for t in ell_text], right=False)
+    class_part = _padded(_PHASE_CLASSES, right=True)
+    edges = np.cumsum([0, c_part.shape[1], ell_part.shape[1], class_part.shape[1]])
     # numpy's % takes the code -1 to the last name
     region = grid.region % len(_REGION_NAMES)
     sign = grid.a_sign % len(_SIGN_NAMES)
     code = (region * len(_SIGN_NAMES) + sign) * 2 + grid.biologically_relevant
-    code = (code * 2 + grid.h_stable).ravel()
-    start = 0
-    for block in table_lines(grid.A.reshape(-1, 1)):
-        a_lines = block.splitlines(True)
-        cells = np.arange(start, start + len(a_lines))
-        start += len(a_lines)
-        row, col = divmod(cells, grid.ell.size)
-        parts = [None] * (4 * len(a_lines))
-        for k, (text, index) in enumerate(zip(texts, (row, col, code[cells]))):
-            parts[k::4] = text[index].tolist()
-        parts[3::4] = a_lines
-        yield "".join(parts)
+    code = code * 2 + grid.h_stable
+    rows = max(1, BLOCK_FIELDS // grid.ell.size)
+    for start in range(0, grid.C.size, rows):
+        stop = min(start + rows, grid.C.size)
+        lines = np.empty((stop - start, grid.ell.size, edges[-1] + FIELD_BYTES), dtype=np.uint8)
+        lines[..., : edges[1]] = c_part[start:stop, None]
+        lines[..., edges[1] : edges[2]] = ell_part
+        lines[..., edges[2] : edges[3]] = class_part.take(code[start:stop], axis=0)
+        lines[..., edges[3] :] = g17_rows(grid.A[start:stop], "\n")
+        yield text(lines)
 
 
 def _cmd_phase(args) -> int:
@@ -315,21 +338,28 @@ def _cmd_simulate(args) -> int:
         raise _refusal("--init", exc.domain, exc.value) from None
     except (KeyError, ValueError):
         raise _UsageError(f"bad --init {args.init!r}; use ball:R, gauss:S or file:PATH") from None
-    config = SimConfig(
-        potential=potential,
-        dimension=args.dimension,
-        N=args.N,
-        dt=args.dt,
-        steps=args.steps,
-        model=args.model,
-        alpha=args.alpha,
-        beta=args.beta,
-        seed=args.seed,
-        init=init,
-        record_stride=args.stride,
-        tabulated_forces=not args.exact_forces,
-        stop_when_converged=args.stop_when_converged,
-    )
+    try:
+        config = SimConfig(
+            potential=potential,
+            dimension=args.dimension,
+            N=args.N,
+            dt=args.dt,
+            steps=args.steps,
+            model=args.model,
+            alpha=args.alpha,
+            beta=args.beta,
+            seed=args.seed,
+            init=init,
+            record_stride=args.stride,
+            tabulated_forces=not args.exact_forces,
+            stop_when_converged=args.stop_when_converged,
+        )
+    except DomainError as exc:
+        # min_separation, and dt without --dt, are derived from -l
+        field = exc.field[1] if exc.field and exc.field[0] is SimConfig else None
+        if field == "min_separation" or (field == "dt" and args.dt is None):
+            raise _refusal(f"-l: the {field} derived from it", exc.domain, exc.value) from None
+        raise
     state, summary = run(config)
     csv_path, meta_path = save_checkpoint(state, config, args.output)
     with open(f"{args.output}.records.jsonl", "w") as fh:
@@ -522,7 +552,13 @@ _FLAG_DOMAINS = {
     "--resolution": at_least(1), "--bins": at_least(1), ("asymptotics", "--steps"): at_least(1),
     "--c-min": FINITE, "--c-max": FINITE, "--ell-min": FINITE, "--ell-max": FINITE,
     "--delta0": POSITIVE, "--ratio": POSITIVE,
+    # a run of no step would leave its records file empty
+    ("simulate", "--steps"): at_least(1),
 }
+#: the fields of the other potentials that a model flag sets as well, which
+#: messages name after it
+_ALSO_SETS = {"-C": ((Morse, "C_R"), (MorseLike, "C")),
+              "-l": ((Morse, "ell_R"), (MorseLike, "ell"))}
 
 
 def _check_flags(subparser: argparse.ArgumentParser, args) -> dict:
@@ -536,6 +572,7 @@ def _check_flags(subparser: argparse.ArgumentParser, args) -> dict:
             continue
         if isinstance(domain, tuple):
             named[domain] = flag
+            named.update(dict.fromkeys(_ALSO_SETS.get(flag, ()), flag))
             domain = domains(domain[0])[domain[1]]
         value = getattr(args, action.dest)
         if value is not None and not domain.test(value):

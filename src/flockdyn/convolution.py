@@ -39,7 +39,6 @@ non-positive exponent.  Measured limits:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -91,9 +90,6 @@ class ConvolutionReport:
 
     def to_dict(self) -> dict:
         return encode(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _bracket_term(params: ModelParams, R: float, r, w_l: float, w_1: float, shift: float):

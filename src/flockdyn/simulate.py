@@ -75,12 +75,23 @@ from typing import Annotated, Optional, Union
 
 import numpy as np
 
-from ._codec import NON_NEGATIVE, POSITIVE, Finite, Positive, Record, at_least, check, one_of
+from ._codec import (
+    NON_NEGATIVE,
+    POSITIVE,
+    Finite,
+    Positive,
+    Record,
+    at_least,
+    check,
+    domains,
+    one_of,
+)
 from ._codec import table_lines, write_json
 from .convolution import _GAUSS_NODES, _GAUSS_WEIGHTS
 from .errors import DomainError, NumericalBlowupError, ParameterOverflowError
 from .potentials import (
     PotentialSpec,
+    QuasiMorse,
     _evaluate,
     _length_scale,
     potential_force_magnitude,
@@ -237,21 +248,22 @@ class _ForceModel:
         # pairs closer than min_sep are clamped, and below the table's lower
         # edge U'(r)/r is U'(min_sep)/d in both modes
         self._min_sep_sq = min_sep * min_sep
+        x0, x1 = math.log(0.5 * min_sep), math.log(_R_MAX)
+        grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
+        # a potential whose table leaves the double range is refused in both
+        # modes, whether a float power such as k^(n/2) raises or an array
+        # holds inf or nan: the exact mode would meet the same values
+        finite = False
+        with np.errstate(all="ignore"), contextlib.suppress(OverflowError):
+            value_tab, force_tab = potential_value_and_force(potential, np.maximum(grid, min_sep))
+            w_tab, value_tab = _with_slopes(force_tab / grid), _with_slopes(value_tab)
+            finite = all(np.isfinite(t).all() for t in (*w_tab, *value_tab))
+        if not finite:
+            raise ParameterOverflowError(
+                f"the force table of {potential} has a non-finite entry",
+                _parameter_fields(potential))
         if tabulated:
-            x0, x1 = math.log(0.5 * min_sep), math.log(_R_MAX)
-            grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
-            # a table that leaves the double range is refused, whether a float
-            # power such as k^(n/2) raises or an array holds inf or nan
-            finite = False
-            with np.errstate(all="ignore"), contextlib.suppress(OverflowError):
-                value_tab, force_tab = potential_value_and_force(
-                    potential, np.maximum(grid, min_sep))
-                self._w_tab = _with_slopes(force_tab / grid)
-                self._value_tab = _with_slopes(value_tab)
-                finite = all(np.isfinite(t).all() for t in (*self._w_tab, *self._value_tab))
-            if not finite:
-                raise ParameterOverflowError(
-                    f"the force table of {potential} has a non-finite entry")
+            self._w_tab, self._value_tab = w_tab, value_tab
             self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
             self._two_x0 = 2.0 * x0
             self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
@@ -324,6 +336,12 @@ class _ForceModel:
                 w.flat[clamped[below]] = np.where(d_below > 0.0,
                                                   self._force_at_min / d_below, 0.0)
         return w, clamped, u
+
+
+def _parameter_fields(potential: PotentialSpec) -> tuple:
+    """The (record class, field name) of each parameter of ``potential``."""
+    record = potential.params if isinstance(potential, QuasiMorse) else potential
+    return tuple((type(record), name) for name in domains(type(record)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -219,31 +219,6 @@ def _boundary_zero(n, k, xi, R):
     return R * R + (2.0 * xi / k) * R * ratio
 
 
-def _boundary_general(n, k, a, case, xi, R):
-    """Btilde(xi) by the dimension-independent formula, a test reference; times
-    e^{-aR} on the negative branch (exact: the formula is linear in I)."""
-    half = 0.5 * n
-    if case is Sign.ZERO:
-        return _boundary_zero(n, k, xi, R)
-    y = k * R / xi
-    k_mid, k_top = specfun.bessel_k_pair(half - 1.0, y)
-    # K_{half-2} = K_{2-half}: K_1 at n = 2, K_{1/2} at n = 3
-    k_low = k_top if n == 2 else k_mid
-    if case is Sign.POSITIVE:
-        gain = 1.0 / (1.0 + (a * xi / k) ** 2)
-        f_hi = specfun.bessel_j(half - 1.0, a * R)
-        f_lo = specfun.bessel_j(half - 2.0, a * R)
-    else:
-        gain = 1.0 / (1.0 - (a * xi / k) ** 2)
-        f_hi = specfun.bessel_i(half - 1.0, a * R, scaled=True)
-        f_lo = specfun.bessel_i(half - 2.0, a * R, scaled=True)
-    return (
-        R ** (1.0 - half)
-        * gain
-        * (f_hi * k_low / k_top + (a * xi / k) * f_lo * k_mid / k_top)
-    )
-
-
 def _det_pos_coeffs(params: ModelParams, a: float, R):
     """(c_sin, c_cos) with det M_+ = c_sin sin(aR) + c_cos cos(aR) in 3-D."""
     k, ell = params.k, params.ell

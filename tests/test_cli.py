@@ -645,12 +645,13 @@ def test_simulate_refuses_an_initial_state_beyond_the_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("counts", [["--stride", "0"], ["--steps", "-1"], ["-N", "1"],
-                                    ["--seed", "-1"]])
+                                    ["--seed", "-1"], ["--steps", "0"]])
 def test_simulate_rejects_bad_counts(tmp_path, capsys, counts):
     # a zero stride used to escape as ZeroDivisionError, negative steps to
     # exit 0 after running nothing; --steps and -N then named no flag
     # ("steps must be non-negative", "need at least two particles"), and
-    # --seed -1 only numpy's "expected non-negative integer"
+    # --seed -1 only numpy's "expected non-negative integer"; --steps 0 exited
+    # 0 with an empty records file
     out = tmp_path / "x"
     assert main(["simulate", *REF3D_FLAGS, "-N", "8", *counts, "-o", str(out)]) == 5
     err = capsys.readouterr().err
@@ -703,6 +704,33 @@ def test_simulate_propulsion_overflow_names_the_flags(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: --alpha, --dt: the propulsion factor exp(alpha dt) overflows ")
     assert err.count("\n") == 1 and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("ell, field", [("5e-324", "dt"), ("1e-320", "min_separation")])
+def test_simulate_derived_value_names_ell(tmp_path, capsys, ell, field):
+    # both derive from ell and underflow to 0; dt was once refused as
+    # "--dt must be positive and finite, got 0.0", though no --dt was given
+    out = tmp_path / "x"
+    assert main(["simulate", "-n", "3", "-C", "1.255", "-l", ell, "-k", "0.2", "-N", "8",
+                 "--steps", "2", "-o", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        f"error: -l: the {field} derived from it must be positive and finite, got 0.0\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags", [["-k", "1e308"], ["-C", "1e308"]])
+def test_simulate_exact_force_overflow_names_the_flags(tmp_path, capsys, flags):
+    # -k once exited 3 with "(34, 'Numerical result out of range')", -C ran
+    # through RuntimeWarnings to "coordinate exceeded bound 1e+06 at step 0";
+    # the exact mode now refuses what the tabulated one does
+    for mode in ([], ["--exact-forces"]):
+        out = tmp_path / "x"
+        assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "2", *flags, *mode,
+                     "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: -C, -l, -k: the force table of QuasiMorse(")
+        assert err.endswith(" has a non-finite entry\n") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 _MORSE_LIKE_FLAGS = ["--potential", "morse_like", "-n", "2", "-C", "0.6", "-l", "0.2"]
@@ -810,6 +838,7 @@ def test_compare_rejects_bad_checkpoint(tmp_path, capsys, case):
 # ------------------------------------------------- every numeric flag
 
 _SIMULATE = ["simulate", "-N", "8", "--steps", "2"]
+_SIMULATED = ["out.csv", "out.json", "out.records.jsonl"]
 #: (base invocation, the outputs a run of it writes, its numeric flags), so
 #: that every numeric flag of every command is swept from a small run
 _SWEEP = [
@@ -824,15 +853,17 @@ _SWEEP = [
     (["asymptotics", "-n", "3", "-C", "1.255", "-k", "0.2", "--sweep-ell", "upper",
       "--steps", "2", "-o", "out.csv"], ["out.csv"],
      ["-C", "-k", "--steps", "--delta0", "--ratio"]),
-    # the records file is left out: it holds no line after --steps 0
-    ([*_SIMULATE, *REF3D_FLAGS, "-o", "out"], ["out.csv", "out.json"],
+    ([*_SIMULATE, *REF3D_FLAGS, "-o", "out"], _SIMULATED,
      ["-C", "-l", "-k", "-N", "--dt", "--steps", "--seed", "--stride", "--alpha", "--beta"]),
-    ([*_SIMULATE, *REF3D_FLAGS, "--model", "second", "-o", "out"], ["out.csv", "out.json"],
+    ([*_SIMULATE, *REF3D_FLAGS, "--model", "second", "-o", "out"], _SIMULATED,
      ["--dt", "--alpha", "--beta"]),
     ([*_SIMULATE, "--potential", "morse", "-n", "3", "-C", "2.0", "-l", "0.5", "-o", "out"],
-     ["out.csv", "out.json"], ["--CA", "--la"]),
-    ([*_SIMULATE, *_MORSE_LIKE_FLAGS, "--p", "0.5", "-o", "out"], ["out.csv", "out.json"],
-     ["--p"]),
+     _SIMULATED, ["--CA", "--la"]),
+    ([*_SIMULATE, *_MORSE_LIKE_FLAGS, "--p", "0.5", "-o", "out"], _SIMULATED, ["--p"]),
+    ([*_SIMULATE, *REF3D_FLAGS, "--exact-forces", "-o", "out"], _SIMULATED,
+     ["-C", "-l", "-k", "--dt"]),
+    ([*_SIMULATE, *_MORSE_LIKE_FLAGS, "--p", "0.5", "--exact-forces", "-o", "out"], _SIMULATED,
+     ["--p", "-C", "-l"]),
     (["compare", "--state", "state", "--profile", "prof.json", "--bins", "2", "-o", "out"],
      ["out.json", "out.csv"], ["--bins"]),
 ]
@@ -840,7 +871,7 @@ _BAD_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "1e-308"]
 
 
 def test_every_numeric_flag_at_every_bad_value(tmp_path, monkeypatch, capsys):
-    # 304 runs.  Once 20 of them named no flag (phase -k, simulate --seed -1),
+    # 360 runs.  Once 20 of them named no flag (phase -k, simulate --seed -1),
     # printed an errno tuple or "math range error", raised a RuntimeWarning
     # (an error under this suite's filter) or exited 0 with particles that
     # never moved (simulate -l 1e-308).  solve, roots and asymptotics at -k

@@ -181,28 +181,105 @@ def test_files_written_before_the_codec_still_load():
 # subnormals, the extremes and a value that needs all 17 digits
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
            2.2250738585072014e-308, 1.7e308, -1.7e308, 1.7976931348623157e308, 1.0 / 3.0]
-BLOCK = _codec._TABLE_BLOCK_ROWS
+
+
+def assert_g17(values):
+    """``g17_rows`` writes each value as ``"%.17g" % x`` does, byte for byte."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    got = _codec.text(_codec.g17_rows(values, "\n"))
+    expected = ("%.17g\n" * values.size) % tuple(values.tolist())
+    if got != expected:
+        # the first value written wrongly, rather than a diff of two long strings
+        for value, line in zip(values.tolist(), got.splitlines()):
+            assert line == "%.17g" % value, repr(value)
+        assert got == expected
+
+
+def test_g17_rows_on_random_bit_patterns():
+    # every bit pattern is a double: all exponents, subnormals, infs and nans
+    bits = np.random.default_rng(27).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert np.isnan(values).any() and (np.abs(values) < 2.2250738585072014e-308).any()
+    assert_g17(np.concatenate([values, SPECIAL]))
+
+
+def test_g17_rows_on_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-307, 309)])
+    neighbours = [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]
+    assert_g17(np.concatenate([sign * v for sign in (1.0, -1.0) for v in neighbours]))
+
+
+def _exact_ties():
+    """The doubles m 2^-e (m odd, below 2^12) whose 18 significant digits
+    end in 5: exactly halfway between two texts of 17 digits."""
+    ties = []
+    for e in range(20, 80):
+        for m in range(1, 2**12, 2):
+            digits = str(m * 5**e).rstrip("0")
+            if len(digits) == 18 and digits[-1] == "5":
+                ties.append(m * 2.0**-e)
+    return ties
+
+
+def test_g17_rows_on_exact_ties():
+    ties = _exact_ties()
+    assert 2.0**-25 in ties and len(ties) > 100
+    assert_g17(ties + [-t for t in ties])
+    assert _codec.text(_codec.g17_rows([2.0**-25], "\n")) == "2.9802322387695312e-08\n"
+
+
+def test_g17_rows_on_integers_and_signed_zeros():
+    assert_g17(np.concatenate([np.arange(-10**5, 10**5 + 1), [0.0, -0.0]]))
+
+
+@pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17])
+def test_g17_rows_at_the_notation_switches(switch):
+    # %g turns from fixed to scientific form below 1e-4 and from 1e17 up
+    near = [switch * (1 + d) for d in (-1e-12, -1e-15, 0.0, 1e-15, 1e-12)]
+    for direction in (0.0, math.inf):
+        value = switch
+        for _ in range(50):
+            value = float(np.nextafter(value, direction))
+            near.append(value)
+    assert_g17(near + [-v for v in near])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_g17_rows_on_any_float(values):
+    assert_g17(values)
+
+
+def test_g17_rows_ends_and_shape():
+    values = np.array([[1.5, -0.0], [math.nan, 1e300]])
+    rows = _codec.g17_rows(values, [",", "\r\n"])
+    assert rows.shape == (2, 2, _codec.FIELD_BYTES)
+    assert _codec.text(rows) == "1.5,-0\r\nnan,1.0000000000000001e+300\r\n"
+    assert _codec.text(rows[1, 0]) == "nan,"
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    rows=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]),
     cols=st.integers(1, 7),
+    offset=st.sampled_from([-1, 0, 1]),
     newline=st.sampled_from(["\n", "\r\n"]),
     seed=st.integers(0, 2**32 - 1),
     planted=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                st.sampled_from(SPECIAL) | st.floats()), max_size=40),
 )
-def test_table_lines_equal_the_per_field_text(rows, cols, newline, seed, planted):
+def test_table_lines_equal_the_per_field_text(cols, offset, newline, seed, planted):
     # magnitudes from the subnormals to 1e308, either sign, with the drawn
-    # floats planted at random places
+    # floats planted at random places; the rows end one before, at or one
+    # after a block's end
+    block = _codec.BLOCK_FIELDS // cols
+    rows = block + offset
     rng = np.random.default_rng(seed)
     values = (rng.choice([-1.0, 1.0], size=(rows, cols)) * rng.uniform(1.0, 10.0, (rows, cols))
               * 10.0 ** rng.integers(-323, 308, (rows, cols)))
     for place, value in planted:
         values.flat[int(place * values.size)] = value
     blocks = list(_codec.table_lines(values, newline))
-    assert len(blocks) == -(-rows // BLOCK)
+    assert len(blocks) == -(-rows // block)
     # line by line, so that a failure does not diff two 100 kB strings
     lines = "".join(blocks).splitlines(True)
     assert len(lines) == rows

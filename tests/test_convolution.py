@@ -510,7 +510,7 @@ def test_branch_continuity_across_zero(n):
 def test_report_serialization():
     prof = solve_profile(REF3D)
     report = verify_flock(prof, grid_size=16)
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert set(doc) == {
         "r_grid", "closed_form", "quadrature", "D",
         "sup_dev_closed", "sup_dev_quad", "cross_dev",

@@ -188,6 +188,19 @@ def test_force_table_with_a_nonfinite_entry_is_refused(params):
         _config_model(SimConfig(potential=QuasiMorse(params), dimension=3))
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(3, 1.255, 0.8, 1e308),  # k^(3/2) raised OverflowError (errno 34)
+    ModelParams(3, 1e308, 0.8, 0.2),  # the pair pass met inf and nan
+])
+def test_exact_forces_with_a_nonfinite_entry_are_refused(params):
+    # the exact mode checks the table the tabulated one would build, and
+    # names the potential's parameters
+    config = SimConfig(potential=QuasiMorse(params), dimension=3, tabulated_forces=False)
+    with pytest.raises(ParameterOverflowError, match="^the force table of .* non-finite") as info:
+        _config_model(config)
+    assert info.value.fields == tuple((ModelParams, name) for name in ("n", "C", "ell", "k"))
+
+
 @pytest.mark.parametrize("alpha, dt", [(1.0, 1e308), (1e308, 0.008), (800.0, 1.0)])
 def test_propulsion_overflow_is_refused(alpha, dt):
     # once "math range error", or RuntimeWarnings and then a blow-up at step 0
@@ -461,7 +474,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_csv_is_the_csv_module_output(tmp_path):
     # the block writer gives csv.writer's bytes, across a block boundary and
     # for signed zeros, subnormals and extreme exponents
-    n_part = _codec._TABLE_BLOCK_ROWS + 3
+    n_part = _codec.BLOCK_FIELDS // 3 + 3
     cfg = SimConfig(potential=POT, dimension=3, N=n_part)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(n_part, 3))

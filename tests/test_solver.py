@@ -20,6 +20,7 @@ from flockdyn.errors import (
 )
 from flockdyn.potentials import ModelParams, Sign, aggregate_param
 from flockdyn import solver as sv
+from flockdyn import specfun
 from flockdyn._roots import XTOL, bracketed_root
 from flockdyn.solver import (
     EllLimit,
@@ -101,6 +102,30 @@ def test_boundary_2d_at_j0_zero():
     assert got < 0.0
 
 
+def _boundary_general(n, k, a, case, xi, R):
+    """Btilde(xi) by the dimension-independent formula, the reference of the
+    per-dimension closed forms; times e^{-aR} on the negative branch (exact:
+    the formula is linear in I)."""
+    half = 0.5 * n
+    y = k * R / xi
+    k_mid, k_top = specfun.bessel_k_pair(half - 1.0, y)
+    # K_{half-2} = K_{2-half}: K_1 at n = 2, K_{1/2} at n = 3
+    k_low = k_top if n == 2 else k_mid
+    if case is Sign.POSITIVE:
+        gain = 1.0 / (1.0 + (a * xi / k) ** 2)
+        f_hi = specfun.bessel_j(half - 1.0, a * R)
+        f_lo = specfun.bessel_j(half - 2.0, a * R)
+    else:
+        gain = 1.0 / (1.0 - (a * xi / k) ** 2)
+        f_hi = specfun.bessel_i(half - 1.0, a * R, scaled=True)
+        f_lo = specfun.bessel_i(half - 2.0, a * R, scaled=True)
+    return (
+        R ** (1.0 - half)
+        * gain
+        * (f_hi * k_low / k_top + (a * xi / k) * f_lo * k_mid / k_top)
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_boundary_general_formula_cross_check(n):
     # the negative branch compares the scaled values Btilde e^{-aR}
@@ -111,14 +136,14 @@ def test_boundary_general_formula_cross_check(n):
         for xi in (params.ell, 1.0):
             for R in (0.3 / a, 2.0 / a, 8.0 / a):
                 s = boundary_coeff(params, Sign.POSITIVE, xi, R)
-                g = sv._boundary_general(n, params.k, a, Sign.POSITIVE, xi, R)
+                g = _boundary_general(n, params.k, a, Sign.POSITIVE, xi, R)
                 assert s == pytest.approx(g, rel=1e-10)
         params = a_negative_draw(rng, n)
         _, a = aggregate_param(params)
         for xi in (params.ell, 1.0):
             for R in (0.5 / a, 3.0 / a):
                 s = sv._boundary_eval(params, Sign.NEGATIVE, xi, R)
-                g = sv._boundary_general(n, params.k, a, Sign.NEGATIVE, xi, R)
+                g = _boundary_general(n, params.k, a, Sign.NEGATIVE, xi, R)
                 assert s == pytest.approx(g, rel=1e-10)
 
 
