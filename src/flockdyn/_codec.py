@@ -25,6 +25,7 @@ checks.  The rules of a class are resolved once and cached.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -223,9 +224,6 @@ def _pow10_table():
     return np.array([2.0**-t for t in s]), hi, hi_h, hi - hi_h, lo
 
 
-_INV, _HI, _HI_H, _HI_L, _LO = _pow10_table()
-
-
 def _digit_tables():
     """The text of 0..9999 as four ASCII digits in one uint32 each, and per
     place j of a 4-digit chunk among N's last 16 digits, the count of N's
@@ -245,7 +243,6 @@ def _digit_tables():
     return ascii4.view(np.uint32).ravel(), sig.reshape(4, -1)
 
 
-_CHUNKS, _SIG = _digit_tables()
 _DIGIT_BYTES = 24  # 17 digits and the point, in three words
 
 
@@ -264,9 +261,6 @@ def _layout_masks():
             b.append(low[length] & ~low[point + 1] if length > point + 1 else 0)
     return [np.frombuffer(b"".join(v.to_bytes(_DIGIT_BYTES, "little") for v in masks),
                           dtype=np.uint64).reshape(-1, 3) for masks in (a, p, b)]
-
-
-_MASK_A, _MASK_P, _MASK_B = _layout_masks()
 
 
 def _words(texts) -> np.ndarray:
@@ -294,7 +288,17 @@ def _notation_tables():
             np.array([8 * len(t) for t in exponent], dtype=np.uint64))
 
 
-_POINT, _BEFORE, _PREFIX, _EXPONENT, _EXPONENT_BITS = _notation_tables()
+_Tables = collections.namedtuple("_Tables", "inv hi hi_h hi_l lo chunks sig mask_a mask_p mask_b "
+                                 "point before prefix exponent exponent_bits")
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The tables of ``g17_rows``, built at its first call (about 1.5 ms):
+    a process that writes no table never builds them, and built after
+    import they raised the benchmark workers' peak RSS by 0.1-0.2 MB less."""
+    return _Tables(*_pow10_table(), *_digit_tables(), *_layout_masks(), *_notation_tables())
+
 
 #: bytes of a field's row: a prefix word, the digit words and one word for
 #: the exponent and the end
@@ -308,6 +312,7 @@ def g17_rows(values, ends) -> np.ndarray:
     ``ends`` is a string of at most 3 characters, or one per element of the
     last axis.  ``text`` of the rows is the text.  The elements the notes
     above leave to Python's ``%`` are written by it, one at a time."""
+    t = _tables()
     x = np.asarray(values, dtype=np.float64)
     shape = x.shape
     x = x.ravel()
@@ -318,14 +323,14 @@ def g17_rows(values, ends) -> np.ndarray:
     f[slow] = 1.0
     # k, as the row of the tables
     k = np.floor(np.log10(f)).astype(np.intp) - _K_MIN
-    g = f * _INV.take(k)
+    g = f * t.inv.take(k)
     c = _SPLIT * g
     g_h = c - (c - g)
     g_l = g - g_h
-    hi_h, hi_l = _HI_H.take(k), _HI_L.take(k)
+    hi_h, hi_l = t.hi_h.take(k), t.hi_l.take(k)
     # y = yh + r; yh >= 2^53 is an integer
-    yh = g * _HI.take(k)
-    r = (((g_h * hi_h - yh) + g_h * hi_l + g_l * hi_h) + g_l * hi_l) + g * _LO.take(k)
+    yh = g * t.hi.take(k)
+    r = (((g_h * hi_h - yh) + g_h * hi_l + g_l * hi_h) + g_l * hi_l) + g * t.lo.take(k)
     r_int = np.floor(r + 0.5)
     # floor(y) < 10^16 or N >= 10^17, compared in floats: yh - 10^m is exact
     # next to 10^m, and of the right sign far from it
@@ -343,12 +348,12 @@ def g17_rows(values, ends) -> np.ndarray:
     chunks[..., 0] = halves // 10**4
     chunks[..., 1] = halves - chunks[..., 0] * 10**4
     chunks = chunks.reshape(n, 4)
-    sig = _SIG[3].take(chunks[:, 3])
+    sig = t.sig[3].take(chunks[:, 3])
     for j in (2, 1, 0):
-        sig = np.where(sig, sig, _SIG[j].take(chunks[:, j]))
+        sig = np.where(sig, sig, t.sig[j].take(chunks[:, j]))
     digits = np.zeros((n, _DIGIT_BYTES), dtype=np.uint8)
     digits[:, 0] = first + 48
-    digits[:, 1:17] = _CHUNKS.take(chunks).view(np.uint8).reshape(n, 16)
+    digits[:, 1:17] = t.chunks.take(chunks).view(np.uint8).reshape(n, 16)
     D = digits.view(np.uint64)
     # parts that share no byte are joined by +, a numpy loop the package
     # runs anyway, where | would be a first (see _pow10_table)
@@ -356,12 +361,12 @@ def g17_rows(values, ends) -> np.ndarray:
     # the top byte of a word moves into the next; the last word's is NUL
     D1.ravel()[1:] += (D >> 56).ravel()[:-1]
     # the digits shown: every significant one and every one before the point
-    pattern = _POINT.take(k) * 18 + np.maximum(sig, _BEFORE.take(k)) - 1
+    pattern = t.point.take(k) * 18 + np.maximum(sig, t.before.take(k)) - 1
     out = np.empty((n, FIELD_BYTES // 8), dtype=np.uint64)
-    out[:, 0] = _PREFIX.take(np.signbit(x) * (_K_MAX - _K_MIN + 1) + k)
-    out[:, 1:4] = ((D & _MASK_A.take(pattern, axis=0)) + _MASK_P.take(pattern, axis=0)
-                   + (D1 & _MASK_B.take(pattern, axis=0)))
-    out[:, 4] = _EXPONENT.take(k) + (ends << _EXPONENT_BITS.take(k))
+    out[:, 0] = t.prefix.take(np.signbit(x) * (_K_MAX - _K_MIN + 1) + k)
+    out[:, 1:4] = ((D & t.mask_a.take(pattern, axis=0)) + t.mask_p.take(pattern, axis=0)
+                   + (D1 & t.mask_b.take(pattern, axis=0)))
+    out[:, 4] = t.exponent.take(k) + (ends << t.exponent_bits.take(k))
     rows = out.view(np.uint8)
     for i in np.flatnonzero(slow).tolist():
         field = ("%.17g" % x[i]).encode() + int(ends[i]).to_bytes(8, "little").rstrip(b"\0")
