@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from ._codec import encode
+from ._codec import Record
 from .errors import OutOfSupportError, QuadratureNonConvergenceError, VerificationFailureError
 from .potentials import ModelParams, QuasiMorse, Sign, aggregate_param
 from .solver import (FlockProfile, _case_of, _check_case, _mode_weights, _radial_j, _times_exp,
@@ -77,7 +77,7 @@ TOL_CROSS = 1e-6
 
 
 @dataclass
-class ConvolutionReport:
+class ConvolutionReport(Record):
     """Grid evaluation of W * rho by both routes, with deviation summary."""
 
     r_grid: np.ndarray
@@ -87,9 +87,6 @@ class ConvolutionReport:
     sup_dev_closed: float
     sup_dev_quad: float
     cross_dev: float
-
-    def to_dict(self) -> dict:
-        return encode(self)
 
 
 def _bracket_term(params: ModelParams, R: float, r, w_l: float, w_1: float, shift: float):

@@ -30,7 +30,8 @@ from typing import Annotated, Union
 import numpy as np
 
 from . import specfun
-from ._codec import Positive, Record, check, decode_tagged, encode_tagged, one_of, tag_table
+from ._codec import Positive, Record, check, decode_tagged, domains, encode_tagged
+from ._codec import one_of, tag_table
 from ._roots import bracketed_root
 from .errors import DegenerateDenominatorError, DomainError, ParameterOverflowError
 
@@ -110,15 +111,13 @@ class RegimeClass:
 
 
 def _raw_k(nu: float, x, lower: bool, upper: bool):
-    """(K_nu(x), K_{nu+1}(x)), each None unless asked for, as ``bessel_k``
-    forms them; both together come from one ``bessel_k_pair`` evaluation,
-    scaled, times e^{-x}."""
-    if not (lower and upper):
-        return (specfun.bessel_k(nu, x) if lower else None,
-                specfun.bessel_k(nu + 1.0, x) if upper else None)
-    scaled_lower, scaled_upper = specfun.bessel_k_pair(nu, x)
-    decay = np.exp(-x)
-    return scaled_lower * decay, scaled_upper * decay
+    """(K_nu(x), K_{nu+1}(x)), each None unless asked for (one at least),
+    with ``bessel_k``'s bits: one scaled ``specfun._kve`` call times e^{-x}.
+    nu = n/2 - 1 and x is a float or flat array > 0."""
+    asked = [abs(order) for order, want in ((nu, lower), (nu + 1.0, upper)) if want]
+    scaled = iter(specfun._kve(asked, x))
+    decay = np.exp(-x)  # after _kve, whose temporaries would otherwise meet it
+    return tuple(next(scaled) * decay if want else None for want in (lower, upper))
 
 
 def _evaluate(spec: PotentialSpec, arr, value: bool = True, force: bool = True):
@@ -165,10 +164,15 @@ def _evaluate(spec: PotentialSpec, arr, value: bool = True, force: bool = True):
 
 
 def _project(spec: PotentialSpec, r, value: bool = True, force: bool = True):
-    """``_evaluate`` at r > 0, through ``specfun._route`` and ``_restore``."""
+    """``_evaluate`` at r > 0, where no Quasi-Morse K argument (k r, k r / ell)
+    underflows to 0, through ``specfun._route`` and ``_restore``."""
     arr, shape = specfun._route(r)
     if specfun._any(arr <= 0.0):
         raise DomainError("potential is singular at r = 0; r must be > 0")
+    if isinstance(spec, QuasiMorse) and specfun._any(
+            spec.params.k * arr / max(spec.params.ell, 1.0) == 0.0):
+        raise ParameterOverflowError(f"a K argument of {spec} underflows to 0",
+                                     _parameter_fields(spec))
     u, du = _evaluate(spec, arr, value, force)
     return tuple(None if v is None else specfun._restore(v, shape) for v in (u, du))
 
@@ -201,6 +205,12 @@ def _length_scale(spec: PotentialSpec) -> float:
     if isinstance(spec, Morse):
         return spec.ell_R
     return spec.ell
+
+
+def _parameter_fields(spec: PotentialSpec) -> tuple:
+    """The (record class, field name) of each parameter of ``spec``."""
+    record = spec.params if isinstance(spec, QuasiMorse) else spec
+    return tuple((type(record), name) for name in domains(type(record)))
 
 
 #: integer codes of the phase rule: indices into these tuples

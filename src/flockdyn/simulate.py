@@ -83,7 +83,6 @@ from ._codec import (
     Record,
     at_least,
     check,
-    domains,
     one_of,
 )
 from ._codec import table_lines, write_json
@@ -91,10 +90,10 @@ from .convolution import _GAUSS_NODES, _GAUSS_WEIGHTS
 from .errors import DomainError, NumericalBlowupError, ParameterOverflowError
 from .potentials import (
     PotentialSpec,
-    QuasiMorse,
     _evaluate,
     _length_scale,
-    potential_force_magnitude,
+    _parameter_fields,
+    potential_force_magnitude,  # noqa: F401  a binding bench/test_bench.py traces
     potential_value_and_force,
 )
 from .solver import FlockProfile, _mass_closed, _sphere_area, density_eval
@@ -239,15 +238,17 @@ class _ForceModel:
     within 1e-6 of its scale; U'(r)/r of 3-D Quasi-Morse grows as r^-3
     towards min_sep and needed more than 16384.  ``tabulated=False`` is the
     exact reference: one ``potentials._evaluate`` call per group forms U'
-    and U at max(d, min_sep), each only when the pass asks for it."""
+    and U at max(d, min_sep), each only when the pass asks for it; it keeps
+    the checked tables too, whose first node gives both modes U'(min_sep)."""
 
     def __init__(self, potential: PotentialSpec, min_sep: float, tabulated: bool):
         self.potential = potential
         self.min_sep = min_sep
         self.tabulated = tabulated
         # pairs closer than min_sep are clamped, and below the table's lower
-        # edge U'(r)/r is U'(min_sep)/d in both modes
-        self._min_sep_sq = min_sep * min_sep
+        # edge U'(r)/r is U'(min_sep)/d in both modes; where min_sep^2
+        # underflows to 0, the least subnormal keeps coincident pairs clamped
+        self._min_sep_sq = max(min_sep * min_sep, 5e-324)
         x0, x1 = math.log(0.5 * min_sep), math.log(_R_MAX)
         grid = np.exp(np.linspace(x0, x1, _TABLE_SIZE))
         # a potential whose table leaves the double range is refused in both
@@ -262,13 +263,10 @@ class _ForceModel:
             raise ParameterOverflowError(
                 f"the force table of {potential} has a non-finite entry",
                 _parameter_fields(potential))
-        if tabulated:
-            self._w_tab, self._value_tab = w_tab, value_tab
-            self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
-            self._two_x0 = 2.0 * x0
-            self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
-        else:
-            self._force_at_min = potential_force_magnitude(potential, min_sep)
+        self._w_tab, self._value_tab = w_tab, value_tab
+        self._force_at_min = float(force_tab[0])  # grid[0] is clamped to min_sep
+        self._two_x0 = 2.0 * x0
+        self._half_inv_h = 0.5 * (_TABLE_SIZE - 1) / (x1 - x0)
 
     def pair_terms(self, d2, work, with_forces=True, with_energy=False):
         """(w, clamped, u) at the squared distances ``d2``; w and clamped
@@ -338,12 +336,6 @@ class _ForceModel:
         return w, clamped, u
 
 
-def _parameter_fields(potential: PotentialSpec) -> tuple:
-    """The (record class, field name) of each parameter of ``potential``."""
-    record = potential.params if isinstance(potential, QuasiMorse) else potential
-    return tuple((type(record), name) for name in domains(type(record)))
-
-
 @functools.lru_cache(maxsize=8)
 def _cached_model(potential: PotentialSpec, min_sep: float, tabulated: bool) -> _ForceModel:
     return _ForceModel(potential, min_sep, tabulated)
@@ -361,36 +353,26 @@ def _pair_groups(n_part: int, budget: int):
     j >= lo, are taken in fixed order and laid end to end in flat work
     arrays, as many consecutive blocks at a time as fit in ``budget``
     entries; each such run of blocks is a group, and ``size`` is the
-    largest group's extent.  A group is (blocks, self_pairs, lower_pairs):
-    blocks lists each block's (lo, hi, start, stop), its rows' segment
-    start:stop of the flat arrays, which holds the block as a C-ordered
+    largest group's extent.  A group is (blocks, lower_pairs): blocks
+    lists each block's (lo, hi, start, stop), its rows' segment start:stop
+    of the flat arrays, which holds the block as a C-ordered
     (hi - lo, n_part - lo) array, so column k is particle lo + k and the
-    block's leading square holds its rows against themselves.  self_pairs
-    are the flat indices of the squares' diagonals, the pairs i = j, and
-    lower_pairs those of their pairs j <= i, which a pass over the
-    unordered pairs j > i leaves out."""
-    groups, blocks, end = [], [], 0
+    block's leading square holds its rows against themselves.  lower_pairs
+    are the flat indices of the squares' pairs j <= i, which a pass over
+    the unordered pairs j > i leaves out."""
+    groups, blocks, lower_pairs, end = [], [], [], 0
     for lo in range(0, n_part, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_part)
         entries = (hi - lo) * (n_part - lo)
         if blocks and end + entries > budget:
-            groups.append(blocks)
-            blocks, end = [], 0
+            groups.append((tuple(blocks), np.concatenate(lower_pairs)))
+            blocks, lower_pairs, end = [], [], 0
+        rows, cols = np.tril_indices(hi - lo)
+        lower_pairs.append(end + rows * (n_part - lo) + cols)
         blocks.append((lo, hi, end, end + entries))
         end += entries
-    groups.append(blocks)
-    # a block of m rows has the first m (m + 1) / 2 pairs j <= i of a full one
-    tri_rows, tri_cols = np.tril_indices(_BLOCK_ROWS)
-    layout = []
-    for blocks in groups:
-        self_pairs, lower_pairs = [], []
-        for lo, hi, start, _ in blocks:
-            width, m = n_part - lo, hi - lo
-            pairs = m * (m + 1) // 2
-            self_pairs.append(start + np.arange(m) * (width + 1))
-            lower_pairs.append(start + tri_rows[:pairs] * width + tri_cols[:pairs])
-        layout.append((tuple(blocks), np.concatenate(self_pairs), np.concatenate(lower_pairs)))
-    return tuple(layout), max(blocks[-1][3] for blocks in groups)
+    groups.append((tuple(blocks), np.concatenate(lower_pairs)))
+    return tuple(groups), max(blocks[-1][3] for blocks, _ in groups)
 
 
 def _work_arrays(size: int, count: int) -> np.ndarray:
@@ -421,16 +403,18 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
     columns' sums, x1[lo:hi].T @ w, into one (n + 1, N) array.
 
     The elementwise work runs once per group of blocks: the squares and
-    sums of the differences, the self pairs' placeholder 1 (so that small
-    entries mark close distinct pairs only), the pair terms and the zeroing
-    of the pairs j <= i.  Each block's differences, its two sums, its
-    clamped pairs and its energy are taken on its own segment, block by
-    block, so every result has the bits of a pass that takes one block at
-    a time.  d2 is summed from the coordinate differences, so coincident
-    particles give exactly 0 and close pairs keep their relative accuracy.
-    The Gram expansion |x_i|^2 + |x_j|^2 - 2 x_i.x_j guarantees neither:
-    its rounding leaves a few eps |x|^2, which the 1/d weight turns into a
-    spurious force at and near d = 0.
+    sums of the differences, the placeholder min_sep^2 at the pairs j <= i,
+    the pair terms and the zeroing of the pairs j <= i.  The placeholder
+    trips neither the clamp search nor the clip, so the clamped pairs are
+    the pairs j > i closer than min_sep, each once.  Each block's
+    differences, its two sums, its clamped pairs and its energy are taken
+    on its own segment, block by block, so every result has the bits of a
+    pass that takes one block at a time.  d2 is summed from the coordinate
+    differences, so coincident particles give exactly 0 and close pairs
+    keep their relative accuracy.  The Gram expansion
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j guarantees neither: its rounding leaves a
+    few eps |x|^2, which the 1/d weight turns into a spurious force at and
+    near d = 0.
 
     The collapsed form rounds at eps |w| |x|, which the clamp's weight
     U'(min_sep)/d makes large next to the pair's force as d -> 0.  So the
@@ -458,7 +442,7 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
     sums = np.zeros_like(x_one_t)
     near = np.zeros_like(x)
     total = 0.0
-    for blocks, self_pairs, lower_pairs in groups:
+    for blocks, lower_pairs in groups:
         for lo, hi, start, stop in blocks:
             np.matmul(rows[:, lo:hi], cols[:, :, lo:],
                       out=slots[:dim, start:stop].reshape(dim, hi - lo, n_part - lo))
@@ -467,7 +451,7 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
         for diff in work[: dim - 1]:
             np.multiply(diff, diff, out=diff)
             d2 += diff
-        d2[self_pairs] = 1.0
+        d2[lower_pairs] = model._min_sep_sq
         work[1] = work[1].view(np.intp)
         w, clamped, u = model.pair_terms(d2, work, with_forces, with_energy)
         if with_energy:
@@ -482,9 +466,8 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
             owners = np.searchsorted(clamped, [block[2] for block in blocks[1:]])
             for (lo, _, start, _), own in zip(blocks, np.split(clamped, owners)):
                 i, j = np.divmod(own - start, n_part - lo)
-                upper = j > i
-                i, j = i[upper] + lo, j[upper] + lo
-                pair_acc = w[own[upper]][:, None] * (x[i] - x[j])
+                i, j = i + lo, j + lo
+                pair_acc = w[own][:, None] * (x[i] - x[j])
                 np.add.at(near, i, pair_acc)
                 np.subtract.at(near, j, pair_acc)
             w[clamped] = 0.0

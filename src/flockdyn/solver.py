@@ -52,7 +52,6 @@ from .errors import (
 from .potentials import EPS_A, ModelParams, Sign, aggregate_param, classify
 
 TOL_ROOT = 1e-12
-TOL_NULL = 1e-9
 TOL_POS = 1e-10
 
 #: first positive root of tan x = x (often quoted rounded to 4.49)

@@ -267,12 +267,8 @@ def _j_int_miller(order: int, x):
     wanted = [0.0] * (order + 1)
     for n in range(m_hi, 0, -1):
         jm = (2.0 * n / x) * jc - jp
+        # no rescaling: below _J_HANKEL_CUT, |jc| peaks at 2.4e-263 (x = 12.74)
         jp, jc = jc, jm  # jc now holds unnormalized J_{n-1}
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            wanted = [w * 1e-250 for w in wanted]
         if (n - 1) % 2 == 0 and (n - 1) > 0:
             norm += 2.0 * jc
         if n - 1 <= order:
@@ -457,12 +453,11 @@ def _kve01_cf2(x):
 
     Solid for x >= 2 (converges in a few dozen iterations).
     """
-    mu2 = 0.0  # order mu = 0
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     delh, h = +d, +d  # copies, as each is updated in place
     q1, q2 = 0.0, 1.0
-    a1 = 0.25 - mu2
+    a1 = 0.25  # 1/4 - mu^2 at the order mu = 0
     c = q = a1
     a = -a1
     s = 1.0 + q * delh
@@ -491,7 +486,7 @@ def _kve01_cf2(x):
         raise ArithmeticError("K continued fraction failed to converge")
     h = a1 * h
     kve0 = np.sqrt(math.pi / (2.0 * x)) / s
-    kve1 = kve0 * (mu2 + x + 0.5 - h) / x
+    kve1 = kve0 * (x + 0.5 - h) / x
     return kve0, kve1
 
 
@@ -530,26 +525,22 @@ def _kve(orders, x):
     """Scaled K at each of the non-negative ``orders``, x > 0.  The integer
     orders share one K_0, K_1 evaluation and climb from it by the upward
     recurrence K_{m+1} = K_{m-1} + (2m/x) K_m, which is stable for K."""
-    if max(orders) > 1.0 and _any(x < _K_OVERFLOW_X):
-        # e^x K_nu(x) ~ x^-nu exceeds the double range there: the value is
-        # inf, on both routes, without an overflow warning
-        with np.errstate(over="ignore"):
-            return _kve_orders(orders, x)
-    return _kve_orders(orders, x)
-
-
-def _kve_orders(orders, x):
-    if any(nu == int(nu) for nu in orders):
-        k0, k1 = _kve01(x)
-    out = []
-    for nu in orders:
-        if nu != int(nu):
-            out.append(_kve_half(nu, x))
-            continue
-        ladder = [k0, k1]
-        for m in range(1, int(nu)):
-            ladder.append(ladder[m - 1] + (2.0 * m / x) * ladder[m])
-        out.append(ladder[int(nu)])
+    # below _K_OVERFLOW_X, e^x K_nu(x) ~ x^-nu of an order above 1 exceeds
+    # the double range: the value is inf, on both routes, without a warning
+    overflow = max(orders) > 1.0 and _any(x < _K_OVERFLOW_X)
+    quiet = np.errstate(over="ignore") if overflow else contextlib.nullcontext()
+    with quiet:
+        if any(nu == int(nu) for nu in orders):
+            k0, k1 = _kve01(x)
+        out = []
+        for nu in orders:
+            if nu != int(nu):
+                out.append(_kve_half(nu, x))
+                continue
+            ladder = [k0, k1]
+            for m in range(1, int(nu)):
+                ladder.append(ladder[m - 1] + (2.0 * m / x) * ladder[m])
+            out.append(ladder[int(nu)])
     return out
 
 

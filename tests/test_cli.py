@@ -245,6 +245,17 @@ def test_config_file_is_validated(tmp_path, capsys, overrides, key):
     assert not Path(str(out) + ".json").exists()
 
 
+def test_config_null_leaves_dt_to_be_derived(tmp_path):
+    # {"dt": null} replaces --dt 0.5 with no value: dt = 0.01 min(1, ell)
+    cfg_path = tmp_path / "overrides.json"
+    cfg_path.write_text(json.dumps({"dt": None}))
+    out = tmp_path / "sim"
+    assert main(["--config", str(cfg_path), "simulate", *REF3D_FLAGS, "-N", "3", "--steps", "1",
+                 "--dt", "0.5", "-o", str(out)]) == 0
+    config = json.loads((tmp_path / "sim.json").read_text())["config"]
+    assert config["dt"] == 0.01 * 0.8
+
+
 def test_config_file_must_hold_an_object(tmp_path, capsys):
     cfg_path = tmp_path / "overrides.json"
     cfg_path.write_text("[1, 2]")
@@ -718,11 +729,12 @@ def test_simulate_derived_value_names_ell(tmp_path, capsys, ell, field):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flags", [["-k", "1e308"], ["-C", "1e308"]])
+@pytest.mark.parametrize("flags", [["-k", "1e308"], ["-C", "1e308"], ["-k", "1e-320"]])
 def test_simulate_exact_force_overflow_names_the_flags(tmp_path, capsys, flags):
     # -k once exited 3 with "(34, 'Numerical result out of range')", -C ran
     # through RuntimeWarnings to "coordinate exceeded bound 1e+06 at step 0";
-    # the exact mode now refuses what the tabulated one does
+    # the exact mode now refuses what the tabulated one does.  -k 1e-320,
+    # where k min_sep underflows to 0, once exited 5 naming bessel_k_pair
     for mode in ([], ["--exact-forces"]):
         out = tmp_path / "x"
         assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "2", *flags, *mode,
@@ -764,6 +776,7 @@ _BAD_CHECKPOINTS = {
     # compare once exited 0 with l1_error = nan
     "nonfinite": ("x1,x2,x3\n0.1,0.2,0.3\nnan,0.5,0.6\n0.7,0.8,0.9\n", None),
     "non_numeric": ("x1,x2,x3\n0.1,0.2,0.3\n0.4,abc,0.6\n0.7,0.8,0.9\n", None),
+    "no_coordinate_columns": ("v1,v2,v3\n0.1,0.2,0.3\n", None),
     # once an AttributeError and a TypeError traceback
     "sidecar_not_an_object": (_STATE, "[1]"),
     "sidecar_time_a_list": (_STATE, '{"time": [1]}'),
@@ -960,6 +973,15 @@ def test_specfun_table_rejects_bad_x_grid(tmp_path, capsys, grid):
     assert main(["specfun-table", "--x-grid", grid, "-o", str(out)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: --x-grid") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("orders", ["abc", "0,7"])
+def test_specfun_table_rejects_bad_orders(tmp_path, capsys, orders):
+    out = tmp_path / "sf.csv"
+    assert main(["specfun-table", "--orders", orders, "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: --orders") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import k0 as scipy_k0
 
-from flockdyn.errors import DegenerateDenominatorError, DomainError
+from flockdyn.errors import DegenerateDenominatorError, DomainError, ParameterOverflowError
 from flockdyn.potentials import (
     EPS_A,
     ModelParams,
@@ -106,6 +106,19 @@ def test_u_domain_error_at_origin():
         quasi_morse_u(REF3D, 0.0)
     with pytest.raises(DomainError):
         quasi_morse_u(REF3D, -1.0)
+
+
+@pytest.mark.parametrize("params, r", [
+    (ModelParams(2, 1.1, 0.75, 1e-200), 1e-200),  # k r underflows to 0
+    (ModelParams(3, 1.1, 1e200, 1e-100), 1e-100),  # k r / ell does
+])
+def test_a_k_argument_that_underflows_names_the_parameters(params, r):
+    # K at an argument of 0 gave a ZeroDivisionError for a float and NaN
+    # with RuntimeWarnings for an array
+    for arg in (r, np.array([r, 1.0])):
+        with pytest.raises(ParameterOverflowError) as info:
+            potential_value(QuasiMorse(params), arg)
+        assert (ModelParams, "k") in info.value.fields
 
 
 # ------------------------------------------------------------------- forces

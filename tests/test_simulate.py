@@ -319,6 +319,14 @@ def test_histogram_single_shell():
     assert np.argmax(hist.density) == 9
 
 
+def test_histogram_of_particles_at_one_point():
+    # every radius is 0: the bins span [0, 1e-12], the first holds them all
+    state = ParticleState(positions=np.full((5, 3), 0.25), velocities=None)
+    hist = radial_histogram(state, 2)
+    assert hist.bin_edges[-1] == 1e-12 and list(hist.counts) == [5, 0]
+    assert np.all(np.isfinite(hist.density)) and np.array_equal(hist.center, state.positions[0])
+
+
 @pytest.mark.parametrize("bins", [0, -1, 4])
 def test_histogram_rejects_bins_outside_one_to_n(bins):
     # bins = 0 once gave an empty histogram that compare scored as l1 = 1.0002
@@ -823,23 +831,72 @@ def _assert_passes_equal_the_reference(x, cfg):
     assert np.array_equal(acc, acc_ref) and energy == energy_ref
 
 
+@pytest.mark.parametrize("tabulated", [False, True], ids=["exact", "tabulated"])
+def test_the_clamp_search_finds_each_close_pair_once(tabulated):
+    # min_separation = 1e-6 ell_R = 2 > 1.  On a line 3 min_sep apart, a
+    # coincident pair and a pair 0.3 min_sep apart sit in the first block;
+    # each pair of clamped flat indices a pass finds is a pair j > i
+    cfg = SimConfig(potential=Morse(2.0, 1.0, 2e6, 1.0), dimension=3, N=40,
+                    tabulated_forces=tabulated)
+    min_sep = cfg.min_separation
+    assert min_sep > 1.0
+    x = np.zeros((40, 3))
+    x[:, 0] = 3.0 * min_sep * np.arange(40)
+    x[5] = x[3]
+    x[9] = x[2] + [0.0, 0.3 * min_sep, 0.0]
+    found = []
+    pair_terms = simulate._ForceModel.pair_terms
+
+    def spy(model, d2, work, with_forces=True, with_energy=False):
+        out = pair_terms(model, d2, work, with_forces, with_energy)
+        if with_forces:
+            found.append(out[1].copy())
+        return out
+
+    with mock.patch.object(simulate._ForceModel, "pair_terms", spy):
+        _assert_passes_equal_the_reference(x, cfg)
+    ((blocks, _),) = simulate._pair_groups(40, simulate._GROUP_ENTRIES)[0]
+    starts = [block[2] for block in blocks]
+    assert len(found) == 2  # the force pass and the fused pass
+    for clamped in found:
+        pairs = []
+        for flat in clamped.tolist():
+            lo, _, start, _ = blocks[np.searchsorted(starts, flat, side="right") - 1]
+            i, j = divmod(flat - start, 40 - lo)
+            pairs.append((i + lo, j + lo))
+        assert pairs == [(2, 9), (3, 5)]
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["exact", "tabulated"])
+def test_a_min_separation_whose_square_underflows(tabulated):
+    # min_sep^2 = 0: the pairs j <= i still get a placeholder with a finite
+    # log, so the lookup casts no -inf (a RuntimeWarning, an error here),
+    # and a coincident pair is still clamped to no force (it once gave NaN)
+    cfg = SimConfig(potential=Morse(2.0, 1.0, 0.5, 1.0), dimension=3, N=40,
+                    min_separation=1e-170, tabulated_forces=tabulated)
+    assert cfg.min_separation**2 == 0.0
+    x = np.random.default_rng(3).normal(size=(40, 3))
+    _assert_passes_equal_the_reference(x, cfg)
+    x[7] = x[3]
+    acc, energy = simulate._force_pass(x, _config_model(cfg), with_energy=True)
+    assert np.all(np.isfinite(acc)) and np.isfinite(energy)
+
+
 @pytest.mark.parametrize("n_part", [1, 31, 32, 33, 400, 600, 2000])
 def test_pair_groups_equal_the_layout_of_a_triangle_per_block(n_part):
-    # each block takes its pairs j <= i from a prefix of one shared
-    # triangle: the layout of np.tril_indices per block, down to the dtype
+    # each block's pairs j <= i, in the layout of np.tril_indices per
+    # block, down to the dtype
     groups = simulate._pair_groups(n_part, simulate._GROUP_ENTRIES)[0]
     covered = []
-    for blocks, self_pairs, lower_pairs in groups:
-        want_self, want_lower = [], []
+    for blocks, lower_pairs in groups:
+        want = []
         for lo, hi, start, stop in blocks:
             width = n_part - lo
             rows, cols = np.tril_indices(hi - lo)
-            want_self.append(start + np.arange(hi - lo) * (width + 1))
-            want_lower.append(start + rows * width + cols)
+            want.append(start + rows * width + cols)
             covered.append((lo, hi, stop - start == (hi - lo) * width))
-        for got, want in ((self_pairs, want_self), (lower_pairs, want_lower)):
-            want = np.concatenate(want)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = np.concatenate(want)
+        assert lower_pairs.dtype == want.dtype and np.array_equal(lower_pairs, want)
     edges = list(range(0, n_part, _BLOCK_ROWS))
     assert covered == [(lo, min(lo + _BLOCK_ROWS, n_part), True) for lo in edges]
 
@@ -873,7 +930,7 @@ def test_grouped_pair_pass_equals_the_first_written_kernel_bit_for_bit(case, dim
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n_part, dim))
     # the rows i < N - 1 of each group, which can own a pair (i, j > i)
-    owners = [range(blocks[0][0], min(blocks[-1][1], n_part - 1)) for blocks, _, _ in groups]
+    owners = [range(blocks[0][0], min(blocks[-1][1], n_part - 1)) for blocks, _ in groups]
     used = set()
     for g, gap in zip(rng.permutation([g for g, rows in enumerate(owners) if rows])[:3],
                       (0.0, 0.7, 0.3)):

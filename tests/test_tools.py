@@ -21,8 +21,8 @@ def test_output_hashes_lists_every_output_and_repeats(tmp_path):
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     names = [line.split("  ")[1] for line in lines]
     assert names == sorted(names)
-    for tag in ("qm3d", "qm3d_exact", "qm2d", "ml", "morse", "morse_close", "qm3d_far",
-                "qm3d_second", "qm3d_second_stride1", "qm3d_one_step", "qm3d_n600"):
+    for tag in ("qm3d", "qm3d_exact", "qm2d", "ml", "morse", "morse_close", "morse_close_exact",
+                "qm3d_far", "qm3d_second", "qm3d_second_stride1", "qm3d_one_step", "qm3d_n600"):
         assert {f"{tag}.csv", f"{tag}.json", f"{tag}.records.jsonl"} <= set(names)
     assert {"ref3d.json", "ref2d.json", "roots3d.json", "verify3d.json", "verify2d.csv",
             "verify3d.csv",

@@ -76,6 +76,9 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         # at the start most pairs are closer than min_separation = 5e-7, and
         # some below the tables' lower edge: the pair pass's clamp search and clip
         ["simulate", *_MORSE, "--dt", "0.01", "--init", "ball:3e-7", *run, "-o", "morse_close"],
+        # the same in the exact mode: its clamp, with U'(min_sep) from the table
+        ["simulate", *_MORSE, "--dt", "0.01", "--init", "ball:3e-7", *run, "--exact-forces",
+         "-o", "morse_close_exact"],
         # pairs farther than half the tables' upper end, many beyond it: the clip
         ["simulate", *qm3d[:-2], "--init", "gauss:4000", *run, "-o", "qm3d_far"],
         ["simulate", *_REF3D, "--init", "ball:0.7", *run[:-4], "--model", "second",
