@@ -8,8 +8,8 @@ A record is a dataclass; ``Record`` gives one its ``to_dict`` and
 each field's annotation picks one rule:
 
 * ``int``, ``float``, ``bool``, ``str``: a value of the matching JSON type
-  only.  A float field also takes a JSON integer; a boolean is never taken
-  as a number.
+  only.  A float field also takes a JSON integer inside the double range; a
+  boolean is never taken as a number.
 * a record type: the record's fields are inlined into the enclosing object
   (``FlockProfile`` and ``QuasiMorse`` carry ``ModelParams`` so).
 * a ``Union`` of records: a nested object tagged by ``kind``, the record's
@@ -175,7 +175,10 @@ def _value(cls: type, name: str, rule, value):
     if isinstance(value, (int, float) if rule is float else rule) and (
         isinstance(value, bool) == (rule is bool)
     ):
-        return float(value) if rule is float else value
+        try:
+            return float(value) if rule is float else value
+        except OverflowError:  # an integer past the double range
+            pass
     raise DomainError(f"{cls.__name__}: {name!r} must be {rule.__name__}, got {value!r}")
 
 
@@ -397,6 +400,16 @@ def table_lines(values, newline: str = "\n"):
     rows = max(1, BLOCK_FIELDS // values.shape[1])
     for start in range(0, len(values), rows):
         yield text(g17_rows(values[start : start + rows], ends))
+
+
+def read_json(path) -> object:
+    """The JSON document in the file ``path``; a file that holds none raises
+    DomainError, "{path}: not JSON: ..."."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"{path}: not JSON: {exc}") from None
 
 
 def write_json(path: str, doc: dict) -> None:

@@ -27,7 +27,9 @@ from ._codec import (
     at_least,
     domains,
     g17_rows,
+    read_json,
     table_lines,
+    tag_table,
     text,
     write_json,
 )
@@ -38,7 +40,6 @@ from .errors import (
     FlockdynError,
     NoRootError,
     NumericalBlowupError,
-    ParameterOverflowError,
     PositivityFailureError,
     QuadratureNonConvergenceError,
     RegimeError,
@@ -48,6 +49,7 @@ from .potentials import (
     ModelParams,
     Morse,
     MorseLike,
+    PotentialSpec,
     QuasiMorse,
     Region,
     Sign,
@@ -103,7 +105,7 @@ _EXIT_CODES = (
     ((NoRootError, RegimeError), EXIT_NO_ROOT),
     ((BracketFailureError, DegenerateDenominatorError, NumericalBlowupError,
       PositivityFailureError, QuadratureNonConvergenceError, VerificationFailureError,
-      ArithmeticError), EXIT_NUMERICAL),
+      ArithmeticError, MemoryError), EXIT_NUMERICAL),
     ((OSError,), EXIT_IO),
     ((DomainError, FlockdynError, ValueError), EXIT_USAGE),
 )
@@ -128,22 +130,41 @@ def _refusal(flag: str, domain, value) -> _UsageError:
     return _UsageError(f"{flag} must be {domain.text}, got {value!r}")
 
 
+def _flag(p: argparse.ArgumentParser, *names, sets=(), domain=None, **kwargs) -> None:
+    """Add the flag ``names`` to ``p``, as ``add_argument`` does with
+    ``kwargs``.  ``sets`` holds the (record class, field name) of each field
+    its value sets, and ``domain`` the values it takes, by default the
+    domain that its first field declares."""
+    action = p.add_argument(*names, **kwargs)
+    action.sets = sets
+    action.domain = domain or (domains(sets[0][0]).get(sets[0][1]) if sets else None)
+
+
+def _record(args, cls, **given):
+    """The ``cls`` of the ``given`` fields and of those its flags set."""
+    return cls(**{name: value for (owner, name), value in args.fields.items() if owner is cls},
+               **given)
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--dimension", type=int, required=True, choices=(2, 3))
-    p.add_argument("-C", type=float, required=True, help="repulsion strength")
-    p.add_argument("-l", "--ell", type=float, required=True, help="repulsion length scale")
-    p.add_argument("-k", type=float, required=True, help="decay rate")
+    _flag(p, "-C", sets=((ModelParams, "C"),), type=float, required=True,
+          help="repulsion strength")
+    _flag(p, "-l", "--ell", sets=((ModelParams, "ell"),), type=float, required=True,
+          help="repulsion length scale")
+    _flag(p, "-k", sets=((ModelParams, "k"),), type=float, required=True, help="decay rate")
 
 
 def _cmd_solve(args) -> int:
-    params = ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
+    params = _record(args, ModelParams, n=args.dimension)
     profile = solve_profile(
         params, root_index=args.root_index, allow_nonbiological=args.allow_nonbiological
     )
     meta = {"subcommand": "solve", **params.to_dict(), "grid": args.grid}
-    write_json(f"{args.output}.json", _with_meta({"profile": profile.to_dict()}, meta))
+    # the rows first, so that a grid too large for memory writes no file
     grid = np.linspace(0.0, profile.R_star, args.grid)
     rows = np.column_stack([grid, density_eval(profile, grid)])
+    write_json(f"{args.output}.json", _with_meta({"profile": profile.to_dict()}, meta))
     _write_csv(f"{args.output}.csv", ["r", "rho"], table_lines(rows), meta)
     print(
         f"solved: R* = {profile.R_star:.12g}, A = {profile.A:.12g}, "
@@ -205,15 +226,12 @@ def _phase_lines(grid):
 
 
 def _cmd_phase(args) -> int:
-    try:
-        grid = phase_grid(
-            args.dimension,
-            np.linspace(args.c_min, args.c_max, args.resolution),
-            np.linspace(args.ell_min, args.ell_max, args.resolution),
-            args.k,
-        )
-    except ParameterOverflowError as exc:
-        raise ParameterOverflowError(f"--ell-min/--ell-max: {exc}") from None
+    grid = phase_grid(
+        args.dimension,
+        np.linspace(args.c_min, args.c_max, args.resolution),
+        np.linspace(args.ell_min, args.ell_max, args.resolution),
+        args.k,
+    )
     meta = {
         "subcommand": "phase",
         "dimension": args.dimension,
@@ -234,8 +252,7 @@ def _cmd_phase(args) -> int:
 
 def _read_profile(path: str) -> FlockProfile:
     """The profile of a ``solve`` JSON file, or of a bare profile object."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if isinstance(doc, dict) and "profile" in doc:
         doc = doc["profile"]
     return FlockProfile.from_dict(doc)
@@ -260,7 +277,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    params = ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k)
+    params = _record(args, ModelParams, n=args.dimension)
     roots = enumerate_roots(
         params, args.count, allow_nonbiological=args.allow_nonbiological
     )
@@ -299,7 +316,7 @@ def _cmd_asymptotics(args) -> int:
                               f"region I's open interval ({ell_lo!r}, {ell_hi!r})")
     rows = []
     for ell in ells:
-        params = ModelParams(n=n, C=C, ell=ell, k=k)
+        params = _record(args, ModelParams, n=n, ell=ell)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             r_formula = asymptotic_radius(params, limit)
@@ -319,16 +336,10 @@ def _cmd_asymptotics(args) -> int:
     return EXIT_OK
 
 
-def _potential_from_args(args):
-    if args.potential == "quasi_morse":
-        return QuasiMorse(ModelParams(n=args.dimension, C=args.C, ell=args.ell, k=args.k))
-    if args.potential == "morse":
-        return Morse(C_R=args.C, C_A=args.CA, ell_R=args.ell, ell_A=args.la)
-    return MorseLike(p=args.p, C=args.C, ell=args.ell)
-
-
 def _cmd_simulate(args) -> int:
-    potential = _potential_from_args(args)
+    potential_cls = tag_table(PotentialSpec)[args.potential]
+    potential = (QuasiMorse(_record(args, ModelParams, n=args.dimension))
+                 if potential_cls is QuasiMorse else _record(args, potential_cls))
     kind, colon, value = args.init.partition(":")
     try:
         make = {"ball:": UniformBall, "gauss:": Gaussian, "file:": FromFile}[kind + colon]
@@ -339,21 +350,8 @@ def _cmd_simulate(args) -> int:
     except (KeyError, ValueError):
         raise _UsageError(f"bad --init {args.init!r}; use ball:R, gauss:S or file:PATH") from None
     try:
-        config = SimConfig(
-            potential=potential,
-            dimension=args.dimension,
-            N=args.N,
-            dt=args.dt,
-            steps=args.steps,
-            model=args.model,
-            alpha=args.alpha,
-            beta=args.beta,
-            seed=args.seed,
-            init=init,
-            record_stride=args.stride,
-            tabulated_forces=not args.exact_forces,
-            stop_when_converged=args.stop_when_converged,
-        )
+        config = _record(args, SimConfig, potential=potential, dimension=args.dimension,
+                         init=init, tabulated_forces=not args.exact_forces)
     except DomainError as exc:
         # min_separation, and dt without --dt, are derived from -l
         field = exc.field[1] if exc.field and exc.field[0] is SimConfig else None
@@ -443,76 +441,86 @@ def _cmd_specfun_table(args) -> int:
 
 def _solve_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--root-index", type=int, default=1)
+    _flag(p, "--grid", domain=at_least(2), type=int, default=256)
+    _flag(p, "--root-index", domain=at_least(1), type=int, default=1)
     p.add_argument("--allow-nonbiological", action="store_true")
     p.add_argument("-o", "--output", default="profile")
 
 
 def _phase_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--dimension", type=int, required=True, choices=(2, 3))
-    p.add_argument("-k", type=float, default=1.0)
-    p.add_argument("--c-min", type=float, default=0.2)
-    p.add_argument("--c-max", type=float, default=4.0)
-    p.add_argument("--ell-min", type=float, default=0.05)
-    p.add_argument("--ell-max", type=float, default=1.2)
-    p.add_argument("--resolution", type=int, default=64)
+    _flag(p, "-k", sets=((ModelParams, "k"),), type=float, default=1.0)
+    # the ends of the grid's C and ell, whose invalid cells are classified too
+    _flag(p, "--c-min", sets=((ModelParams, "C"),), domain=FINITE, type=float, default=0.2)
+    _flag(p, "--c-max", sets=((ModelParams, "C"),), domain=FINITE, type=float, default=4.0)
+    _flag(p, "--ell-min", sets=((ModelParams, "ell"),), domain=FINITE, type=float, default=0.05)
+    _flag(p, "--ell-max", sets=((ModelParams, "ell"),), domain=FINITE, type=float, default=1.2)
+    _flag(p, "--resolution", domain=at_least(1), type=int, default=64)
     p.add_argument("-o", "--output", default="phase.csv")
 
 
 def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", required=True, help="JSON written by solve")
-    p.add_argument("--grid", type=int, default=256)
+    _flag(p, "--grid", domain=at_least(2), type=int, default=256)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None)
 
 
 def _roots_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
-    p.add_argument("--count", type=int, default=3)
+    _flag(p, "--count", domain=at_least(1), type=int, default=3)
     p.add_argument("--allow-nonbiological", action="store_true")
     p.add_argument("-o", "--output", default="roots.json")
 
 
 def _asymptotics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--dimension", type=int, required=True, choices=(2, 3))
-    p.add_argument("-C", type=float, required=True)
-    p.add_argument("-k", type=float, required=True)
+    _flag(p, "-C", sets=((ModelParams, "C"),), type=float, required=True)
+    _flag(p, "-k", sets=((ModelParams, "k"),), type=float, required=True)
     p.add_argument("--sweep-ell", choices=("upper", "lower"), required=True)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--delta0", type=float, default=0.02)
-    p.add_argument("--ratio", type=float, default=5.0)
+    _flag(p, "--steps", domain=at_least(1), type=int, default=5)
+    _flag(p, "--delta0", domain=POSITIVE, type=float, default=0.02)
+    _flag(p, "--ratio", domain=POSITIVE, type=float, default=5.0)
     p.add_argument("-o", "--output", default="asymptotics.csv")
 
 
 def _simulate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--potential", choices=("quasi_morse", "morse", "morse_like"),
-                   default="quasi_morse")
+    p.add_argument("--potential", choices=tuple(tag_table(PotentialSpec)), default="quasi_morse")
     p.add_argument("-n", "--dimension", type=int, required=True, choices=(2, 3))
-    p.add_argument("-C", "--C", type=float, required=True)
-    p.add_argument("-l", "--ell", type=float, required=True)
-    p.add_argument("-k", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=1.0, help="Morse-like exponent")
-    p.add_argument("--CA", type=float, default=1.0, help="Morse attraction strength")
-    p.add_argument("--la", type=float, default=1.0, help="Morse attraction scale")
-    p.add_argument("-N", type=int, default=1000)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--model", choices=("first", "second"), default="first")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    # -C and -l set the repulsion of every potential, which messages name after them
+    _flag(p, "-C", "--C", sets=((ModelParams, "C"), (Morse, "C_R"), (MorseLike, "C")),
+          type=float, required=True)
+    _flag(p, "-l", "--ell", sets=((ModelParams, "ell"), (Morse, "ell_R"), (MorseLike, "ell")),
+          type=float, required=True)
+    _flag(p, "-k", sets=((ModelParams, "k"),), type=float, default=1.0)
+    _flag(p, "--p", sets=((MorseLike, "p"),), type=float, default=1.0,
+          help="Morse-like exponent")
+    _flag(p, "--CA", sets=((Morse, "C_A"),), type=float, default=1.0,
+          help="Morse attraction strength")
+    _flag(p, "--la", sets=((Morse, "ell_A"),), type=float, default=1.0,
+          help="Morse attraction scale")
+    _flag(p, "-N", sets=((SimConfig, "N"),), type=int, default=1000)
+    _flag(p, "--dt", sets=((SimConfig, "dt"),), type=float, default=None)
+    # a run of no step would leave its records file empty
+    _flag(p, "--steps", sets=((SimConfig, "steps"),), domain=at_least(1), type=int,
+          default=1000)
+    _flag(p, "--model", sets=((SimConfig, "model"),), choices=("first", "second"),
+          default="first")
+    _flag(p, "--alpha", sets=((SimConfig, "alpha"),), type=float, default=1.0)
+    _flag(p, "--beta", sets=((SimConfig, "beta"),), type=float, default=0.5)
+    _flag(p, "--seed", sets=((SimConfig, "seed"),), type=int, default=0)
     p.add_argument("--init", default="ball:1.0")
-    p.add_argument("--stride", type=int, default=100)
+    _flag(p, "--stride", sets=((SimConfig, "record_stride"),), type=int, default=100)
     p.add_argument("--exact-forces", action="store_true")
-    p.add_argument("--stop-when-converged", action="store_true")
+    _flag(p, "--stop-when-converged", sets=((SimConfig, "stop_when_converged"),),
+          action="store_true")
     p.add_argument("-o", "--output", default="state")
 
 
 def _compare_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--bins", type=int, default=10)
+    _flag(p, "--bins", domain=at_least(1), type=int, default=10)
     p.add_argument("-o", "--output", default="compare",
                    help="prefix for the .json report and .csv histogram")
 
@@ -539,44 +547,22 @@ _COMMANDS = {
 }
 
 
-#: the domain of each numeric flag: the (record class, field name) of the
-#: field it sets, whose declared domain it takes, or its own; a (command, flag)
-#: key overrides a flag for one command.
-_FLAG_DOMAINS = {
-    "-C": (ModelParams, "C"), "-l": (ModelParams, "ell"), "-k": (ModelParams, "k"),
-    "--p": (MorseLike, "p"), "--CA": (Morse, "C_A"), "--la": (Morse, "ell_A"),
-    "-N": (SimConfig, "N"), "--dt": (SimConfig, "dt"), "--steps": (SimConfig, "steps"),
-    "--alpha": (SimConfig, "alpha"), "--beta": (SimConfig, "beta"),
-    "--seed": (SimConfig, "seed"), "--stride": (SimConfig, "record_stride"),
-    "--grid": at_least(2), "--root-index": at_least(1), "--count": at_least(1),
-    "--resolution": at_least(1), "--bins": at_least(1), ("asymptotics", "--steps"): at_least(1),
-    "--c-min": FINITE, "--c-max": FINITE, "--ell-min": FINITE, "--ell-max": FINITE,
-    "--delta0": POSITIVE, "--ratio": POSITIVE,
-    # a run of no step would leave its records file empty
-    ("simulate", "--steps"): at_least(1),
-}
-#: the fields of the other potentials that a model flag sets as well, which
-#: messages name after it
-_ALSO_SETS = {"-C": ((Morse, "C_R"), (MorseLike, "C")),
-              "-l": ((Morse, "ell_R"), (MorseLike, "ell"))}
-
-
 def _check_flags(subparser: argparse.ArgumentParser, args) -> dict:
-    """Refuse the first flag value outside its domain, naming the flag, and
-    return field -> flag.  A value of None, an unset --dt, is left to the
+    """Refuse the first value of a ``_flag`` outside its domain, naming the
+    flag, and return field -> flag; two flags that set one field are named
+    together (``--ell-min/--ell-max``).  ``args.fields`` gets field -> value
+    for ``_record``.  A value of None, an unset --dt, is left to the
     record's derived default."""
-    named = {}
-    for flag, action in subparser._option_string_actions.items():
-        domain = _FLAG_DOMAINS.get((args.subcommand, flag), _FLAG_DOMAINS.get(flag))
-        if domain is None:
+    named, args.fields = {}, {}
+    for action in subparser._actions:
+        if not hasattr(action, "sets"):
             continue
-        if isinstance(domain, tuple):
-            named[domain] = flag
-            named.update(dict.fromkeys(_ALSO_SETS.get(flag, ()), flag))
-            domain = domains(domain[0])[domain[1]]
-        value = getattr(args, action.dest)
-        if value is not None and not domain.test(value):
-            raise _refusal(flag, domain, value)
+        flag, value = action.option_strings[0], getattr(args, action.dest)
+        if value is not None and action.domain and not action.domain.test(value):
+            raise _refusal(flag, action.domain, value)
+        for field in action.sets:
+            named[field] = f"{named[field]}/{flag}" if field in named else flag
+            args.fields[field] = value
     return named
 
 
@@ -587,7 +573,9 @@ def _message(named: dict, exc: Exception) -> str:
     if isinstance(exc, DomainError) and exc.field in named:
         return str(_refusal(named[exc.field], exc.domain, exc.value))
     flags = [named[field] for field in getattr(exc, "fields", ()) if field in named]
-    return f"{', '.join(flags)}: {exc}" if flags else str(exc)
+    # a bare MemoryError has no text
+    message = str(exc) or type(exc).__name__
+    return f"{', '.join(flags)}: {message}" if flags else message
 
 
 def _is_config(token: str) -> bool:
@@ -661,8 +649,7 @@ def _config_value(key: str, action: argparse.Action, value):
 def _apply_config(subparser: argparse.ArgumentParser, args) -> None:
     """Replace flag values with those of the --config JSON object, keyed by
     the flag's destination name (``grid``, ``dimension``, ``C``, ...)."""
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+    overrides = read_json(args.config)
     if not isinstance(overrides, dict):
         raise _UsageError(f"--config: {args.config} must hold a JSON object")
     actions = {a.dest: a for a in subparser._actions if a.dest != "help"}

@@ -67,7 +67,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,7 +84,7 @@ from ._codec import (
     check,
     one_of,
 )
-from ._codec import table_lines, write_json
+from ._codec import read_json, table_lines, write_json
 from .convolution import _GAUSS_NODES, _GAUSS_WEIGHTS
 from .errors import DomainError, NumericalBlowupError, ParameterOverflowError
 from .potentials import (
@@ -148,6 +147,13 @@ class SimConfig(Record):
         if self.model == "second":  # the propulsion needs both coefficients positive
             check(SimConfig, "alpha", self.alpha, POSITIVE)
             check(SimConfig, "beta", self.beta, POSITIVE)
+
+
+@dataclass(frozen=True)
+class Sidecar(Record):
+    """What ``load_checkpoint`` reads of a checkpoint's JSON sidecar."""
+
+    time: Finite = 0.0
 
 
 @dataclass
@@ -690,22 +696,17 @@ def compare_profile(hist: RadialHistogram, profile: FlockProfile) -> tuple[float
     dim = profile.params.n
     if (hist.center.shape[0]) != dim:
         raise DomainError("histogram and profile dimensions differ")
-    edges = hist.bin_edges
-    r_hi = max(float(edges[-1]), profile.R_star)
-    sub = 32
-    total = 0.0
-    segments = list(zip(edges[:-1], edges[1:], hist.density))
-    if edges[-1] < r_hi:
-        segments.append((float(edges[-1]), r_hi, 0.0))
-    for lo, hi, rho_emp in segments:
-        r = np.linspace(lo, hi, sub)
-        diff = np.abs(density_eval(profile, r) - rho_emp)
-        if dim == 2:
-            shell = 2.0 * math.pi * r
-        else:
-            shell = 4.0 * math.pi * r * r
-        total += float(np.trapezoid(diff * shell, r))
-    support_error = abs(float(edges[-1]) - profile.R_star) / profile.R_star
+    edges, density = hist.bin_edges, hist.density
+    r_hist = float(edges[-1])
+    if r_hist < profile.R_star:  # the gap to R*, where the histogram is 0
+        edges, density = np.append(edges, profile.R_star), np.append(density, 0.0)
+    # 32 points per segment, a row each
+    r = np.linspace(edges[:-1], edges[1:], 32, axis=1)
+    diff = np.abs(density_eval(profile, r) - density[:, None])
+    shell = 2.0 * math.pi * r if dim == 2 else 4.0 * math.pi * r * r
+    # cumsum adds the segments in bin order; np.sum's pairwise order differs
+    total = float(np.cumsum(np.trapezoid(diff * shell, r, axis=1))[-1])
+    support_error = abs(r_hist - profile.R_star) / profile.R_star
     return total, support_error
 
 
@@ -840,22 +841,11 @@ def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
         raise DomainError(f"{csv_path}: non-finite value on line {line}")
     positions = data[:, :dim]
     velocities = data[:, dim : 2 * dim] if has_v else None
-    meta = None
-    time = 0.0
+    meta, time = None, 0.0
     if meta_path.exists():
-        with open(meta_path) as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:
-                raise DomainError(f"{meta_path}: not JSON: {exc}") from None
-        if not isinstance(meta, dict):
-            raise DomainError(f"{meta_path}: must hold a JSON object")
-        time = meta.get("time", 0.0)
+        meta = read_json(meta_path)
         try:
-            finite = type(time) in (int, float) and math.isfinite(time)
-        except OverflowError:  # an integer past the double range
-            finite = False
-        if not finite:
-            raise DomainError(f"{meta_path}: 'time' must be a finite number, got {time!r}")
-        time = float(time)
+            time = Sidecar.from_dict(meta).time
+        except DomainError as exc:
+            raise DomainError(f"{meta_path}: {exc}") from None
     return ParticleState(positions=positions, velocities=velocities, time=time), meta

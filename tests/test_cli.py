@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -117,6 +118,67 @@ def test_bad_profile_value_names_the_class_and_the_key(tmp_path, capsys):
     assert main(["verify", "--profile", str(prof), "--grid", "8"]) == 5
     assert capsys.readouterr().err == (
         "error: ModelParams: 'k' must be positive and finite, got -1.0\n")
+
+
+def test_profile_number_past_the_double_range_names_the_class_and_the_key(tmp_path, capsys):
+    # a JSON integer past the double range once exited 3 with only "int too
+    # large to convert to float"
+    prof = tmp_path / "prof.json"
+    assert main(["solve", *REF3D_FLAGS, "--grid", "8", "-o", str(prof)[:-5]]) == 0
+    text = prof.read_text().replace('"k": 0.2', '"k": 1' + "0" * 400)
+    assert '"k": 1000' in text
+    prof.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--profile", str(prof), "--grid", "8"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ModelParams: 'k' must be float, got 1000")
+    assert err.count("\n") == 1
+
+
+def test_unparseable_json_input_names_its_file(tmp_path, capsys):
+    # each once printed only json's "Expecting property name enclosed in
+    # double quotes: line 1 column 2 (char 1)", naming no file
+    bad = tmp_path / "bad.json"
+    bad.write_text("{time: 1}")
+    state = str(tmp_path / "state")
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "1", "-o", state]) == 0
+    for argv in (["verify", "--profile", str(bad)],
+                 ["compare", "--state", state, "--profile", str(bad), "-o", str(tmp_path / "c")],
+                 ["--config", str(bad), "solve", *REF3D_FLAGS, "-o", str(tmp_path / "s")]):
+        capsys.readouterr()
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not JSON: Expecting property name")
+        assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.json", "state.csv", "state.json", "state.records.jsonl"]
+
+
+def test_out_of_memory_exits_3_and_writes_nothing(tmp_path):
+    # once a numpy _ArrayMemoryError traceback, after ref.json was written.
+    # The address-space limit makes the allocation fail before it touches
+    # any memory
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from flockdyn.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "solve", *REF3D_FLAGS, "--grid", str(10**12), "-o", "ref"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and len(proc.stderr) > 8
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_memory_error_without_text_is_named(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_profile", exhausted)
+    assert main(["solve", *REF3D_FLAGS, "-o", str(tmp_path / "ref")]) == 3
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

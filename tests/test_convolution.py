@@ -174,6 +174,11 @@ def test_verify_flock_passes_for_paper_parameters(params):
     assert report.cross_dev <= 1e-6 * scale
 
 
+def test_verify_flock_refuses_a_grid_of_one_point():
+    with pytest.raises(ValueError, match="grid_size"):
+        verify_flock(solve_profile(REF3D), grid_size=1)
+
+
 def test_verify_flock_rejects_perturbed_radius():
     prof = solve_profile(REF3D)
     from flockdyn.solver import FlockProfile, boundary_coeff, _mass_closed

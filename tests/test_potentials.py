@@ -183,6 +183,12 @@ def test_quasi_morse_force_vanishes_at_minimum():
     assert 0.5 * (lo + hi) == pytest.approx(r_min, rel=1e-6)
 
 
+def test_minimum_radius_without_a_minimum_is_refused():
+    # C_R = C_A and ell_R = ell_A: U' = 0 everywhere
+    with pytest.raises(DomainError, match="no minimum"):
+        minimum_radius(Morse(1.0, 1.0, 1.0, 1.0))
+
+
 def test_minimum_exists_across_relevant_regime():
     # region I and II: U has a strictly negative minimum at positive radius
     rng = np.random.default_rng(3)

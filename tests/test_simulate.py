@@ -454,6 +454,47 @@ def test_compare_profile_uniform_lower_bound():
     assert l1 >= 0.8 * floor  # sampling noise only adds to the floor
 
 
+def _compare_by_segment(hist, profile):
+    """compare_profile's l1_error as a loop over the segments: 32 points,
+    one density call and one trapezoid each, summed in bin order."""
+    edges, total = hist.bin_edges, 0.0
+    segments = list(zip(edges[:-1], edges[1:], hist.density))
+    if edges[-1] < profile.R_star:
+        segments.append((float(edges[-1]), profile.R_star, 0.0))
+    for lo, hi, rho_emp in segments:
+        r = np.linspace(lo, hi, 32)
+        shell = (2.0 * math.pi * r if profile.params.n == 2 else 4.0 * math.pi * r * r)
+        total += float(np.trapezoid(np.abs(density_eval(profile, r) - rho_emp) * shell, r))
+    return total
+
+
+def test_compare_profile_is_one_array_pass_with_the_loops_bits(monkeypatch):
+    # once one density_eval call per bin; the array pass keeps the loop's bits
+    calls = []
+
+    def counted(profile, r):
+        calls.append(np.shape(r))
+        return density_eval(profile, r)
+
+    rng = np.random.default_rng(3)
+    for params in (REF3D, REF2D):
+        prof = solve_profile(params)
+        n = params.n
+        for bins, scale in ((1, 0.7), (8, 0.9), (39, 1.3), (17, 1.0)):
+            x = rng.normal(size=(400, n))
+            x *= scale * prof.R_star * rng.uniform(size=(400, 1)) ** (1.0 / n) / np.linalg.norm(
+                x, axis=1, keepdims=True)
+            hist = radial_histogram(ParticleState(positions=x, velocities=None), bins)
+            expected = _compare_by_segment(hist, prof)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "density_eval", counted)
+                l1, _ = compare_profile(hist, prof)
+            gap = hist.bin_edges[-1] < prof.R_star
+            assert calls == [(bins + gap, 32)]
+            assert l1 == expected
+
+
 def test_compare_profile_dimension_mismatch():
     prof = solve_profile(REF3D)
     state = ParticleState(positions=np.zeros((10, 2)), velocities=None)

@@ -15,6 +15,7 @@ from flockdyn.errors import (
     BracketFailureError,
     CaseMismatchError,
     LimitMismatchWarning,
+    MultipleRootsWarning,
     NoRootError,
     RegimeError,
 )
@@ -152,6 +153,14 @@ def test_boundary_case_mismatch():
         boundary_coeff(REF3D, Sign.NEGATIVE, 1.0, 1.0)
     with pytest.raises(CaseMismatchError):
         boundary_coeff(REF3D, Sign.ZERO, 1.0, 1.0)  # |A| = 5.585 >> tolerance
+    # A = -0.0175 < 0 here
+    with pytest.raises(CaseMismatchError, match="positive branch requested"):
+        boundary_coeff(ModelParams(3, 1.255, 0.95, 0.2), Sign.POSITIVE, 1.0, 1.0)
+
+
+def test_boundary_refuses_a_radius_of_zero():
+    with pytest.raises(BracketFailureError, match="R > 0"):
+        boundary_coeff(REF3D, Sign.POSITIVE, 1.0, 0.0)
 
 
 # ------------------------------------------------------------- determinant
@@ -434,7 +443,23 @@ def test_enumerate_roots_structure(n):
     assert enumerate_roots(params, 1)[0][0] == find_support_radius(params)[0]
 
 
-def test_enumerate_roots_interlace_3d():
+def test_enumerate_roots_refuses_a_count_below_one():
+    with pytest.raises(ValueError, match="count"):
+        enumerate_roots(REF3D, 0)
+
+
+def test_first_2d_sign_change_warns_on_several_and_returns_a_bracket_without_one():
+    _, a = aggregate_param(REF2D)
+    # the scan up to the third zero of J_1 crosses the first three roots
+    with pytest.warns(MultipleRootsWarning):
+        lo, hi = sv._first_sign_change_2d(REF2D, 1e-8 / a, sv._j1_zero(3) / a)
+    assert lo < find_support_radius(REF2D)[0] < hi
+    # below the first root det M keeps its sign: the bracket comes back whole
+    edges = (1e-8 / a, 0.5 * find_support_radius(REF2D)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sv._first_sign_change_2d(REF2D, *edges) == edges
+
     rng = np.random.default_rng(31)
     for _ in range(8):
         params = region_i_draw(rng, 3)
@@ -623,6 +648,20 @@ def test_mode_coeffs_vanish_at_solution():
         assert abs(mc.lambda1) <= 1e-9
         assert abs(mc.lambda2) <= 1e-9
         assert mc.lambda3 == 0.0 and mc.lambda4 == 0.0
+
+
+def test_mode_coeffs_on_the_separatrix_take_the_quadratic_branch():
+    # C ell^3 = 1 exactly, so A = 0.0: the oscillatory and the exponential
+    # branches would divide by a = 0
+    params = ModelParams(3, 8.0, 0.5, 1.0)
+    assert aggregate_param(params) == (0.0, 0.0)
+    assert sv._case_of(0.0) is Sign.ZERO
+    mc = mode_coeffs(params, 1.0, 1.0, 0.5)
+    ones, consts = mode_coeffs(params, 1.0, 1.0, 0.0), mode_coeffs(params, 1.0, 0.0, 1.0)
+    for got, one, const in ((mc.lambda1, ones.lambda1, consts.lambda1),
+                            (mc.lambda2, ones.lambda2, consts.lambda2)):
+        assert math.isfinite(got) and got != 0.0
+        assert got == pytest.approx(one + 0.5 * const, rel=1e-12)
 
 
 def test_mode_coeffs_linear_in_mu():

@@ -173,6 +173,9 @@ def test_i_overflow_raises_distinctly():
     )
     with pytest.raises(DomainError):
         sf.bessel_i(0.0, -0.5)
+    # I_{-1/2}(x) = sqrt(2 / (pi x)) cosh x diverges at 0
+    with pytest.raises(DomainError, match="diverges"):
+        sf.bessel_i(-0.5, 0.0)
     # the expansions' envelopes stay finite up to the largest double
     big = np.finfo(np.float64).max
     assert sf.bessel_i(0.0, big, scaled=True) == pytest.approx(

@@ -70,6 +70,8 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
          "1.5", "--resolution", "11", "-o", "phase2d_edges.csv"],
         ["simulate", *qm3d, *run, "-o", "qm3d"],
         ["simulate", *qm3d, *run, "--exact-forces", "-o", "qm3d_exact"],
+        # the checkpoint reader: the state and the sidecar's time of the first run
+        ["simulate", *qm3d[:-2], "--init", "file:qm3d", *run, "-o", "qm3d_from_file"],
         ["simulate", *_REF2D, "--dt", "0.5", "--init", "ball:0.9", *run, "-o", "qm2d"],
         ["simulate", *_MORSE_LIKE, "--dt", "0.005", "--init", "ball:0.1", *run, "-o", "ml"],
         ["simulate", *_MORSE, "--dt", "0.01", "--init", "ball:1.0", *run, "-o", "morse"],
@@ -95,6 +97,9 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
          "-o", "compare3d.json"],
         ["compare", "--state", "qm2d", "--profile", "ref2d.json", "--bins", "8",
          "-o", "compare2d.json"],
+        # a state with velocity columns
+        ["compare", "--state", "qm3d_second", "--profile", "ref3d.json", "--bins", "8",
+         "-o", "compare_second.json"],
         ["specfun-table", "-o", "specfun.csv"],
         ["specfun-table", "--orders=-1,-0.5,0,0.5,1,1.5,2,2.5,3,3.5",
          "--x-grid", f"log:1e-300:700:{x_points}", "-o", "specfun_wide.csv"],
