@@ -403,12 +403,13 @@ def table_lines(values, newline: str = "\n"):
 
 
 def read_json(path) -> object:
-    """The JSON document in the file ``path``; a file that holds none raises
-    DomainError, "{path}: not JSON: ..."."""
+    """The JSON document in the file ``path``; a file that holds none, or
+    one nested deeper than the decoder recurses, raises DomainError,
+    "{path}: not JSON: ..."."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"{path}: not JSON: {exc}") from None
 
 

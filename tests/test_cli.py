@@ -135,11 +135,16 @@ def test_profile_number_past_the_double_range_names_the_class_and_the_key(tmp_pa
     assert err.count("\n") == 1
 
 
-def test_unparseable_json_input_names_its_file(tmp_path, capsys):
+@pytest.mark.parametrize("content, reason", [
+    ("{time: 1}", "Expecting property name"),
+    # once a RecursionError traceback
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["unquoted_key", "nested_too_deep"])
+def test_unparseable_json_input_names_its_file(tmp_path, capsys, content, reason):
     # each once printed only json's "Expecting property name enclosed in
     # double quotes: line 1 column 2 (char 1)", naming no file
     bad = tmp_path / "bad.json"
-    bad.write_text("{time: 1}")
+    bad.write_text(content)
     state = str(tmp_path / "state")
     assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "1", "-o", state]) == 0
     for argv in (["verify", "--profile", str(bad)],
@@ -148,7 +153,7 @@ def test_unparseable_json_input_names_its_file(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 5
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: not JSON: Expecting property name")
+        assert err.startswith(f"error: {bad}: not JSON: {reason}")
         assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bad.json", "state.csv", "state.json", "state.records.jsonl"]
