@@ -146,11 +146,11 @@ def test_wire_format():
         ("model", None, "SimConfig: 'model'"),
         # a value of the right type outside the field's declared domain
         ("seed", -1, "SimConfig: 'seed' must be at least 0, got -1"),
+        ("init", {"kind": "gaussian", "sigma": 0.0},
+         "Gaussian: 'sigma' must be positive and finite, got 0.0"),
         # an integer past the double range once raised OverflowError
         pytest.param("alpha", 10**400, "SimConfig: 'alpha' must be float, got 1000",
                      id="alpha-past-the-double-range"),
-        ("init", {"kind": "gaussian", "sigma": 0.0},
-         "Gaussian: 'sigma' must be positive and finite, got 0.0"),
     ],
 )
 def test_decode_names_the_class_and_the_key(key, value, where):

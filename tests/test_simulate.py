@@ -463,7 +463,7 @@ def _compare_by_segment(hist, profile):
         segments.append((float(edges[-1]), profile.R_star, 0.0))
     for lo, hi, rho_emp in segments:
         r = np.linspace(lo, hi, 32)
-        shell = (2.0 * math.pi * r if profile.params.n == 2 else 4.0 * math.pi * r * r)
+        shell = 2.0 * math.pi * r if profile.params.n == 2 else 4.0 * math.pi * r * r
         total += float(np.trapezoid(np.abs(density_eval(profile, r) - rho_emp) * shell, r))
     return total
 

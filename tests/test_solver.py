@@ -460,6 +460,8 @@ def test_first_2d_sign_change_warns_on_several_and_returns_a_bracket_without_one
         warnings.simplefilter("error")
         assert sv._first_sign_change_2d(REF2D, *edges) == edges
 
+
+def test_enumerate_roots_interlace_3d():
     rng = np.random.default_rng(31)
     for _ in range(8):
         params = region_i_draw(rng, 3)
