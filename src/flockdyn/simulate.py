@@ -33,6 +33,16 @@ next to |x|.  A group looks for them, and clips its table positions, only
 when the least of its d^2 is below min_separation^2 (or, for the clip, the
 largest above (_R_MAX / 2)^2); a flock's groups usually skip both.
 
+A pass of at least 2 ``_GROUP_ENTRIES`` pair entries (N >= 500) is split
+into shards, one per core up to ``_MAX_WORKERS``: shard s computes the
+groups g with g % shards = s, each in its own work arrays, and the caller's
+thread runs shard 0 and adds every group's energies, clamped pairs and
+block products into the results itself, in group order and within a group
+in block order, as each group is reached.  Every product and every sum is
+that of a pass on one thread, in its order, so the bits do not depend on
+the number of cores.  A smaller pass stays on the caller's thread, where a
+second thread measured slower.
+
 A block's pair differences x_i - x_j are, per coordinate, the matrix
 product of the rows [x_i, 1] with the columns [1, -x_j] (inner dimension
 K = 2), which BLAS forms about 3x faster than ``np.subtract.outer``
@@ -65,9 +75,13 @@ loop of the public steps and ``interaction_energy`` bit for bit.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import csv
 import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Annotated, Optional, Union
@@ -201,6 +215,52 @@ _BLOCK_ROWS = 32
 # itself, so each work array holds at most max(2^16, _BLOCK_ROWS N)
 # entries: for N >= 2048 that is one block, as without groups.
 _GROUP_ENTRIES = 1 << 16
+
+# The most threads a pass is split across, the caller's included: one per
+# core up to this cap.  The caller's thread adds every group's results into
+# the sums itself, in block order, so past a few threads the others would
+# wait on it.  Nothing above 2 cores was measured.
+_MAX_WORKERS = 4
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, _MAX_WORKERS)
+
+# The worker threads of the split passes (see ``_force_pass``), started by
+# the first pass that needs them and never more than _MAX_WORKERS - 1.  Each
+# runs the (function, args) tasks of the queue, one at a time, for the life
+# of the process.  (concurrent.futures would add 0.6 MB of imports.)
+_tasks = queue.SimpleQueue()
+_threads: list = []
+_threads_lock = threading.Lock()
+
+
+def _run_tasks(tasks: queue.SimpleQueue) -> None:
+    while True:
+        task, args = tasks.get()
+        task(*args)
+        del task, args  # a pass's slab, which would live on while this waits
+
+
+def _submit(workers: int, task, *args) -> None:
+    """Queue task(*args) for the worker threads, after starting as many as
+    make ``workers``."""
+    with _threads_lock:
+        while len(_threads) < workers:
+            thread = threading.Thread(target=_run_tasks, args=(_tasks,), daemon=True,
+                                      name=f"flockdyn-pairs-{len(_threads) + 1}")
+            thread.start()
+            _threads.append(thread)
+    _tasks.put((task, args))
+
+
+def _forget_threads() -> None:
+    # a child forked after a split pass has none of its parent's threads:
+    # its tasks would wait for ever
+    global _tasks, _threads, _threads_lock
+    _tasks, _threads, _threads_lock = queue.SimpleQueue(), [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # where there is fork
+    os.register_at_fork(after_in_child=_forget_threads)
 
 # Nodes of the force and energy tables, uniform in log r, and the tables'
 # upper end.
@@ -353,20 +413,21 @@ def _config_model(config: SimConfig) -> _ForceModel:
 
 @functools.lru_cache(maxsize=8)
 def _pair_groups(n_part: int, budget: int):
-    """(groups, size): the layout of a pass over ``n_part`` particles.
+    """(groups, size, total): the layout of a pass over ``n_part``
+    particles.
 
     The row blocks lo:hi of ``_BLOCK_ROWS`` rows, against the columns
     j >= lo, are taken in fixed order and laid end to end in flat work
     arrays, as many consecutive blocks at a time as fit in ``budget``
-    entries; each such run of blocks is a group, and ``size`` is the
-    largest group's extent.  A group is (blocks, lower_pairs): blocks
-    lists each block's (lo, hi, start, stop), its rows' segment start:stop
-    of the flat arrays, which holds the block as a C-ordered
-    (hi - lo, n_part - lo) array, so column k is particle lo + k and the
-    block's leading square holds its rows against themselves.  lower_pairs
-    are the flat indices of the squares' pairs j <= i, which a pass over
-    the unordered pairs j > i leaves out."""
-    groups, blocks, lower_pairs, end = [], [], [], 0
+    entries; each such run of blocks is a group, ``size`` is the largest
+    group's extent and ``total`` the blocks' entries summed.  A group is
+    (blocks, lower_pairs): blocks lists each block's (lo, hi, start, stop),
+    its rows' segment start:stop of the flat arrays, which holds the block
+    as a C-ordered (hi - lo, n_part - lo) array, so column k is particle
+    lo + k and the block's leading square holds its rows against
+    themselves.  lower_pairs are the flat indices of the squares' pairs
+    j <= i, which a pass over the unordered pairs j > i leaves out."""
+    groups, blocks, lower_pairs, end, total = [], [], [], 0, 0
     for lo in range(0, n_part, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_part)
         entries = (hi - lo) * (n_part - lo)
@@ -377,8 +438,9 @@ def _pair_groups(n_part: int, budget: int):
         lower_pairs.append(end + rows * (n_part - lo) + cols)
         blocks.append((lo, hi, end, end + entries))
         end += entries
+        total += entries
     groups.append((tuple(blocks), np.concatenate(lower_pairs)))
-    return tuple(groups), max(blocks[-1][3] for blocks, _ in groups)
+    return tuple(groups), max(blocks[-1][3] for blocks, _ in groups), total
 
 
 def _work_arrays(size: int, count: int) -> np.ndarray:
@@ -430,7 +492,24 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
     The energy sums each block's U(d) over its pairs j > i, block by block;
     a fused pass reads U(d) from the table cell and fraction of the pair's
     weight, and an energy-only pass reads the U table alone.  Both give the
-    same bits."""
+    same bits.
+
+    The groups are dealt to ``shards`` threads, group g to shard g % shards,
+    each with its own work arrays: a pass of at least 2 ``_GROUP_ENTRIES``
+    pair entries (N >= 500 at the default budget) has min(``_WORKERS``,
+    groups) shards, a smaller one a single shard, which runs the same code.
+    The caller's thread runs shard 0 and takes the other shards' groups
+    from one FIFO each.  A group hands back its blocks' energies, clamped
+    pairs' terms and two block products, and the caller adds them into the
+    energy, the clamped pairs' sum and the (n + 1, N) sums in group order,
+    and within a group in block order, as each group is reached; its own
+    groups' products are made as it adds them.  So every product and every
+    sum is the one-thread pass's, in its order, and the bits do not depend
+    on the number of shards.  The workers run in a copy of the caller's
+    context, so they keep its ``np.errstate``; an exception in a shard is
+    raised by the caller when it reaches that group.  The workers call no
+    public function of the package, whose spans a tracer keeps on one
+    stack."""
     n_part, dim = x.shape
     x_one_t = np.vstack([x.T, np.ones(n_part)])
     x_one = x_one_t.T
@@ -440,15 +519,16 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
     rows[:, :, 0] = x.T
     cols = np.ones((dim, 2, n_part))
     np.negative(x.T, out=cols[:, 1])
-    groups, size = _pair_groups(n_part, _GROUP_ENTRIES)
-    fused = with_forces and with_energy
+    groups, size, entries = _pair_groups(n_part, _GROUP_ENTRIES)
+    # below two budgets' worth of pairs (N = 400: 2 groups) a second thread
+    # measured 11% slower than one (3-D, 2-core host)
+    shards = min(_WORKERS, len(groups)) if entries >= 2 * _GROUP_ENTRIES else 1
     # d2, the lookup's scratch, its cells and, for a fused pass, the
     # energies; the first dim of them take the coordinates' differences
-    slots = _work_arrays(size, 4 if fused else 3)
-    sums = np.zeros_like(x_one_t)
-    near = np.zeros_like(x)
-    total = 0.0
-    for blocks, lower_pairs in groups:
+    slab_rows = 4 if with_forces and with_energy else 3
+
+    def group_terms(blocks, lower_pairs, slots):
+        """(energies, near_terms, products) of one group, block by block."""
         for lo, hi, start, stop in blocks:
             np.matmul(rows[:, lo:hi], cols[:, :, lo:],
                       out=slots[:dim, start:stop].reshape(dim, hi - lo, n_part - lo))
@@ -460,12 +540,13 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
         d2[lower_pairs] = model._min_sep_sq
         work[1] = work[1].view(np.intp)
         w, clamped, u = model.pair_terms(d2, work, with_forces, with_energy)
+        energies, near_terms = [], []
         if with_energy:
             u[lower_pairs] = 0.0
             for lo, hi, start, stop in blocks:
-                total += float(u[start:stop].reshape(hi - lo, n_part - lo).sum())
+                energies.append(float(u[start:stop].reshape(hi - lo, n_part - lo).sum()))
         if not with_forces:
-            continue
+            return energies, near_terms, ()
         w[lower_pairs] = 0.0
         if clamped.size:
             # block by block, in the order of a pass one block at a time
@@ -473,14 +554,51 @@ def _force_pass(x: np.ndarray, model: _ForceModel, with_energy: bool = False,
             for (lo, _, start, _), own in zip(blocks, np.split(clamped, owners)):
                 i, j = np.divmod(own - start, n_part - lo)
                 i, j = i + lo, j + lo
-                pair_acc = w[own][:, None] * (x[i] - x[j])
-                np.add.at(near, i, pair_acc)
-                np.subtract.at(near, j, pair_acc)
+                near_terms.append((i, j, w[own][:, None] * (x[i] - x[j])))
             w[clamped] = 0.0
-        for lo, hi, start, stop in blocks:
-            block = w[start:stop].reshape(hi - lo, n_part - lo)
-            sums[:, lo:hi] += (block @ x_one[lo:]).T
-            sums[:, lo:] += x_one_t[:, lo:hi] @ block
+
+        def products():  # made as the caller adds them, or listed by a worker
+            for lo, hi, start, stop in blocks:
+                block = w[start:stop].reshape(hi - lo, n_part - lo)
+                yield lo, hi, block @ x_one[lo:], x_one_t[:, lo:hi] @ block
+
+        return energies, near_terms, products()
+
+    def shard(s, fifo, slots):
+        try:
+            for g in range(s, len(groups), shards):
+                energies, near_terms, products = group_terms(*groups[g], slots)
+                fifo.put((energies, near_terms, list(products)))
+        except BaseException as exc:  # the caller raises it at this group
+            fifo.put(exc)
+
+    if shards > 1:
+        fifos = [queue.SimpleQueue() for _ in range(1, shards)]
+        for s, fifo in enumerate(fifos, 1):
+            # the caller's thread allocates every slab: in a worker's own
+            # malloc arena they measured 1.2 MB more peak memory
+            _submit(shards - 1, contextvars.copy_context().run, shard, s, fifo,
+                    _work_arrays(size, slab_rows))
+    slots = _work_arrays(size, slab_rows)
+    sums = np.zeros_like(x_one_t)
+    near = np.zeros_like(x)
+    total = 0.0
+    for g, (blocks, lower_pairs) in enumerate(groups):
+        if g % shards:
+            terms = fifos[g % shards - 1].get()
+            if isinstance(terms, BaseException):
+                raise terms
+        else:
+            terms = group_terms(blocks, lower_pairs, slots)
+        energies, near_terms, products = terms
+        for energy in energies:
+            total += energy
+        for i, j, pair_acc in near_terms:
+            np.add.at(near, i, pair_acc)
+            np.subtract.at(near, j, pair_acc)
+        for lo, hi, row_sums, col_sums in products:
+            sums[:, lo:hi] += row_sums.T
+            sums[:, lo:] += col_sums
     energy = total / n_part**2 if with_energy else None
     if not with_forces:
         return None, energy

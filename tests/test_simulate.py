@@ -2,7 +2,13 @@
 profile comparison, at desk-scale particle counts."""
 
 import csv
+import functools
+import inspect
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -12,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flockdyn import _codec, simulate
+from flockdyn import _codec, potentials, simulate, specfun
 from flockdyn.errors import DomainError, NumericalBlowupError, ParameterOverflowError
 from flockdyn.potentials import (
     ModelParams,
@@ -279,10 +285,13 @@ def test_energy_descent_first_order():
     assert np.all(np.diff(energies) <= 1e-12 * max(abs(e) for e in energies))
 
 
-def test_force_cost_scales_quadratically():
+def test_force_cost_scales_quadratically(monkeypatch):
     # doubling N should roughly quadruple the per-step force time; the two
     # sizes are timed in turn within each round, so a swing in host speed
-    # hits both, and the measurement is retried to ride out scheduler noise
+    # hits both, and the measurement is retried to ride out scheduler noise.
+    # One thread: the N = 800 pass would be split across threads and the
+    # N = 400 pass not, and the ratio would time the split, not the kernel
+    monkeypatch.setattr(simulate, "_WORKERS", 1)
     def warmed(n):
         cfg = SimConfig(potential=POT, dimension=3, N=n, dt=0.01, steps=1, seed=0)
         state = initial_state(cfg)
@@ -862,14 +871,22 @@ def test_pair_pass_equals_the_first_written_kernel_bit_for_bit(case, dim, tabula
     _assert_passes_equal_the_reference(x, cfg)
 
 
+# the thread counts a pass is run on; a pass of fewer groups runs on fewer
+_WORKER_COUNTS = (1, 2, 3, 4)
+
+
 def _assert_passes_equal_the_reference(x, cfg):
-    # force, energy-only and fused passes, each against ``_reference_pass``
+    # force, energy-only and fused passes, each against ``_reference_pass``,
+    # on each of _WORKER_COUNTS threads
     model = _config_model(cfg)
     acc_ref, energy_ref = _reference_pass(x, model)
-    assert np.array_equal(_accelerations(x, model), acc_ref)
-    assert interaction_energy(ParticleState(positions=x, velocities=None), cfg) == energy_ref
-    acc, energy = simulate._force_pass(x, model, with_energy=True)
-    assert np.array_equal(acc, acc_ref) and energy == energy_ref
+    for workers in _WORKER_COUNTS:
+        with mock.patch.object(simulate, "_WORKERS", workers):
+            assert np.array_equal(_accelerations(x, model), acc_ref)
+            state = ParticleState(positions=x, velocities=None)
+            assert interaction_energy(state, cfg) == energy_ref
+            acc, energy = simulate._force_pass(x, model, with_energy=True)
+            assert np.array_equal(acc, acc_ref) and energy == energy_ref
 
 
 @pytest.mark.parametrize("tabulated", [False, True], ids=["exact", "tabulated"])
@@ -898,7 +915,7 @@ def test_the_clamp_search_finds_each_close_pair_once(tabulated):
         _assert_passes_equal_the_reference(x, cfg)
     ((blocks, _),) = simulate._pair_groups(40, simulate._GROUP_ENTRIES)[0]
     starts = [block[2] for block in blocks]
-    assert len(found) == 2  # the force pass and the fused pass
+    assert len(found) == 2 * len(_WORKER_COUNTS)  # the force and fused passes
     for clamped in found:
         pairs = []
         for flat in clamped.tolist():
@@ -1051,6 +1068,203 @@ def test_a_nan_distance_takes_the_clamp_search_and_the_clip():
     assert clamped.size == 0 and np.isnan(w[0]) and np.isnan(u[0])
     w_ref, _, u_ref = _terms(model, d2[1:], with_energy=True)
     assert np.array_equal(w[1:], w_ref) and np.array_equal(u[1:], u_ref)
+
+
+# ------------------------------------------ a pass split across threads
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["exact", "tabulated"])
+@pytest.mark.parametrize("case", ["quasi_morse_2d", "quasi_morse_3d"])
+@pytest.mark.parametrize("n_part", [400, 600])
+def test_split_pass_equals_the_first_written_kernel_bit_for_bit(n_part, case, tabulated):
+    # N = 400 stays on one thread and N = 600 is split.  A cluster of
+    # coincident and close particles sits on the first row of each of the
+    # first four groups and on the last row, so that the pairs among them
+    # are owned by groups of four different shards
+    potential = _KERNEL_CASES[case]
+    dim = potential.params.n
+    cfg = SimConfig(potential=potential, dimension=dim, N=n_part, tabulated_forces=tabulated)
+    groups, _, total = simulate._pair_groups(n_part, simulate._GROUP_ENTRIES)
+    assert (total >= 2 * simulate._GROUP_ENTRIES) == (n_part == 600)
+    rng = np.random.default_rng(n_part + dim)
+    x = rng.uniform(-1.0, 1.0, size=(n_part, dim))
+    members = [blocks[0][0] for blocks, _ in groups[:4]] + [n_part - 1]
+    for member, gap in zip(members[1:], (0.0, 0.3, 0.7, 0.5)):
+        direc = rng.normal(size=dim)
+        x[member] = x[members[0]] + gap * cfg.min_separation * direc / np.linalg.norm(direc)
+    _assert_passes_equal_the_reference(x, cfg)
+
+
+@pytest.mark.parametrize("workers", _WORKER_COUNTS)
+@pytest.mark.parametrize("n_part", [400, 500, 2000])
+def test_a_pass_is_split_from_two_group_budgets_of_pairs(n_part, workers, monkeypatch):
+    # below 2 _GROUP_ENTRIES pair entries a pass runs on the caller's thread
+    # alone; from there on min(_WORKERS, groups) shards each take one slab
+    # of work arrays, and the caller's thread runs the groups g of shard 0
+    monkeypatch.setattr(simulate, "_WORKERS", workers)
+    groups, _, total = simulate._pair_groups(n_part, simulate._GROUP_ENTRIES)
+    split = total >= 2 * simulate._GROUP_ENTRIES
+    assert split == (n_part >= 500)
+    shards = min(workers, len(groups)) if split else 1
+    pair_terms = simulate._ForceModel.pair_terms
+    work_arrays = simulate._work_arrays
+    on_main, slabs = [], []
+
+    def spy(model, d2, *args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return pair_terms(model, d2, *args)
+
+    def counted(size, count):
+        slabs.append(size)
+        return work_arrays(size, count)
+
+    monkeypatch.setattr(simulate._ForceModel, "pair_terms", spy)
+    monkeypatch.setattr(simulate, "_work_arrays", counted)
+    cfg = SimConfig(potential=POT, dimension=3, N=n_part)
+    x = np.random.default_rng(n_part).uniform(-1.0, 1.0, size=(n_part, 3))
+    simulate._force_pass(x, _config_model(cfg))
+    assert len(slabs) == shards
+    assert len(on_main) == len(groups)
+    assert sum(on_main) == len(range(0, len(groups), shards))
+    assert len(simulate._threads) <= simulate._MAX_WORKERS - 1
+
+
+def test_split_passes_from_several_threads_at_once_keep_their_bits(monkeypatch):
+    # four callers share the worker threads, with a short switch interval
+    # to interleave them often; each pass keeps the bits of a one-thread pass
+    monkeypatch.setattr(simulate, "_WORKERS", 4)
+    model = _config_model(SimConfig(potential=POT, dimension=3, N=600))
+    rng = np.random.default_rng(9)
+    xs = [rng.uniform(-1.0, 1.0, size=(600, 3)) for _ in range(4)]
+    with mock.patch.object(simulate, "_WORKERS", 1):
+        refs = [simulate._force_pass(x, model, with_energy=True) for x in xs]
+    results = [[] for _ in xs]
+
+    def caller(k):
+        for _ in range(3):
+            results[k].append(simulate._force_pass(xs[k], model, with_energy=True))
+
+    callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    for (acc_ref, energy_ref), got in zip(refs, results):
+        assert len(got) == 3
+        assert all(np.array_equal(acc, acc_ref) and energy == energy_ref for acc, energy in got)
+
+
+def test_a_split_pass_keeps_the_callers_errstate(monkeypatch):
+    # a NaN position gives every group a NaN distance, whose table cell the
+    # lookup casts to an integer: numpy warns "invalid", an error in this
+    # suite, unless the caller's np.errstate, which the workers run in,
+    # ignores it
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    model = _config_model(SimConfig(potential=POT, dimension=3, N=600))
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(600, 3))
+    x[-1, 0] = math.nan
+    with pytest.raises(RuntimeWarning, match="invalid"):
+        simulate._force_pass(x, model, with_energy=True)
+    with np.errstate(invalid="ignore"):
+        acc, energy = simulate._force_pass(x, model, with_energy=True)
+        with mock.patch.object(simulate, "_WORKERS", 1):
+            acc_one, energy_one = simulate._force_pass(x, model, with_energy=True)
+    assert np.array_equal(acc, acc_one, equal_nan=True)
+    assert math.isnan(energy) and math.isnan(energy_one)
+
+
+def test_an_exception_in_a_worker_shard_reaches_the_caller(monkeypatch):
+    # the pair terms of the worker shard's second group raise: the caller
+    # raises the error when it reaches that group, and the next pass, on
+    # the same pool, has the bits of a one-thread pass
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    model = _config_model(SimConfig(potential=POT, dimension=3, N=600))
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(600, 3))
+    with mock.patch.object(simulate, "_WORKERS", 1):
+        acc_one, energy_one = simulate._force_pass(x, model, with_energy=True)
+    pair_terms = simulate._ForceModel.pair_terms
+    worker_groups = []
+
+    def failing(model, d2, *args):
+        if threading.current_thread() is not threading.main_thread():
+            worker_groups.append(d2.size)
+            if len(worker_groups) == 2:
+                raise ArithmeticError("planted")
+        return pair_terms(model, d2, *args)
+
+    with mock.patch.object(simulate._ForceModel, "pair_terms", failing), \
+            pytest.raises(ArithmeticError, match="planted"):
+        simulate._force_pass(x, model, with_energy=True)
+    assert len(worker_groups) == 2
+    acc, energy = simulate._force_pass(x, model, with_energy=True)
+    assert np.array_equal(acc, acc_one) and energy == energy_one
+
+
+def _exit_with_a_split_pass(x, model, expected):
+    acc, _ = simulate._force_pass(x, model)
+    os._exit(0 if np.array_equal(acc, expected) else 1)
+
+
+def test_a_child_forked_after_a_split_pass_splits_its_own(monkeypatch):
+    # the child has none of the parent's worker threads: it makes its own
+    # pool, rather than queueing its shards for threads that are not there
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    model = _config_model(SimConfig(potential=POT, dimension=3, N=600))
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, size=(600, 3))
+    acc, _ = simulate._force_pass(x, model)
+    child = multiprocessing.get_context("fork").Process(
+        target=_exit_with_a_split_pass, args=(x, model, acc))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_a_split_pass_calls_no_public_function_from_a_worker(monkeypatch):
+    # a tracer that wraps the public functions of specfun, potentials and
+    # simulate, at every binding of them in those modules, keeps one span
+    # stack for all threads (bench/tracer.py): a call from a worker thread
+    # would interleave with the caller's spans
+    modules = (specfun, potentials, simulate)
+    off_main = []
+
+    def recording(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(fn.__qualname__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrapped = {id(obj): recording(obj) for module in modules
+               for name, obj in vars(module).items()
+               if inspect.isfunction(obj) and not name.startswith("_")
+               and obj.__module__ == module.__name__}
+    for module in modules:
+        for name, obj in list(vars(module).items()):
+            if id(obj) in wrapped:
+                monkeypatch.setattr(module, name, wrapped[id(obj)])
+    monkeypatch.setattr(simulate, "_WORKERS", 2)
+    for potential in (POT, QuasiMorse(REF2D)):
+        dim = potential.params.n
+        for tabulated in (True, False):
+            cfg = SimConfig(potential=potential, dimension=dim, N=600,
+                            tabulated_forces=tabulated)
+            x = np.random.default_rng(8).uniform(-1.0, 1.0, size=(600, dim))
+            x[599] = x[300] + 0.3 * cfg.min_separation  # a clamped pair
+            model = _config_model(cfg)
+            simulate._force_pass(x, model)
+            simulate._force_pass(x, model, with_energy=True)
+            interaction_energy(ParticleState(positions=x, velocities=None), cfg)
+    assert off_main == []
 
 
 _EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -1.5, 3.0e10, 1e308, -1e308,

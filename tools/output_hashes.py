@@ -34,7 +34,8 @@ _MORSE_LIKE = ["--potential", "morse_like", "-n", "2", "--p", "0.5", "-C", "0.6"
 
 def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> list[list[str]]:
     """The argv of each command, in the order they run.  ``n_part`` is the
-    particle count of every ``simulate`` but one at N = 600, ``resolution``
+    particle count of every ``simulate`` but three at N = 600 and 1000,
+    whose passes are split across threads, ``resolution``
     the side of the second ``phase`` grid and ``x_points`` the length of the
     wide ``specfun-table`` grid."""
     run = ["-N", str(n_part), "--seed", "1", "--stride", "2", "--steps", "5"]
@@ -93,6 +94,12 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         # N = 600 spans four groups of row blocks in the pair pass, with
         # fused and energy-only passes for the records
         ["simulate", *qm3d, "-N", "600", *run[2:], "-o", "qm3d_n600"],
+        # 2-D, a pass of ten groups: more than most hosts have threads
+        ["simulate", *_REF2D, "--dt", "0.5", "--init", "ball:0.9", "-N", "1000", *run[2:-2],
+         "--steps", "2", "-o", "qm2d_n1000"],
+        # the close-pair cloud in a split pass: clamped pairs in every group
+        ["simulate", *_MORSE, "--dt", "0.01", "--init", "ball:3e-7", "-N", "600", *run[2:],
+         "-o", "morse_close_n600"],
         ["compare", "--state", "qm3d", "--profile", "ref3d.json", "--bins", "8",
          "-o", "compare3d.json"],
         ["compare", "--state", "qm2d", "--profile", "ref2d.json", "--bins", "8",
