@@ -5,12 +5,20 @@ inverse quadratic interpolation or a secant step whenever it lands well
 inside the current bracket, bisection otherwise.  Convergence is
 superlinear on smooth functions, and the bisection fallback guarantees it
 on any sign-change bracket.
+
+The search is written once, as a generator that yields each point at which
+it needs ``f`` and is sent ``f`` there.  ``bracketed_roots`` runs one search
+per bracket, all together: each round evaluates ``f`` once, on the array of
+the points of every open search.  Every function it is used with keeps the
+package's scalar/array contract (an element of an array call equals the
+float call at that element, bit for bit), so each search takes the steps it
+would take alone.  A single bracket evaluates ``f`` on floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -20,16 +28,12 @@ from .errors import BracketFailureError
 XTOL = 2.0 * np.finfo(np.float64).eps
 
 
-def bracketed_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` in ``[lo, hi]``, where ``f(lo)`` and ``f(hi)`` differ in sign.
-
-    Each endpoint is evaluated once.  An endpoint where ``f`` is exactly 0 is
-    returned as is; otherwise the result is the end of a sign-change bracket
-    of width at most ``XTOL * |root|`` at which ``|f|`` is smaller.  Raises
-    BracketFailureError when ``f(lo)`` and ``f(hi)`` have the same sign.
-    """
+def _brent(lo: float, hi: float) -> Generator[float, float, float]:
+    """The search on ``[lo, hi]``: yields each point, is sent f there and
+    returns the root (see ``bracketed_root``)."""
     a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
+    fa = float((yield a))
+    fb = float((yield b))
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -73,4 +77,49 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = float(f(b))
+        fb = float((yield b))
+
+
+def bracketed_roots(f: Callable, brackets) -> list[float]:
+    """The root of ``f`` in each ``(lo, hi)`` of ``brackets``, as
+    ``bracketed_root`` gives it, from one call of ``f`` per round on the
+    array of every open bracket's next point.
+
+    ``f`` must give an element of an array call the bits of its float
+    call.  Raises the BracketFailureError of the first bracket, in order,
+    whose ends have the same sign.  The last open search, and so a single
+    bracket, evaluates ``f`` on floats, as ``bracketed_root`` does.
+    """
+    searches = [_brent(lo, hi) for lo, hi in brackets]
+    roots = [0.0] * len(searches)
+    points = [next(search) for search in searches]
+    open_ = list(range(len(searches)))
+    while open_:
+        values = f(np.array(points)).tolist() if len(open_) > 1 else [f(points[0])]
+        still_open, points = [], []
+        for i, value in zip(open_, values):
+            try:
+                points.append(searches[i].send(value))
+                still_open.append(i)
+            except StopIteration as done:
+                roots[i] = done.value
+        open_ = still_open
+    return roots
+
+
+def bracketed_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` in ``[lo, hi]``, where ``f(lo)`` and ``f(hi)`` differ in sign.
+
+    Each endpoint is evaluated once, and every point is a float.  An
+    endpoint where ``f`` is exactly 0 is returned as is; otherwise the
+    result is the end of a sign-change bracket of width at most
+    ``XTOL * |root|`` at which ``|f|`` is smaller.  Raises
+    BracketFailureError when ``f(lo)`` and ``f(hi)`` have the same sign.
+    """
+    search = _brent(lo, hi)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value

@@ -267,12 +267,19 @@ def _point_rule(params: ModelParams):
 
 def aggregate_param(params: ModelParams) -> tuple[float, float]:
     """Aggregate potential parameter A = k^2 (1 - C ell^n)/(C ell^n - ell^2)
-    and a = sqrt(|A|)."""
+    and a = sqrt(|A|).  A k whose square is not a normal double, or whose
+    A overflows, raises ParameterOverflowError: A would read 0, lose its
+    digits or be inf."""
     *_, A, den, degenerate = _point_rule(params)
     if degenerate:
         raise DegenerateDenominatorError(
             f"C ell^n - ell^2 = {den:.3e} is numerically degenerate"
         )
+    k = params.k
+    if k * k < specfun._MIN_NORMAL or not math.isfinite(A):
+        raise ParameterOverflowError(
+            f"A = k^2 (1 - C ell^n)/(C ell^n - ell^2) leaves the double range at k = {k!r}",
+            ((ModelParams, "k"),))
     return A, math.sqrt(abs(A))
 
 

@@ -78,6 +78,7 @@ import contextlib
 import contextvars
 import csv
 import functools
+import itertools
 import math
 import os
 import queue
@@ -426,21 +427,32 @@ def _pair_groups(n_part: int, budget: int):
     as a C-ordered (hi - lo, n_part - lo) array, so column k is particle
     lo + k and the block's leading square holds its rows against
     themselves.  lower_pairs are the flat indices of the squares' pairs
-    j <= i, which a pass over the unordered pairs j > i leaves out."""
-    groups, blocks, lower_pairs, end, total = [], [], [], 0, 0
+    j <= i, which a pass over the unordered pairs j > i leaves out.  They
+    come from one ``np.tril_indices`` pattern per block height, offset for
+    every block of that height at once: every block is _BLOCK_ROWS high
+    but the last, which may be lower."""
+    runs, blocks, end, total = [], [], 0, 0
     for lo in range(0, n_part, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n_part)
         entries = (hi - lo) * (n_part - lo)
         if blocks and end + entries > budget:
-            groups.append((tuple(blocks), np.concatenate(lower_pairs)))
-            blocks, lower_pairs, end = [], [], 0
-        rows, cols = np.tril_indices(hi - lo)
-        lower_pairs.append(end + rows * (n_part - lo) + cols)
+            runs.append(tuple(blocks))
+            blocks, end = [], 0
         blocks.append((lo, hi, end, end + entries))
         end += entries
         total += entries
-    groups.append((tuple(blocks), np.concatenate(lower_pairs)))
-    return tuple(groups), max(blocks[-1][3] for blocks, _ in groups), total
+    runs.append(tuple(blocks))
+    lo, hi, start, _ = np.array([block for blocks in runs for block in blocks]).T
+    heights = hi - lo
+    lower_pairs = []
+    for height in sorted(set(heights.tolist()), reverse=True):
+        rows, cols = np.tril_indices(height)
+        at = heights == height
+        lower_pairs.append((start[at, None] + rows * (n_part - lo[at, None]) + cols).ravel())
+    # the blocks' pairs in block order, cut where each group ends
+    ends = np.cumsum([sum((h - l) * (h - l + 1) // 2 for l, h, _, _ in blocks) for blocks in runs])
+    groups = tuple(zip(runs, np.split(np.concatenate(lower_pairs), ends[:-1])))
+    return groups, max(blocks[-1][3] for blocks in runs), total
 
 
 def _work_arrays(size: int, count: int) -> np.ndarray:
@@ -927,9 +939,23 @@ def save_checkpoint(state: ParticleState, config: SimConfig, prefix: str) -> tup
     return csv_path, meta_path
 
 
+def _state_columns(header: list[str], csv_path) -> tuple[int, bool]:
+    """(n, velocities) of a checkpoint header, which must name the columns
+    x1..xn, optionally followed by v1..vn, as ``save_checkpoint`` writes."""
+    width = len(header)
+    for dim, velocities in ((width, False), (width // 2, True)):
+        names = [f"{c}{i}" for c in "xv"[: 1 + velocities] for i in range(1, dim + 1)]
+        if dim and header == names:
+            return dim, velocities
+    raise DomainError(f"{csv_path}: the header {','.join(header)!r} does not name the columns "
+                      "x1..xn, optionally followed by v1..vn")
+
+
 def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
     """Read a checkpoint written by save_checkpoint.  ``prefix`` may be the
-    bare prefix or the CSV path itself."""
+    bare prefix or the CSV path itself.  The body is parsed in one pass
+    over all its fields; only a body that fails it is walked line by line,
+    for the line to name."""
     path = Path(prefix)
     csv_path = path if path.suffix == ".csv" else Path(f"{prefix}.csv")
     meta_path = csv_path.with_suffix(".json")
@@ -937,28 +963,31 @@ def load_checkpoint(prefix: str) -> tuple[ParticleState, Optional[dict]]:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = list(reader)
-    dim = sum(1 for c in header if c.startswith("x"))
-    has_v = any(c.startswith("v") for c in header)
-    if dim == 0:
-        raise DomainError(f"{csv_path}: the header names no coordinate columns")
+    dim, has_v = _state_columns(header, csv_path)
     if not rows:
         raise DomainError(f"{csv_path}: no particle rows")
-    values = []
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DomainError(
-                f"{csv_path}: line {line} has {len(row)} fields, the header {len(header)}"
-            )
-        try:
-            values.append([float(v) for v in row])
-        except ValueError as exc:
-            raise DomainError(f"{csv_path}: line {line}: {exc}") from None
-    data = np.array(values)
+    width = len(header)
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError
+        data = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64,
+                           len(rows) * width).reshape(len(rows), width)
+    except ValueError:
+        for line, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise DomainError(
+                    f"{csv_path}: line {line} has {len(row)} fields, the header {width}"
+                ) from None
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise DomainError(f"{csv_path}: line {line}: {exc}") from None
+        raise
     if not np.all(np.isfinite(data)):
         line = 2 + int(np.flatnonzero(~np.isfinite(data).all(axis=1))[0])
         raise DomainError(f"{csv_path}: non-finite value on line {line}")
     positions = data[:, :dim]
-    velocities = data[:, dim : 2 * dim] if has_v else None
+    velocities = data[:, dim:] if has_v else None
     meta, time = None, 0.0
     if meta_path.exists():
         meta = read_json(meta_path)

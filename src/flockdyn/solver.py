@@ -9,7 +9,8 @@ asymptotics near both ends of region I.
 The determinant is ``det M = Btilde(ell) - Btilde(1)``, where Btilde is the
 boundary coefficient at the repulsive (xi = ell) and attractive (xi = 1)
 scales.  Every root is refined on ``det M`` itself by the package's one
-bracketed Brent solver (``_roots.bracketed_root``).  In 3-D the positive
+bracketed Brent solver (``_roots``), which refines the brackets of several
+roots together, with one array call of ``det M`` per round.  In 3-D the positive
 branch collapses to ``c_sin sin(aR) + c_cos cos(aR)``, which equals
 ``+-c_sin`` with alternating signs at the poles ``(j - 1/2) pi / a`` of
 tan(aR); consecutive poles bracket exactly one root, and the j-th root
@@ -39,13 +40,14 @@ import numpy as np
 
 from . import specfun
 from ._codec import Finite, Positive, Record, at_least, check
-from ._roots import bracketed_root
+from ._roots import bracketed_root, bracketed_roots
 from .errors import (
     BracketFailureError,
     CaseMismatchError,
     LimitMismatchWarning,
     MultipleRootsWarning,
     NoRootError,
+    ParameterOverflowError,
     PositivityFailureError,
     RegimeError,
 )
@@ -61,11 +63,22 @@ TAN_FIXPOINT = 4.493409457909064
 A_ZERO_TOL = 1e-4
 
 
-@functools.cache
+#: the positive zeros of J_1 refined so far, by index
+_J1_ZEROS: dict[int, float] = {}
+
+
+def _j1_zeros(indices) -> list[float]:
+    """The m-th positive zero of J_1 for each m of ``indices``, those not
+    refined before refined together, each inside its McMahon bracket."""
+    new = sorted(set(indices) - _J1_ZEROS.keys())
+    brackets = [((m + 0.25) * math.pi - 0.6, (m + 0.25) * math.pi + 0.6) for m in new]
+    _J1_ZEROS.update(zip(new, bracketed_roots(lambda x: specfun.bessel_j(1.0, x), brackets)))
+    return [_J1_ZEROS[m] for m in indices]
+
+
 def _j1_zero(m: int) -> float:
-    """m-th positive zero of J_1, refined inside its McMahon bracket."""
-    approx = (m + 0.25) * math.pi
-    return bracketed_root(lambda x: specfun.bessel_j(1.0, x), approx - 0.6, approx + 0.6)
+    """m-th positive zero of J_1."""
+    return _j1_zeros([m])[0]
 
 
 @dataclass(frozen=True)
@@ -169,7 +182,7 @@ def _boundary_eval(params: ModelParams, case: Sign, xi: float, R):
         return _boundary_zero(n, k, xi, R)
     if n == 3:
         return _boundary_3d(k, a, case, xi, R)
-    return _boundary_2d(k, a, case, xi, R, *_radial_2d(a, case, R))
+    return _boundary_2d(k, a, case, xi, *_radial_2d(a, case, R), _k_ratio(k * R / xi))
 
 
 def _boundary_3d(k, a, case, xi, R):
@@ -188,19 +201,28 @@ def _radial_2d(a, case, R):
     on the negative one: the R-dependence of Btilde(xi) shared by every xi."""
     aR = a * R
     if case is Sign.POSITIVE:
-        return specfun.bessel_j(0.0, aR), specfun.bessel_j(1.0, aR)
+        return specfun.bessel_j_pair(0.0, aR)
     return specfun.bessel_i(0.0, aR, scaled=True), specfun.bessel_i(1.0, aR, scaled=True)
 
 
-def _k_ratio_2d(k, xi, R):
-    """K_0(kR/xi) / K_1(kR/xi) from one scaled K pair."""
-    k0, k1 = specfun.bessel_k_pair(0.0, k * R / xi)
+def _k_ratio(y):
+    """K_0(y) / K_1(y) from one scaled K pair."""
+    k0, k1 = specfun.bessel_k_pair(0.0, y)
     return k0 / k1
 
 
-def _boundary_2d(k, a, case, xi, R, f0, f1):
-    """Btilde(xi) in 2-D from (f0, f1) = ``_radial_2d(a, case, R)``."""
-    kratio = _k_ratio_2d(k, xi, R)
+def _at_both_scales(fn, k, ell, R):
+    """(fn(k R / ell), fn(k R)): for an array R from one call of fn on both
+    length scales' arguments, for a float from two float calls."""
+    if isinstance(R, np.ndarray):
+        both = fn(np.concatenate([k * R / ell, k * R]))
+        return both[:R.size], both[R.size:]
+    return fn(k * R / ell), fn(k * R)
+
+
+def _boundary_2d(k, a, case, xi, f0, f1, kratio):
+    """Btilde(xi) in 2-D from (f0, f1) = ``_radial_2d(a, case, R)`` and
+    kratio = K_0(kR/xi) / K_1(kR/xi)."""
     if case is Sign.POSITIVE:
         gain = 1.0 / (1.0 + (a * xi / k) ** 2)
         return gain * (f0 - (a * xi / k) * f1 * kratio)
@@ -261,8 +283,7 @@ def flock_determinant(params: ModelParams, R):
 
     if A == 0.0 or abs(1.0 - C * ell**n) <= 1e-15:
         half = 0.5 * n
-        w_l = specfun.ratio_k_over_xk(half, k * arr / ell)
-        w_1 = specfun.ratio_k_over_xk(half, k * arr)
+        w_l, w_1 = _at_both_scales(lambda y: specfun.ratio_k_over_xk(half, y), k, ell, arr)
         out = 2.0 * arr * arr * (w_l - w_1)
     elif A > 0.0:
         if n == 3:
@@ -270,8 +291,9 @@ def flock_determinant(params: ModelParams, R):
             out = c_sin * np.sin(a * arr) + c_cos * np.cos(a * arr)
         else:
             f = _radial_2d(a, Sign.POSITIVE, arr)
-            out = (_boundary_2d(k, a, Sign.POSITIVE, ell, arr, *f)
-                   - _boundary_2d(k, a, Sign.POSITIVE, 1.0, arr, *f))
+            kr_l, kr_1 = _at_both_scales(_k_ratio, k, ell, arr)
+            out = (_boundary_2d(k, a, Sign.POSITIVE, ell, *f, kr_l)
+                   - _boundary_2d(k, a, Sign.POSITIVE, 1.0, *f, kr_1))
     else:
         if n == 3:
             pref = math.sqrt(2.0 / (math.pi * a)) * k * ell**2 * (C * ell - 1.0) / (1.0 - ell**2)
@@ -283,8 +305,7 @@ def flock_determinant(params: ModelParams, R):
                     / (C * ell**3 * (k * arr + ell) * (k * arr + 1.0))
                 )
         else:
-            kr_l = _k_ratio_2d(k, ell, arr)
-            kr_1 = _k_ratio_2d(k, 1.0, arr)
+            kr_l, kr_1 = _at_both_scales(_k_ratio, k, ell, arr)
             c0 = (C - 1.0) * (1.0 - C * ell**2) / (C * (1.0 - ell**2))
             c1 = (C - 1.0) * a * ell**2 / (k * (1.0 - ell**2)) * (
                 kr_l / (C * ell) - kr_1
@@ -330,7 +351,8 @@ def _bracket_edges(params: ModelParams, a: float, last: int, first: int = 1) -> 
     sign; in 2-D a point near the origin, then the zeros of J_1(aR)."""
     if params.n == 3:
         return [(j - 0.5) * math.pi / a for j in range(first, last + 2)]
-    return [_j1_zero(m) / a if m else 1e-8 / a for m in range(first - 1, last + 1)]
+    zeros = [zero / a for zero in _j1_zeros(range(max(first - 1, 1), last + 1))]
+    return [1e-8 / a, *zeros] if first == 1 else zeros
 
 
 def _first_sign_change_2d(params: ModelParams, lo: float, hi: float) -> tuple[float, float]:
@@ -346,19 +368,19 @@ def _first_sign_change_2d(params: ModelParams, lo: float, hi: float) -> tuple[fl
             MultipleRootsWarning,
         )
     if len(flips) == 0:
-        return lo, hi  # bracketed_root reports the failed bracket
+        return lo, hi  # the refinement reports the failed bracket
     return float(grid[flips[0]]), float(grid[flips[0] + 1])
 
 
 def _refined_roots(params: ModelParams, a: float, last: int, first: int = 1):
     """The edges of brackets ``first..last`` and the root of det M refined on
-    each; a 2-D first bracket is narrowed to its first sign change before."""
+    each, all together; a 2-D first bracket is narrowed to its first sign
+    change before."""
     edges = _bracket_edges(params, a, last, first)
     brackets = list(zip(edges[:-1], edges[1:]))
     if params.n == 2 and first == 1:
         brackets[0] = _first_sign_change_2d(params, *brackets[0])
-    return edges, [bracketed_root(lambda R: flock_determinant(params, R), lo, hi)
-                   for lo, hi in brackets]
+    return edges, bracketed_roots(functools.partial(flock_determinant, params), brackets)
 
 
 def find_support_radius(
@@ -449,7 +471,15 @@ def solve_profile(params: ModelParams, root_index: int = 1,
     _, (R_star,) = _refined_roots(params, a, root_index, root_index)
     b1 = boundary_coeff(params, Sign.POSITIVE, 1.0, R_star)
     mu1, mu2 = 1.0, -b1
-    total = _mass_closed(params.n, a, R_star, mu1, mu2)
+    try:
+        total = _mass_closed(params.n, a, R_star, mu1, mu2)
+    except OverflowError:  # R*^n past the double range
+        total = math.inf
+    if not math.isfinite(total):
+        # k R* does not depend on k, so it is k that puts R* out of range
+        raise ParameterOverflowError(
+            f"the mass on the support R* = {R_star:.6g} overflows the double range "
+            f"at k = {params.k!r}", ((ModelParams, "k"),))
     if total == 0.0:
         raise PositivityFailureError("profile has zero mass; cannot normalize")
     mu1, mu2 = mu1 / total, mu2 / total
@@ -554,9 +584,8 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
     s = math.sqrt(C - 1.0)
 
     def balance(r0: float) -> float:
-        t = k * r0 / s
-        kratio = _k_ratio_2d(k, 1.0, r0)
-        return specfun.bessel_j(0.0, t) - specfun.bessel_j(1.0, t) * kratio / s
+        j0, j1 = specfun.bessel_j_pair(0.0, k * r0 / s)
+        return j0 - j1 * _k_ratio(k * r0) / s
 
     # root in t = k R0 / sqrt(C-1) below the first zero of J_0
     lo = 1e-9 * s / k

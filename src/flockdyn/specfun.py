@@ -50,7 +50,7 @@ own vectorised kernels, and ``math.exp`` has been seen to differ from
 rarely); a numpy function on a float runs the same loop as on an array.
 ``sqrt``, ``sin`` and ``cos`` also come from numpy.
 ``bessel_k_pair`` returns the scaled K_nu and K_{nu+1} from one evaluation,
-for callers that need both.
+and ``bessel_j_pair`` J_nu and J_{nu+1}, for callers that need both.
 """
 
 from __future__ import annotations
@@ -180,55 +180,62 @@ def _piecewise(x, pieces, width=0):
     return out
 
 
-def _power_series(nu: float, x, sign: float):
-    """sum_m (sign)^m (x/2)^(nu+2m) / (m! Gamma(nu+m+1)).
+def _power_series(orders, x, sign: float):
+    """sum_m (sign)^m (x/2)^(nu+2m) / (m! Gamma(nu+m+1)) at each nu of ``orders``.
 
     sign=-1 gives J_nu, sign=+1 gives I_nu.  Valid for nu >= -1/2 and x > 0
     (x = 0 must be handled by the caller).  The alternating J series starts
     cancelling noticeably beyond x = 4, so 80-bit accumulation is used
     there; elsewhere plain doubles keep the hot vectorized paths fast.
+    Returns one sum per order.
     """
     if sign < 0.0:
         # each precision regime is summed on its own, so a value does not
         # depend on which other elements share the call
         return _piecewise(x, [
-            (x <= _J_EXTENDED_CUT, lambda v: _series_sum(nu, v, sign, float)),
-            (x > _J_EXTENDED_CUT, lambda v: _series_sum(nu, v, sign, np.longdouble)),
-        ])
-    return _series_sum(nu, x, sign, float)
+            (x <= _J_EXTENDED_CUT, lambda v: _series_sum(orders, v, sign, float)),
+            (x > _J_EXTENDED_CUT, lambda v: _series_sum(orders, v, sign, np.longdouble)),
+        ], width=len(orders))
+    return _series_sum(orders, x, sign, float)
 
 
-def _series_sum(nu: float, x, sign: float, dtype):
-    """The power series of ``_power_series`` accumulated in ``dtype``."""
+def _series_sum(orders, x, sign: float, dtype):
+    """The power series of ``_power_series`` accumulated in ``dtype``.  The
+    orders share x/2 and the ratio q of consecutive terms; each runs its own
+    loop, with its own terms and stop test, which is the loop a call for
+    its order alone runs."""
     xl = x.astype(dtype) if isinstance(x, np.ndarray) else dtype(x)
+    array = isinstance(xl, np.ndarray)
     half = 0.5 * xl
-    if nu < 0.0 and _any(half == 0.0):
-        # x/2 rounds to 0 at x = 5e-324, where (x/2)^nu is x^nu 2^-nu
-        lead = np.where(half == 0.0, np.power(xl, dtype(nu)) * dtype(2.0**-nu),
-                        np.power(np.where(half == 0.0, 1.0, half), dtype(nu)))
-    else:
-        lead = np.power(half, dtype(nu))
-    term = lead / dtype(math.gamma(nu + 1.0))
-    array = isinstance(term, np.ndarray)
-    if not array:
-        term = dtype(term)  # a float stays a plain float through the loop
-    total = +term  # a copy, as term is updated in place
     q = dtype(sign) * 0.25 * xl * xl
-    peak = abs(term)
     tol = 1e-25 if dtype is np.longdouble else 1e-18
-    stop = _Stop() if array else None
-    for m in range(1, 400):
-        term *= q
-        term /= m * (nu + m)
-        total += term
-        size = abs(term)
-        peak = _max(peak, size)
-        done = size <= tol * (peak + 1e-300)
-        if stop(done, term) if array else done:
-            break
-    else:  # pragma: no cover - series converges long before 400 terms
-        raise ArithmeticError("power series failed to converge")
-    return total.astype(np.float64) if array else float(total)
+    sums = []
+    for nu in orders:
+        if nu < 0.0 and _any(half == 0.0):
+            # x/2 rounds to 0 at x = 5e-324, where (x/2)^nu is x^nu 2^-nu
+            lead = np.where(half == 0.0, np.power(xl, dtype(nu)) * dtype(2.0**-nu),
+                            np.power(np.where(half == 0.0, 1.0, half), dtype(nu)))
+        else:
+            lead = np.power(half, dtype(nu))
+        term = lead / dtype(math.gamma(nu + 1.0))
+        if not array:
+            term = dtype(term)  # a float stays a plain float through the loop
+        total = +term  # a copy, as term is updated in place
+        peak = abs(term)
+        stop = _Stop() if array else None
+        for m in range(1, 400):
+            term *= q
+            term /= m * (nu + m)
+            total += term
+            size = abs(term)
+            peak = _max(peak, size)
+            done = size <= tol * (peak + 1e-300)
+            if stop(done, term) if array else done:
+                break
+        else:  # pragma: no cover - series converges long before 400 terms
+            raise ArithmeticError("power series failed to converge")
+        sums.append(total.astype(np.float64) if array else float(total))
+    return sums
 
 
 def _j_half_closed(nu: float, x):
@@ -252,33 +259,68 @@ def _j_half_closed(nu: float, x):
     raise UnsupportedOrderError(f"no closed J form for order {nu}")
 
 
-def _j_int_miller(order: int, x):
-    """Integer-order J by Miller's downward recurrence with the
-    J_0 + 2 J_2 + 2 J_4 + ... = 1 normalization.  Used for 12 < x < 1e3,
-    where the alternating series cancels; its error grows with x (see
-    _J_HANKEL_CUT).  An array is evaluated element by element."""
-    if isinstance(x, np.ndarray):
-        return np.array([_j_int_miller(order, v) for v in x.tolist()])
+def _miller_start(x: float) -> int:
+    """The even index at which Miller's recurrence for J(x) starts, taken
+    by Python's ``**``: numpy's vector power misses its bits by an ulp on
+    some inputs."""
     m_hi = int(x + 18.0 + 14.0 * x ** (1.0 / 3.0))
-    m_hi += m_hi % 2  # even start keeps the normalization bookkeeping simple
-    jp = 0.0  # unnormalized J_{n+1}
-    jc = 1e-300  # unnormalized J_n at n = m_hi (arbitrary tiny seed)
-    norm = 0.0
-    wanted = [0.0] * (order + 1)
-    for n in range(m_hi, 0, -1):
-        jm = (2.0 * n / x) * jc - jp
-        # no rescaling: below _J_HANKEL_CUT, |jc| peaks at 2.4e-263 (x = 12.74)
-        jp, jc = jc, jm  # jc now holds unnormalized J_{n-1}
+    return m_hi + m_hi % 2  # even start keeps the normalization bookkeeping simple
+
+
+def _j_int_miller(orders, x):
+    """Integer-order J at each of ``orders`` by Miller's downward recurrence
+    with the J_0 + 2 J_2 + 2 J_4 + ... = 1 normalization, all from one
+    recurrence.  Used for 12 < x < 1e3, where the alternating series
+    cancels; its error grows with x (see _J_HANKEL_CUT).
+
+    An array runs one vector recurrence, with its elements sorted by their
+    start: an element joins at its own start, from the seed its float call
+    starts from, so the elements run so far are always a leading slice."""
+    orders = [int(nu) for nu in orders]
+    top = max(orders)
+    if not isinstance(x, np.ndarray):
+        jp = 0.0  # unnormalized J_{n+1}
+        jc = 1e-300  # unnormalized J_n at n = m_hi (arbitrary tiny seed)
+        norm = 0.0
+        wanted = [0.0] * (top + 1)
+        for n in range(_miller_start(x), 0, -1):
+            jm = (2.0 * n / x) * jc - jp
+            # no rescaling: below _J_HANKEL_CUT, |jc| peaks at 2.4e-263 (x = 12.74)
+            jp, jc = jc, jm  # jc now holds unnormalized J_{n-1}
+            if (n - 1) % 2 == 0 and (n - 1) > 0:
+                norm += 2.0 * jc
+            if n - 1 <= top:
+                wanted[n - 1] = jc
+        norm += wanted[0]
+        return [wanted[order] / norm for order in orders]
+    starts = np.array([_miller_start(v) for v in x.tolist()], dtype=np.int64)
+    by_start = np.argsort(-starts, kind="stable")
+    xs, starts = x[by_start], starts[by_start]
+    jp, jc, jm, norm = np.zeros((4, x.size))
+    wanted = [None] * (top + 1)
+    joined = 0
+    for n in range(int(starts[0]), 0, -1):
+        if joined < x.size and starts[joined] == n:
+            first, joined = joined, int(np.searchsorted(-starts, -n, side="right"))
+            jp[first:joined] = 0.0
+            jc[first:joined] = 1e-300
+        np.divide(2.0 * n, xs[:joined], out=jm[:joined])
+        jm[:joined] *= jc[:joined]
+        jm[:joined] -= jp[:joined]
+        jp, jc, jm = jc, jm, jp
         if (n - 1) % 2 == 0 and (n - 1) > 0:
-            norm += 2.0 * jc
-        if n - 1 <= order:
-            wanted[n - 1] = jc
-    norm += wanted[0] if order >= 0 else jc
-    return wanted[order] / norm
+            norm[:joined] += 2.0 * jc[:joined]
+        if n - 1 <= top:
+            wanted[n - 1] = jc.copy()
+    norm += wanted[0]
+    out = np.empty((len(orders), x.size))
+    for row, order in zip(out, orders):
+        row[by_start] = wanted[order] / norm
+    return out
 
 
-def _j_int_hankel(order: int, x):
-    """Integer-order J by Hankel's expansion; x >= _J_HANKEL_CUT.
+def _j_int_hankel(orders, x):
+    """Integer-order J at each of ``orders`` by Hankel's expansion; x >= _J_HANKEL_CUT.
 
     J_n(x) = sqrt(2 / (pi x)) (P cos chi - Q sin chi), chi = x - pi/4 - n pi/2,
     with P = a_0 - a_2 / x^2 + ... and Q = a_1 / x - a_3 / x^3 + ..., and
@@ -286,23 +328,46 @@ def _j_int_hankel(order: int, x):
     the phase to rounding once x is large (at 1e20 it rounds to x), so cos
     and sin of chi come from those of x, exactly rotated by a quarter turn
     per order; the eighth turn, pi/4, leaves cos x + sin x and sin x - cos x,
-    whose factor 1/sqrt(2) the envelope absorbs.  A fixed number of terms
-    keeps each element independent of the others."""
-    mu4 = 4.0 * order * order
-    term = p = 1.0
-    q = 0.0
-    for k in range(1, 2 * _J_HANKEL_TERMS):
-        term = term * ((mu4 - (2 * k - 1) ** 2) / (8.0 * k)) / x
-        if k % 2:
-            q = q + term if k % 4 == 1 else q - term
-        else:
-            p = p + term if k % 4 == 0 else p - term
+    whose factor 1/sqrt(2) the envelope absorbs.  One cos, sin pair serves
+    every order.  A fixed number of terms keeps each element independent
+    of the others."""
     cos, sin = np.cos(x), np.sin(x)
     # sqrt(2) cos(x - pi/4) and sqrt(2) sin(x - pi/4)
     cos, sin = cos + sin, sin - cos
-    for _ in range(order % 4):
-        cos, sin = sin, -cos  # chi decreases by a quarter turn
-    return (p * cos - q * sin) / (_SQRT_PI * np.sqrt(x))
+    envelope = _SQRT_PI * np.sqrt(x)
+    out = []
+    for order in map(int, orders):
+        mu4 = 4.0 * order * order
+        term = p = 1.0
+        q = 0.0
+        for k in range(1, 2 * _J_HANKEL_TERMS):
+            term = term * ((mu4 - (2 * k - 1) ** 2) / (8.0 * k)) / x
+            if k % 2:
+                q = q + term if k % 4 == 1 else q - term
+            else:
+                p = p + term if k % 4 == 0 else p - term
+        c, s = cos, sin
+        for _ in range(order % 4):
+            c, s = s, -c  # chi decreases by a quarter turn
+        out.append((p * c - q * s) / envelope)
+    return out
+
+
+def _bessel_j(orders, x):
+    """J at each of ``orders``, integers or one half-integer, >= -1/2, on
+    x >= 0 as ``_route`` gives it, from one evaluation: a list of values,
+    or for an array split across pieces a (len(orders), size) array."""
+    if orders[0] == int(orders[0]):
+        large = [((x > _J_SERIES_CUT) & (x < _J_HANKEL_CUT), lambda v: _j_int_miller(orders, v)),
+                 (x >= _J_HANKEL_CUT, lambda v: _j_int_hankel(orders, v))]
+    else:
+        (nu,) = orders
+        large = [(x > _J_SERIES_CUT, lambda v: (_j_half_closed(nu, v),))]
+    return _piecewise(x, [
+        (x == 0.0, lambda v: tuple(np.full_like(v, 1.0 if nu == 0.0 else 0.0) for nu in orders)),
+        ((x > 0.0) & (x <= _J_SERIES_CUT), lambda v: _power_series(orders, v, -1.0)),
+        *large,
+    ], width=len(orders))
 
 
 def bessel_j(nu, x):
@@ -324,17 +389,25 @@ def bessel_j(nu, x):
         raise DomainError("bessel_j requires x >= 0")
     if nu < 0.0 and _any(x == 0.0):
         raise DomainError(f"bessel_j order {nu} diverges at x = 0")
-    if nu == int(nu):
-        large = [((x > _J_SERIES_CUT) & (x < _J_HANKEL_CUT), lambda v: _j_int_miller(int(nu), v)),
-                 (x >= _J_HANKEL_CUT, lambda v: _j_int_hankel(int(nu), v))]
-    else:
-        large = [(x > _J_SERIES_CUT, lambda v: _j_half_closed(nu, v))]
-    out = _piecewise(x, [
-        (x == 0.0, lambda v: 1.0 if nu == 0.0 else 0.0),
-        ((x > 0.0) & (x <= _J_SERIES_CUT), lambda v: _power_series(nu, v, -1.0)),
-        *large,
-    ])
+    (out,) = _bessel_j((nu,), x)
     return _restore(out, shape)
+
+
+def bessel_j_pair(nu, x):
+    """(J_nu(x), J_{nu+1}(x)) from one evaluation, x >= 0.
+
+    Each value equals ``bessel_j`` bit for bit; both come from one series
+    loop, one Miller recurrence or one Hankel cos, sin pair, which
+    ``bessel_j`` would repeat per order.  nu is an integer order 0, 1 or 2.
+    """
+    nu = _check_order(nu)
+    if nu not in (0.0, 1.0, 2.0):
+        raise UnsupportedOrderError(f"bessel_j_pair takes the integer orders 0, 1 and 2, got {nu}")
+    x, shape = _route(x)
+    if _any(x < 0.0):
+        raise DomainError("bessel_j_pair requires x >= 0")
+    lower, upper = _bessel_j((nu, nu + 1.0), x)
+    return _restore(lower, shape), _restore(upper, shape)
 
 
 def _asym_series(nu: float, x, sign: float):
@@ -391,7 +464,7 @@ def bessel_i(nu, x, scaled=False):
     scaled_out = _piecewise(x, [
         (x == 0.0, lambda v: 1.0 if nu == 0.0 else 0.0),
         ((x > 0.0) & (x < _I_SERIES_CUT),
-         lambda v: _power_series(nu, v, +1.0) * np.exp(-v)),
+         lambda v: _power_series((nu,), v, +1.0)[0] * np.exp(-v)),
         (x >= _I_SERIES_CUT, lambda v: _ive_asym(nu, v)),
     ])
     if scaled:
@@ -411,8 +484,7 @@ def _kve01_series(x):
     K_1 is inf where its 1/x term overflows (subnormal x); K_0 stays finite
     there, down to the smallest subnormal, and neither route warns.
     """
-    i0 = _power_series(0.0, x, +1.0)
-    i1 = _power_series(1.0, x, +1.0)
+    i0, i1 = _power_series((0.0, 1.0), x, +1.0)
     half = 0.5 * x
     tiny = half == 0.0
     if _any(tiny):

@@ -844,6 +844,11 @@ _BAD_CHECKPOINTS = {
     "nonfinite": ("x1,x2,x3\n0.1,0.2,0.3\nnan,0.5,0.6\n0.7,0.8,0.9\n", None),
     "non_numeric": ("x1,x2,x3\n0.1,0.2,0.3\n0.4,abc,0.6\n0.7,0.8,0.9\n", None),
     "no_coordinate_columns": ("v1,v2,v3\n0.1,0.2,0.3\n", None),
+    # once read by position: the velocities as positions, (N, 1) velocities
+    # and a column foo as a coordinate
+    "velocities_first": ("v1,v2,v3,x1,x2,x3\n" + "0.1,0.2,0.3,0.4,0.5,0.6\n" * 3, None),
+    "one_velocity_column": ("x1,x2,x3,v1\n" + "0.1,0.2,0.3,0.4\n" * 3, None),
+    "unknown_column": ("x1,foo,x2\n" + "0.1,0.2,0.3\n" * 3, None),
     # once an AttributeError and a TypeError traceback
     "sidecar_not_an_object": (_STATE, "[1]"),
     "sidecar_time_a_list": (_STATE, '{"time": [1]}'),
@@ -955,9 +960,8 @@ def test_every_numeric_flag_at_every_bad_value(tmp_path, monkeypatch, capsys):
     # printed an errno tuple or "math range error", raised a RuntimeWarning
     # (an error under this suite's filter) or exited 0 with particles that
     # never moved (simulate -l 1e-308).  solve, roots and asymptotics at -k
-    # 1e308 and 1e-308 still give a wrong answer (exit 3, "flock_determinant
-    # requires R > 0", and exit 2, A = 0) where k is a pure scale: they meet
-    # the rules below, and their answer is the subject of a later change
+    # 1e308 and 1e-308 once gave a wrong answer (exit 3, "flock_determinant
+    # requires R > 0", and exit 2, A = 0); they are refused, naming -k
     monkeypatch.chdir(tmp_path)
     assert main(["solve", *REF3D_FLAGS, "--grid", "8", "-o", "prof"]) == 0
     assert main([*_SIMULATE, *REF3D_FLAGS, "-o", "state"]) == 0
@@ -987,6 +991,33 @@ def test_every_numeric_flag_at_every_bad_value(tmp_path, monkeypatch, capsys):
                 if not ok:
                     failures.append(f"{argv}: exit {code}, stderr {err!r}")
     assert not failures, "\n".join(failures)
+
+
+_REF2D_FLAGS = ["-n", "2", "-C", "1.1111111111111112", "-l", "0.75", "-k", "0.5"]
+
+
+@pytest.mark.parametrize("command", ["solve", "roots", "asymptotics"])
+@pytest.mark.parametrize("flags", [_REF2D_FLAGS, REF3D_FLAGS], ids=["2d", "3d"])
+@pytest.mark.parametrize("k", ["1e-308", "1e308", "1e-160", "1e160", "1e-120"])
+def test_a_k_out_of_range_is_refused_naming_the_flag(tmp_path, capsys, command, flags, k):
+    # k^2 A_1 underflowed to A = 0 at 1e-308 (exit 2, "no flock profile
+    # exists for A = 0"), A was inf at 1e308 (exit 3, "flock_determinant
+    # requires R > 0"), and a 3-D solve at 1e-120, whose R*^3 overflows,
+    # exited 3 with "(34, 'Numerical result out of range')"
+    out = tmp_path / "out"
+    argv = [command, *flags, "-k", k, "-o", str(out)]
+    if command == "asymptotics":
+        argv = [command, *flags[:4], "-k", k, "--sweep-ell", "upper", "--steps", "2",
+                "-o", str(out)]
+    refused = k != "1e-120" or (command == "solve" and flags is REF3D_FLAGS)
+    code = main(argv)
+    err = capsys.readouterr().err
+    if not refused:
+        assert code == 0 and err == ""
+        return
+    assert code == 3 and err.startswith("error: -k: ") and err.count("\n") == 1
+    assert f"at k = {float(k)!r}" in err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------- specfun table

@@ -940,6 +940,40 @@ def test_a_min_separation_whose_square_underflows(tabulated):
     assert np.all(np.isfinite(acc)) and np.isfinite(energy)
 
 
+def _blockwise_layout(n_part, budget):
+    """The layout of a pass built block by block, one np.tril_indices call
+    per block, as the first grouped pass built it."""
+    groups, blocks, lower_pairs, end, total = [], [], [], 0, 0
+    for lo in range(0, n_part, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_part)
+        entries = (hi - lo) * (n_part - lo)
+        if blocks and end + entries > budget:
+            groups.append((tuple(blocks), np.concatenate(lower_pairs)))
+            blocks, lower_pairs, end = [], [], 0
+        rows, cols = np.tril_indices(hi - lo)
+        lower_pairs.append(end + rows * (n_part - lo) + cols)
+        blocks.append((lo, hi, end, end + entries))
+        end += entries
+        total += entries
+    groups.append((tuple(blocks), np.concatenate(lower_pairs)))
+    return tuple(groups), max(blocks[-1][3] for blocks, _ in groups), total
+
+
+def test_pair_groups_equal_the_blockwise_layout_at_every_size_to_600():
+    # one tril_indices pattern per block height gives the layout, down to
+    # the dtype, of one call per block: one group, several, one block over
+    # the budget, and the last block full or short
+    for budget in (1000, 6000, 20000, simulate._GROUP_ENTRIES):
+        for n_part in range(1, 601):
+            groups, size, total = simulate._pair_groups.__wrapped__(n_part, budget)
+            want, want_size, want_total = _blockwise_layout(n_part, budget)
+            assert (size, total, len(groups)) == (want_size, want_total, len(want))
+            for (blocks, lower_pairs), (want_blocks, want_pairs) in zip(groups, want):
+                assert blocks == want_blocks
+                assert lower_pairs.dtype == want_pairs.dtype
+                assert np.array_equal(lower_pairs, want_pairs), (n_part, budget)
+
+
 @pytest.mark.parametrize("n_part", [1, 31, 32, 33, 400, 600, 2000])
 def test_pair_groups_equal_the_layout_of_a_triangle_per_block(n_part):
     # each block's pairs j <= i, in the layout of np.tril_indices per

@@ -354,6 +354,90 @@ def test_scalar_determinant_equals_scan_entry(seed, n):
     _assert_scans_equal_scalar_calls(region_i_draw(np.random.default_rng(seed), n))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_determinant_element_equals_its_float_call_on_each_branch(n):
+    # the array route takes the K values of both length scales from one
+    # call; the float route from one call per scale
+    pos = REF3D if n == 3 else REF2D
+    zero = ModelParams(3, 8.0, 0.5, 0.7) if n == 3 else ModelParams(2, 4.0, 0.5, 0.7)
+    neg = ModelParams(n, 3.0, 0.9, 1.0)
+    radii = np.concatenate([[1e-9, 1.0, 715.0, 1e4],
+                            np.geomspace(1e-3, 2e3, 97),
+                            # k R / ell and k R about K's crossovers at 2 and 30
+                            [c * f for c in (2.0, 30.0) for f in (0.9, 1.0, 1.1, 1.4, 2.0)]])
+    for params in (pos, zero, neg):
+        vector = flock_determinant(params, radii)
+        floats = [flock_determinant(params, R) for R in radii.tolist()]
+        assert np.array_equal(vector, floats, equal_nan=True), params
+
+
+def _scalar_roots(params, count):
+    """The first ``count`` roots of det M as a loop of float-route searches
+    gives them, one bracket after another, J_1 zeros included."""
+    _, a = aggregate_param(params)
+    if params.n == 3:
+        edges = [(j - 0.5) * math.pi / a for j in range(1, count + 2)]
+    else:
+        j1 = [bracketed_root(lambda x: specfun.bessel_j(1.0, x), (m + 0.25) * math.pi - 0.6,
+                             (m + 0.25) * math.pi + 0.6) for m in range(1, count + 1)]
+        edges = [1e-8 / a, *(zero / a for zero in j1)]
+    brackets = list(zip(edges[:-1], edges[1:]))
+    if params.n == 2:
+        brackets[0] = sv._first_sign_change_2d(params, *brackets[0])
+    return [bracketed_root(lambda R: flock_determinant(params, R), lo, hi) for lo, hi in brackets]
+
+
+def _assert_enumeration_equals_the_scalar_loop(params, counts, monkeypatch):
+    # the J_1 zeros are refined afresh, in one batch
+    monkeypatch.setattr(sv, "_J1_ZEROS", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # MultipleRootsWarning
+        want = _scalar_roots(params, max(counts))
+        for count in counts:
+            got = enumerate_roots(params, count)
+            assert [j for _, j in got] == list(range(1, count + 1))
+            assert _bits([r for r, _ in got]) == _bits(want[:count]), count
+
+
+@pytest.mark.parametrize("params", [REF2D, REF3D], ids=["REF2D", "REF3D"])
+def test_enumeration_equals_the_scalar_loop_for_every_count_to_50(params, monkeypatch):
+    _assert_enumeration_equals_the_scalar_loop(params, range(50, 0, -1), monkeypatch)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 50))
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumeration_equals_the_scalar_loop_on_draws(n, seed, count):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        params = region_i_draw(np.random.default_rng(seed), n)
+        _assert_enumeration_equals_the_scalar_loop(params, [count], monkeypatch)
+
+
+def test_batched_j1_zeros_equal_their_single_refinements(monkeypatch):
+    monkeypatch.setattr(sv, "_J1_ZEROS", {})
+    batch = sv._j1_zeros(range(1, 400))
+    monkeypatch.setattr(sv, "_J1_ZEROS", {})
+    assert _bits(batch) == _bits([sv._j1_zero(m) for m in range(1, 400)])
+    assert np.allclose(batch, jn_zeros(1, 399), rtol=1e-14, atol=0.0)
+
+
+def test_bracketed_roots_run_the_searches_of_bracketed_root_together():
+    calls = []
+
+    def f(x):
+        calls.append(np.ndim(x))
+        return np.cos(x) - 0.25
+
+    brackets = [(0.0, 2.0), (4.0, 6.0), (6.0, 8.0), (10.0, 13.0)]
+    roots = sv.bracketed_roots(f, brackets)
+    assert roots == [bracketed_root(lambda x: math.cos(x) - 0.25, lo, hi) for lo, hi in brackets]
+    # every round is one call, on the array of the open searches' points,
+    # down to one search, which takes floats
+    assert calls[0] == 1 and calls[-1] == 0 and len(calls) < 20
+    with pytest.raises(BracketFailureError, match=r"\(2, 3\)"):
+        sv.bracketed_roots(f, [(0.0, 2.0), (2.0, 3.0), (7.0, 7.5)])
+
+
 def test_find_support_radius_ref3d():
     _, a = aggregate_param(REF3D)
     root, bracket = find_support_radius(REF3D)
@@ -546,10 +630,10 @@ def test_solve_at_a_high_2d_root_refines_one_bracket(monkeypatch):
     _, a = aggregate_param(REF2D)
     zeros = {m: sv._j1_zero(m) for m in (49, 50)}
     asked, brackets = [], []
-    refine = sv.bracketed_root
-    monkeypatch.setattr(sv, "_j1_zero", lambda m: asked.append(m) or zeros[m])
+    refine = sv.bracketed_roots
+    monkeypatch.setattr(sv, "_j1_zeros", lambda ms: asked.extend(ms) or [zeros[m] for m in ms])
     monkeypatch.setattr(
-        sv, "bracketed_root", lambda f, lo, hi: brackets.append((lo, hi)) or refine(f, lo, hi)
+        sv, "bracketed_roots", lambda f, bs: brackets.extend(bs) or refine(f, bs)
     )
     R_star = solve_profile(REF2D, root_index=50).R_star
     assert asked == [49, 50]

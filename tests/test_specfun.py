@@ -130,6 +130,50 @@ def test_j_domain_errors():
         sf.bessel_j(0.25, 1.0)
 
 
+# the crossovers of integer-order J at 4 (the 80-bit series), 12 (Miller's
+# recurrence) and 1e3 (Hankel's expansion), each with its neighbours, and
+# points on either side
+_J_CROSSING_X = np.concatenate([
+    [0.0, 5e-324, 1e-300],
+    [v for c in (4.0, 12.0, 1e3) for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 2e3))],
+    np.random.default_rng(31).uniform(0.0, 20.0, 60),
+    np.random.default_rng(32).uniform(12.0, 1e3, 60),
+    np.random.default_rng(33).uniform(1e3, 1e5, 20),
+])
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_j_pair_equals_the_two_j_calls_bit_for_bit(nu):
+    lower, upper = sf.bessel_j_pair(nu, _J_CROSSING_X)
+    assert np.array_equal(lower, sf.bessel_j(nu, _J_CROSSING_X))
+    assert np.array_equal(upper, sf.bessel_j(nu + 1, _J_CROSSING_X))
+    for x in _J_CROSSING_X.tolist():
+        pair = sf.bessel_j_pair(nu, x)
+        assert all(type(v) is float for v in pair)
+        assert pair == (sf.bessel_j(nu, x), sf.bessel_j(nu + 1, x)), x
+    # the array keeps its shape
+    grid = _J_CROSSING_X[:12].reshape(3, 4)
+    assert all(v.shape == (3, 4) for v in sf.bessel_j_pair(nu, grid))
+
+
+def test_j_pair_refuses_what_it_does_not_give():
+    for nu in (-1.0, 0.5, 3.0):
+        with pytest.raises(UnsupportedOrderError):
+            sf.bessel_j_pair(nu, 1.0)
+    with pytest.raises(DomainError):
+        sf.bessel_j_pair(0.0, np.array([1.0, -1.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(2, 64),
+                  elements=st.floats(12.0, 1e3, exclude_min=True, exclude_max=True)))
+@example(np.array([12.5, 12.5, 999.0, 500.0]))  # a shared start, the widest spread
+def test_the_vector_miller_recurrence_equals_its_float_calls(x):
+    # one recurrence over the array, each element joining at its own start
+    for nu in (0, 1, 2, 3):
+        assert np.array_equal(sf.bessel_j(nu, x), [sf.bessel_j(nu, v) for v in x.tolist()])
+
+
 # ---------------------------------------------------------------- bessel_i
 
 
@@ -504,6 +548,9 @@ def _public_calls():
         if nu + 1.0 in ALL_ORDERS:
             calls.append((f"Kpair{nu}", lambda x, nu=nu: np.array(sf.bessel_k_pair(nu, x)),
                           False))
+        if nu in (0.0, 1.0, 2.0):
+            calls.append((f"Jpair{nu}", lambda x, nu=nu: np.array(sf.bessel_j_pair(nu, x)),
+                          True))
         if nu >= 0.0 and nu + 1.0 in ALL_ORDERS:
             for fn in (sf.ratio_k_over_xk, sf.ratio_k, sf.ratio_k_inverse):
                 calls.append((f"{fn.__name__}{nu}", lambda x, nu=nu, fn=_quiet(fn): fn(nu, x),

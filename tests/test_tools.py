@@ -25,7 +25,8 @@ def test_output_hashes_lists_every_output_and_repeats(tmp_path):
                 "morse_close_exact", "qm3d_far", "qm3d_second", "qm3d_second_stride1",
                 "qm3d_one_step", "qm3d_n600", "qm2d_n1000", "morse_close_n600"):
         assert {f"{tag}.csv", f"{tag}.json", f"{tag}.records.jsonl"} <= set(names)
-    assert {"ref3d.json", "ref2d.json", "roots3d.json", "verify3d.json", "verify2d.csv",
+    assert {"ref3d.json", "ref2d.json", "roots3d.json", "roots3d_60.json", "roots2d_60.json",
+            "roots2d_400.json", "verify3d.json", "verify2d.csv",
             "verify3d.csv",
             "asymptotics3d.csv", "asymptotics3d_lower.csv", "asymptotics2d_lower.csv",
             "phase3d.csv", "phase2d.csv", "phase2d_edges.csv", "compare3d.json",

@@ -49,6 +49,12 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
         ["solve", *_REF2D, "--root-index", "40", "-o", "ref2d_root40"],
         ["roots", *_REF3D, "--count", "3", "-o", "roots3d.json"],
         ["roots", *_REF2D, "--count", "3", "-o", "roots2d.json"],
+        # many brackets refined together, in 2-D with J in Miller's range
+        # (a R of the 60th root is about 190) and, from the 319th root on,
+        # in Hankel's
+        ["roots", *_REF3D, "--count", "60", "-o", "roots3d_60.json"],
+        ["roots", *_REF2D, "--count", "60", "-o", "roots2d_60.json"],
+        ["roots", *_REF2D, "--count", "400", "-o", "roots2d_400.json"],
         ["verify", "--profile", "ref3d.json", "-o", "verify3d.json"],
         ["verify", "--profile", "ref2d.json", "--format", "csv", "-o", "verify2d.csv"],
         ["verify", "--profile", "ref3d.json", "--format", "csv", "-o", "verify3d.csv"],
