@@ -7,12 +7,8 @@ superlinear on smooth functions, and the bisection fallback guarantees it
 on any sign-change bracket.
 
 The search is written once, as a generator that yields each point at which
-it needs ``f`` and is sent ``f`` there.  ``bracketed_roots`` runs one search
-per bracket, all together: each round evaluates ``f`` once, on the array of
-the points of every open search.  Every function it is used with keeps the
-package's scalar/array contract (an element of an array call equals the
-float call at that element, bit for bit), so each search takes the steps it
-would take alone.  A single bracket evaluates ``f`` on floats.
+it needs ``f`` and is sent ``f`` there, and driven by one function,
+``bracketed_roots``, on one bracket or on many together.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ XTOL = 2.0 * np.finfo(np.float64).eps
 
 def _brent(lo: float, hi: float) -> Generator[float, float, float]:
     """The search on ``[lo, hi]``: yields each point, is sent f there and
-    returns the root (see ``bracketed_root``)."""
+    returns the root (see ``bracketed_roots``)."""
     a, b = float(lo), float(hi)
     fa = float((yield a))
     fb = float((yield b))
@@ -81,14 +77,18 @@ def _brent(lo: float, hi: float) -> Generator[float, float, float]:
 
 
 def bracketed_roots(f: Callable, brackets) -> list[float]:
-    """The root of ``f`` in each ``(lo, hi)`` of ``brackets``, as
-    ``bracketed_root`` gives it, from one call of ``f`` per round on the
-    array of every open bracket's next point.
+    """The root of ``f`` in each ``(lo, hi)`` of ``brackets``, where
+    ``f(lo)`` and ``f(hi)`` differ in sign, from one call of ``f`` per round
+    on the array of every open bracket's next point.
 
-    ``f`` must give an element of an array call the bits of its float
-    call.  Raises the BracketFailureError of the first bracket, in order,
-    whose ends have the same sign.  The last open search, and so a single
-    bracket, evaluates ``f`` on floats, as ``bracketed_root`` does.
+    Each end is evaluated once.  An end where ``f`` is exactly 0 is
+    returned as is; otherwise the root is the end of a sign-change bracket
+    of width at most ``XTOL * |root|`` at which ``|f|`` is smaller.  ``f``
+    must give an element of an array call the bits of its float call, so
+    each root is the one its bracket gives alone.  The last open search,
+    and so a single bracket, passes only floats to ``f``.  Raises the
+    BracketFailureError of the first bracket, in order, whose ends have
+    the same sign.
     """
     searches = [_brent(lo, hi) for lo, hi in brackets]
     roots = [0.0] * len(searches)
@@ -105,21 +105,3 @@ def bracketed_roots(f: Callable, brackets) -> list[float]:
                 roots[i] = done.value
         open_ = still_open
     return roots
-
-
-def bracketed_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` in ``[lo, hi]``, where ``f(lo)`` and ``f(hi)`` differ in sign.
-
-    Each endpoint is evaluated once, and every point is a float.  An
-    endpoint where ``f`` is exactly 0 is returned as is; otherwise the
-    result is the end of a sign-change bracket of width at most
-    ``XTOL * |root|`` at which ``|f|`` is smaller.  Raises
-    BracketFailureError when ``f(lo)`` and ``f(hi)`` have the same sign.
-    """
-    search = _brent(lo, hi)
-    x = next(search)
-    try:
-        while True:
-            x = search.send(f(x))
-    except StopIteration as done:
-        return done.value

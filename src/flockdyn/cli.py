@@ -35,7 +35,6 @@ from ._codec import (
 )
 from .errors import (
     BracketFailureError,
-    DegenerateDenominatorError,
     DomainError,
     FlockdynError,
     NoRootError,
@@ -103,9 +102,9 @@ class _UsageError(Exception):
 _EXIT_CODES = (
     ((_UsageError,), EXIT_USAGE),
     ((NoRootError, RegimeError), EXIT_NO_ROOT),
-    ((BracketFailureError, DegenerateDenominatorError, NumericalBlowupError,
-      PositivityFailureError, QuadratureNonConvergenceError, VerificationFailureError,
-      ArithmeticError, MemoryError), EXIT_NUMERICAL),
+    ((BracketFailureError, NumericalBlowupError, PositivityFailureError,
+      QuadratureNonConvergenceError, VerificationFailureError, ArithmeticError,
+      MemoryError), EXIT_NUMERICAL),
     ((OSError,), EXIT_IO),
     ((DomainError, FlockdynError, ValueError), EXIT_USAGE),
 )
@@ -255,12 +254,26 @@ def _read_profile(path: str) -> FlockProfile:
     doc = read_json(path)
     if isinstance(doc, dict) and "profile" in doc:
         doc = doc["profile"]
-    return FlockProfile.from_dict(doc)
+    try:
+        return FlockProfile.from_dict(doc)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
+def _on_profile(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on the profile of ``path``.  The package marks
+    each overflow it means with ``np.errstate``; any other is refused, naming
+    the file, before a warning is printed or an output written."""
+    try:
+        with np.errstate(over="raise"):
+            return fn(*args, **kwargs)
+    except FloatingPointError:
+        raise OverflowError(f"{path}: the profile's values overflow the double range") from None
 
 
 def _cmd_verify(args) -> int:
     profile = _read_profile(args.profile)
-    report = verify_flock(profile, grid_size=args.grid)
+    report = _on_profile(args.profile, verify_flock, profile, grid_size=args.grid)
     meta = {"subcommand": "verify", "profile": args.profile, "grid": args.grid}
     if args.output:
         if args.format == "json":
@@ -378,7 +391,7 @@ def _cmd_compare(args) -> int:
         raise _UsageError(f"--bins must be at most the {n_part} particles of --state, "
                           f"got {args.bins}")
     hist = radial_histogram(state, args.bins)
-    l1, support = compare_profile(hist, profile)
+    l1, support = _on_profile(args.profile, compare_profile, hist, profile)
     meta = {
         "subcommand": "compare",
         "state": args.state,

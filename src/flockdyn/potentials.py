@@ -32,7 +32,7 @@ import numpy as np
 from . import specfun
 from ._codec import Positive, Record, check, decode_tagged, domains, encode_tagged
 from ._codec import one_of, tag_table
-from ._roots import bracketed_root
+from ._roots import bracketed_roots
 from .errors import DegenerateDenominatorError, DomainError, ParameterOverflowError
 
 #: tolerance on |C ell^n - 1| for separatrix / zero-sign classification
@@ -378,8 +378,5 @@ def minimum_radius(spec: PotentialSpec) -> float:
     sign_change = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0]
     if len(sign_change) == 0:
         raise DomainError("no minimum of U found in the scan window")
-    return bracketed_root(
-        lambda r: potential_force_magnitude(spec, r),
-        grid[sign_change[0]],
-        grid[sign_change[0] + 1],
-    )
+    lo, hi = grid[sign_change[0] : sign_change[0] + 2]
+    return bracketed_roots(lambda r: potential_force_magnitude(spec, r), [(lo, hi)])[0]

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import specfun
 from ._codec import Finite, Positive, Record, at_least, check
-from ._roots import bracketed_root, bracketed_roots
+from ._roots import bracketed_roots
 from .errors import (
     BracketFailureError,
     CaseMismatchError,
@@ -53,7 +53,6 @@ from .errors import (
 )
 from .potentials import EPS_A, ModelParams, Sign, aggregate_param, classify
 
-TOL_ROOT = 1e-12
 TOL_POS = 1e-10
 
 #: first positive root of tan x = x (often quoted rounded to 4.49)
@@ -64,21 +63,16 @@ A_ZERO_TOL = 1e-4
 
 
 #: the positive zeros of J_1 refined so far, by index
-_J1_ZEROS: dict[int, float] = {}
+_J1_ZERO_CACHE: dict[int, float] = {}
 
 
 def _j1_zeros(indices) -> list[float]:
     """The m-th positive zero of J_1 for each m of ``indices``, those not
     refined before refined together, each inside its McMahon bracket."""
-    new = sorted(set(indices) - _J1_ZEROS.keys())
+    new = sorted(set(indices) - _J1_ZERO_CACHE.keys())
     brackets = [((m + 0.25) * math.pi - 0.6, (m + 0.25) * math.pi + 0.6) for m in new]
-    _J1_ZEROS.update(zip(new, bracketed_roots(lambda x: specfun.bessel_j(1.0, x), brackets)))
-    return [_J1_ZEROS[m] for m in indices]
-
-
-def _j1_zero(m: int) -> float:
-    """m-th positive zero of J_1."""
-    return _j1_zeros([m])[0]
+    _J1_ZERO_CACHE.update(zip(new, bracketed_roots(lambda x: specfun.bessel_j(1.0, x), brackets)))
+    return [_J1_ZERO_CACHE[m] for m in indices]
 
 
 @dataclass(frozen=True)
@@ -579,7 +573,7 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
             0.0 < 1.0 - C * ell**2 < 0.25,
             f"ell = {ell} is not close to C^(-1/2) = {C ** -0.5:.6g}",
         )
-        return _j1_zero(1) / a
+        return _j1_zeros([1])[0] / a
     _warn_if_far(ell < 0.2 * C**-0.5, f"ell = {ell} is not close to 0")
     s = math.sqrt(C - 1.0)
 
@@ -588,6 +582,5 @@ def asymptotic_radius(params: ModelParams, limit: EllLimit) -> float:
         return j0 - j1 * _k_ratio(k * r0) / s
 
     # root in t = k R0 / sqrt(C-1) below the first zero of J_0
-    lo = 1e-9 * s / k
-    hi = 0.999999 * 2.4048255576957728 * s / k
-    return ell * bracketed_root(balance, lo, hi)
+    bracket = (1e-9 * s / k, 0.999999 * 2.4048255576957728 * s / k)
+    return ell * bracketed_roots(balance, [bracket])[0]

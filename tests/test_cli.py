@@ -10,16 +10,17 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flockdyn import cli
 from flockdyn.cli import main
-from flockdyn.errors import DegenerateDenominatorError, DomainError
+from flockdyn.errors import DegenerateDenominatorError, DomainError, ParameterOverflowError
 from flockdyn.potentials import ModelParams, aggregate_param, classify
 from flockdyn.simulate import load_checkpoint
 
@@ -117,7 +118,7 @@ def test_bad_profile_value_names_the_class_and_the_key(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--profile", str(prof), "--grid", "8"]) == 5
     assert capsys.readouterr().err == (
-        "error: ModelParams: 'k' must be positive and finite, got -1.0\n")
+        f"error: {prof}: ModelParams: 'k' must be positive and finite, got -1.0\n")
 
 
 def test_profile_number_past_the_double_range_names_the_class_and_the_key(tmp_path, capsys):
@@ -131,7 +132,7 @@ def test_profile_number_past_the_double_range_names_the_class_and_the_key(tmp_pa
     capsys.readouterr()
     assert main(["verify", "--profile", str(prof), "--grid", "8"]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: ModelParams: 'k' must be float, got 1000")
+    assert err.startswith(f"error: {prof}: ModelParams: 'k' must be float, got 1000")
     assert err.count("\n") == 1
 
 
@@ -157,6 +158,49 @@ def test_unparseable_json_input_names_its_file(tmp_path, capsys, content, reason
         assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bad.json", "state.csv", "state.json", "state.records.jsonl"]
+
+
+def _profile_commands(tmp_path, profile):
+    """verify and compare of a small state, each with ``profile``."""
+    state = str(tmp_path / "state")
+    assert main(["simulate", *REF3D_FLAGS, "-N", "8", "--steps", "1", "-o", state]) == 0
+    return (["verify", "--profile", str(profile), "--grid", "8", "-o", str(tmp_path / "v.json")],
+            ["compare", "--state", state, "--profile", str(profile), "--bins", "4",
+             "-o", str(tmp_path / "cmp")])
+
+
+def test_a_json_input_that_is_not_a_profile_names_its_file(tmp_path, capsys):
+    # a simulate sidecar once gave only "ModelParams: no 'n' entry", and
+    # compare reads two files
+    for argv in _profile_commands(tmp_path, tmp_path / "state.json"):
+        capsys.readouterr()
+        assert main(argv) == 5
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'state.json'}: ModelParams: no 'n' entry\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "state.csv", "state.json", "state.records.jsonl"]
+
+
+@pytest.mark.parametrize("field", ["mu1", "mu2"])
+def test_a_profile_whose_density_overflows_is_refused_naming_its_file(tmp_path, capsys, field):
+    # at mu1 = 1e308 compare once exited 0 with two numpy overflow warnings
+    # and wrote "l1_error": Infinity, and verify printed a warning before
+    # its exit 3
+    prof = tmp_path / "prof.json"
+    assert main(["solve", *REF3D_FLAGS, "--grid", "8", "-o", str(prof)[:-5]]) == 0
+    doc = json.loads(prof.read_text())
+    prof.write_text(json.dumps({"profile": {**doc["profile"], field: 1e308}}))
+    (tmp_path / "prof.csv").unlink()
+    for argv in _profile_commands(tmp_path, prof):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert not caught
+        assert capsys.readouterr().err == (
+            f"error: {prof}: the profile's values overflow the double range\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "prof.json", "state.csv", "state.json", "state.records.jsonl"]
 
 
 def test_out_of_memory_exits_3_and_writes_nothing(tmp_path):
@@ -240,11 +284,11 @@ def test_profile_that_is_not_an_object_is_rejected(tmp_path, capsys, broken):
     capsys.readouterr()
     assert main(["verify", "--profile", str(bad), "--grid", "8"]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert main(["compare", "--state", state, "--profile", str(bad),
                  "-o", str(tmp_path / "cmp")]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 def test_solve_verify_round_trip(tmp_path, capsys):
@@ -413,8 +457,9 @@ PHASE_HEADER = "C,ell,region,a_sign,biologically_relevant,h_stable,A\n"
 
 def reference_phase(n, cs, ells, k):
     """The phase CSV body of the per-cell rule: ModelParams, classify and
-    aggregate_param at every cell, nan on a degenerate denominator and
-    "invalid" where ModelParams rejects the cell."""
+    aggregate_param at every cell, nan on a degenerate denominator, the
+    signed infinity of an A that aggregate_param refuses as past the double
+    range, and "invalid" where ModelParams rejects the cell."""
     lines = [PHASE_HEADER]
     for c in cs:
         for ell in ells:
@@ -426,6 +471,8 @@ def reference_phase(n, cs, ells, k):
                     a_val = aggregate_param(params)[0]
                 except DegenerateDenominatorError:
                     a_val = float("nan")
+                except ParameterOverflowError:
+                    a_val = math.copysign(math.inf, (1.0 - c * ell**n) / (c * ell**n - ell * ell))
                 row = (c, ell, regime.region.value, regime.a_sign.value,
                        int(regime.biologically_relevant), int(regime.h_stable), a_val)
             except DomainError:
@@ -469,6 +516,8 @@ def phase_windows(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(window=phase_windows())
+# A = k^2 (1 - C ell^2) / ((C - 1) ell^2) overflows to -inf
+@example(window=(2, 1.0, 1, 0.5, 0.5, 2.3362147868591978e-157, 2.3362147868591978e-157))
 def test_phase_grid_equals_the_per_cell_rule(tmp_path_factory, window):
     n, k, resolution, c_min, c_max, ell_min, ell_max = window
     out = tmp_path_factory.mktemp("phase") / "phase.csv"

@@ -1,6 +1,7 @@
 """Solver tests: boundary coefficients, determinant structure, root
 bracketing, profile recovery, and support-radius asymptotics."""
 
+import importlib
 import math
 import warnings
 
@@ -22,12 +23,11 @@ from flockdyn.errors import (
 from flockdyn.potentials import ModelParams, Sign, aggregate_param
 from flockdyn import solver as sv
 from flockdyn import specfun
-from flockdyn._roots import XTOL, bracketed_root
+from flockdyn._roots import XTOL, bracketed_roots
 from flockdyn.solver import (
     EllLimit,
     FlockProfile,
     TAN_FIXPOINT,
-    TOL_ROOT,
     asymptotic_radius,
     boundary_coeff,
     density_eval,
@@ -281,6 +281,11 @@ def test_tangent_offset_case_mismatch():
 # ------------------------------------------------------------ root finding
 
 
+def _one_root(f, lo, hi):
+    """The root of ``f`` that a one-bracket call gives."""
+    return bracketed_roots(f, [(lo, hi)])[0]
+
+
 def test_bracketed_root_known_root():
     calls = []
 
@@ -288,22 +293,24 @@ def test_bracketed_root_known_root():
         calls.append(x)
         return math.cos(x)
 
-    root = bracketed_root(f, 0.0, 2.0)
+    root = _one_root(f, 0.0, 2.0)
     assert abs(root - 0.5 * math.pi) <= XTOL * 0.5 * math.pi
     assert calls.count(0.0) == 1 and calls.count(2.0) == 1
     assert len(calls) < 15
+    # one bracket is searched on floats alone
+    assert all(type(x) is float for x in calls)
 
 
 def test_bracketed_root_exact_zero_at_endpoint():
-    assert bracketed_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
-    assert bracketed_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+    assert _one_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert _one_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
 
 
 def test_bracketed_root_same_sign_bracket():
     with pytest.raises(BracketFailureError):
-        bracketed_root(math.cos, 2.0, 4.0)
+        _one_root(math.cos, 2.0, 4.0)
     with pytest.raises(BracketFailureError):
-        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        _one_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -322,7 +329,7 @@ def test_roots_match_brentq_inside_brackets(seed, n):
         lo, hi = edges[j - 1], edges[j]
         assert lo < r < hi
         ref = brentq(lambda x: flock_determinant(params, x), lo, hi, xtol=1e-300)
-        assert abs(r - ref) <= TOL_ROOT * ref
+        assert abs(r - ref) <= 1e-12 * ref
 
 
 def _assert_scans_equal_scalar_calls(params):
@@ -378,18 +385,18 @@ def _scalar_roots(params, count):
     if params.n == 3:
         edges = [(j - 0.5) * math.pi / a for j in range(1, count + 2)]
     else:
-        j1 = [bracketed_root(lambda x: specfun.bessel_j(1.0, x), (m + 0.25) * math.pi - 0.6,
-                             (m + 0.25) * math.pi + 0.6) for m in range(1, count + 1)]
+        j1 = [_one_root(lambda x: specfun.bessel_j(1.0, x), (m + 0.25) * math.pi - 0.6,
+                        (m + 0.25) * math.pi + 0.6) for m in range(1, count + 1)]
         edges = [1e-8 / a, *(zero / a for zero in j1)]
     brackets = list(zip(edges[:-1], edges[1:]))
     if params.n == 2:
         brackets[0] = sv._first_sign_change_2d(params, *brackets[0])
-    return [bracketed_root(lambda R: flock_determinant(params, R), lo, hi) for lo, hi in brackets]
+    return [_one_root(lambda R: flock_determinant(params, R), lo, hi) for lo, hi in brackets]
 
 
 def _assert_enumeration_equals_the_scalar_loop(params, counts, monkeypatch):
     # the J_1 zeros are refined afresh, in one batch
-    monkeypatch.setattr(sv, "_J1_ZEROS", {})
+    monkeypatch.setattr(sv, "_J1_ZERO_CACHE", {})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # MultipleRootsWarning
         want = _scalar_roots(params, max(counts))
@@ -414,11 +421,31 @@ def test_enumeration_equals_the_scalar_loop_on_draws(n, seed, count):
 
 
 def test_batched_j1_zeros_equal_their_single_refinements(monkeypatch):
-    monkeypatch.setattr(sv, "_J1_ZEROS", {})
+    monkeypatch.setattr(sv, "_J1_ZERO_CACHE", {})
     batch = sv._j1_zeros(range(1, 400))
-    monkeypatch.setattr(sv, "_J1_ZEROS", {})
-    assert _bits(batch) == _bits([sv._j1_zero(m) for m in range(1, 400)])
+    monkeypatch.setattr(sv, "_J1_ZERO_CACHE", {})
+    assert _bits(batch) == _bits([sv._j1_zeros([m])[0] for m in range(1, 400)])
     assert np.allclose(batch, jn_zeros(1, 399), rtol=1e-14, atol=0.0)
+
+
+def test_the_program_memo_reset_refines_the_j1_zeros_again(monkeypatch):
+    # every program memo is a functools cache or a *_CACHE dict of one of
+    # these modules, the rule a benchmark's reset between commands walks, so
+    # that each command pays what a fresh process pays
+    sv._j1_zeros([1])
+    for layer in ("specfun", "potentials", "solver", "convolution", "simulate", "cli"):
+        for name, obj in vars(importlib.import_module(f"flockdyn.{layer}")).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+            elif name.endswith("_CACHE") and isinstance(obj, dict):
+                obj.clear()
+    brackets = []
+    refine = sv.bracketed_roots
+    monkeypatch.setattr(
+        sv, "bracketed_roots", lambda f, bs: brackets.extend(bs) or refine(f, bs)
+    )
+    assert sv._j1_zeros([1])[0] == pytest.approx(jn_zeros(1, 1)[0], rel=1e-15)
+    assert brackets == [(1.25 * math.pi - 0.6, 1.25 * math.pi + 0.6)]
 
 
 def test_bracketed_roots_run_the_searches_of_bracketed_root_together():
@@ -430,7 +457,7 @@ def test_bracketed_roots_run_the_searches_of_bracketed_root_together():
 
     brackets = [(0.0, 2.0), (4.0, 6.0), (6.0, 8.0), (10.0, 13.0)]
     roots = sv.bracketed_roots(f, brackets)
-    assert roots == [bracketed_root(lambda x: math.cos(x) - 0.25, lo, hi) for lo, hi in brackets]
+    assert roots == [_one_root(lambda x: math.cos(x) - 0.25, lo, hi) for lo, hi in brackets]
     # every round is one call, on the array of the open searches' points,
     # down to one search, which takes floats
     assert calls[0] == 1 and calls[-1] == 0 and len(calls) < 20
@@ -536,7 +563,7 @@ def test_first_2d_sign_change_warns_on_several_and_returns_a_bracket_without_one
     _, a = aggregate_param(REF2D)
     # the scan up to the third zero of J_1 crosses the first three roots
     with pytest.warns(MultipleRootsWarning):
-        lo, hi = sv._first_sign_change_2d(REF2D, 1e-8 / a, sv._j1_zero(3) / a)
+        lo, hi = sv._first_sign_change_2d(REF2D, 1e-8 / a, sv._j1_zeros([3])[0] / a)
     assert lo < find_support_radius(REF2D)[0] < hi
     # below the first root det M keeps its sign: the bracket comes back whole
     edges = (1e-8 / a, 0.5 * find_support_radius(REF2D)[0])
@@ -628,7 +655,7 @@ def test_solve_at_each_root_index_equals_the_enumeration_on_draws(seed, n):
 
 def test_solve_at_a_high_2d_root_refines_one_bracket(monkeypatch):
     _, a = aggregate_param(REF2D)
-    zeros = {m: sv._j1_zero(m) for m in (49, 50)}
+    zeros = dict(zip((49, 50), sv._j1_zeros([49, 50])))
     asked, brackets = [], []
     refine = sv.bracketed_roots
     monkeypatch.setattr(sv, "_j1_zeros", lambda ms: asked.extend(ms) or [zeros[m] for m in ms])

@@ -2,7 +2,10 @@
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
 
@@ -35,3 +38,19 @@ def test_output_hashes_lists_every_output_and_repeats(tmp_path):
     # the outputs are byte-stable and name no directory: a second run
     # elsewhere gives the same lines
     assert tool.output_hashes(tmp_path / "b", **sizes) == lines
+
+
+@pytest.mark.parametrize("stderr, code", [("", 2), ("a warning\n", 0)],
+                         ids=["exit_2", "stderr_at_exit_0"])
+def test_output_hashes_refuses_a_failed_or_noisy_command(tmp_path, monkeypatch, stderr, code):
+    # a command that exits 0 but prints a warning once passed the byte gate
+    tool = _load_tool()
+
+    def main(argv):
+        print("done")
+        sys.stderr.write(stderr)
+        return code
+
+    monkeypatch.setattr(tool.cli, "main", main)
+    with pytest.raises(RuntimeError, match=rf"^solve .* exited {code}: done\n{stderr}$"):
+        tool.output_hashes(tmp_path, n_part=40, resolution=8, x_points=20)

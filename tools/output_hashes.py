@@ -126,18 +126,20 @@ def commands(n_part: int = 300, resolution: int = 256, x_points: int = 400) -> l
 def output_hashes(outdir, **sizes) -> list[str]:
     """Run ``commands(**sizes)`` inside ``outdir`` and return the
     ``sha256  file`` line of every file in it.  A command that exits
-    non-zero raises ``RuntimeError`` with its messages."""
+    non-zero, or writes to stderr (a warning, say), raises ``RuntimeError``
+    with its messages."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(outdir)
     try:
         for argv in commands(**sizes):
-            messages = io.StringIO()
-            with contextlib.redirect_stdout(messages), contextlib.redirect_stderr(messages):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-            if code != 0:
-                raise RuntimeError(f"{' '.join(argv)} exited {code}: {messages.getvalue()}")
+            if code != 0 or err.getvalue():
+                raise RuntimeError(f"{' '.join(argv)} exited {code}: "
+                                   f"{out.getvalue()}{err.getvalue()}")
     finally:
         os.chdir(cwd)
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
